@@ -231,6 +231,8 @@ def _cmd_stats_vl(args) -> int:
 
 def _cmd_stats_eqd(args) -> int:
     q, d = args.q, args.d
+    if q < 2:
+        raise ValueError(f"--q must be at least 2, got {q}")
     lo, hi = vl_expectation_interval(q, d)
     _emit(
         {

@@ -3,14 +3,20 @@
 A :class:`DvrConfig` fixes the complete discrete valuation ring we compute in:
 the p-adic integers ``Z_p`` (backend ``"padic"``) or the power-series ring
 ``F_p[[t]]`` (backend ``"series"``).  In both cases the residue field has
-cardinality ``p`` and elements are stored as finitely many base-``p`` digits,
-so the two backends share all arithmetic; only the digit-carry rule differs.
+cardinality ``p`` and an element keeps finitely many base-``p`` digits.  The
+digit arithmetic is the one thing the backends do differently: the config
+picks its digit-ops object once (:class:`~dvrlu.digits.PadicDigits`, integer
+arithmetic mod p^n, or :class:`~dvrlu.digits.SeriesDigits`, carry-free
+digits in bit slots) and every element calls it through ``cfg.ops``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
+
+from .digits import PadicDigits, SeriesDigits
 
 
 class Backend(enum.Enum):
@@ -18,6 +24,22 @@ class Backend(enum.Enum):
 
     PADIC = "padic"
     SERIES = "series"
+
+
+def require_prime(p) -> None:
+    """Raise ValueError unless p is a prime integer."""
+    if not isinstance(p, int) or p < 2:
+        raise ValueError(f"p must be an integer >= 2, got {p!r}")
+    # sympy is heavy; import only when a prime is actually checked.
+    from sympy import isprime
+
+    if not isprime(p):
+        raise ValueError(f"p must be prime, got {p}")
+
+
+@cache
+def _digit_ops(backend: "Backend", p: int):
+    return (PadicDigits if backend is Backend.PADIC else SeriesDigits)(p)
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,24 +53,28 @@ class DvrConfig:
             number of significant base-p digits carried by a freshly created
             unit.  Must be positive.
         backend: ``Backend.PADIC`` for Z_p, ``Backend.SERIES`` for F_p[[t]].
+
+    The digit-ops object ``ops`` is derived from ``p`` and ``backend``; it
+    takes no part in equality, hashing, ``repr``, JSON or pickling.
     """
 
     p: int
     prec: int
     backend: Backend = Backend.PADIC
+    ops: PadicDigits | SeriesDigits = field(
+        init=False, compare=False, hash=False, repr=False
+    )
 
     def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or self.p < 2:
-            raise ValueError(f"p must be an integer >= 2, got {self.p!r}")
-        # sympy is heavy; import only when a config is actually built.
-        from sympy import isprime
-
-        if not isprime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
+        require_prime(self.p)
         if not isinstance(self.prec, int) or self.prec < 1:
             raise ValueError(f"prec must be a positive integer, got {self.prec!r}")
         if not isinstance(self.backend, Backend):
             raise ValueError(f"backend must be a Backend, got {self.backend!r}")
+        object.__setattr__(self, "ops", _digit_ops(self.backend, self.p))
+
+    def __reduce__(self):
+        return DvrConfig, (self.p, self.prec, self.backend)
 
     @property
     def q(self) -> int:

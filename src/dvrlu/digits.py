@@ -1,0 +1,201 @@
+"""Digit arithmetic of the two complete DVRs, one ops object per backend.
+
+A unit of precision n is stored as a single Python int holding its first n
+digits.  The backend decides the layout and therefore the arithmetic:
+
+* :class:`PadicDigits` (``Z_p``) stores the base-p packing ``sum(c_i p^i)``,
+  which is the integer itself, so every op is integer arithmetic mod p^n.
+* :class:`SeriesDigits` (``F_p[[t]]``) stores digit i in the bit slot
+  ``[i*w, (i+1)*w)``.  Slots never borrow or carry into lower slots, so a
+  series sum or product is one big-int operation followed by a slot-wise
+  reduction mod p (Kronecker substitution; Harvey, J. Symb. Comput. 2009).
+
+Both expose the same methods, all taking and returning stored ints:
+``add``, ``neg``, ``mul`` and ``inv`` keep n digits, ``shift`` multiplies by
+pi^k, ``strip`` splits off the valuation of a nonzero value, ``trunc`` keeps
+n digits, and ``encode``/``decode`` convert from/to the public base-p
+packing.  :class:`~dvrlu.config.DvrConfig` picks the object once per ring.
+"""
+
+from __future__ import annotations
+
+# Cached powers of p, grown on demand.  Keyed by p; entry i holds p**i.
+_POW_CACHE: dict[int, list[int]] = {}
+
+
+def pw(p: int, n: int) -> int:
+    """p**n via a per-p cache (n >= 0)."""
+    tbl = _POW_CACHE.get(p)
+    if tbl is None:
+        tbl = _POW_CACHE[p] = [1]
+    while len(tbl) <= n:
+        tbl.append(tbl[-1] * p)
+    return tbl[n]
+
+
+class PadicDigits:
+    """Z_p: stored digits are the integer value; arithmetic is mod p^n."""
+
+    __slots__ = ("p", "symbol")
+
+    def __init__(self, p: int):
+        self.p = p
+        self.symbol = str(p)
+
+    def add(self, x: int, y: int, n: int) -> int:
+        return (x + y) % pw(self.p, n) if n > 0 else 0
+
+    def neg(self, x: int, n: int) -> int:
+        return (-x) % pw(self.p, n) if n > 0 else 0
+
+    def mul(self, x: int, y: int, n: int) -> int:
+        return (x * y) % pw(self.p, n) if n > 0 else 0
+
+    def inv(self, u: int, n: int) -> int:
+        return pow(u, -1, pw(self.p, n))
+
+    def shift(self, x: int, k: int) -> int:
+        return x * pw(self.p, k)
+
+    def strip(self, x: int) -> tuple[int, int]:
+        p = self.p
+        v = 0
+        while x % p == 0:
+            x //= p
+            v += 1
+        return v, x
+
+    def trunc(self, x: int, n: int) -> int:
+        return x % pw(self.p, n)
+
+    def encode(self, x: int) -> int:
+        return x
+
+    def decode(self, x: int) -> int:
+        return x
+
+
+class SeriesDigits:
+    """F_p[[t]]: digit i of a stored int lives in bits [i*w, (i+1)*w).
+
+    The slot sizes are fixed per p so that a product of two operands of at
+    most CAP digits never overflows a slot: b = bit_length(CAP*(p-1)^2)
+    bits hold any slot of such a product, k = b + bit_length(p-1), and the
+    slot width is w = b + k.  With m = ceil(2^k / p) the quotient of a slot
+    s < 2^b by p is exactly (s*m) >> k, and (s*m) < 2^w stays inside its
+    slot, so one multiply, shift, mask and multiply-subtract reduce every
+    slot mod p at once.  Longer multipliers are split into CAP-digit chunks
+    whose partial products are reduced before they are summed.
+    """
+
+    CAP = 1 << 12
+
+    __slots__ = ("p", "symbol", "b", "k", "w", "m", "slot", "_tabs")
+
+    def __init__(self, p: int):
+        self.p = p
+        self.symbol = "t"
+        self.b = (self.CAP * (p - 1) ** 2).bit_length()
+        self.k = self.b + (p - 1).bit_length()
+        self.w = self.b + self.k
+        self.m = -(-(1 << self.k) // p)
+        self.slot = (1 << self.w) - 1
+        self._tabs = _SlotMasks(self)
+
+    def _reduce(self, x: int, n: int) -> int:
+        """Every one of x's n slots (each below 2^b) reduced mod p.  add, neg
+        and mul repeat this expression inline: they are the hot path, and
+        the call costs about a sixth of stable_l's time at d=14, N=30."""
+        return x - self.p * (((x * self.m) >> self.k) & self._tabs[n][1])
+
+    def add(self, x: int, y: int, n: int) -> int:
+        if n <= 0:
+            return 0
+        full, low_b, _ = self._tabs[n]
+        x = (x + y) & full
+        return x - self.p * (((x * self.m) >> self.k) & low_b)
+
+    def neg(self, x: int, n: int) -> int:
+        if n <= 0:
+            return 0
+        full, low_b, pones = self._tabs[n]
+        x = pones - (x & full)
+        return x - self.p * (((x * self.m) >> self.k) & low_b)
+
+    def mul(self, x: int, y: int, n: int) -> int:
+        # Digit i of a product only sums the i+1 products c_a * d_b with
+        # a + b = i, and slots only overflow upwards, so the low n slots of
+        # x*y are exact whatever lies above them as long as n <= CAP.
+        if n <= 0:
+            return 0
+        if n <= self.CAP:
+            full, low_b, _ = self._tabs[n]
+            x = (x * y) & full
+            return x - self.p * (((x * self.m) >> self.k) & low_b)
+        cap, w, tabs = self.CAP, self.w, self._tabs
+        x &= tabs[n][0]
+        y &= tabs[n][0]
+        acc = 0
+        for c in range(0, n, cap):
+            yc = (y >> (c * w)) & tabs[cap][0]
+            rest = n - c  # every slot of x*yc sums at most CAP products
+            part = self._reduce((x * yc) & tabs[rest][0], rest)
+            acc = self._reduce(acc + (part << (c * w)), n)
+        return acc
+
+    def inv(self, u: int, n: int) -> int:
+        # Newton: g <- g*(2 - u*g) doubles the number of correct digits.
+        g = pow(u & self.slot, -1, self.p)
+        steps = []
+        while n > 1:
+            steps.append(n)
+            n = (n + 1) // 2
+        for n in reversed(steps):
+            e = self.mul(u, g, n)
+            two_minus = self._reduce(self._tabs[n][2] + 2 - e, n)
+            g = self.mul(g, two_minus, n)
+        return g
+
+    def shift(self, x: int, k: int) -> int:
+        return x << (k * self.w)
+
+    def strip(self, x: int) -> tuple[int, int]:
+        v = ((x & -x).bit_length() - 1) // self.w
+        return v, x >> (v * self.w)
+
+    def trunc(self, x: int, n: int) -> int:
+        return x & self._tabs[n][0]
+
+    def encode(self, x: int) -> int:
+        """Slots of the base-p packing x (nonnegative)."""
+        if x < 0:
+            raise ValueError("series backend takes nonnegative packed digits")
+        out = shift = 0
+        while x:
+            x, c = divmod(x, self.p)
+            out |= c << shift
+            shift += self.w
+        return out
+
+    def decode(self, x: int) -> int:
+        """Base-p packing of the stored slots x."""
+        out = 0
+        for i in range((x.bit_length() + self.w - 1) // self.w - 1, -1, -1):
+            out = out * self.p + ((x >> (i * self.w)) & self.slot)
+        return out
+
+
+class _SlotMasks(dict):
+    """Per digit count n of a :class:`SeriesDigits`, built on first use: the
+    mask of n whole slots, the mask of the low b bits of n slots, and p in
+    each of n slots."""
+
+    def __init__(self, ops: SeriesDigits):
+        super().__init__()
+        self.ops = ops
+
+    def __missing__(self, n: int) -> tuple[int, int, int]:
+        ops = self.ops
+        ones = (1 << (n * ops.w)) // ops.slot  # 1 in each of n slots
+        t = self[n] = (ones * ops.slot, ones * ((1 << ops.b) - 1), ones * ops.p)
+        return t

@@ -8,9 +8,13 @@ An element is stored in one of two shapes:
 * **big-oh zero** ``O(pi^n)`` — indistinguishable from zero, only the lower
   bound ``n`` on the valuation is known.
 
-Digits are packed positionally into a Python int ``sum(c_i * p**i)``.  For the
-p-adic backend this packing *is* the integer value; for the power-series
-backend it is just a container and all digit arithmetic is carry-less mod p.
+The unit ``u`` is one Python int in the storage layout of the ring's
+digit-ops object ``cfg.ops`` (:mod:`dvrlu.digits`): the integer itself for
+``Z_p``, one bit slot per coefficient for ``F_p[[t]]``.  All digit arithmetic
+goes through ``cfg.ops``; the public face of a unit (constructors,
+``unit_digits``, ``representative``, JSON and ``repr``) is always the base-p
+packing ``sum(c_i * p**i)``.
+
 Valuations may be negative (elements of the fraction field use the same
 representation), and all arithmetic follows the ultrametric precision rules:
 addition keeps the minimum absolute precision, multiplication and division
@@ -21,109 +25,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .config import Backend, DvrConfig
+from .config import DvrConfig
+from .digits import pw
 from .errors import AmbiguousValuation, DivisionByUnknownZero
-
-# Cached powers of p, grown on demand.  Keyed by p; entry i holds p**i.
-_POW_CACHE: dict[int, list[int]] = {}
-
-
-def pw(p: int, n: int) -> int:
-    """p**n via a per-p cache (n >= 0)."""
-    tbl = _POW_CACHE.get(p)
-    if tbl is None:
-        tbl = _POW_CACHE[p] = [1]
-    while len(tbl) <= n:
-        tbl.append(tbl[-1] * p)
-    return tbl[n]
-
-
-# ---------------------------------------------------------------------------
-# packed-digit arithmetic (backend dispatch)
-# ---------------------------------------------------------------------------
-
-
-def _unpack(x: int, p: int, n: int) -> list[int]:
-    out = []
-    for _ in range(n):
-        x, r = divmod(x, p)
-        out.append(r)
-    return out
-
-
-def _repack(digits: list[int], p: int) -> int:
-    x = 0
-    for c in reversed(digits):
-        x = x * p + c
-    return x
-
-
-def _padd(cfg: DvrConfig, x: int, y: int, n: int) -> int:
-    """x + y keeping n digits."""
-    if n <= 0:
-        return 0
-    p = cfg.p
-    if cfg.backend is Backend.PADIC:
-        return (x + y) % pw(p, n)
-    dx = _unpack(x, p, n)
-    dy = _unpack(y, p, n)
-    return _repack([(a + b) % p for a, b in zip(dx, dy)], p)
-
-
-def _pneg(cfg: DvrConfig, x: int, n: int) -> int:
-    if n <= 0:
-        return 0
-    p = cfg.p
-    if cfg.backend is Backend.PADIC:
-        return (-x) % pw(p, n)
-    return _repack([(-c) % p for c in _unpack(x, p, n)], p)
-
-
-def _pmul(cfg: DvrConfig, x: int, y: int, n: int) -> int:
-    """x * y keeping n digits."""
-    if n <= 0:
-        return 0
-    p = cfg.p
-    if cfg.backend is Backend.PADIC:
-        return (x * y) % pw(p, n)
-    dx = _unpack(x, p, n)
-    dy = _unpack(y, p, n)
-    out = [0] * n
-    for i, a in enumerate(dx):
-        if a == 0:
-            continue
-        for j in range(n - i):
-            b = dy[j]
-            if b:
-                out[i + j] = (out[i + j] + a * b) % p
-    return _repack(out, p)
-
-
-def _pinv(cfg: DvrConfig, u: int, n: int) -> int:
-    """Inverse of a unit (lowest digit nonzero), to n digits."""
-    p = cfg.p
-    if cfg.backend is Backend.PADIC:
-        return pow(u, -1, pw(p, n))
-    c = _unpack(u, p, n)
-    g0 = pow(c[0], -1, p)
-    g = [g0]
-    for k in range(1, n):
-        s = 0
-        for i in range(1, k + 1):
-            if c[i] and g[k - i]:
-                s += c[i] * g[k - i]
-        g.append((-g0 * s) % p)
-    return _repack(g, p)
-
-
-def _strip(x: int, p: int) -> tuple[int, int]:
-    """Return (v, x / p**v) for nonzero packed x: strip trailing zero digits."""
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v, x
-
 
 # ---------------------------------------------------------------------------
 # the element itself
@@ -161,8 +65,8 @@ class PrecElem:
         a unit (lowest digit nonzero) after reduction."""
         if rel < 1:
             raise ValueError("unit form needs at least one significant digit")
-        u = u % pw(cfg.p, rel)
-        if u % cfg.p == 0:
+        u = cfg.ops.encode(u % pw(cfg.p, rel))
+        if cfg.ops.trunc(u, 1) == 0:
             raise ValueError("unit part has zero lowest digit")
         return cls(cfg, False, v, u, rel)
 
@@ -187,16 +91,17 @@ class PrecElem:
         if value == 0:
             n = abs_prec if abs_prec is not None else (rel_prec or cfg.prec)
             return cls.bigoh(cfg, n)
-        if cfg.backend is Backend.SERIES and value < 0:
-            raise ValueError("series backend takes nonnegative packed digits")
-        v, stripped = _strip(value, cfg.p)
+        ops = cfg.ops
+        v, stripped = ops.strip(ops.encode(value))
         if abs_prec is not None:
             rel = abs_prec - v
             if rel < 1:
                 return cls.bigoh(cfg, abs_prec)
         else:
             rel = rel_prec if rel_prec is not None else cfg.prec
-        return cls.unit_form(cfg, v, stripped, rel)
+        if rel < 1:
+            raise ValueError("unit form needs at least one significant digit")
+        return cls(cfg, False, v, ops.trunc(stripped, rel), rel)
 
     @classmethod
     def one(cls, cfg: DvrConfig, rel_prec: Optional[int] = None) -> "PrecElem":
@@ -214,8 +119,8 @@ class PrecElem:
         packed = rng.randrange(pw(cfg.p, n))
         if packed == 0:
             return cls.bigoh(cfg, n)
-        v, stripped = _strip(packed, cfg.p)
-        return cls.unit_form(cfg, v, stripped, n - v)
+        v, stripped = cfg.ops.strip(cfg.ops.encode(packed))
+        return cls(cfg, False, v, stripped, n - v)
 
     # -- inspection --------------------------------------------------------
 
@@ -252,7 +157,7 @@ class PrecElem:
         """Packed digits of the unit part (unit form only)."""
         if self._bigoh:
             raise AmbiguousValuation("big-oh zero has no unit part")
-        return self._u
+        return self.cfg.ops.decode(self._u)
 
     def representative(self) -> int:
         """Packed representative u * p**v (0 for big-oh zeros).
@@ -264,7 +169,7 @@ class PrecElem:
             return 0
         if self._v < 0:
             raise ValueError("no integral representative: negative valuation")
-        return self._u * pw(self.cfg.p, self._v)
+        return self.cfg.ops.decode(self._u) * pw(self.cfg.p, self._v)
 
     # -- ring protocol (shared with series elements) --------------------------
 
@@ -300,7 +205,7 @@ class PrecElem:
             return self
         if rel > self._rel:  # zero-pad: same digits, more declared precision
             return PrecElem(self.cfg, False, self._v, self._u, rel)
-        u = self._u % pw(self.cfg.p, rel)
+        u = self.cfg.ops.trunc(self._u, rel)
         # lowest digit survives truncation, so u is still a unit
         return PrecElem(self.cfg, False, self._v, u, rel)
 
@@ -314,7 +219,7 @@ class PrecElem:
         if self._bigoh:
             return self
         return PrecElem(
-            self.cfg, False, self._v, _pneg(self.cfg, self._u, self._rel), self._rel
+            self.cfg, False, self._v, self.cfg.ops.neg(self._u, self._rel), self._rel
         )
 
     def __add__(self, other: "PrecElem") -> "PrecElem":
@@ -327,12 +232,13 @@ class PrecElem:
         ndig = n - m
         if ndig <= 0:
             return PrecElem.bigoh(cfg, n)
-        x = 0 if self._bigoh else self._u * pw(cfg.p, self._v - m)
-        y = 0 if other._bigoh else other._u * pw(cfg.p, other._v - m)
-        s = _padd(cfg, x, y, ndig)
+        ops = cfg.ops
+        x = 0 if self._bigoh else ops.shift(self._u, self._v - m)
+        y = 0 if other._bigoh else ops.shift(other._u, other._v - m)
+        s = ops.add(x, y, ndig)
         if s == 0:
             return PrecElem.bigoh(cfg, n)
-        v, stripped = _strip(s, cfg.p)
+        v, stripped = ops.strip(s)
         return PrecElem(cfg, False, m + v, stripped, ndig - v)
 
     def __sub__(self, other: "PrecElem") -> "PrecElem":
@@ -346,7 +252,7 @@ class PrecElem:
             boz, unit = (self, other) if self._bigoh else (other, self)
             return PrecElem.bigoh(cfg, boz._v + unit._v)
         rel = min(self._rel, other._rel)
-        u = _pmul(cfg, self._u, other._u, rel)
+        u = cfg.ops.mul(self._u, other._u, rel)
         return PrecElem(cfg, False, self._v + other._v, u, rel)
 
     def __truediv__(self, other: "PrecElem") -> "PrecElem":
@@ -358,7 +264,8 @@ class PrecElem:
         if self._bigoh:
             return PrecElem.bigoh(cfg, self._v - other._v)
         rel = min(self._rel, other._rel)
-        u = _pmul(cfg, self._u, _pinv(cfg, other._u, rel), rel)
+        ops = cfg.ops
+        u = ops.mul(self._u, ops.inv(other._u, rel), rel)
         return PrecElem(cfg, False, self._v - other._v, u, rel)
 
     # -- comparison / hashing ------------------------------------------------
@@ -383,19 +290,17 @@ class PrecElem:
     # -- io -------------------------------------------------------------------
 
     def __repr__(self) -> str:
-        sym = "t" if self.cfg.backend is Backend.SERIES else str(self.cfg.p)
+        sym = self.cfg.ops.symbol
         if self._bigoh:
             return f"O({sym}^{self._v})"
-        if self._v == 0:
-            head = f"{self._u}"
-        else:
-            head = f"{self._u}*{sym}^{self._v}"
+        u = self.cfg.ops.decode(self._u)
+        head = f"{u}" if self._v == 0 else f"{u}*{sym}^{self._v}"
         return f"{head} + O({sym}^{self.abs_prec})"
 
     def to_json(self) -> dict:
         if self._bigoh:
             return {"bigoh": self._v}
-        return {"v": self._v, "digits": str(self._u), "rel": self._rel}
+        return {"v": self._v, "digits": str(self.cfg.ops.decode(self._u)), "rel": self._rel}
 
     @classmethod
     def from_json(cls, cfg: DvrConfig, obj: dict) -> "PrecElem":

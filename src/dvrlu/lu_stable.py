@@ -312,14 +312,14 @@ class StableL:
     n: int
 
 
-def _prescribed_quotient(num, den_val: int, v_round: int, n: int):
-    """num / pivot with the sharp prescribed precision cap.
+def _prescribed_quotient(num, den_val: int, v_round: int, n: int) -> int:
+    """The absolute precision to cap the quotient num / pivot at.
 
-    The prescribed absolute precision is N - v_round - max(0, den_val - w)
-    with w the numerator valuation (its precision bound when the numerator
-    is indistinguishable from zero).  For flat integral inputs this never
-    exceeds the quotient's natural precision; capping (never raising) keeps
-    the claim honest for arbitrary inputs.
+    Returns N - v_round - max(0, den_val - w), with w the numerator
+    valuation (its precision bound when the numerator is indistinguishable
+    from zero); the caller divides and applies this with ``cap_abs``.  For
+    flat integral inputs it never exceeds the quotient's natural precision;
+    capping (never raising) keeps the claim honest for arbitrary inputs.
     """
     w = num.val_lower_bound
     prescribed = n - v_round - max(0, den_val - w)

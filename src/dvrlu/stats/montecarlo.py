@@ -24,8 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from ..config import DvrConfig
-from ..element import PrecElem, pw
+from ..config import DvrConfig, require_prime
+from ..digits import pw
+from ..element import PrecElem
 from ..errors import AmbiguousValuation, DegenerateInput
 from ..lu_stable import vij_statistics
 from ..matrix import PrecMatrix
@@ -38,9 +39,14 @@ def _chunk_size(d: int) -> int:
 
 
 class Engine:
-    """Exact batched arithmetic in Z/p^K with valuation bookkeeping."""
+    """Exact batched arithmetic in Z/p^K with valuation bookkeeping.
+
+    Raises ValueError unless p is prime (the valuations and Fermat inverses
+    mean nothing modulo a composite).
+    """
 
     def __init__(self, p: int):
+        require_prime(p)
         self.p = p
         if p == 2:
             self.K = 64
@@ -251,8 +257,8 @@ def _object_retry(p: int, k: int, packed: np.ndarray, rng) -> Optional[dict]:
 
 
 def _run_chunk(args) -> dict:
-    p, d, n, seed, chunk_idx, record_table = args
-    eng = Engine(p)
+    eng, d, n, seed, chunk_idx, record_table = args
+    p = eng.p
     rng = np.random.default_rng(np.random.SeedSequence([seed, chunk_idx]))
     m = eng.random(rng, (n, d, d))
     packed = m.copy()
@@ -299,14 +305,16 @@ def simulate(
 
     Returns concatenated per-trial arrays ('vl', 'det_val', 'boundary', and
     'table' if requested) plus 'retried'/'dropped' counts.  Identical output
-    for any `jobs`; chunks are merged in index order.
+    for any `jobs`; chunks are merged in index order.  Raises ValueError for
+    a non-prime p or d < 1.
     """
     if d < 1:
         raise ValueError("d must be positive")
+    eng = Engine(p)
     size = _chunk_size(d)
     starts = list(range(0, trials, size))
     args = [
-        (p, d, min(size, trials - s), seed, idx, record_table)
+        (eng, d, min(size, trials - s), seed, idx, record_table)
         for idx, s in enumerate(starts)
     ]
     if jobs > 1 and len(args) > 1:
@@ -388,6 +396,7 @@ def _summary(p, d, trials, arr, retried, dropped) -> McSummary:
 def monte_carlo_vl(p: int, d: int, trials: int, seed: int = 0, jobs: int = 1) -> McSummary:
     """Sample statistics of the factor's max denominator exponent V_L."""
     if d == 1:
+        require_prime(p)
         return McSummary(p=p, d=d, trials=trials, used=trials, mean=0.0,
                          stddev=0.0, ci99=0.0, histogram={0: trials})
     sim = simulate(p, d, trials, seed=seed, jobs=jobs)

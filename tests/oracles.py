@@ -203,3 +203,152 @@ def integral_hermite_checks(rows, p: int, h_reps) -> bool:
                 return False
     w_det = exact_det(inv_h)
     return w_det != 0 and val_of(w_det, p) == 0
+
+
+# ---------------------------------------------------------------------------
+# schoolbook F_p[[t]] digit arithmetic on base-p packed ints
+# ---------------------------------------------------------------------------
+#
+# Digit i of a truncated series is the i-th base-p digit of a packed int;
+# every op unpacks n digits into a list, works coefficient by coefficient
+# mod p and packs the result again.
+
+
+def unpack(x: int, p: int, n: int) -> list[int]:
+    out = []
+    for _ in range(n):
+        x, r = divmod(x, p)
+        out.append(r)
+    return out
+
+
+def repack(digits, p: int) -> int:
+    x = 0
+    for c in reversed(digits):
+        x = x * p + c
+    return x
+
+
+def series_add(x: int, y: int, p: int, n: int) -> int:
+    """x + y keeping n digits."""
+    if n <= 0:
+        return 0
+    return repack([(a + b) % p for a, b in zip(unpack(x, p, n), unpack(y, p, n))], p)
+
+
+def series_neg(x: int, p: int, n: int) -> int:
+    if n <= 0:
+        return 0
+    return repack([(-c) % p for c in unpack(x, p, n)], p)
+
+
+def series_mul(x: int, y: int, p: int, n: int) -> int:
+    """x * y keeping n digits."""
+    if n <= 0:
+        return 0
+    dx = unpack(x, p, n)
+    dy = unpack(y, p, n)
+    out = [0] * n
+    for i, a in enumerate(dx):
+        if a == 0:
+            continue
+        for j in range(n - i):
+            b = dy[j]
+            if b:
+                out[i + j] = (out[i + j] + a * b) % p
+    return repack(out, p)
+
+
+def series_inv(u: int, p: int, n: int) -> int:
+    """Inverse of a unit (lowest digit nonzero), to n digits."""
+    c = unpack(u, p, n)
+    g0 = pow(c[0], -1, p)
+    g = [g0]
+    for k in range(1, n):
+        s = 0
+        for i in range(1, k + 1):
+            if c[i] and g[k - i]:
+                s += c[i] * g[k - i]
+        g.append((-g0 * s) % p)
+    return repack(g, p)
+
+
+def series_strip(x: int, p: int) -> tuple[int, int]:
+    """(v, x / p**v) for nonzero packed x."""
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v, x
+
+
+class SchoolbookSeries:
+    """A precision-tracked element of F_p[[t]] (or its fraction field) on the
+    schoolbook digit ops: ``t^v * u + O(t^(v+rel))`` with ``u`` base-p
+    packed, or ``O(t^v)`` when ``bigoh``.  Follows the same ultrametric
+    precision rules as the package's elements, so every result can be
+    compared through ``to_json`` and ``repr``."""
+
+    def __init__(self, p: int, bigoh: bool, v: int, u: int = 0, rel: int = 0):
+        self.p, self.bigoh, self.v, self.u, self.rel = p, bigoh, v, u, rel
+
+    def abs_prec(self) -> int:
+        return self.v if self.bigoh else self.v + self.rel
+
+    def __add__(self, other):
+        p = self.p
+        n = min(self.abs_prec(), other.abs_prec())
+        if self.bigoh and other.bigoh:
+            return SchoolbookSeries(p, True, n)
+        m = min(self.v, other.v)
+        ndig = n - m
+        if ndig <= 0:
+            return SchoolbookSeries(p, True, n)
+        x = 0 if self.bigoh else self.u * p ** (self.v - m)
+        y = 0 if other.bigoh else other.u * p ** (other.v - m)
+        s = series_add(x, y, p, ndig)
+        if s == 0:
+            return SchoolbookSeries(p, True, n)
+        v, u = series_strip(s, p)
+        return SchoolbookSeries(p, False, m + v, u, ndig - v)
+
+    def __neg__(self):
+        if self.bigoh:
+            return self
+        return SchoolbookSeries(self.p, False, self.v, series_neg(self.u, self.p, self.rel), self.rel)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        p = self.p
+        if self.bigoh or other.bigoh:
+            return SchoolbookSeries(p, True, self.v + other.v)
+        rel = min(self.rel, other.rel)
+        return SchoolbookSeries(p, False, self.v + other.v, series_mul(self.u, other.u, p, rel), rel)
+
+    def __truediv__(self, other):
+        """Division by a unit form (the caller rules out O(t^n) divisors)."""
+        p = self.p
+        if self.bigoh:
+            return SchoolbookSeries(p, True, self.v - other.v)
+        rel = min(self.rel, other.rel)
+        u = series_mul(self.u, series_inv(other.u, p, rel), p, rel)
+        return SchoolbookSeries(p, False, self.v - other.v, u, rel)
+
+    def lift_to_precision(self, n: int):
+        rel = n - self.v
+        if self.bigoh or rel < 1:
+            return SchoolbookSeries(self.p, True, n)
+        return SchoolbookSeries(self.p, False, self.v, self.u % self.p**rel, rel)
+
+    def to_json(self) -> dict:
+        if self.bigoh:
+            return {"bigoh": self.v}
+        return {"v": self.v, "digits": str(self.u), "rel": self.rel}
+
+    def __repr__(self) -> str:
+        if self.bigoh:
+            return f"O(t^{self.v})"
+        head = f"{self.u}" if self.v == 0 else f"{self.u}*t^{self.v}"
+        return f"{head} + O(t^{self.abs_prec()})"

@@ -171,6 +171,22 @@ def test_stats_eqd_routes_agree(capsys):
     assert abs(out["series"] - out["alternating"]) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["stats", "vl", "--q", "4", "--d", "4"], "error: p must be prime, got 4"),
+        (["stats", "vl", "--q", "4", "--d", "1"], "error: p must be prime, got 4"),
+        (["stats", "detval", "--q", "6", "--d", "3"], "error: p must be prime, got 6"),
+        (["stats", "eqd", "--q", "1", "--d", "4"], "error: --q must be at least 2, got 1"),
+    ],
+)
+def test_stats_rejects_what_it_cannot_compute(capsys, argv, message):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.strip() == message
+
+
 def test_stats_detval_csv(capsys):
     assert main(
         ["stats", "detval", "--q", "2", "--d", "3", "--trials", "2000",

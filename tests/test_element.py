@@ -1,10 +1,13 @@
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import elem_matches_fraction
+from oracles import SchoolbookSeries, series_add, series_inv, series_mul, series_neg
 from dvrlu import (
     AmbiguousValuation,
     Backend,
@@ -263,6 +266,128 @@ def test_series_division_roundtrip():
 
 
 # ---------------------------------------------------------------------------
+# the bit-slot series digits against the schoolbook loops
+# ---------------------------------------------------------------------------
+
+SERIES_PRIMES = (2, 3, 5, 2**31 - 1)
+SER_CFGS = {p: DvrConfig(p=p, prec=20, backend=Backend.SERIES) for p in SERIES_PRIMES}
+
+
+def packed(p: int, digits) -> int:
+    """Base-p packing of a digit sequence, lowest digit first."""
+    x = 0
+    for c in reversed(digits):
+        x = x * p + c
+    return x
+
+
+def digit_lists(p: int, min_size=0, max_size=80):
+    return st.lists(st.integers(0, p - 1), min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def schoolbook_elems(draw, p):
+    """A schoolbook series element: O(t^n) one time in ten, otherwise a unit
+    form of up to 80 digits."""
+    if draw(st.integers(0, 9)) == 0:
+        return SchoolbookSeries(p, True, draw(st.integers(-3, 90)))
+    digits = draw(digit_lists(p, min_size=1))
+    digits[0] = draw(st.integers(1, p - 1))
+    return SchoolbookSeries(p, False, draw(st.integers(-3, 8)), packed(p, digits), len(digits))
+
+
+@st.composite
+def schoolbook_cases(draw):
+    p = draw(st.sampled_from(SERIES_PRIMES))
+    return p, draw(schoolbook_elems(p)), draw(schoolbook_elems(p)), draw(st.integers(-3, 90))
+
+
+def assert_same(e: PrecElem, ref: SchoolbookSeries):
+    assert e.to_json() == ref.to_json()
+    assert repr(e) == repr(ref)
+    if not ref.bigoh:
+        assert e.unit_digits == ref.u
+        if ref.v >= 0:
+            assert e.representative() == ref.u * ref.p**ref.v
+    assert PrecElem.from_json(e.cfg, e.to_json()) == e
+
+
+@settings(max_examples=300)
+@given(schoolbook_cases())
+def test_series_elements_match_schoolbook(case):
+    p, ra, rb, n = case
+    cfg = SER_CFGS[p]
+    a, b = PrecElem.from_json(cfg, ra.to_json()), PrecElem.from_json(cfg, rb.to_json())
+    assert_same(a, ra)
+    assert_same(b, rb)
+    assert_same(a + b, ra + rb)
+    assert_same(a - b, ra - rb)
+    assert_same(-a, -ra)
+    assert_same(a * b, ra * rb)
+    assert_same(a.lift_to_precision(n), ra.lift_to_precision(n))
+    if not rb.bigoh:
+        assert_same(a / b, ra / rb)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(SERIES_PRIMES), st.data())
+def test_series_digit_ops_match_schoolbook(p, data):
+    """Operands carry up to 80 digits whatever the n the result keeps."""
+    ops = SER_CFGS[p].ops
+    x = packed(p, data.draw(digit_lists(p)))
+    y = packed(p, data.draw(digit_lists(p)))
+    n = data.draw(st.integers(1, 90))
+    ex, ey = ops.encode(x), ops.encode(y)
+    assert ops.decode(ex) == x
+    assert ops.decode(ops.add(ex, ey, n)) == series_add(x, y, p, n)
+    assert ops.decode(ops.neg(ex, n)) == series_neg(x, p, n)
+    assert ops.decode(ops.mul(ex, ey, n)) == series_mul(x, y, p, n)
+    assert ops.decode(ops.trunc(ex, n)) == x % p**n
+    k = data.draw(st.integers(0, 10))
+    assert ops.decode(ops.shift(ex, k)) == x * p**k
+    if x:
+        v, u = ops.strip(ops.shift(ex, k))
+        assert v >= k and ops.decode(u) * p ** (v - k) == x
+    if x % p:
+        assert ops.decode(ops.inv(ex, n)) == series_inv(x, p, n)
+
+
+def test_series_beyond_cap_is_exact():
+    """Past CAP digits the products are chunked.  The all-ones series
+    u = 1/(1-t) over F_2 has u^2 = sum (k+1) t^k and u^-1 = 1 + t; at this
+    length an unchunked square would reach slot sums whose quotient by p
+    no longer fits in b bits."""
+    p = 2
+    ops = SER_CFGS[p].ops
+    n = 5 * ops.CAP
+    assert n * (p - 1) ** 2 // p >= 1 << ops.b
+    cfg = DvrConfig(p=p, prec=n, backend=Backend.SERIES)
+    u = PrecElem.from_int(cfg, packed(p, [p - 1] * n), abs_prec=n)
+    assert (u * u).unit_digits == packed(p, [(k + 1) % p for k in range(n)])
+    inv = PrecElem.one(cfg) / u
+    assert inv.unit_digits == p - 1 + p
+    assert u * inv == PrecElem.one(cfg)
+
+
+def test_series_beyond_cap_structured_product_and_inverse():
+    """(1 + t^a)(1 + t^b) with a + b beyond CAP: the product has four
+    digits, and u * u^-1 = 1 to the full precision."""
+    p = 3
+    ops = SER_CFGS[p].ops
+    a, b = ops.CAP - 5, ops.CAP + 700
+    n = a + b + 11
+    cfg = DvrConfig(p=p, prec=n, backend=Backend.SERIES)
+    fa = PrecElem.from_int(cfg, 1 + p**a, abs_prec=n)
+    fb = PrecElem.from_int(cfg, 1 + p**b, abs_prec=n)
+    u = fa * fb
+    assert u.unit_digits == 1 + p**a + p**b + p ** (a + b)
+    assert u * (PrecElem.one(cfg) / u) == PrecElem.one(cfg)
+    # 1 / (1 + t^a) = sum (-t^a)^k
+    inv = (PrecElem.one(cfg) / fa).unit_digits
+    assert inv == sum((1 if k % 2 == 0 else p - 1) * p ** (k * a) for k in range(n // a + 1) if k * a < n)
+
+
+# ---------------------------------------------------------------------------
 # equality, hashing, serialization, printing
 # ---------------------------------------------------------------------------
 
@@ -292,6 +417,31 @@ def test_json_roundtrip_bigoh_and_series():
 def test_repr_mentions_precision():
     assert "O(5^10)" in repr(PrecElem.from_int(CFG, 3, abs_prec=10))
     assert "t" in repr(PrecElem.from_int(SER, 5, abs_prec=4))
+
+
+# ---------------------------------------------------------------------------
+# the config's digit-ops field
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+def test_config_ops_field_is_invisible(backend):
+    cfg = DvrConfig(p=5, prec=10, backend=backend)
+    twin = DvrConfig(p=5, prec=10, backend=backend)
+    assert cfg == twin and hash(cfg) == hash(twin) and cfg.ops is twin.ops
+    assert cfg != DvrConfig(p=7, prec=10, backend=backend)
+    assert repr(cfg) == f"DvrConfig(p=5, prec=10, backend={backend!r})"
+    assert cfg.to_json() == {"backend": backend.value, "p": 5, "prec": 10}
+    assert DvrConfig.from_json(cfg.to_json()) == cfg
+    blob = pickle.dumps(cfg)
+    assert b"Digits" not in blob
+    back = pickle.loads(blob)
+    assert back == cfg and hash(back) == hash(cfg) and back.ops is cfg.ops
+    assert PrecElem.from_int(back, 7, abs_prec=4) == PrecElem.from_int(cfg, 7, abs_prec=4)
+    shown = [f.name for f in dataclasses.fields(cfg) if f.init or f.compare or f.hash or f.repr]
+    assert shown == ["p", "prec", "backend"]
+    with pytest.raises(TypeError):
+        DvrConfig(p=5, prec=10, backend=backend, ops=cfg.ops)
 
 
 def test_negative_valuation_has_no_representative():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ import oracles
 from conftest import elem_matches_fraction, flat_from_ints, random_int_rows
 from dvrlu import (
     AmbiguousValuation,
+    Backend,
     DegenerateDecomposition,
     DegenerateInput,
     DivisionByUnknownZero,
@@ -509,3 +512,47 @@ def test_block_l_on_series_entries():
             continue
     assert res.lower[0, 1].is_zeroish
     assert res.lower[1, 1].pivot_scalar().valuation == 0
+
+
+# ---------------------------------------------------------------------------
+# F_p[[t]] factors are frozen bit for bit
+# ---------------------------------------------------------------------------
+
+# sha256 of the JSON (sort_keys) of the input, of stable_l's factor with its
+# column valuations and N, and of lv_decomposition's output, for
+# random_matrix(F_5[[t]], d=14, N=30, random.Random(seed)); computed with the
+# schoolbook digit loops the series backend used before its bit-slot storage.
+SERIES_GOLDEN = {
+    1: (
+        "2445ecb972083a652c9f5160a985cf1847e9653b83b07c9fd7039ece3b42248e",
+        "79c476aab58fe1c9b662c712d0135c14b016be294f266c302660d2abd88a3015",
+        "8769860038842068479672a93697e24d52de8e178a32f3bbfaec0a9fe2ac68f2",
+    ),
+    2: (
+        "a9e1298b42b5dfa8ee64197891714b3111cd2e00f95a852747d44e1198d8553d",
+        "f3f63e146e2bead60abdaeaa2f6738d0226c969e84622b912a5a73b0515e4328",
+        "18a1e673f44c66c981694bd1e798d48e1c85281cd9c2226890f67cf5fa74a945",
+    ),
+    3: (
+        "a21b3bcc74f9263b22aaaa671d883a6788d4a39741465a8bdc3dbc09272b2b56",
+        "9f9ae2ad5ff2e2722d412662c0cdccb4b9bb998823dd0fb565e77712da92831f",
+        "7432534d4e896888080115bc6d62dcb53b8706fe158debab5963d1852128fffb",
+    ),
+}
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(SERIES_GOLDEN))
+def test_series_factors_match_golden_hashes(seed):
+    cfg = DvrConfig(p=5, prec=30, backend=Backend.SERIES)
+    m = random_matrix(cfg, 14, random.Random(seed))
+    s = stable_l(m)
+    got = (
+        _sha(m.to_json()),
+        _sha({"L": s.lower.to_json(), "col_vals": s.col_vals, "n": s.n}),
+        _sha(lv_decomposition(m).to_json()),
+    )
+    assert got == SERIES_GOLDEN[seed]

@@ -196,6 +196,32 @@ def test_simulate_deterministic_and_jobs_invariant():
     assert not np.array_equal(a["vl"], d["vl"])
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Engine(4),
+        lambda: simulate(9, 3, 100),
+        lambda: simulate_matrices(6, np.ones((1, 2, 2), dtype=np.int64)),
+        lambda: simulate_wi_2x2(1, 100),
+        lambda: monte_carlo_vl(4, 1, 100),
+        lambda: monte_carlo_det(15, 2, 100),
+    ],
+)
+def test_engine_rejects_non_prime_p(call):
+    with pytest.raises(ValueError, match="p must be"):
+        call()
+
+
+def test_simulate_checks_p_once_per_call(monkeypatch):
+    import dvrlu.stats.montecarlo as mc
+
+    seen = []
+    monkeypatch.setattr(mc, "require_prime", seen.append)
+    out = simulate(2, 2, 3 * mc._chunk_size(2), seed=1)
+    assert len(out["vl"]) + out["dropped"] == 3 * mc._chunk_size(2)
+    assert seen == [2]
+
+
 def test_monte_carlo_vl_d1_shortcut():
     s = monte_carlo_vl(5, 1, 1000, seed=3)
     assert isinstance(s, McSummary)
