@@ -14,6 +14,7 @@ from dvrlu import (
     DegenerateInput,
     DivisionByUnknownZero,
     DvrConfig,
+    DvrError,
     InsufficientLift,
     PrecElem,
     PrecMatrix,
@@ -28,6 +29,7 @@ from dvrlu import (
     naive_gauss_l,
     precision_loss,
     random_matrix,
+    recursive_lv,
     stable_l,
     vij_statistics,
     vl_of_lower,
@@ -556,3 +558,246 @@ def test_series_factors_match_golden_hashes(seed):
         _sha(lv_decomposition(m).to_json()),
     )
     assert got == SERIES_GOLDEN[seed]
+
+
+# ---------------------------------------------------------------------------
+# every elimination's output is frozen bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _outcome(fn):
+    """fn()'s result, or the class and required_prec of the DvrError it raised."""
+    try:
+        return fn()
+    except DvrError as exc:
+        return {"raises": type(exc).__name__,
+                "required_prec": getattr(exc, "required_prec", None)}
+
+
+def _elimination_outputs(backend, p, n, d, seed) -> dict:
+    """sha256 of each elimination's JSON output on random_matrix(seed)."""
+    cfg = DvrConfig(p=p, prec=n, backend=backend)
+    m = random_matrix(cfg, d, random.Random(seed))
+    blocks = [2, 3, d - 5]
+
+    def stable():
+        s = stable_l(m)
+        return {"L": s.lower.to_json(), "col_vals": s.col_vals, "n": s.n,
+                "vl": vl_of_lower(s.lower)}
+
+    def vij():
+        pr = vij_statistics(m)
+        return {"table": [[i, j, v] for (i, j), v in sorted(pr.table.items())],
+                "boundary_sums": pr.boundary_sums, "det_val": pr.det_val,
+                "swaps": pr.swaps, "vl": pr.vl}
+
+    def block(fn):
+        b = fn(m, blocks)
+        return {"L": b.lower.to_json(), "block_vals": b.block_vals, "n": b.n}
+
+    def naive(fn):
+        lower = fn(m)
+        return {"L": lower.to_json(), "vl": vl_of_lower(lower)}
+
+    outputs = {
+        "input": lambda: m.to_json(),
+        "stable_l": stable,
+        "lv_decomposition": lambda: lv_decomposition(m).to_json(),
+        "vij_statistics": vij,
+        "block_l": lambda: block(block_l),
+        "block_l_unitlower": lambda: block(block_l_unitlower),
+        "recursive_lv": lambda: recursive_lv(m, threshold=3).to_json(),
+        "naive_gauss_l": lambda: naive(naive_gauss_l),
+        "lift_recompute_l": lambda: naive(lift_recompute_l),
+    }
+    return {k: _sha(_outcome(fn)) for k, fn in outputs.items()}
+
+
+# sha256 of _elimination_outputs per (backend, p, N, d, seed), computed before
+# the eliminations shared one pivot step; the last two cases run at a precision
+# low enough that some of the calls raise.
+ELIMINATION_GOLDEN = {
+    (Backend.PADIC, 5, 40, 12, 0): {
+        "input": "0bc77bf8b295c91b8c361fec945133db2f6bde2c5ebc7a18ad3c3aaa8009cb8a",
+        "stable_l": "75a9583db92b3b1b000ba6d18db6ca863517457e8a83224bf93c9e8877792415",
+        "lv_decomposition": "4a1e27acfe8c4c7861b4e3709ec3262b300ad0ebbadd87cf1af744cb969dc416",
+        "vij_statistics": "c197437af7e78813ae4040af1afa49df422cd9a738a6b78150df2fc00b566377",
+        "block_l": "97f49bc81f9f2161cf924a7782f5819a063584272774af9bddc4debea57edaac",
+        "block_l_unitlower": "03b67533a4846a551285662dc69970b2172eb5f60523af4051e3587afca3d174",
+        "recursive_lv": "4a1e27acfe8c4c7861b4e3709ec3262b300ad0ebbadd87cf1af744cb969dc416",
+        "naive_gauss_l": "c79339a52d4aad5a5def4a7a702aa3d5d736ba47cdaa5374c728bf60693dccb4",
+        "lift_recompute_l": "2d5d9293e7f09bce0acb2091474caf36540a517e2f9dd2f1ad3f77f4c3181bf8",
+    },
+    (Backend.PADIC, 5, 40, 12, 1): {
+        "input": "257b2ca4ae65216d7f19b4465362573c69d1e94929ce556032b68927ceb9dac7",
+        "stable_l": "58576e5542c234c7ce574f249f0a3ca59b5ff457d0df642956a32b58f3415309",
+        "lv_decomposition": "f7ddbbcd2a05783ab20166b6d09cb4e5b741b150a2d81d54511aef318bf43c81",
+        "vij_statistics": "de6ec79427237e9c670ebd4b201843a88ebbb67360226098b50ae641fc780d48",
+        "block_l": "bd5341815ab10dd4db3b4aa0b77372563353e062bb0c37994857664e0237b0b1",
+        "block_l_unitlower": "a40368ea218cc1251a1b963a8d9d5577bf9a09ac9c9fd6e7476d0065f504c90d",
+        "recursive_lv": "f7ddbbcd2a05783ab20166b6d09cb4e5b741b150a2d81d54511aef318bf43c81",
+        "naive_gauss_l": "3bf22d66a8990d720ba17020a2c24016e60fe29a9a92566241e83dcafc280d85",
+        "lift_recompute_l": "e843608ce6cda0664324592bef4803c799e9866f4382321270206733d5278521",
+    },
+    (Backend.PADIC, 5, 40, 12, 2): {
+        "input": "b3167bd3925e84e83a022e86fc05ff22fc121cbdb4cc304cb784020507e29cb2",
+        "stable_l": "45a175779065dedad2ba86541d3cb60bc4efd8844480a5f3a2d452fc2e5ad68b",
+        "lv_decomposition": "829602f4b88a265471e53639657e4e93824bb80c2f84bb9176e915413f4fac23",
+        "vij_statistics": "f22fe31235161cace27d3835e70083aa69f170764fbb8fe34808500b505ee252",
+        "block_l": "f341d55f9119f8368a691161f87566044f0d55d90983b7517ea8a884d32f5624",
+        "block_l_unitlower": "9c002450b7f553336a913464ed9fa87de1b7e28283e468d2ffe0c0efe8e45c15",
+        "recursive_lv": "829602f4b88a265471e53639657e4e93824bb80c2f84bb9176e915413f4fac23",
+        "naive_gauss_l": "b8635338142209037909e882c3f9449f686c7565aaa67f064ded6e8e96eb57f2",
+        "lift_recompute_l": "2a030a8110430c72b8cf9da182e3d485cb478aee00b685c23f1a1648ba3fe6c2",
+    },
+    (Backend.PADIC, 5, 40, 12, 3): {
+        "input": "862b8d935902f8d0ab229c27a14ed090482501f66e88cf58ba5e24a3eba4e77f",
+        "stable_l": "5afc84f65b89c22768b53413b98a1408191911d5c44325a2aeee1acc6ac73aff",
+        "lv_decomposition": "997f9b6f6d8404a2e62d0c6459926df9e832a6f33386af85fe57c6e6953eb301",
+        "vij_statistics": "3227996549b253dba2746f79383aa59c5edd425c5ea39bb5276473e99b39260e",
+        "block_l": "4b9d763a73e575f15505381bb5255ceb5c39bdbdffcdb1ecfeac7019f234f70d",
+        "block_l_unitlower": "ccc0778e740c014f7ec73af07d537e52e0902a5ad2af32f3c231fc290c42d22a",
+        "recursive_lv": "997f9b6f6d8404a2e62d0c6459926df9e832a6f33386af85fe57c6e6953eb301",
+        "naive_gauss_l": "92affbd046acdd77b36e1b7cfae31054fbb74401fd2c28fc88530e7e95cc7786",
+        "lift_recompute_l": "f7f4b6f79b8cf4ce42c3a74438b2421b7c25ccae6d52797900e1381e5e6d865b",
+    },
+    (Backend.PADIC, 2, 30, 10, 0): {
+        "input": "16186e68b3130b6e1accf4fb9b4997ee09463d93426605cc2c80ac5827d2db00",
+        "stable_l": "1367e841c57403e35cce45ad9f04caafa6e9c58e450fce3aba9ae6e6f086669b",
+        "lv_decomposition": "8dd900549424dc0e64b52d64abc6f1d5aa33edb9bd8766e154f0c4ec3e47d4a5",
+        "vij_statistics": "7e72fcadb1cb910ac5c6d2a26b5d2e30594defd635677c29c5656fb195a0672b",
+        "block_l": "aaa71374216097ae66545ccfc44a889ab14f0c82c0e9487ffafaee6577937553",
+        "block_l_unitlower": "cb7dfa8b97432c17d6d182e86b5c2e0fa03837fc44d2ec90cf8f8e3fd5014806",
+        "recursive_lv": "8dd900549424dc0e64b52d64abc6f1d5aa33edb9bd8766e154f0c4ec3e47d4a5",
+        "naive_gauss_l": "b8f19a5fe907e7f4def109a770bfa740379b30ab608503eb1f792168e416860c",
+        "lift_recompute_l": "aaacee290645c8c6e97ab586ff9441ba3341f6327c50d9036312b9552c4509fb",
+    },
+    (Backend.PADIC, 2, 30, 10, 1): {
+        "input": "59869f1e7cbfd75cd960f35eb0a2be30e9674a676245c6a9a559306aaef9763d",
+        "stable_l": "7d145aacd446ece10a6c0104e659268cf8f1aa90720078f387abe7fa648e9d6b",
+        "lv_decomposition": "f5692974002fb19e734a4ccf2258989bc06456fadd1f55f974b3c8ce53db466b",
+        "vij_statistics": "1f4304e2e89d619463e6e07a40dbc463c48013a3d3e274da2f8c4d15d316add7",
+        "block_l": "db0b58ba25fcc21c934d5eb6f7d2c37ffb7319a4d5fdbb4b7bb10f44428160f0",
+        "block_l_unitlower": "4a8bed22fca5d714b757903752a448a5c7ed45e4cda02b39de1090aefb6c0a39",
+        "recursive_lv": "f5692974002fb19e734a4ccf2258989bc06456fadd1f55f974b3c8ce53db466b",
+        "naive_gauss_l": "ec2d82f166d23337055af9e746a2363d2de60c0d190b71e9e0dd2e251cb20f43",
+        "lift_recompute_l": "6b2dc3a8f6663b75dbc13ce641952ec8db322280bd6a8bafa6723a85cc3e9b81",
+    },
+    (Backend.PADIC, 2, 30, 10, 2): {
+        "input": "92e1effc7112a7babc1c791db14ef9304f76a291a0f8fdab48d34c76bab80186",
+        "stable_l": "058244a601aefb19522148733c96c063494f1e548fef1129ce8d3a0176ceaad2",
+        "lv_decomposition": "552a4002ccb97912eedd917c4bcd82d5951d21d664d5c9966d374f8bc642af48",
+        "vij_statistics": "5102b5c21abac88bf63bef49888429dff66fab43028a76a744e78aebb6580b6d",
+        "block_l": "c253ea7a5ac07271620d0ffd9afc835ba06038fe2715d2093adf26a13899e5ad",
+        "block_l_unitlower": "100a7cd731bde9aeddfc6ca865b748a2e7368cce7a5472f8631259ac7f49c832",
+        "recursive_lv": "552a4002ccb97912eedd917c4bcd82d5951d21d664d5c9966d374f8bc642af48",
+        "naive_gauss_l": "a58f5de0c13d7e23e68d7fc6075b5da0fd5dbb80b9631c0c2ef27d980a9c953c",
+        "lift_recompute_l": "d2d5a45a1794e0b73164a709e339bfa6370ce65b3ebcf2a1524ad27045ac077c",
+    },
+    (Backend.PADIC, 2, 30, 10, 3): {
+        "input": "33a371e01e1f94b9367f8408835855a08a0641545908b96a8b82de09d3291b17",
+        "stable_l": "8204a9a5fc69cd7a52a060a306ad6082e830af342674fa7fe9bde922b5bd6386",
+        "lv_decomposition": "1159b5e69343d16f8cf0e9e029d10d1d17d342133fa856769c56b443a86f0c1d",
+        "vij_statistics": "4c7fb890e22dd9afc89d039e06ecbdf71359d9ef71fdc92ffc6a27f798e1ab66",
+        "block_l": "f5ffd09b6a14399a0ccd365d1d1420e555bd075120ad4fd4b80b6eb85716402e",
+        "block_l_unitlower": "b7e7c0d619d5eb46e8531a357661b323e0f0cda49516f898ba2a71bb929a8fb0",
+        "recursive_lv": "1159b5e69343d16f8cf0e9e029d10d1d17d342133fa856769c56b443a86f0c1d",
+        "naive_gauss_l": "edcde90f03ab9d84a5df075b6f0eeb082174c699d89154c0cf66cc478e188e1f",
+        "lift_recompute_l": "b362bd81b71dfaa508d17eccd64b07b6e6d57c7ecd6fbdf6442be4423f4d802c",
+    },
+    (Backend.PADIC, 3, 25, 9, 0): {
+        "input": "75a7e6eef2c7aa89ed0c713dfdca59b965415ba0d62901768e723fa4fe367629",
+        "stable_l": "c8a43ad0faf4109c1f2c7d086520b6451f63684158e023b43dfeae00568599bf",
+        "lv_decomposition": "43831280384117d7fb30c74986ebe5718fc4c6957d5d589248cf5423b5c772dd",
+        "vij_statistics": "05cf83e8d427fee2631952954900053de11e2fbfcabe783e5cc38ef8dad5ad3b",
+        "block_l": "d42c623bea546774b176b1723d42a4f8c84ecc27b94f9994b0a9aa0590a201d2",
+        "block_l_unitlower": "dd138c27d6a4815fe64c6265df96214d26d28a668eb4cd4688d32b592db5a107",
+        "recursive_lv": "43831280384117d7fb30c74986ebe5718fc4c6957d5d589248cf5423b5c772dd",
+        "naive_gauss_l": "aa081593185ced7423eb5c1dc6393a2bca55cfd133ab3d6eb47f13aa287bfc10",
+        "lift_recompute_l": "b6bee9e1a5fb2180a47dba0ce843022769f6a8e583d23b2744048eb61d7c2928",
+    },
+    (Backend.PADIC, 3, 25, 9, 1): {
+        "input": "47b5b415ad303bd63e18cd8d5ecb35b7a1de924ae2ef8c95fb6754524e538d1c",
+        "stable_l": "3709677f7ec3451c468d8bc4af47ba0fe78ee1acdec0bcb5af447ae720aa38b7",
+        "lv_decomposition": "e906201ac5ce42e382da5b6ef8fc31ebadebcc3aaee573adf41c393cbd6d534e",
+        "vij_statistics": "e57e532b1f4fdbd24f2ce90fc4674c570a230edd6a5935d58a1fc5392a382bfd",
+        "block_l": "a7cafb7979fab6c379d6c0b5210c7ec9d1ade1204eb2d84f76d4dfc8ad778702",
+        "block_l_unitlower": "9c77d80ef8058d7d45b5fdcc195b9b6539da977dd9a8d358062ae4c65da42c1d",
+        "recursive_lv": "e906201ac5ce42e382da5b6ef8fc31ebadebcc3aaee573adf41c393cbd6d534e",
+        "naive_gauss_l": "eb5e7556404a9e0fd873338085220a5ec258f402c5056d4d170a14f063773845",
+        "lift_recompute_l": "f60217c087c0e80d8f725b09342b5c8f6a99ab9a2e3b0b1edc3a7aafec3ad45e",
+    },
+    (Backend.PADIC, 3, 25, 9, 2): {
+        "input": "8b4afc11539fffe34931d7d865f145aacdff70a1d8dd66f061a51a32532cc599",
+        "stable_l": "d1b4aa33bf0a0f22ce6a60a03eb60ceb489b8cc630e20f1feb5f18ea6b0c78a3",
+        "lv_decomposition": "343526e857f7e405049a92099d236a6fa05626c9b75067187ddd66309a516dd5",
+        "vij_statistics": "e7c20434d19b4207c0d86349ce130ed887890a915dc1b0f86759f418d3319289",
+        "block_l": "123f1fc563698fde2b7c0e0dba51ce66100fe4f34827039f8963a79810e707e3",
+        "block_l_unitlower": "637d4fe24c4240908760bd0c8533a6a43a9a517ea5cb71a08a8d8c8a2aff9c9e",
+        "recursive_lv": "343526e857f7e405049a92099d236a6fa05626c9b75067187ddd66309a516dd5",
+        "naive_gauss_l": "b75cac0d0ea77757677b1540a30491558cf4a210322d90ba7b9c4505b769a8b0",
+        "lift_recompute_l": "a13fd378f6a52c8522eb7ab8ca5f2e07376e60781eca324d946dea038ee5e9d0",
+    },
+    (Backend.PADIC, 3, 25, 9, 3): {
+        "input": "a7c81c05342041d9ca02d768e656a35b0925acd2f003d72d8102db956da954dc",
+        "stable_l": "9e9343d4bbaa9d57921adf7f4f6372c99b02dbd4c19906aeaaafb7cb1e178397",
+        "lv_decomposition": "338adb9ade05804fd167526511d19ca8b09301879466dc0b263e5ee1b0cea794",
+        "vij_statistics": "0b7cad206883c6ae88e75aa9804125ae33a6eeec52630455ec221a20e0b5012c",
+        "block_l": "671fd0be8886eb64c4ca8bab177b18555893cc463e7eec1d9f706702551b3af6",
+        "block_l_unitlower": "fd6995cbdde1602442c20016da98b46072c392bcba96edac7370ba4f7cdb2ad6",
+        "recursive_lv": "338adb9ade05804fd167526511d19ca8b09301879466dc0b263e5ee1b0cea794",
+        "naive_gauss_l": "f829ecbd455bb739a930e786a4e11c3d1f1f8d3986c4dddcb3d5cf8f17f5dd87",
+        "lift_recompute_l": "3b301a3412424ca37d2d08756adad7430d09ce88d1a325149318e463f1d3328c",
+    },
+    (Backend.SERIES, 5, 20, 9, 0): {
+        "input": "0d70103445dbced5fa987425c5351e43afe2c488dc088cb79cdcabf38fa01dab",
+        "stable_l": "dcaf9d787e50dd2798c77f226555ac2fdf67e0b0ffc41ab1ddf6b84ba8094e86",
+        "lv_decomposition": "9a610bcaf781da27dc5954e5442671c89e163a1629f6ab9d3a619db623fef2cb",
+        "vij_statistics": "45b05ec26bbae4733f646ef9de89ac1b743201e7d221a37a0f3af849187dd014",
+        "block_l": "e5eca26eefd4f07f2360d0b194225dcb4cc77abf17b436795c595a99da4b8a0b",
+        "block_l_unitlower": "e8478796d0e65b532f922fa0c7f6db468a0cbc578183826b380ed052b20633f9",
+        "recursive_lv": "9a610bcaf781da27dc5954e5442671c89e163a1629f6ab9d3a619db623fef2cb",
+        "naive_gauss_l": "11377ad768941dff6eb54efaf97315533e7db4fc9ecea84f05c4f60573b16b5e",
+        "lift_recompute_l": "20a1e2e1ff1578801b13380d11e70149010c894b0200d11ee52fbaecc4f55a74",
+    },
+    (Backend.SERIES, 5, 20, 9, 1): {
+        "input": "e095ea70342e256fff8f6271947f7a5e24a7e03d469367f617d53f9d07f6d8ae",
+        "stable_l": "ea3e6c8901f44f1d29a451628a7d164a2fc794c0f54095fae67119364ed4ea0a",
+        "lv_decomposition": "bd47c20457fd62c9dffd7bb66767d445e83365adffb5722e095559bfd47b3cba",
+        "vij_statistics": "3193d2987e565b2c01a903670780ead7f8ca65c92ef7287b48a8cefecd4e11c1",
+        "block_l": "984bdf70cb36a19538978aa9f08e7109ca95c462bb8ca14465723923dd685907",
+        "block_l_unitlower": "1958c075ab24f0412219a41307ef3336a72b0529b1ede57f3008197f1a99591e",
+        "recursive_lv": "bd47c20457fd62c9dffd7bb66767d445e83365adffb5722e095559bfd47b3cba",
+        "naive_gauss_l": "27a22a715471e32fd06e6c5fa092d0daa537b88d3e556d25128ab9e10f3472ee",
+        "lift_recompute_l": "c7ae9be646aa1d42594e1719b820acf2b9d9a930b1869faf57c7d93a72119b7e",
+    },
+    (Backend.PADIC, 2, 4, 8, 1): {
+        "input": "a3a59f8bfb5ab0f72017c31980edb67bde672037bd915be1c3372adfc8d5bb02",
+        "stable_l": "f21bdb9ae57a75eeb164ab2fa80eebba01dc6410a3acf8d261b4c785d37fa35d",
+        "lv_decomposition": "f18a3804076c6ae6011e83d64505451e53edd8d8eb9da1d4be292f4b127c1df8",
+        "vij_statistics": "943349790067ccba2b4b8ae55ad1875ad5b019b81c5f7cce535636e5b50a49fe",
+        "block_l": "f21bdb9ae57a75eeb164ab2fa80eebba01dc6410a3acf8d261b4c785d37fa35d",
+        "block_l_unitlower": "f21bdb9ae57a75eeb164ab2fa80eebba01dc6410a3acf8d261b4c785d37fa35d",
+        "recursive_lv": "f18a3804076c6ae6011e83d64505451e53edd8d8eb9da1d4be292f4b127c1df8",
+        "naive_gauss_l": "36b2c1342e22b995bf684e6f63aa6bdb09860df4b377a2ef65cef70dd98e4c2a",
+        "lift_recompute_l": "19885bac98b12205276f18acd48d3c99a5bf22d4f762cbbcbbfde2d66bda52fe",
+    },
+    (Backend.PADIC, 3, 3, 7, 2): {
+        "input": "3edd312f0b96b633de8bb033b840cad2ff30084d36fb0f4dd71dec8ce8a32c78",
+        "stable_l": "f21bdb9ae57a75eeb164ab2fa80eebba01dc6410a3acf8d261b4c785d37fa35d",
+        "lv_decomposition": "a2a868c9af77be6a8ad560c63d6823bf63f6041e77e517c7b7b7526bdf008daa",
+        "vij_statistics": "4f01cfb2992f0a360bbfcc847155424760a3c0dd446ac8bef13165fc547f481a",
+        "block_l": "c8bc1409ae9ac7ccc726d4dba9dbb0feb6543d842dadc04419350281582a9da2",
+        "block_l_unitlower": "54f47c1d7b5589f0725da5e2a2c335138b8848fad03847e119bd82aba92896ad",
+        "recursive_lv": "a2a868c9af77be6a8ad560c63d6823bf63f6041e77e517c7b7b7526bdf008daa",
+        "naive_gauss_l": "36b2c1342e22b995bf684e6f63aa6bdb09860df4b377a2ef65cef70dd98e4c2a",
+        "lift_recompute_l": "9a79332eb2fe926fd97c0098a6f38d26deb74feeea35afb0278958d9a230dd45",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "case", list(ELIMINATION_GOLDEN), ids=lambda c: "{}-p{}-N{}-d{}-s{}".format(c[0].value, *c[1:])
+)
+def test_elimination_outputs_match_golden_hashes(case):
+    assert _elimination_outputs(*case) == ELIMINATION_GOLDEN[case]
