@@ -25,9 +25,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .lu_stable import LvOutput, lv_decomposition, working_precision, _val_or_none
-from .element import valuation_less
-from .errors import DegenerateInput
+from .lu_stable import LvOutput, lv_decomposition, working_precision
+from .lu_stable import _pivot_step, _val_or_none
 from .matrix import PrecMatrix
 
 _MUL_COUNT = 0
@@ -186,14 +185,7 @@ def clear_block(
         band = _hstack(x, y)
         t = PrecMatrix.identity_like(band, 1 + w, n)
         for c in range(1, 1 + w):
-            if valuation_less(band[0, c].pivot_scalar(), band[0, 0].pivot_scalar()):
-                band.swap_cols(0, c)
-                t.swap_cols(0, c)
-            if band[0, 0].is_zeroish:
-                raise DegenerateInput("band pivot indistinguishable from zero")
-            s = (band[0, c] / band[0, 0]).lift_to_precision(n)
-            band.sub_scaled_col(s, 0, c)
-            t.sub_scaled_col(s, 0, c)
+            _pivot_step(band, 0, c, n, t)
         return PrecMatrix([[band[0, 0]]]), t
     c = k // 2
     w1 = w // 2

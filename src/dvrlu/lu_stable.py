@@ -12,6 +12,11 @@ exactly N (the update subtracts a term of absolute precision >= N from an
 entry of absolute precision N), which is what the precision guarantees — and
 the bit-identical fast variants — rely on.
 
+That step — swap test, pivot guard, re-lifted scalar, column update — is
+:func:`_pivot_step`, the only code that swaps or updates columns, and
+:func:`_rounds` runs it round by round.  Every pivoted elimination here, and
+the one-row band of :func:`dvrlu.lu_fast.clear_block`, is built on the two.
+
 Provided algorithms:
 
 * :func:`vij_statistics` — runs the elimination recording the valuation
@@ -34,6 +39,7 @@ Provided algorithms:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -54,44 +60,39 @@ def working_precision(m: PrecMatrix) -> int:
     return max(e.abs_prec for r in m.rows for e in r)
 
 
-def _vals_less(a, b) -> bool:
-    """Pivoting comparison v(a) < v(b) through the element protocol."""
-    return valuation_less(a.pivot_scalar(), b.pivot_scalar())
-
-
-def _pivot_guard(e) -> None:
-    if e.is_zeroish:
-        raise DegenerateInput(
-            f"pivot {e!r} indistinguishable from zero after pivoting"
-        )
-
-
-def _eliminate(omega: PrecMatrix, i: int, j: int, n: int, *extras: PrecMatrix) -> None:
+def _pivot_step(omega: PrecMatrix, i: int, j: int, n: int, *extras: PrecMatrix) -> bool:
     """One elimination step: clear (i, j) using pivot (i, i).
 
-    The scalar is lifted to absolute precision n before the column update
-    (choosing a representative; the transform identity is exact for any
-    representative, and for flat inputs this is what keeps precision flat).
-    The same update is applied to every extra matrix (accumulated
-    transforms).
+    Columns i and j are swapped first when v(omega[i, j]) < v(omega[i, i])
+    (compared through ``pivot_scalar``); a pivot then indistinguishable from
+    zero raises DegenerateInput.  The scalar is lifted to absolute precision n
+    before the column update (choosing a representative; the transform
+    identity is exact for any representative, and for flat inputs this is
+    what keeps precision flat).  Swap and update are applied to every extra
+    matrix too (accumulated transforms).  Returns whether it swapped.
     """
+    mats = (omega, *extras)
+    swapped = valuation_less(omega[i, j].pivot_scalar(), omega[i, i].pivot_scalar())
+    if swapped:
+        for x in mats:
+            x.swap_cols(i, j)
+    if omega[i, i].is_zeroish:
+        raise DegenerateInput(
+            f"pivot {omega[i, i]!r} indistinguishable from zero after pivoting"
+        )
     s = (omega[i, j] / omega[i, i]).lift_to_precision(n)
-    omega.sub_scaled_col(s, i, j)
-    for x in extras:
+    for x in mats:
         x.sub_scaled_col(s, i, j)
+    return swapped
 
 
-def _round_swaps(omega: PrecMatrix, j: int, n: int, *extras: PrecMatrix):
-    """Generator over i = 0..j-1 running swap + guard, yielding i after the
-    pivot at (i, i) is in place.  Column swaps are applied to omega and to
-    every extra matrix."""
-    for i in range(j):
-        if _vals_less(omega[i, j], omega[i, i]):
-            omega.swap_cols(i, j)
-            for x in extras:
-                x.swap_cols(i, j)
-        _pivot_guard(omega[i, i])
-        yield i
+def _rounds(omega: PrecMatrix, n: int, *extras: PrecMatrix):
+    """Run the pivoted elimination of square omega, yielding j once round j
+    (the steps (0, j) .. (j-1, j)) is done."""
+    for j in range(omega.nrows):
+        for i in range(j):
+            _pivot_step(omega, i, j, n, *extras)
+        yield j
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +155,8 @@ def vij_statistics(m: PrecMatrix, n: Optional[int] = None) -> VijProfile:
     for j in range(d):
         for i in range(j):
             prof.table[(i, j)] = _val_or_none(omega[i, j])
-            if _vals_less(omega[i, j], omega[i, i]):
-                omega.swap_cols(i, j)
+            if _pivot_step(omega, i, j, n):
                 prof.swaps.append((i, j))
-            _pivot_guard(omega[i, i])
-            _eliminate(omega, i, j, n)
         prof.table[(j, j)] = _val_or_none(omega[j, j])
         vals = [_val_or_none(omega[k, k]) for k in range(j + 1)]
         prof.boundary_sums.append(None if None in vals else sum(vals))
@@ -176,18 +174,51 @@ def vij_statistics(m: PrecMatrix, n: Optional[int] = None) -> VijProfile:
                     else:
                         known_min = min(known_min, e.valuation - vjj)
     prof.det_val = prof.boundary_sums[-1]
-    if not vl_defined:
-        prof.vl = None
-    elif hidden_min is None or hidden_min >= known_min:
-        prof.vl = -known_min
-    else:
-        prof.vl = (-known_min, -hidden_min)
+    prof.vl = _vl_bound(known_min, hidden_min) if vl_defined else None
     return prof
+
+
+def _vl_bound(known_min: int, hidden_min: Optional[int]):
+    """V_L from the least known quotient valuation (clipped at 0) and the
+    least precision bound of the zeroish quotients (None if there are none):
+    an int, or the interval (lo, hi) when a zeroish entry could hide a
+    valuation below the known minimum."""
+    if hidden_min is None or hidden_min >= known_min:
+        return -known_min
+    return (-known_min, -hidden_min)
 
 
 # ---------------------------------------------------------------------------
 # naive elimination and the lift-and-recompute workaround
 # ---------------------------------------------------------------------------
+
+
+def _naive_elimination(m: PrecMatrix) -> tuple[PrecMatrix, list[int]]:
+    """Textbook row elimination without pivoting: the unit lower triangular
+    L and the successive pivot valuations.
+
+    Raises DivisionByUnknownZero when a pivot is indistinguishable from zero.
+    """
+    d = m.nrows
+    if d != m.ncols:
+        raise ValueError("square matrix required")
+    n = working_precision(m)
+    u = m.copy()
+    lower = PrecMatrix.identity_like(m, d, n)
+    pivot_vals = []
+    for j in range(d):
+        piv = u[j, j]
+        if piv.is_zeroish:
+            raise DivisionByUnknownZero(
+                f"naive elimination hit zeroish pivot at column {j}"
+            )
+        pivot_vals.append(piv.valuation)
+        for i in range(j + 1, d):
+            s = u[i, j] / piv
+            lower[i, j] = s
+            for k in range(j, d):
+                u[i, k] = u[i, k] - s * u[j, k]
+    return lower, pivot_vals
 
 
 def naive_gauss_l(m: PrecMatrix) -> PrecMatrix:
@@ -198,46 +229,7 @@ def naive_gauss_l(m: PrecMatrix) -> PrecMatrix:
     pivot valuations.  Raises DivisionByUnknownZero when a pivot is
     indistinguishable from zero.
     """
-    d = m.nrows
-    if d != m.ncols:
-        raise ValueError("square matrix required")
-    n = working_precision(m)
-    u = m.copy()
-    lower = PrecMatrix.identity_like(m, d, n)
-    for j in range(d):
-        piv = u[j, j]
-        if piv.is_zeroish:
-            raise DivisionByUnknownZero(
-                f"naive elimination hit zeroish pivot at column {j}"
-            )
-        for i in range(j + 1, d):
-            s = u[i, j] / piv
-            lower[i, j] = s
-            for k in range(j, d):
-                u[i, k] = u[i, k] - s * u[j, k]
-    return lower
-
-
-def naive_pivot_valuations(m: PrecMatrix) -> list[int]:
-    """Successive pivot valuations of the naive (unpivoted) elimination.
-
-    Raises DivisionByUnknownZero if a pivot is indistinguishable from zero.
-    """
-    d = m.nrows
-    u = m.copy()
-    out = []
-    for j in range(d):
-        piv = u[j, j]
-        if piv.is_zeroish:
-            raise DivisionByUnknownZero(
-                f"pivot valuation at column {j} undeterminable"
-            )
-        out.append(piv.valuation)
-        for i in range(j + 1, d):
-            s = u[i, j] / piv
-            for k in range(j, d):
-                u[i, k] = u[i, k] - s * u[j, k]
-    return out
+    return _naive_elimination(m)[0]
 
 
 def lift_recompute_l(m: PrecMatrix, extra: Optional[int] = None) -> PrecMatrix:
@@ -269,7 +261,7 @@ def lift_recompute_l(m: PrecMatrix, extra: Optional[int] = None) -> PrecMatrix:
     n_hi = n + extra
     lifted = m.lift_to_precision(n_hi)
     try:
-        pivot_vals = naive_pivot_valuations(lifted)
+        lower, pivot_vals = _naive_elimination(lifted)
     except DivisionByUnknownZero as exc:
         raise InsufficientLift(
             f"pivot valuation undeterminable at precision {n_hi}; "
@@ -284,7 +276,6 @@ def lift_recompute_l(m: PrecMatrix, extra: Optional[int] = None) -> PrecMatrix:
             f"{pivot_vals} need {need}",
             required_prec=n + need,
         )
-    lower = naive_gauss_l(lifted)
     return lower.cap_abs(n - 2 * w_max)
 
 
@@ -312,18 +303,17 @@ class StableL:
     n: int
 
 
-def _prescribed_quotient(num, den_val: int, v_round: int, n: int) -> int:
-    """The absolute precision to cap the quotient num / pivot at.
+def _prescribed_quotient(num, den, v_round: int, n: int):
+    """The quotient num / den capped at its guaranteed absolute precision.
 
-    Returns N - v_round - max(0, den_val - w), with w the numerator
+    The cap is N - v_round - max(0, v(den) - w), with w the numerator
     valuation (its precision bound when the numerator is indistinguishable
-    from zero); the caller divides and applies this with ``cap_abs``.  For
-    flat integral inputs it never exceeds the quotient's natural precision;
-    capping (never raising) keeps the claim honest for arbitrary inputs.
+    from zero).  For flat integral inputs it never exceeds the quotient's
+    natural precision; capping (never raising) keeps the claim honest for
+    arbitrary inputs.
     """
     w = num.val_lower_bound
-    prescribed = n - v_round - max(0, den_val - w)
-    return prescribed
+    return (num / den).cap_abs(n - v_round - max(0, den.valuation - w))
 
 
 def stable_l(m: PrecMatrix) -> StableL:
@@ -349,9 +339,7 @@ def stable_l(m: PrecMatrix) -> StableL:
     omega = m.copy()
     lower = PrecMatrix.identity_like(m, d, n)
     col_vals = []
-    for j in range(d):
-        for i in _round_swaps(omega, j, n):
-            _eliminate(omega, i, j, n)
+    for j in _rounds(omega, n):
         diag = [omega[k, k] for k in range(j + 1)]
         if any(e.is_zeroish for e in diag):
             raise DegenerateInput(
@@ -359,12 +347,8 @@ def stable_l(m: PrecMatrix) -> StableL:
             )
         v = sum(e.valuation for e in diag)
         col_vals.append(v)
-        den = omega[j, j]
         for i in range(j + 1, d):
-            quot = omega[i, j] / den
-            lower[i, j] = quot.cap_abs(
-                _prescribed_quotient(omega[i, j], den.valuation, v, n)
-            )
+            lower[i, j] = _prescribed_quotient(omega[i, j], omega[j, j], v, n)
     return StableL(lower=lower, col_vals=col_vals, n=n)
 
 
@@ -389,19 +373,11 @@ def vl_of_lower(lower: PrecMatrix):
     than the known minimum; otherwise returns the interval (lo, hi) of
     possible values as a tuple.
     """
-    known_min = 0  # the diagonal 1s have valuation 0
-    hidden_min = None
-    for i in range(lower.nrows):
-        for j in range(i):
-            e = lower[i, j]
-            if e.is_zeroish:
-                b = e.val_lower_bound
-                hidden_min = b if hidden_min is None else min(hidden_min, b)
-            else:
-                known_min = min(known_min, e.valuation)
-    if hidden_min is None or hidden_min >= known_min:
-        return -known_min
-    return (-known_min, -hidden_min)
+    below = [lower[i, j] for i in range(lower.nrows) for j in range(i)]
+    return _vl_bound(
+        min([0] + [e.valuation for e in below if not e.is_zeroish]),  # diagonal 1s
+        min((e.val_lower_bound for e in below if e.is_zeroish), default=None),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +438,7 @@ def lv_decomposition(m: PrecMatrix) -> LvOutput:
     wp = PrecMatrix.identity_like(m, d, n)
     lp = PrecMatrix.zero_like(m, d, d, n)
     vp = PrecMatrix.zero_like(m, d, d, n)
-    for j in range(d):
-        for i in _round_swaps(omega, j, n, wp):
-            _eliminate(omega, i, j, n, wp)
+    for j in _rounds(omega, n, wp):
         for r in range(d):
             lp[r, j] = omega[r, j]
             vp[r, j] = wp[r, j]
@@ -498,10 +472,7 @@ def lv_to_l(out: LvOutput) -> PrecMatrix:
             )
         v += lkk.valuation - vkk.valuation
         for i in range(j + 1, d):
-            quot = out.lp[i, j] / lkk
-            lower[i, j] = quot.cap_abs(
-                _prescribed_quotient(out.lp[i, j], lkk.valuation, v, n)
-            )
+            lower[i, j] = _prescribed_quotient(out.lp[i, j], lkk, v, n)
     return lower
 
 
@@ -599,17 +570,10 @@ def _block_elimination(m: PrecMatrix, block_sizes: Sequence[int], clear: bool) -
     lower = PrecMatrix.zero_like(m, d, d, n)
     block_vals = []
     j0 = 0
-    boundaries = []
-    acc = 0
-    for b in block_sizes:
-        acc += b
-        boundaries.append(acc)
-    b_idx = 0
-    for j in range(d):
-        for i in _round_swaps(omega, j, n):
-            _eliminate(omega, i, j, n)
-        if j + 1 == boundaries[b_idx]:
-            hi = boundaries[b_idx]  # block spans columns j0..hi-1
+    boundaries = set(itertools.accumulate(block_sizes))
+    for j in _rounds(omega, n):
+        if j + 1 in boundaries:
+            hi = j + 1  # block spans columns j0..hi-1
             # normalize: L's block columns are omega's scaled by the pivot
             for jp in range(j0, hi):
                 piv = omega[jp, jp]
@@ -641,7 +605,6 @@ def _block_elimination(m: PrecMatrix, block_sizes: Sequence[int], clear: bool) -
                 for ip in range(j0, d):
                     lower[ip, jp] = lower[ip, jp].cap_abs(n - 2 * v)
             j0 = hi
-            b_idx += 1
     return BlockL(lower=lower, block_vals=block_vals, n=n)
 
 

@@ -30,10 +30,11 @@ from .errors import (
     NotSorted,
 )
 from .lu_fast import matmul
-from .lu_stable import block_l_unitlower, lower_triangular_inverse, vij_statistics
+from .lu_stable import block_l_unitlower, lower_triangular_inverse
 from .matrix import PrecMatrix, random_matrix
 from .series import SeriesElem
 from .simul import SimulFailure, invert_via_lv, min_val_bound, required_v
+from .simul import _det_unit_detectable
 
 Poly = list  # list[PrecElem], coefficients lowest-first
 
@@ -408,11 +409,8 @@ def random_instance(
         while True:
             mats = [random_scalar_matrix_list(cfg, d, rng) for _ in range(order)]
             const = PrecMatrix(mats[0])
-            try:
-                if vij_statistics(const).det_val == 0:
-                    break
-            except DvrError:
-                continue
+            if _det_unit_detectable(const):
+                break
         rows = [
             [
                 SeriesElem(cfg, [mats[k][i][j] for k in range(order)])
@@ -524,11 +522,7 @@ def solve_with_omega(
         const = PrecMatrix(
             [[pt.matrix[i, j].coeffs[0] for j in range(d)] for i in range(d)]
         )
-        try:
-            det_unit = vij_statistics(const).det_val == 0
-        except DvrError:
-            det_unit = False
-        if det_unit and fact.lower.min_abs_prec() < n - 2 * v:
+        if _det_unit_detectable(const) and fact.lower.min_abs_prec() < n - 2 * v:
             return SimulFailure("factor-precision", matrix_index=idx)
         residue_mats.append(fact.lower)
 
