@@ -19,18 +19,13 @@ packing.  :class:`~dvrlu.config.DvrConfig` picks the object once per ring.
 
 from __future__ import annotations
 
-# Cached powers of p, grown on demand.  Keyed by p; entry i holds p**i.
-_POW_CACHE: dict[int, list[int]] = {}
+from functools import lru_cache
 
 
+@lru_cache(maxsize=1024)
 def pw(p: int, n: int) -> int:
-    """p**n via a per-p cache (n >= 0)."""
-    tbl = _POW_CACHE.get(p)
-    if tbl is None:
-        tbl = _POW_CACHE[p] = [1]
-    while len(tbl) <= n:
-        tbl.append(tbl[-1] * p)
-    return tbl[n]
+    """p**n (n >= 0), cached for the (p, n) pairs actually requested."""
+    return p**n
 
 
 class PadicDigits:

@@ -2,7 +2,8 @@
 
 The engine runs the pivoted column elimination on batches of Haar-random
 matrices using exact machine arithmetic in Z/p^K — 64-bit wraparound words
-for p = 2, and the largest K with p^K < 2^31 in signed words for odd p.  For
+for p = 2, and the largest K >= 1 with p^K < 2^31 in signed words for odd p
+(an odd p above 3037000500, whose residue products overflow, is refused).  For
 an integral matrix at flat precision K the tracked-precision elimination is
 literally arithmetic in Z/p^K (the re-lifted scalars are exactly the masked
 machine quotients), so the engine agrees with the object path digit for
@@ -42,11 +43,17 @@ class Engine:
     """Exact batched arithmetic in Z/p^K with valuation bookkeeping.
 
     Raises ValueError unless p is prime (the valuations and Fermat inverses
-    mean nothing modulo a composite).
+    mean nothing modulo a composite), and for an odd p whose residue
+    products (p - 1)^2 do not fit in int64.
     """
 
     def __init__(self, p: int):
         require_prime(p)
+        if p != 2 and (p - 1) ** 2 > np.iinfo(np.int64).max:
+            raise ValueError(
+                f"p must satisfy (p - 1)^2 < 2^63 for the engine's int64 "
+                f"arithmetic, got {p}"
+            )
         self.p = p
         if p == 2:
             self.K = 64

@@ -178,6 +178,9 @@ def test_stats_eqd_routes_agree(capsys):
         (["stats", "vl", "--q", "4", "--d", "1"], "error: p must be prime, got 4"),
         (["stats", "detval", "--q", "6", "--d", "3"], "error: p must be prime, got 6"),
         (["stats", "eqd", "--q", "1", "--d", "4"], "error: --q must be at least 2, got 1"),
+        (["stats", "vl", "--q", "4294967311", "--d", "3"],
+         "error: p must satisfy (p - 1)^2 < 2^63 for the engine's int64 arithmetic, "
+         "got 4294967311"),
     ],
 )
 def test_stats_rejects_what_it_cannot_compute(capsys, argv, message):

@@ -1,6 +1,7 @@
 import dataclasses
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -449,3 +450,18 @@ def test_negative_valuation_has_no_representative():
     assert q.valuation == -1
     with pytest.raises(ValueError):
         q.representative()
+
+
+def test_powers_of_p_are_not_all_kept():
+    """Squaring one Z_5 element at 20000 digits retains only the few powers
+    of 5 it asked for (a table of every power up to 5^20000 holds ~60 MB)."""
+    cfg = DvrConfig(p=5, prec=10)
+    tracemalloc.start()
+    try:
+        x = PrecElem.from_int(cfg, 3, abs_prec=20000)
+        y = x * x
+        del x, y
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 1_000_000

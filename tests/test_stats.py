@@ -18,7 +18,7 @@ import pytest
 
 from dvrlu.config import DvrConfig
 from dvrlu.element import PrecElem
-from dvrlu.lu_stable import vij_statistics
+from dvrlu.lu_stable import lv_decomposition, vij_statistics
 from dvrlu.matrix import PrecMatrix
 from dvrlu.stats import (
     Engine,
@@ -210,6 +210,37 @@ def test_simulate_deterministic_and_jobs_invariant():
 def test_engine_rejects_non_prime_p(call):
     with pytest.raises(ValueError, match="p must be"):
         call()
+
+
+BIG_P = 4294967311  # prime, and (p - 1)^2 overflows int64
+EDGE_P = 3037000493  # the largest prime with (p - 1)^2 < 2^63
+
+
+@pytest.mark.parametrize(
+    "call", [lambda: Engine(BIG_P), lambda: simulate(BIG_P, 3, 100)]
+)
+def test_engine_rejects_p_whose_products_overflow(call):
+    with pytest.raises(ValueError, match=r"\(p - 1\)\^2 < 2\^63"):
+        call()
+
+
+def test_engine_at_int64_limit_matches_object_elimination():
+    eng = Engine(EDGE_P)
+    mats = eng.random(np.random.default_rng(5), (8, 4, 4))
+    m = mats.copy()
+    out = eng.eliminate(m)
+    cfg = DvrConfig(p=EDGE_P, prec=eng.K)
+    for b in range(mats.shape[0]):
+        obj = PrecMatrix(
+            [[PrecElem.from_int(cfg, int(x), abs_prec=eng.K) for x in row]
+             for row in mats[b]]
+        )
+        prof = vij_statistics(obj)
+        assert prof.vl == int(out["vl"][b])
+        assert prof.det_val == int(out["det_val"][b])
+        assert prof.boundary_sums == [int(x) for x in out["boundary"][b]]
+        hp = lv_decomposition(obj).hp
+        assert [[e.representative() for e in r] for r in hp.rows] == m[b].tolist()
 
 
 def test_simulate_checks_p_once_per_call(monkeypatch):
