@@ -19,15 +19,7 @@ from .errors import (
     InsufficientLift,
     NotSorted,
 )
-from .lu_fast import (
-    clear_block,
-    elimination_order,
-    get_mul_count,
-    is_nice_order,
-    matmul,
-    recursive_lv,
-    reset_mul_count,
-)
+from .lu_fast import clear_block, matmul, recursive_lv
 from .lu_stable import (
     BlockL,
     LvOutput,
@@ -102,11 +94,8 @@ __all__ = [
     "block_type_from_exponents",
     "build_divisors",
     "clear_block",
-    "elimination_order",
-    "get_mul_count",
     "hermite_from_lv",
     "invert_via_lv",
-    "is_nice_order",
     "lift_recompute_l",
     "lower_triangular_inverse",
     "lv_decomposition",
@@ -118,7 +107,6 @@ __all__ = [
     "random_matrix",
     "recursive_lv",
     "required_v",
-    "reset_mul_count",
     "simultaneous_block_lu",
     "solve_sheaf",
     "stable_l",

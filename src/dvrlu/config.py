@@ -13,6 +13,7 @@ digits in bit slots) and every element calls it through ``cfg.ops``.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -26,14 +27,84 @@ class Backend(enum.Enum):
     SERIES = "series"
 
 
+# Miller-Rabin with these bases is exact below _MR_EXACT (Sorenson and
+# Webster, Math. Comp. 2017); _MR_EXACT itself is a strong pseudoprime to all.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT = 3317044064679887385961981
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Miller-Rabin round: odd n > a passes base a."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a / n) for odd n > 0."""
+    a, t = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters, for odd n > 5."""
+    if math.isqrt(n) ** 2 == n:
+        return False
+    dd = 5  # first of 5, -7, 9, -11, ... with (D / n) = -1
+    while (j := _jacobi(dd, n)) != -1:
+        if j == 0 and abs(dd) != n:
+            return False
+        dd = -dd - 2 if dd > 0 else 2 - dd
+    q = (1 - dd) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    half = lambda x: (x + n * (x & 1)) // 2 % n  # x / 2 mod n, for 0 <= x
+    u, v, qk = 1, 1, q  # U_k, V_k, Q^k at k = 1 (P = 1)
+    for bit in bin((n + 1) >> s)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = half((u + v) % n), half((dd * u + v) % n), qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
+def is_prime(n: int) -> bool:
+    """Primality of an int: deterministic Miller-Rabin below 3.3e24, the
+    Baillie-PSW test (no known counterexample) above."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n < _MR_EXACT:
+        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
 def require_prime(p) -> None:
     """Raise ValueError unless p is a prime integer."""
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"p must be an integer >= 2, got {p!r}")
-    # sympy is heavy; import only when a prime is actually checked.
-    from sympy import isprime
-
-    if not isprime(p):
+    if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
 
 

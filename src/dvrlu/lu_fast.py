@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .lu_stable import LvOutput, lv_decomposition, working_precision
-from .lu_stable import _pivot_step, _val_or_none
+from .lu_stable import _pivot_step, _square_dim, _val_or_none
 from .matrix import PrecMatrix
 
 _MUL_COUNT = 0
@@ -250,9 +250,7 @@ def recursive_lv(
         threshold: dimensions <= threshold delegate to the scalar routine.
         algo: multiplication kernel for the assembled products.
     """
-    d = m.nrows
-    if d != m.ncols:
-        raise ValueError("square matrix required")
+    d = _square_dim(m)
     if d <= threshold:
         return lv_decomposition(m)
     n = working_precision(m)

@@ -54,6 +54,12 @@ from .errors import (
 from .matrix import PrecMatrix
 
 
+def _square_dim(m: PrecMatrix) -> int:
+    if m.nrows != m.ncols:
+        raise ValueError("square matrix required")
+    return m.nrows
+
+
 def working_precision(m: PrecMatrix) -> int:
     """The absolute precision N the elimination lifts to: the largest
     precision any entry carries (= the flat precision for flat inputs)."""
@@ -143,14 +149,11 @@ def vij_statistics(m: PrecMatrix, n: Optional[int] = None) -> VijProfile:
     Raises AmbiguousValuation when a swap decision is not forced by the
     known precision, DegenerateInput when a pivot degenerates.
     """
-    d = m.nrows
-    if d != m.ncols:
-        raise ValueError("square matrix required")
+    d = _square_dim(m)
     n = working_precision(m) if n is None else n
     omega = m.copy()
     prof = VijProfile()
-    known_min = 0  # quotient valuations, clipped at 0
-    hidden_min: Optional[int] = None
+    quotients = []  # (numerator, pivot valuation) below each round's pivot
     vl_defined = True
     for j in range(d):
         for i in range(j):
@@ -162,30 +165,25 @@ def vij_statistics(m: PrecMatrix, n: Optional[int] = None) -> VijProfile:
         prof.boundary_sums.append(None if None in vals else sum(vals))
         if j < d - 1:
             piv = omega[j, j]
-            if piv.is_zeroish:
-                vl_defined = False
-            else:
-                vjj = piv.valuation
-                for i in range(j + 1, d):
-                    e = omega[i, j]
-                    if e.is_zeroish:
-                        b = e.val_lower_bound - vjj
-                        hidden_min = b if hidden_min is None else min(hidden_min, b)
-                    else:
-                        known_min = min(known_min, e.valuation - vjj)
+            vl_defined = vl_defined and not piv.is_zeroish
+            if vl_defined:
+                quotients += [(omega[i, j], piv.valuation) for i in range(j + 1, d)]
     prof.det_val = prof.boundary_sums[-1]
-    prof.vl = _vl_bound(known_min, hidden_min) if vl_defined else None
+    prof.vl = _vl_bound(quotients) if vl_defined else None
     return prof
 
 
-def _vl_bound(known_min: int, hidden_min: Optional[int]):
-    """V_L from the least known quotient valuation (clipped at 0) and the
-    least precision bound of the zeroish quotients (None if there are none):
-    an int, or the interval (lo, hi) when a zeroish entry could hide a
-    valuation below the known minimum."""
-    if hidden_min is None or hidden_min >= known_min:
+def _vl_bound(quotients):
+    """max(0, -min v(q)) over quotients q given as (numerator, v(denominator))
+    pairs: an int, or the interval (lo, hi) when a numerator
+    indistinguishable from zero could hide a valuation below the known
+    minimum."""
+    quotients = list(quotients)
+    known_min = min([0] + [e.valuation - v for e, v in quotients if not e.is_zeroish])
+    hidden = [e.val_lower_bound - v for e, v in quotients if e.is_zeroish]
+    if not hidden or min(hidden) >= known_min:
         return -known_min
-    return (-known_min, -hidden_min)
+    return (-known_min, -min(hidden))
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +197,7 @@ def _naive_elimination(m: PrecMatrix) -> tuple[PrecMatrix, list[int]]:
 
     Raises DivisionByUnknownZero when a pivot is indistinguishable from zero.
     """
-    d = m.nrows
-    if d != m.ncols:
-        raise ValueError("square matrix required")
+    d = _square_dim(m)
     n = working_precision(m)
     u = m.copy()
     lower = PrecMatrix.identity_like(m, d, n)
@@ -251,9 +247,7 @@ def lift_recompute_l(m: PrecMatrix, extra: Optional[int] = None) -> PrecMatrix:
         extra: how many digits to lift; default ceil(2d/q), the expected
             total pivot valuation margin for Haar-random input.
     """
-    d = m.nrows
-    if d != m.ncols:
-        raise ValueError("square matrix required")
+    d = _square_dim(m)
     n = working_precision(m)
     q = m.rows[0][0].cfg.q
     if extra is None:
@@ -332,9 +326,7 @@ def stable_l(m: PrecMatrix) -> StableL:
         DegenerateInput: a pivot (hence a leading principal minor) is
             indistinguishable from zero.
     """
-    d = m.nrows
-    if d != m.ncols:
-        raise ValueError("square matrix required")
+    d = _square_dim(m)
     n = working_precision(m)
     omega = m.copy()
     lower = PrecMatrix.identity_like(m, d, n)
@@ -373,11 +365,7 @@ def vl_of_lower(lower: PrecMatrix):
     than the known minimum; otherwise returns the interval (lo, hi) of
     possible values as a tuple.
     """
-    below = [lower[i, j] for i in range(lower.nrows) for j in range(i)]
-    return _vl_bound(
-        min([0] + [e.valuation for e in below if not e.is_zeroish]),  # diagonal 1s
-        min((e.val_lower_bound for e in below if e.is_zeroish), default=None),
-    )
+    return _vl_bound((lower[i, j], 0) for i in range(lower.nrows) for j in range(i))
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +418,7 @@ def lv_decomposition(m: PrecMatrix) -> LvOutput:
     in L') is reported via the flag, not an exception; only an unforced
     swap comparison raises (AmbiguousValuation).
     """
-    d = m.nrows
-    if d != m.ncols:
-        raise ValueError("square matrix required")
+    d = _square_dim(m)
     n = working_precision(m)
     omega = m.copy()
     wp = PrecMatrix.identity_like(m, d, n)
@@ -513,9 +499,7 @@ def lower_triangular_inverse(m: PrecMatrix) -> PrecMatrix:
     diagonal entry is indistinguishable from zero.  Works for scalar and
     series entries alike; no precision capping is applied.
     """
-    d = m.nrows
-    if d != m.ncols:
-        raise ValueError("square matrix required")
+    d = _square_dim(m)
     for j in range(d):
         if m[j, j].is_zeroish:
             raise DegenerateInput(
@@ -560,9 +544,7 @@ class BlockL:
 
 
 def _block_elimination(m: PrecMatrix, block_sizes: Sequence[int], clear: bool) -> BlockL:
-    d = m.nrows
-    if d != m.ncols:
-        raise ValueError("square matrix required")
+    d = _square_dim(m)
     if any(b < 1 for b in block_sizes) or sum(block_sizes) != d:
         raise ValueError(f"block sizes {list(block_sizes)} do not tile dimension {d}")
     n = working_precision(m)

@@ -10,16 +10,13 @@ from dvrlu import (
     DvrConfig,
     PrecMatrix,
     clear_block,
-    elimination_order,
-    get_mul_count,
-    is_nice_order,
     lv_decomposition,
     matmul,
     random_matrix,
     recursive_lv,
-    reset_mul_count,
     working_precision,
 )
+from dvrlu.lu_fast import elimination_order, get_mul_count, is_nice_order, reset_mul_count
 
 CFG = DvrConfig(p=5, prec=10)
 CFG2 = DvrConfig(p=2, prec=24)
