@@ -1,0 +1,152 @@
+"""Bit-for-bit outputs of the randomized solvers (``simul`` and ``sheaf``).
+
+Each case seeds a family and a sheaf instance over ``Z_p`` and hashes what
+the solvers return: the JSON of the solved results and of the verification
+report, the instance's JSON round trip, and the ``(stage, matrix_index)`` of
+single attempts on a fixed stream of draws at budgets v = 0, 1, 2.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from dvrlu.config import DvrConfig
+from dvrlu.errors import DvrError
+from dvrlu.matrix import random_matrix
+from dvrlu.sheaf import (
+    SheafInstance,
+    random_instance,
+    solve_sheaf,
+    solve_with_omega,
+    verify_local_equivalence,
+)
+from dvrlu.simul import (
+    SimulFailure,
+    attempt_simultaneous,
+    result_to_json,
+    simultaneous_block_lu,
+)
+
+ATTEMPTS = 12  # single draws per budget v
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def _outcome(fn):
+    """fn()'s result, or the class of the DvrError it raised."""
+    try:
+        return fn()
+    except DvrError as exc:
+        return {"raises": type(exc).__name__}
+
+
+def _stage(got):
+    if isinstance(got, SimulFailure):
+        return [got.stage, got.matrix_index]
+    return ["ok", None]
+
+
+def _solver_outputs(p, n, seed) -> dict:
+    cfg = DvrConfig(p=p, prec=n)
+    rng = random.Random(seed)
+    family = [(random_matrix(cfg, 4, rng), sizes) for sizes in ([2, 2], [1, 3], [4])]
+    inst = random_instance(cfg, rng, n_points=2, d=3, e_max=2)
+
+    def simul_attempts():
+        draws = random.Random(seed + 1)
+        return {v: [_stage(attempt_simultaneous(cfg, family, v, draws))
+                    for _ in range(ATTEMPTS)] for v in (0, 1, 2)}
+
+    def sheaf_attempts():
+        draws = random.Random(seed + 2)
+        return {v: [_stage(solve_with_omega(inst, v, random_matrix(cfg, inst.dim, draws)))
+                    for _ in range(ATTEMPTS)] for v in (0, 1, 2)}
+
+    def sheaf_solve():
+        basis = solve_sheaf(inst, eps=0.5, seed=seed)
+        return {"basis": basis.to_json(),
+                "report": verify_local_equivalence(inst, basis).to_json()}
+
+    outputs = {
+        "instance": lambda: SheafInstance.from_json(inst.to_json()).to_json(),
+        "simultaneous_block_lu": lambda: result_to_json(
+            simultaneous_block_lu(cfg, family, 0.5, seed=seed)),
+        "attempt_simultaneous": simul_attempts,
+        "solve_with_omega": sheaf_attempts,
+        "solve_sheaf": sheaf_solve,
+    }
+    return {k: _sha(_outcome(fn)) for k, fn in outputs.items()}
+
+
+# sha256 of _solver_outputs per (p, N, seed), computed before simul and sheaf
+# shared one certificate and one retry loop; at the low precisions every one of
+# the five certificate stages rejects some draw of both solvers.
+SOLVER_GOLDEN = {
+    (2, 20, 0): {
+        "instance": "0a671f18dc37fa31d719535379fc60b694fd0eb9e87d06b6e1e7bdbec605847e",
+        "simultaneous_block_lu": "480e0c2769d2d14f5d529508db19104db3f24bfbd6af717fa4ec9d0af0acbe05",
+        "attempt_simultaneous": "5c7b5b92d92f6219ce63cb15e967656fbcf8dfc1d7e6a976f422254cbe5c41e9",
+        "solve_with_omega": "7200e661ef6223776bfd6cb30579f4952f32d3df5939c37d29f9a5a324740fb1",
+        "solve_sheaf": "0a84754419b71a605f945cd3095f1978af0255c988f7fb9f0f82c1143ec6d538",
+    },
+    (2, 4, 1): {
+        "instance": "b9f4ac39812b410aa9918f415a7c7cf28912373dd449aff1bc0fb81956bcbf62",
+        "simultaneous_block_lu": "80271bc52d805e2635e0c3a7ffce7955baed9520302683453f6e1234a105d8b2",
+        "attempt_simultaneous": "a2c218f8efc89e8b541df71a4f12fee47cb75ea8b2b91f0fb28867a2bc0c78ae",
+        "solve_with_omega": "c1164d4911f554ae17cc592a094cc49c1eab8f5297aa13593ff0908a55c86713",
+        "solve_sheaf": "e3717673b0eee52f9e02f530d3a42c04b11a222f3887455335f2f3ac8e01b4b8",
+    },
+    (3, 16, 0): {
+        "instance": "408b749d4b07e733a62cce51645f2adbea699644cd535503ace7a0502dd95400",
+        "simultaneous_block_lu": "e775f62e1993ee39fd66c68c3ef60a908752949f3a7c64fe05874de29784fc71",
+        "attempt_simultaneous": "56752e5cdb9ca210ebb8093f0fa5b0eeda3e8a4dcd486b463529321dd643a18b",
+        "solve_with_omega": "996ea8a360b39c0b7d130158f270aa3fdb195ae8cc186ac734b5febebbf6d13a",
+        "solve_sheaf": "b9777762534762379aa37651c6f7c66a323e71baa4dbd68d687762422ea23ecd",
+    },
+    (3, 6, 3): {
+        "instance": "70cf7bafa22de1f819ca02703d443301fe2b96cd62a54f1fdf62ff194c19ef0e",
+        "simultaneous_block_lu": "a93c2f36eb1b8f6af1a24a30a577fdc68bb5aa1cec986273defdd3182ce34af6",
+        "attempt_simultaneous": "ac240a862d39049c4af6551979d7025e4a5a9afde197be7ed280fd5e0a471743",
+        "solve_with_omega": "7fe1b8b7b1359b8c976e4fe980ce3cd1a651e0e8883c964d877b35dc3c7e767a",
+        "solve_sheaf": "23c5fb40c9a7b1d276c73117924d293acfbb62c10a63aba122be31be5f646932",
+    },
+    (5, 14, 0): {
+        "instance": "7db0fb2cd7a458b9e35ff93a90376569db1004682eb8f8f1f0562ccba88db728",
+        "simultaneous_block_lu": "1b206b15110bf074801ae1f8e0d3615abe2249b5ab63a6fbb0fb6a7861226523",
+        "attempt_simultaneous": "a41e0d19f149a1fdb117feb77954c54b92b0ff0a2c2f73888c54724cefd95bbd",
+        "solve_with_omega": "c32cc3759bcc4c8f33d659c51c9e6bf6aa45de3f437e2448463e3d8e4caaa714",
+        "solve_sheaf": "6635db6e6962918052bd139fd4f0f787329f56e7bda4c3ecc626e7cb1cf9244b",
+    },
+    (5, 3, 2): {
+        "instance": "eb53ddddb3bc6e7864edf406f5a02368a3059985aac28a8d10cfd8a828ba2c91",
+        "simultaneous_block_lu": "ff2c6afc5855e4539b88c2252731b443ac03780112c2fb111772a347d24a7134",
+        "attempt_simultaneous": "4e9b2007de42e1c8b45176a4b1ed9e9de6fee538a0a95b60d0bb3a5424f8d9d9",
+        "solve_with_omega": "988a8357fc581c4a687984d0c0442981dce1ae2c5c9fcad05a6536748eeaea23",
+        "solve_sheaf": "9a1f2262880340f1a17b4d60f8cc7cde9e5ec8a6299e33b50a88d89dbe9a1c4a",
+    },
+    (7, 12, 0): {
+        "instance": "f86dc508a004fca7aa1f94d9b10f5c3520dac9f7fe25bbd80a3ae28b86acf878",
+        "simultaneous_block_lu": "6dc14ae9e906c0cdf51f7de1abcee5a5a1909a115b485e89afca0ba168f0f842",
+        "attempt_simultaneous": "4833e782257f28dd07066c6de2ca68f55cbc93b3ea68a4a4ee097c4def0d572d",
+        "solve_with_omega": "16266c37e8601cbdb7569e6f4496ef27dd8aceea0a4f4c5a51fd046c6fc31548",
+        "solve_sheaf": "079b9f9a849ce8dc89f4cafd63a37145897b4cfaa9da9e2327bec5c72dc2dde9",
+    },
+    (7, 4, 1): {
+        "instance": "b44b6e85e332467d8aef606f4c2dddc82d30cc02ee13b0dd1d97ff4e07c847bf",
+        "simultaneous_block_lu": "620148006262ac1cc8d43c66d1f81656d4e9bffdda1038268c2f6dd8eb962d10",
+        "attempt_simultaneous": "f5977d4cdfddf780f3eb76c6e2e9694aa67df1f2a36f0782c53ddf90f0434674",
+        "solve_with_omega": "329663219bceb7a7006cc1746db3205ddc4c4d783dffbc82aa93ac758c3c2a6d",
+        "solve_sheaf": "20955cd1d13836ed4165dc1e32e98fa2f944a201c0ea7993ec9afe167de00187",
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(SOLVER_GOLDEN), ids=lambda c: "p{}-N{}-s{}".format(*c))
+def test_solver_outputs_match_golden_hashes(case):
+    assert _solver_outputs(*case) == SOLVER_GOLDEN[case]
