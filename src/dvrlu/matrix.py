@@ -20,6 +20,8 @@ class PrecMatrix:
 
     def __init__(self, rows: Sequence[Sequence]):
         self.rows = [list(r) for r in rows]
+        if not self.rows:
+            raise ValueError("matrix has no rows")
         w = len(self.rows[0])
         if any(len(r) != w for r in self.rows):
             raise ValueError("ragged rows")
@@ -86,10 +88,6 @@ class PrecMatrix:
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "PrecMatrix":
         return PrecMatrix([row[c0:c1] for row in self.rows[r0:r1]])
-
-    def set_block(self, r0: int, c0: int, sub: "PrecMatrix") -> None:
-        for i, row in enumerate(sub.rows):
-            self.rows[r0 + i][c0 : c0 + len(row)] = list(row)
 
     @staticmethod
     def from_blocks(grid: Sequence[Sequence["PrecMatrix"]]) -> "PrecMatrix":

@@ -17,24 +17,20 @@ pictures without any polynomial factoring.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 from .config import Backend, DvrConfig
 from .element import PrecElem
-from .errors import (
-    AmbiguousValuation,
-    CoincidentPoints,
-    DvrError,
-    ExhaustedRetries,
-    NotSorted,
-)
+from .errors import AmbiguousValuation, CoincidentPoints, DvrError, NotSorted
 from .lu_fast import matmul
 from .lu_stable import block_l_unitlower, lower_triangular_inverse
 from .matrix import PrecMatrix, random_matrix
 from .series import SeriesElem
-from .simul import SimulFailure, invert_via_lv, min_val_bound, required_v
-from .simul import _det_unit_detectable
+from .simul import SimulFailure, _certify, _det_unit_detectable, _retry, required_v
 
 Poly = list  # list[PrecElem], coefficients lowest-first
 
@@ -308,6 +304,8 @@ class SheafInstance:
     points: list[SheafPoint]
 
     def __post_init__(self):
+        if not self.points:
+            raise ValueError("a sheaf instance needs at least one point")
         d = self.points[0].matrix.nrows
         for pt in self.points:
             if len(pt.exponents) != d or pt.matrix.nrows != d:
@@ -323,6 +321,11 @@ class SheafInstance:
     @property
     def dim(self) -> int:
         return self.points[0].matrix.nrows
+
+    @cached_property
+    def crt(self) -> CrtBasis:
+        """The CRT cofactors of the points; they do not depend on omega."""
+        return CrtBasis(self.cfg, [pt.a for pt in self.points], [pt.order for pt in self.points])
 
     def to_json(self) -> dict:
         obj = {"p": self.cfg.p, "prec": self.cfg.prec, "points": []}
@@ -358,27 +361,14 @@ class SheafInstance:
 
 
 def series_matrix_to_json(m: PrecMatrix) -> dict:
-    order = m[0, 0].order
-    rows = [
-        [[c.to_json() for c in m[i, j].coeffs] for j in range(m.ncols)]
-        for i in range(m.nrows)
-    ]
-    return {"d": m.nrows, "order": order, "rows": rows}
+    return {**m.to_json(), "order": m[0, 0].order}
 
 
 def series_matrix_from_json(cfg: DvrConfig, obj: dict) -> PrecMatrix:
-    d = obj["d"]
-    order = obj["order"]
-    rows = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            coeffs = [PrecElem.from_json(cfg, c) for c in obj["rows"][i][j]]
-            if len(coeffs) != order:
-                raise ValueError("series entry length does not match order")
-            row.append(SeriesElem(cfg, coeffs))
-        rows.append(row)
-    return PrecMatrix(rows)
+    d, order, rows = obj["d"], obj["order"], obj["rows"]
+    if len(rows) != d or any(len(r) != d for r in rows):
+        raise ValueError(f"series matrix: expected {d}x{d} rows array")
+    return PrecMatrix([[SeriesElem.from_json(cfg, e, order) for e in r] for r in rows])
 
 
 def random_instance(
@@ -407,23 +397,18 @@ def random_instance(
         exps = sorted(rng.randint(0, e_max) for _ in range(d))
         order = max(exps) + 1
         while True:
-            mats = [random_scalar_matrix_list(cfg, d, rng) for _ in range(order)]
-            const = PrecMatrix(mats[0])
-            if _det_unit_detectable(const):
+            mats = [random_matrix(cfg, d, rng) for _ in range(order)]
+            if _det_unit_detectable(mats[0]):
                 break
         rows = [
             [
-                SeriesElem(cfg, [mats[k][i][j] for k in range(order)])
+                SeriesElem(cfg, [mats[k][i, j] for k in range(order)])
                 for j in range(d)
             ]
             for i in range(d)
         ]
         pts.append(SheafPoint(a, exps, PrecMatrix(rows)))
     return SheafInstance(cfg, pts)
-
-
-def random_scalar_matrix_list(cfg, d, rng):
-    return [[PrecElem.random(cfg, rng) for _ in range(d)] for _ in range(d)]
 
 
 # ---------------------------------------------------------------------------
@@ -488,51 +473,33 @@ def scalar_poly_matmul(s: PrecMatrix, pm: list[list[Poly]]) -> list[list[Poly]]:
     return out
 
 
+def _local_factor(omega: PrecMatrix, pt: SheafPoint, n: int):
+    """Block unit-lower factor of omega * M_m over the series ring at pt."""
+    omega_s = scalar_matrix_as_series(omega, pt.order, n)
+    return block_l_unitlower(matmul(omega_s, pt.matrix).cap_abs(n), pt.block_sizes)
+
+
 def solve_with_omega(
-    inst: SheafInstance, v: int, omega: PrecMatrix, crt_cache: dict | None = None
+    inst: SheafInstance, v: int, omega: PrecMatrix
 ) -> GlobalBasis | SimulFailure:
     """One attempt at a global basis with a fixed scalar randomiser.
 
-    Returns a SimulFailure describing the first certificate that does not
-    hold; retrying with a fresh omega is the caller's job.  ``crt_cache``
-    lets a retry loop reuse the (omega-independent) CRT cofactors.
+    Runs the simultaneous certificate of :mod:`dvrlu.simul` on the local
+    factors (the constant term of each local matrix gates the precision
+    check) and returns the SimulFailure of the first check that does not
+    hold; retrying with a fresh omega is the caller's job.
     """
     cfg = inst.cfg
     n = cfg.prec
     d = inst.dim
-
-    try:
-        omega_inv, _ = invert_via_lv(omega)
-    except DvrError as exc:
-        return SimulFailure("invertibility", detail=str(exc))
-    if min_val_bound(omega_inv) < -v:
-        return SimulFailure("inverse-valuation")
-
-    residue_mats: list[PrecMatrix] = []
-    for idx, pt in enumerate(inst.points):
-        order = pt.order
-        omega_s = scalar_matrix_as_series(omega, order, n)
-        prod = matmul(omega_s, pt.matrix).cap_abs(n)
-        try:
-            fact = block_l_unitlower(prod, pt.block_sizes)
-        except DvrError as exc:
-            return SimulFailure("factor", matrix_index=idx, detail=str(exc))
-        if min_val_bound(fact.lower) < -v:
-            return SimulFailure("factor-valuation", matrix_index=idx)
-        const = PrecMatrix(
-            [[pt.matrix[i, j].coeffs[0] for j in range(d)] for i in range(d)]
-        )
-        if _det_unit_detectable(const) and fact.lower.min_abs_prec() < n - 2 * v:
-            return SimulFailure("factor-precision", matrix_index=idx)
-        residue_mats.append(fact.lower)
-
-    if crt_cache is not None and "basis" in crt_cache:
-        crt = crt_cache["basis"]
-    else:
-        crt = CrtBasis(cfg, [pt.a for pt in inst.points], [pt.order for pt in inst.points])
-        if crt_cache is not None:
-            crt_cache["basis"] = crt
-
+    got = _certify(omega, v, n, [
+        (partial(_local_factor, pt=pt, n=n), pt.matrix.map(lambda e: e.coeffs[0]))
+        for pt in inst.points
+    ])
+    if isinstance(got, SimulFailure):
+        return got
+    omega_inv, factors = got
+    crt = inst.crt
     one = inst.points[0].a.like_one(n)
     zero = inst.points[0].a.like_zero(n)
     l_poly: list[list[Poly]] = []
@@ -545,8 +512,8 @@ def solve_with_omega(
                 row.append([zero])
             else:
                 residues = [
-                    series_to_poly(residue_mats[m][i, j], inst.points[m].a, one)
-                    for m in range(len(inst.points))
+                    series_to_poly(fact.lower[i, j], pt.a, one)
+                    for fact, pt in zip(factors, inst.points)
                 ]
                 row.append(crt.combine(residues))
         l_poly.append(row)
@@ -575,27 +542,16 @@ def solve_sheaf(
     """Compute a global basis by randomised scalar change of coordinates.
 
     Each point contributes its block count as a failure weight when sizing
-    the valuation budget ``v``; the per-try success certificates mirror the
-    simultaneous block elimination over the scalar ring.
+    the valuation budget ``v``; each try is :func:`solve_with_omega` on a
+    fresh Haar-random omega.
     """
     if rng is None:
         rng = random.Random(seed)
-    cfg = inst.cfg
-    r_list = [len(pt.block_sizes) for pt in inst.points]
-    v = required_v(cfg.q, r_list, eps, variant)
-    cache: dict = {}
-    last: SimulFailure | None = None
-    for t in range(1, max_tries + 1):
-        omega = random_matrix(cfg, inst.dim, rng)
-        res = solve_with_omega(inst, v, omega, crt_cache=cache)
-        if isinstance(res, GlobalBasis):
-            res.tries = t
-            return res
-        last = res
-    raise ExhaustedRetries(
-        f"no global basis found in {max_tries} tries (last: {last})",
-        tries=max_tries,
-        last_failure=last,
+    v = required_v(inst.cfg.q, [len(pt.block_sizes) for pt in inst.points], eps, variant)
+    return _retry(
+        lambda: solve_with_omega(inst, v, random_matrix(inst.cfg, inst.dim, rng)),
+        max_tries,
+        "global basis found",
     )
 
 
@@ -663,10 +619,7 @@ def verify_local_equivalence(inst: SheafInstance, basis: GlobalBasis) -> VerifyR
         sizes = pt.block_sizes
         ok = True
         try:
-            omega_s = scalar_matrix_as_series(basis.omega, order, n)
-            prod = matmul(omega_s, pt.matrix).cap_abs(n)
-            fact = block_l_unitlower(prod, sizes)
-            l_inv = lower_triangular_inverse(fact.lower)
+            l_inv = lower_triangular_inverse(_local_factor(basis.omega, pt, n).lower)
         except DvrError as exc:
             notes.append(f"point {idx}: factor recomputation failed: {exc}")
             local_ok.append(False)
@@ -679,22 +632,11 @@ def verify_local_equivalence(inst: SheafInstance, basis: GlobalBasis) -> VerifyR
         )
         t_mat = matmul(l_inv, local)
 
-        # block-of(index) lookup
-        bounds = []
-        acc = 0
-        for s in sizes:
-            acc += s
-            bounds.append(acc)
-
-        def block_of(k: int) -> int:
-            for b, hi in enumerate(bounds):
-                if k < hi:
-                    return b
-            raise IndexError(k)
-
+        bounds = list(itertools.accumulate(sizes))
+        block = [bisect.bisect_right(bounds, k) for k in range(d)]
         for i in range(d):
             for j in range(d):
-                if block_of(i) > block_of(j):
+                if block[i] > block[j]:
                     for c in t_mat[i, j].coeffs:
                         if not require_zeroish(c):
                             notes.append(

@@ -12,7 +12,9 @@ failure probability, that
   least N - 2v.
 
 One draw succeeds with probability >= 1 - eps when v = required_v(...); the
-driver retries with fresh draws until success.
+driver retries with fresh draws until success.  The certificate and the
+retry loop also serve :mod:`dvrlu.sheaf`, whose members are local factors
+over truncated series.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .config import DvrConfig
 from .errors import DvrError, DegenerateInput, ExhaustedRetries
@@ -118,6 +120,76 @@ def _det_unit_detectable(m: PrecMatrix) -> bool:
         return False
 
 
+def _certify(omega: PrecMatrix, v: int, n: int, items):
+    """The certificate of one draw of omega at budget v and precision n.
+
+    Each item pairs a member's factor as a function of omega with the matrix
+    whose detectably unit determinant demands precision n - 2v of that
+    factor.  Returns (omega^-1, factors), or the SimulFailure of the first
+    check that does not hold.
+    """
+    try:
+        omega_inv, _ = invert_via_lv(omega)
+    except DvrError as exc:
+        return SimulFailure("invertibility", detail=str(exc))
+    if min_val_bound(omega_inv) < -v:
+        return SimulFailure(
+            "inverse-valuation", detail=f"omega^-1 has an entry below valuation {-v}"
+        )
+    factors = []
+    for idx, (factor, gate) in enumerate(items):
+        try:
+            fact = factor(omega)
+        except DvrError as exc:
+            return SimulFailure("factor", idx, str(exc))
+        if min_val_bound(fact.lower) < -v:
+            return SimulFailure(
+                "factor-valuation", idx, f"factor has an entry below valuation {-v}"
+            )
+        if _det_unit_detectable(gate):
+            got = fact.lower.min_abs_prec()
+            if got < n - 2 * v:
+                return SimulFailure(
+                    "factor-precision", idx, f"absolute precision {got} < {n - 2 * v}"
+                )
+        factors.append(fact)
+    return omega_inv, factors
+
+
+def _retry(attempt: Callable, max_tries: int, what: str):
+    """Call attempt() until it returns something other than a SimulFailure,
+    stamp the number of tries on that result and return it.  Raises
+    ExhaustedRetries (carrying the last failure) after max_tries failures."""
+    last: Optional[SimulFailure] = None
+    for t in range(1, max_tries + 1):
+        got = attempt()
+        if not isinstance(got, SimulFailure):
+            got.tries = t
+            return got
+        last = got
+    raise ExhaustedRetries(
+        f"no {what} in {max_tries} tries (last: {last})",
+        tries=max_tries,
+        last_failure=last,
+    )
+
+
+def _family_dim(family: Sequence[tuple[PrecMatrix, Sequence[int]]]) -> int:
+    """The common dimension d of a family whose every member is d x d and
+    whose every block type tiles d; raises ValueError otherwise."""
+    if not family:
+        raise ValueError("family is empty")
+    d = family[0][0].nrows
+    for idx, (mat, sizes) in enumerate(family):
+        if mat.nrows != d or mat.ncols != d:
+            raise ValueError(f"family matrix {idx} is not {d}x{d}")
+        if any(s < 1 for s in sizes) or sum(sizes) != d:
+            raise ValueError(
+                f"block type {list(sizes)} of family matrix {idx} does not tile dimension {d}"
+            )
+    return d
+
+
 def attempt_simultaneous(
     cfg: DvrConfig,
     family: Sequence[tuple[PrecMatrix, Sequence[int]]],
@@ -126,47 +198,19 @@ def attempt_simultaneous(
 ):
     """One draw of omega and the full certification.
 
+    The family's shapes and block types are checked before omega is drawn.
     Returns a SimulResult on success, a SimulFailure otherwise.
     """
     n = cfg.prec
-    d = family[0][0].nrows
-    omega = random_matrix(cfg, d, rng, n)
-    try:
-        omega_inv, _ = invert_via_lv(omega)
-    except DvrError as exc:
-        return SimulFailure(stage="invertibility", detail=str(exc))
-    if min_val_bound(omega_inv) < -v:
-        return SimulFailure(
-            stage="inverse-valuation",
-            detail=f"omega^-1 has an entry below valuation {-v}",
-        )
-    factors = []
-    for idx, (mat, sizes) in enumerate(family):
-        if mat.nrows != d or mat.ncols != d:
-            raise ValueError(f"family matrix {idx} is not {d}x{d}")
-        try:
-            prod = matmul(omega, mat).cap_abs(n)
-            fact = block_l(prod, sizes)
-        except DvrError as exc:
-            return SimulFailure(stage="factor", matrix_index=idx, detail=str(exc))
-        if min_val_bound(fact.lower) < -v:
-            return SimulFailure(
-                stage="factor-valuation",
-                matrix_index=idx,
-                detail=f"factor has an entry below valuation {-v}",
-            )
-        if _det_unit_detectable(mat):
-            got = fact.lower.min_abs_prec()
-            if got < n - 2 * v:
-                return SimulFailure(
-                    stage="factor-precision",
-                    matrix_index=idx,
-                    detail=f"absolute precision {got} < {n - 2 * v}",
-                )
-        factors.append(fact)
-    return SimulResult(
-        omega=omega, omega_inv=omega_inv, factors=factors, v=v, n=n
-    )
+    omega = random_matrix(cfg, _family_dim(family), rng, n)
+    got = _certify(omega, v, n, [
+        (lambda w, mat=mat, sizes=sizes: block_l(matmul(w, mat).cap_abs(n), sizes), mat)
+        for mat, sizes in family
+    ])
+    if isinstance(got, SimulFailure):
+        return got
+    omega_inv, factors = got
+    return SimulResult(omega=omega, omega_inv=omega_inv, factors=factors, v=v, n=n)
 
 
 def simultaneous_block_lu(
@@ -187,17 +231,8 @@ def simultaneous_block_lu(
     if rng is None:
         rng = random.Random(seed)
     v = required_v(cfg.q, [len(sizes) for _, sizes in family], eps, variant)
-    last: Optional[SimulFailure] = None
-    for t in range(1, max_tries + 1):
-        got = attempt_simultaneous(cfg, family, v, rng)
-        if isinstance(got, SimulResult):
-            got.tries = t
-            return got
-        last = got
-    raise ExhaustedRetries(
-        f"no successful draw in {max_tries} tries (last: {last})",
-        tries=max_tries,
-        last_failure=last,
+    return _retry(
+        lambda: attempt_simultaneous(cfg, family, v, rng), max_tries, "successful draw"
     )
 
 

@@ -28,6 +28,7 @@ import numpy as np
 from ..config import DvrConfig, require_prime
 from ..digits import pw
 from ..element import PrecElem
+from .formulas import vl_centerings
 from ..errors import AmbiguousValuation, DegenerateInput
 from ..lu_stable import vij_statistics
 from ..matrix import PrecMatrix
@@ -419,8 +420,8 @@ def monte_carlo_det(p: int, d: int, trials: int, seed: int = 0, jobs: int = 1) -
 def tail_frequency(vl: np.ndarray, q: int, d: int, ell: int, centering: str = "statement") -> float:
     """Empirical P[|V_L - c| > ell + 1/2] with c = log_q d +- 1/2 (the
     asserted centering or the one its proof uses)."""
-    c = math.log(d) / math.log(q)
-    c = c + 0.5 if centering == "statement" else c - 0.5
+    statement, proof = vl_centerings(q, d)
+    c = statement if centering == "statement" else proof
     return float(np.mean(np.abs(vl.astype(np.float64) - c) > ell + 0.5))
 
 

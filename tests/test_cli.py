@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import dvrlu
+from dvrlu import errors
 from dvrlu.cli import main
 from dvrlu.config import DvrConfig
 from dvrlu.element import PrecElem
@@ -138,6 +139,14 @@ def test_missing_matrix_key(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+def test_empty_matrix_is_input_error(tmp_path, capsys):
+    cfg = DvrConfig(p=2, prec=6)
+    path = _write(tmp_path, "m.json",
+                  {"config": cfg.to_json(), "matrix": {"d": 0, "rows": []}})
+    assert main(["lu", "run", "--input", path]) == 2
+    assert "no rows" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # stats
 
@@ -246,6 +255,26 @@ def test_simul_run(tmp_path, capsys):
     assert out["n"] == 30
 
 
+def _bigoh_matrix(d):
+    return {"d": d, "rows": [[{"bigoh": 10}] * d] * d}
+
+
+@pytest.mark.parametrize("later, message", [
+    ({"matrix": _bigoh_matrix(3), "block_type": [3]}, "is not 2x2"),
+    ({"matrix": _bigoh_matrix(2), "block_type": [1, 2]}, "does not tile"),
+], ids=["shape", "tiling"])
+def test_simul_run_rejects_bad_family_before_drawing(tmp_path, capsys, later, message):
+    # member 0 is all O(5^10), so every draw fails at it; the later member's
+    # defect must still be reported as bad input, not as exhausted retries
+    cfg = DvrConfig(p=5, prec=10)
+    fam = [{"matrix": _bigoh_matrix(2), "block_type": [1, 1]}, later]
+    path = _write(tmp_path, "family.json",
+                  {"config": cfg.to_json(), "eps": 0.5, "family": fam})
+    assert main(["simul", "run", "--input", path, "--seed", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "family matrix 1" in err and message in err
+
+
 def test_simul_bench(capsys):
     rc = main(
         ["simul", "bench", "--p", "2", "--prec", "30", "--dim", "3",
@@ -296,6 +325,32 @@ def test_sheaf_solve_unsorted_exponents(tmp_path, capsys):
     assert "non-decreasing" in capsys.readouterr().err
 
 
+def _short_rows(obj):
+    obj["points"][0]["matrix"]["rows"].pop()
+
+
+def _no_points(obj):
+    obj["points"] = []
+
+
+def _empty_matrix(obj):
+    obj["points"][0]["matrix"].update(d=0, rows=[])
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_short_rows, "2x2 rows"),
+    (_no_points, "at least one point"),
+    (_empty_matrix, "no rows"),
+], ids=["short-rows", "no-points", "empty-matrix"])
+def test_sheaf_solve_rejects_malformed_instance(tmp_path, capsys, mutate, message):
+    cfg = DvrConfig(p=5, prec=12)
+    obj = random_instance(cfg, random.Random(1), n_points=2, d=2, e_max=1).to_json()
+    mutate(obj)
+    path = _write(tmp_path, "inst.json", obj)
+    assert main(["sheaf", "solve", "--input", path, "--seed", "1"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_sheaf_solve_exhausted_retries(tmp_path, capsys, monkeypatch):
     cfg = DvrConfig(p=5, prec=12)
     inst = random_instance(cfg, random.Random(2), n_points=2, d=2, e_max=1)
@@ -309,6 +364,55 @@ def test_sheaf_solve_exhausted_retries(tmp_path, capsys, monkeypatch):
     )
     assert rc == 4
     assert "3 tries" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# exit codes
+
+
+EXIT_CODES = {
+    errors.AmbiguousValuation: 3,
+    errors.DivisionByUnknownZero: 3,
+    errors.DegenerateInput: 3,
+    errors.DegenerateDecomposition: 3,
+    errors.InsufficientLift: 3,
+    errors.ExhaustedRetries: 4,
+    errors.NotSorted: 2,
+    errors.CoincidentPoints: 2,
+    ValueError: 2,
+    OSError: 2,
+    json.JSONDecodeError: 2,
+}
+
+
+def _instance(cls):
+    if cls is errors.InsufficientLift:
+        return cls("needs more digits", required_prec=17)
+    if cls is errors.ExhaustedRetries:
+        return cls("no luck", tries=3)
+    if cls is json.JSONDecodeError:
+        return cls("Expecting value", "{\n x", 3)
+    return cls("boom")
+
+
+def test_exit_code_table_covers_every_dvr_error():
+    assert set(errors.DvrError.__subclasses__()) <= set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("cls", list(EXIT_CODES), ids=lambda c: c.__name__)
+def test_exit_code_table(capsys, monkeypatch, cls):
+    exc = _instance(cls)
+
+    def raising(args):
+        raise exc
+
+    monkeypatch.setattr("dvrlu.cli._cmd_stats_eqd", raising)
+    assert main(["stats", "eqd", "--q", "2", "--d", "4"]) == EXIT_CODES[cls]
+    expected = {
+        errors.InsufficientLift: "error: needs more digits (suggested precision: 17)",
+        json.JSONDecodeError: "error: malformed JSON at line 2 column 2: Expecting value",
+    }.get(cls, f"error: {exc}")
+    assert capsys.readouterr() == ("", expected + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,8 @@ def test_sheaf_instance_validation():
     bad = PrecMatrix([[ent, ent], [ent, short]])
     with pytest.raises(ValueError):
         SheafInstance(cfg, [SheafPoint(a, [0, 1], bad)])
+    with pytest.raises(ValueError, match="at least one point"):
+        SheafInstance(cfg, [])
 
 
 def test_sheaf_instance_json_roundtrip():
@@ -270,6 +272,9 @@ def test_series_matrix_json_rejects_length_mismatch():
     obj = series_matrix_to_json(m)
     obj["order"] = 3
     with pytest.raises(ValueError):
+        series_matrix_from_json(cfg, obj)
+    obj["order"], obj["d"] = 2, 2  # rows shorter than d
+    with pytest.raises(ValueError, match="2x2"):
         series_matrix_from_json(cfg, obj)
 
 
@@ -342,6 +347,23 @@ def test_solve_sheaf_end_to_end():
     obj = basis.to_json()
     assert set(obj) == {"M", "D", "block_types", "omega", "v", "n", "tries"}
     assert obj["n"] == 30
+
+
+def test_crt_cofactors_built_once_per_instance(monkeypatch):
+    built = []
+
+    class Counting(CrtBasis):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr("dvrlu.sheaf.CrtBasis", Counting)
+    cfg = DvrConfig(p=5, prec=20)
+    inst = random_instance(cfg, random.Random(42), n_points=2, d=2, e_max=1)
+    first = solve_sheaf(inst, eps=0.5, seed=9)
+    again = solve_sheaf(inst, eps=0.5, seed=9)
+    assert first.to_json() == again.to_json()
+    assert len(built) == 1
 
 
 def test_verify_flags_tampered_basis():

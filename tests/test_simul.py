@@ -150,6 +150,26 @@ def test_attempt_rejects_wrong_shape():
         attempt_simultaneous(cfg, fam, 1, random.Random(1))
 
 
+@pytest.mark.parametrize("later", [
+    lambda cfg: (flat_from_ints(cfg, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), [3]),
+    lambda cfg: (flat_from_ints(cfg, [[1, 0], [0, 1]]), [1, 2]),
+], ids=["shape", "tiling"])
+def test_family_checked_before_omega_is_drawn(later):
+    # member 0 fails the factor check on every draw, so a check made only
+    # when member 1 is reached would never run
+    cfg = DvrConfig(p=5, prec=10)
+    hopeless = PrecMatrix([[PrecElem.bigoh(cfg, 10)] * 2 for _ in range(2)])
+    fam = [(hopeless, [1, 1]), later(cfg)]
+    rng = random.Random(4)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="family matrix 1"):
+        attempt_simultaneous(cfg, fam, 1, rng)
+    assert rng.getstate() == state
+    with pytest.raises(ValueError, match="family matrix 1"):
+        simultaneous_block_lu(cfg, fam, eps=0.5, rng=rng)
+    assert rng.getstate() == state
+
+
 def test_attempt_factor_valuation_failure(monkeypatch):
     # pin omega to the identity so the product is the raw matrix, whose
     # unit-lower factor costs a 1/p entry; budget v = 0 must reject it
