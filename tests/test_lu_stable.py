@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import elem_matches_fraction, flat_from_ints, random_int_rows
@@ -119,6 +120,28 @@ def test_lift_recompute_agrees_with_exact():
                 assert elem_matches_fraction(
                     lower[i, j], oracles.cramer_quotient(rows, i, j)
                 )
+
+
+@pytest.mark.parametrize("p, n, seed", [(2, 11, 1), (2, 14, 2), (3, 10, 3)])
+def test_lift_recompute_digits_hold_for_every_lift(p, n, seed):
+    # the exact Cramer quotient of any integer lift of the input must agree
+    # with every digit the factor claims
+    cfg = DvrConfig(p=p, prec=n)
+    rng = random.Random(seed)
+    for _ in range(40):
+        rows = random_int_rows(rng, 4, p, n)
+        try:
+            lower = lift_recompute_l(flat_from_ints(cfg, rows))
+        except InsufficientLift:
+            continue
+        for _ in range(5):
+            lift = [[x + rng.randrange(p**8) * p**n for x in row] for row in rows]
+            if oracles.exact_det(lift) == 0:
+                continue
+            for i in range(4):
+                for j in range(i):
+                    exact = oracles.cramer_quotient(lift, i, j)
+                    assert elem_matches_fraction(lower[i, j], exact), (i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +322,68 @@ def test_unit_minor_input_has_zero_col_vals():
         res = stable_l(flat_from_ints(CFG, rows))
         assert res.col_vals == [0, 0, 0, 0]
         assert precision_loss(res.lower, res.n) == 0
+
+
+# ---------------------------------------------------------------------------
+# every claimed digit survives every lift of the input
+# ---------------------------------------------------------------------------
+
+LIFT_N = 12  # input precision before the per-entry spread is taken off
+LIFTS = 4
+
+LIFT_ELIMINATIONS = {
+    "stable_l": lambda m: stable_l(m).lower,
+    "lv_decomposition": lambda m: lv_to_l(lv_decomposition(m)),
+    "recursive_lv": lambda m: lv_to_l(recursive_lv(m, threshold=2)),
+    "block_l": lambda m: block_l(m, [2, m.nrows - 2]).lower,
+    "block_l_unitlower": lambda m: block_l_unitlower(m, [1, m.nrows - 1]).lower,
+    "naive_gauss_l": naive_gauss_l,
+    "lift_recompute_l": lift_recompute_l,
+}
+
+
+def _random_lift(e, n, rng):
+    """e with uniformly random digits from its precision up to n."""
+    p, a = e.cfg.p, e.abs_prec
+    high = PrecElem.from_int(e.cfg, rng.randrange(p ** (n - a)) * p**a, abs_prec=n)
+    return e.lift_to_precision(n) + high
+
+
+@pytest.mark.parametrize("name", list(LIFT_ELIMINATIONS))
+@settings(max_examples=30)
+@given(
+    backend=st.sampled_from(list(Backend)),
+    p=st.sampled_from([2, 3, 5]),
+    d=st.integers(3, 5),
+    spread=st.sampled_from([0, 2, 5]),
+    seed=st.integers(0, 2**32),
+)
+def test_claimed_digits_survive_random_lifts(name, backend, p, d, spread, seed):
+    # A precision claim is sound only if it holds for every lift of the
+    # input (Caruso, Roe, Vaccon, "Tracking p-adic precision", 2014): lift
+    # each entry at random to a higher flat precision and require the same
+    # pivot decisions and every claimed digit of the factor.
+    rng = random.Random(seed)
+    cfg = DvrConfig(p=p, prec=LIFT_N, backend=backend)
+    m = random_matrix(cfg, d, rng).map(
+        lambda e: e.cap_abs(LIFT_N - rng.randint(0, spread)))
+    elim = LIFT_ELIMINATIONS[name]
+    try:
+        swaps = vij_statistics(m).swaps
+    except DvrError:
+        swaps = None
+    try:
+        claimed = elim(m)
+    except DvrError:
+        return
+    for _ in range(LIFTS):
+        lift = m.map(lambda e: _random_lift(e, LIFT_N + 8, rng))
+        if swaps is not None:
+            assert vij_statistics(lift).swaps == swaps
+        exact = elim(lift)
+        for i in range(d):
+            for j in range(d):
+                assert (claimed[i, j] - exact[i, j]).is_zeroish, (i, j)
 
 
 # ---------------------------------------------------------------------------
