@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .lu_stable import LvOutput, lv_decomposition, working_precision
-from .lu_stable import _pivot_step, _square_dim, _val_or_none
+from .lu_stable import _flattened, _pivot_step, _square_dim, _val_or_none
 from .matrix import PrecMatrix
 
 _MUL_COUNT = 0
@@ -253,7 +253,7 @@ def recursive_lv(
     d = _square_dim(m)
     if d <= threshold:
         return lv_decomposition(m)
-    n = working_precision(m)
+    m, n = _flattened(m)
     dp = d // 2
     m1 = m.block(0, dp, 0, dp)
     m2 = m.block(0, dp, dp, d)

@@ -10,7 +10,10 @@ precision N before every column update; for an integral input known at flat
 precision N this keeps *every* intermediate entry at absolute precision
 exactly N (the update subtracts a term of absolute precision >= N from an
 entry of absolute precision N), which is what the precision guarantees — and
-the bit-identical fast variants — rely on.
+the bit-identical fast variants — rely on.  So every pivoted elimination
+first caps its input to the smallest entry precision N
+(:func:`_flattened`): a cleared entry is exactly zero only up to the
+precision of its row.
 
 That step — swap test, pivot guard, re-lifted scalar, column update — is
 :func:`_pivot_step`, the only code that swaps or updates columns, and
@@ -61,9 +64,21 @@ def _square_dim(m: PrecMatrix) -> int:
 
 
 def working_precision(m: PrecMatrix) -> int:
-    """The absolute precision N the elimination lifts to: the largest
-    precision any entry carries (= the flat precision for flat inputs)."""
+    """The largest precision any entry carries (= the flat precision for
+    flat inputs)."""
     return max(e.abs_prec for r in m.rows for e in r)
+
+
+def _flattened(m: PrecMatrix) -> tuple[PrecMatrix, int]:
+    """A copy of m capped to its smallest entry precision N, and N.
+
+    Every pivoted elimination works on this copy at precision N: a cleared
+    entry is treated as exactly zero, which it is only up to the precision
+    of its row, so a digit beyond the smallest precision cannot be claimed.
+    Flat input comes back unchanged.
+    """
+    n = m.min_abs_prec()
+    return m.cap_abs(n), n
 
 
 def _pivot_step(omega: PrecMatrix, i: int, j: int, n: int, *extras: PrecMatrix) -> bool:
@@ -143,14 +158,18 @@ def _val_or_none(e) -> Optional[int]:
     return None if s.is_zeroish else s.valuation
 
 
-def vij_statistics(m: PrecMatrix, n: Optional[int] = None) -> VijProfile:
+def vij_statistics(m: PrecMatrix) -> VijProfile:
     """Run the pivoted column elimination recording its valuation profile.
+
+    Scalars are lifted to the smallest entry precision N, as in every
+    pivoted elimination, but the entries are read uncapped, so a value read
+    before any update keeps every digit its entry carries.
 
     Raises AmbiguousValuation when a swap decision is not forced by the
     known precision, DegenerateInput when a pivot degenerates.
     """
     d = _square_dim(m)
-    n = working_precision(m) if n is None else n
+    n = m.min_abs_prec()
     omega = m.copy()
     prof = VijProfile()
     quotients = []  # (numerator, pivot valuation) below each round's pivot
@@ -237,10 +256,14 @@ def lift_recompute_l(m: PrecMatrix, extra: Optional[int] = None) -> PrecMatrix:
 
         N' - N >= 2 * (sum(W_i) - max(W_i)).
 
-    On success the factor is correct at absolute precision N - 2*max(W_i)
-    and is truncated there.  On failure an InsufficientLift carries the
-    minimal sufficient N'; if a pivot valuation was itself undeterminable at
-    N' the exception suggests trying ceil(2d/q) digits higher.
+    On success L[i, j] is correct at absolute precision
+    min(N - 2*max(W), N - S_j + min(0, v(L[i, j]))) and is truncated there,
+    where N is the smallest entry precision of the input and S_j = W_1 + ..
+    + W_(j+1) the valuation of L[i, j]'s Cramer denominator.  On failure an
+    InsufficientLift carries the minimal sufficient N'; if a pivot valuation
+    was itself undeterminable at N' the exception suggests trying ceil(2d/q)
+    digits higher.  A leading minor whose valuation S_j reaches N is
+    indistinguishable from zero and raises DegenerateInput.
 
     Args:
         m: square matrix over the scalar ring.
@@ -248,12 +271,12 @@ def lift_recompute_l(m: PrecMatrix, extra: Optional[int] = None) -> PrecMatrix:
             total pivot valuation margin for Haar-random input.
     """
     d = _square_dim(m)
-    n = working_precision(m)
+    flat, n = _flattened(m)
     q = m.rows[0][0].cfg.q
     if extra is None:
         extra = max(1, math.ceil(2 * d / q))
     n_hi = n + extra
-    lifted = m.lift_to_precision(n_hi)
+    lifted = flat.lift_to_precision(n_hi)
     try:
         lower, pivot_vals = _naive_elimination(lifted)
     except DivisionByUnknownZero as exc:
@@ -270,6 +293,14 @@ def lift_recompute_l(m: PrecMatrix, extra: Optional[int] = None) -> PrecMatrix:
             f"{pivot_vals} need {need}",
             required_prec=n + need,
         )
+    for j, s_j in enumerate(itertools.accumulate(pivot_vals[:-1])):
+        if s_j >= n:
+            raise DegenerateInput(
+                f"leading minor indistinguishable from zero at column {j}"
+            )
+        for i in range(j + 1, d):
+            e = lower[i, j]
+            lower[i, j] = e.cap_abs(n - s_j + min(0, e.val_lower_bound))
     return lower.cap_abs(n - 2 * w_max)
 
 
@@ -323,21 +354,20 @@ def stable_l(m: PrecMatrix) -> StableL:
 
     Raises:
         AmbiguousValuation: a swap decision was not forced at this precision.
-        DegenerateInput: a pivot (hence a leading principal minor) is
-            indistinguishable from zero.
+        DegenerateInput: a leading principal minor is indistinguishable
+            from zero (a pivot is, or the minor's valuation reaches N).
     """
     d = _square_dim(m)
-    n = working_precision(m)
-    omega = m.copy()
+    omega, n = _flattened(m)
     lower = PrecMatrix.identity_like(m, d, n)
     col_vals = []
     for j in _rounds(omega, n):
         diag = [omega[k, k] for k in range(j + 1)]
-        if any(e.is_zeroish for e in diag):
+        v = n if any(e.is_zeroish for e in diag) else sum(e.valuation for e in diag)
+        if v >= n:
             raise DegenerateInput(
-                f"diagonal entry indistinguishable from zero after round {j}"
+                f"leading minor indistinguishable from zero after round {j}"
             )
-        v = sum(e.valuation for e in diag)
         col_vals.append(v)
         for i in range(j + 1, d):
             lower[i, j] = _prescribed_quotient(omega[i, j], omega[j, j], v, n)
@@ -419,8 +449,7 @@ def lv_decomposition(m: PrecMatrix) -> LvOutput:
     swap comparison raises (AmbiguousValuation).
     """
     d = _square_dim(m)
-    n = working_precision(m)
-    omega = m.copy()
+    omega, n = _flattened(m)
     wp = PrecMatrix.identity_like(m, d, n)
     lp = PrecMatrix.zero_like(m, d, d, n)
     vp = PrecMatrix.zero_like(m, d, d, n)
@@ -457,6 +486,10 @@ def lv_to_l(out: LvOutput) -> PrecMatrix:
                 f"diagonal entry at column {j} indistinguishable from zero"
             )
         v += lkk.valuation - vkk.valuation
+        if v >= n:
+            raise DegenerateDecomposition(
+                f"leading minor at column {j} indistinguishable from zero"
+            )
         for i in range(j + 1, d):
             lower[i, j] = _prescribed_quotient(out.lp[i, j], lkk, v, n)
     return lower
@@ -547,8 +580,7 @@ def _block_elimination(m: PrecMatrix, block_sizes: Sequence[int], clear: bool) -
     d = _square_dim(m)
     if any(b < 1 for b in block_sizes) or sum(block_sizes) != d:
         raise ValueError(f"block sizes {list(block_sizes)} do not tile dimension {d}")
-    n = working_precision(m)
-    omega = m.copy()
+    omega, n = _flattened(m)
     lower = PrecMatrix.zero_like(m, d, d, n)
     block_vals = []
     j0 = 0
