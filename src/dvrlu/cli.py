@@ -15,9 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
+import statistics
 import sys
+
+import numpy as np
 
 from .config import DvrConfig
 from .errors import (
@@ -60,7 +64,9 @@ from .stats import (
     expected_vl_series,
     monte_carlo_det,
     monte_carlo_vl,
+    tail_frequency,
     vl_expectation_interval,
+    vl_tail_bound,
     vl_upper_tail,
 )
 
@@ -71,6 +77,9 @@ _PRECISION_ERRORS = (
     DegenerateInput,
     DegenerateDecomposition,
 )
+
+# two-sided V_L deviations reported by ``stats vl --format json``: ell = 1..6
+TAIL_RADII = 6
 
 
 def _resolve_seed(value):
@@ -194,9 +203,11 @@ def _cmd_lu_bench(args) -> int:
         "dim": args.dim,
         "count": args.count,
         "failures": failures,
+        "two_log_q_d": 2 * math.log(args.dim, args.p),
     }
     if losses:
         out["loss_mean"] = sum(losses) / len(losses)
+        out["loss_sd"] = statistics.stdev(losses) if len(losses) > 1 else 0.0
         out["loss_min"] = min(losses)
         out["loss_max"] = max(losses)
     _emit(out)
@@ -215,6 +226,13 @@ def _cmd_stats_vl(args) -> int:
     if args.format == "json":
         obj = summary.to_json()
         obj["interval"] = list(vl_expectation_interval(q, d))
+        hist = summary.histogram
+        vl = np.repeat(list(hist), list(hist.values()))
+        obj["tails"] = [
+            {"ell": ell, "empirical": tail_frequency(vl, q, d, ell),
+             "bound": vl_tail_bound(q, ell)}
+            for ell in range(1, TAIL_RADII + 1)
+        ]
         _emit(obj)
         return 0
     lo, hi = vl_expectation_interval(q, d)
@@ -286,12 +304,13 @@ def _cmd_simul_run(args) -> int:
 
 def _cmd_simul_bench(args) -> int:
     cfg = DvrConfig(p=args.p, prec=args.prec)
-    sizes = _parse_block_type(args.block_type)
-    if sum(sizes) != args.dim:
+    types = [_parse_block_type(t) for t in args.block_type.split(";")]
+    if any(sum(sizes) != args.dim for sizes in types):
         raise ValueError("block type must tile the dimension")
     rng = random.Random(_resolve_seed(args.seed))
     family = [
-        (random_matrix(cfg, args.dim, rng), sizes) for _ in range(args.n_matrices)
+        (random_matrix(cfg, args.dim, rng), types[k % len(types)])
+        for k in range(args.n_matrices)
     ]
     v = required_v(cfg.q, [len(s) for _, s in family], args.eps, args.variant)
     successes = 0
@@ -411,7 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     sbench.add_argument("--prec", type=int, required=True)
     sbench.add_argument("--dim", type=int, required=True)
     sbench.add_argument("--n-matrices", type=int, default=2)
-    sbench.add_argument("--block-type", required=True)
+    sbench.add_argument("--block-type", required=True,
+                        help="';'-separated block types; member k takes type "
+                             "k mod their number, e.g. '2,2;1,3'")
     sbench.add_argument("--eps", type=float, default=0.5)
     sbench.add_argument("--variant", default="base", choices=["base", "pi"])
     sbench.add_argument("--count", type=int, default=1000)

@@ -9,9 +9,13 @@ when one is on ``PATH``.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
+import re
+import shlex
 import shutil
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -20,11 +24,15 @@ import pytest
 
 import dvrlu
 from dvrlu import errors
-from dvrlu.cli import main
+from dvrlu.cli import build_parser, main
 from dvrlu.config import DvrConfig
 from dvrlu.element import PrecElem
-from dvrlu.matrix import PrecMatrix
+from dvrlu.lu_stable import naive_gauss_l, precision_loss, stable_l
+from dvrlu.matrix import PrecMatrix, random_matrix
 from dvrlu.sheaf import random_instance
+from dvrlu.simul import SimulResult, attempt_simultaneous, required_v
+from dvrlu.stats import tail_frequency, vl_tail_bound
+from dvrlu.stats.montecarlo import simulate
 
 from conftest import flat_from_ints
 
@@ -115,6 +123,29 @@ def test_lu_bench_summary(capsys):
     assert "loss_mean" in out and out["failures"] == 0
 
 
+@pytest.mark.parametrize("algo, factor", [
+    ("naive", naive_gauss_l),
+    ("stable", lambda m: stable_l(m).lower),
+])
+def test_lu_bench_reports_loss_spread(capsys, algo, factor):
+    # the naive-against-stable precision-loss experiment: both algorithms
+    # see the same matrices for one seed
+    argv = "lu bench --p 2 --prec 30 --dim 6 --count 9 --seed 5 --algo " + algo
+    assert main(argv.split()) == 0
+    out = json.loads(capsys.readouterr().out)
+    cfg = DvrConfig(p=2, prec=30)
+    rng = random.Random(5)
+    losses = [precision_loss(factor(random_matrix(cfg, 6, rng)), 30) for _ in range(9)]
+    assert out["loss_mean"] == statistics.mean(losses)
+    assert out["loss_sd"] == statistics.stdev(losses)
+    assert out["two_log_q_d"] == 2 * math.log(6, 2)
+
+
+def test_lu_bench_loss_sd_of_one_sample_is_zero(capsys):
+    assert main("lu bench --p 5 --prec 20 --dim 3 --count 1 --seed 2".split()) == 0
+    assert json.loads(capsys.readouterr().out)["loss_sd"] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # malformed input
 
@@ -172,6 +203,20 @@ def test_stats_vl_json(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["trials"] == 1000
     assert len(out["interval"]) == 2
+
+
+@pytest.mark.parametrize("q, d", [(2, 16), (3, 5), (2, 1)])
+def test_stats_vl_json_tails(capsys, q, d):
+    # the two-sided concentration experiment, from the same simulation
+    argv = f"stats vl --q {q} --d {d} --trials 4000 --seed 3 --format json"
+    assert main(argv.split()) == 0
+    out = json.loads(capsys.readouterr().out)
+    vl = simulate(q, d, 4000, seed=3)["vl"]
+    assert out["tails"] == [
+        {"ell": ell, "empirical": tail_frequency(vl, q, d, ell),
+         "bound": vl_tail_bound(q, ell)}
+        for ell in range(1, 7)
+    ]
 
 
 def test_stats_eqd_routes_agree(capsys):
@@ -286,10 +331,29 @@ def test_simul_bench(capsys):
     assert out["success_rate"] >= out["target"] - 0.25  # crude smoke bound
 
 
-def test_simul_bench_block_type_mismatch(capsys):
+def test_simul_bench_cycles_block_types(capsys):
+    # member k of the family takes block type k mod the number of types
+    argv = ["simul", "bench", "--p", "2", "--prec", "30", "--dim", "4",
+            "--n-matrices", "3", "--block-type", "2,2;1,3", "--count", "60",
+            "--seed", "4"]
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    cfg = DvrConfig(p=2, prec=30)
+    rng = random.Random(4)
+    family = [(random_matrix(cfg, 4, rng), sizes) for sizes in ([2, 2], [1, 3], [2, 2])]
+    v = required_v(2, [2, 2, 2], 0.5)
+    successes = sum(
+        isinstance(attempt_simultaneous(cfg, family, v, rng), SimulResult)
+        for _ in range(60)
+    )
+    assert (out["v"], out["successes"]) == (v, successes)
+
+
+@pytest.mark.parametrize("block_type", ["1,2", "2,2;1,2"])
+def test_simul_bench_block_type_mismatch(capsys, block_type):
     rc = main(
         ["simul", "bench", "--p", "2", "--prec", "10", "--dim", "4",
-         "--block-type", "1,2", "--count", "1"]
+         "--block-type", block_type, "--count", "1"]
     )
     assert rc == 2
     assert "tile" in capsys.readouterr().err
@@ -464,3 +528,41 @@ def test_console_script_runs(tmp_path):
     exe = shutil.which("dvrlu")
     if exe is not None:
         _check_console_runs([exe], tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# README
+
+
+def _readme_commands():
+    """Every ``dvrlu`` line of README's sh blocks, with the values of the
+    enclosing ``for NAME in VALUES; do`` loops substituted for ``$NAME``."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        loops = dict(re.findall(r"for (\w+) in ([^;]+);", block))
+        for line in block.splitlines():
+            line = line.strip()
+            if not line.startswith("dvrlu "):
+                continue
+            lines = [line]
+            for name, values in loops.items():
+                if "$" + name in line:
+                    lines = [ln.replace("$" + name, v) for ln in lines for v in values.split()]
+            yield from lines
+
+
+README_COMMANDS = list(_readme_commands())
+
+
+def test_readme_has_the_experiment_recipes():
+    joined = "\n".join(README_COMMANDS)
+    assert "--algo naive" in joined and "--algo stable" in joined
+    assert "dvrlu stats vl --q 2 --d 16 --trials 100000 --seed 0 --format json" in joined
+    assert "--block-type '2,2;1,3'" in joined
+
+
+@pytest.mark.parametrize("command", README_COMMANDS)
+def test_readme_command_parses(command):
+    argv = shlex.split(command)[1:]
+    assert "$" not in " ".join(argv)
+    build_parser().parse_args(argv)
