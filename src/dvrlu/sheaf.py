@@ -184,12 +184,15 @@ def scalar_det(m: PrecMatrix) -> PrecElem:
 
 
 def block_type_from_exponents(exponents: list[int]) -> list[int]:
-    """Run lengths of a non-decreasing exponent list.
+    """Run lengths of a non-decreasing list of nonnegative exponents.
 
-    Raises NotSorted if the list decreases anywhere.
+    Raises NotSorted if the list decreases anywhere, ValueError if it is
+    empty or holds a negative exponent.
     """
     if not exponents:
         raise ValueError("empty exponent list")
+    if min(exponents) < 0:
+        raise ValueError(f"exponents must be nonnegative, got {exponents}")
     sizes = [1]
     for prev, cur in zip(exponents, exponents[1:]):
         if cur < prev:
@@ -201,18 +204,23 @@ def block_type_from_exponents(exponents: list[int]) -> list[int]:
     return sizes
 
 
+def _require_distinct(pts: list[PrecElem]) -> None:
+    """Raise CoincidentPoints if two points agree to working precision."""
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if (pts[i] - pts[j]).is_zeroish:
+                raise CoincidentPoints(
+                    f"points {i} and {j} coincide to working precision"
+                )
+
+
 def build_divisors(cfg: DvrConfig, points: list[tuple[PrecElem, list[int]]]) -> list[Poly]:
     """Diagonal target polynomials ``D_j = prod_m (X - a_m)^{e_{m,j}}``.
 
     Points whose difference is indistinguishable from zero are rejected:
     the construction needs genuinely separate linear primes.
     """
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if (points[i][0] - points[j][0]).is_zeroish:
-                raise CoincidentPoints(
-                    f"points {i} and {j} coincide to working precision"
-                )
+    _require_distinct([a for a, _ in points])
     n = cfg.prec
     d = len(points[0][1])
     one = points[0][0].like_one(n)
@@ -310,6 +318,7 @@ class SheafInstance:
         for pt in self.points:
             if len(pt.exponents) != d or pt.matrix.nrows != d:
                 raise ValueError("all points must share the matrix dimension")
+            block_type_from_exponents(pt.exponents)
             order = pt.order
             for i in range(d):
                 for j in range(d):
@@ -317,6 +326,7 @@ class SheafInstance:
                         raise ValueError(
                             f"series order mismatch at point: expected {order}"
                         )
+        _require_distinct([pt.a for pt in self.points])
 
     @property
     def dim(self) -> int:

@@ -401,18 +401,36 @@ def _empty_matrix(obj):
     obj["points"][0]["matrix"].update(d=0, rows=[])
 
 
+def _coincident_points(obj):
+    obj["points"][1]["a"] = obj["points"][0]["a"]
+
+
+def _negative_exponent(obj):
+    obj["points"][0]["exponents"] = [-1, 1]
+
+
+def _negative_exponents(obj):
+    obj["points"][0]["exponents"] = [-3, -3]
+
+
 @pytest.mark.parametrize("mutate, message", [
     (_short_rows, "2x2 rows"),
     (_no_points, "at least one point"),
     (_empty_matrix, "no rows"),
-], ids=["short-rows", "no-points", "empty-matrix"])
+    (_coincident_points, "error: points 0 and 1 coincide to working precision"),
+    (_negative_exponent, "error: exponents must be nonnegative, got [-1, 1]"),
+    (_negative_exponents, "error: exponents must be nonnegative, got [-3, -3]"),
+], ids=["short-rows", "no-points", "empty-matrix", "coincident-points",
+        "negative-exponent", "negative-exponents"])
 def test_sheaf_solve_rejects_malformed_instance(tmp_path, capsys, mutate, message):
     cfg = DvrConfig(p=5, prec=12)
     obj = random_instance(cfg, random.Random(1), n_points=2, d=2, e_max=1).to_json()
     mutate(obj)
     path = _write(tmp_path, "inst.json", obj)
     assert main(["sheaf", "solve", "--input", path, "--seed", "1"]) == 2
-    assert message in capsys.readouterr().err
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert message in out.err
 
 
 def test_sheaf_solve_exhausted_retries(tmp_path, capsys, monkeypatch):
