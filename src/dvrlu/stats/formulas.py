@@ -2,15 +2,14 @@
 
 All formulas are parameterized by the residue cardinality q and the matrix
 dimension d.  Everything returns plain floats; the alternating-sum variant
-of the expected precision loss is evaluated in high-precision arithmetic
-internally because its terms cancel catastrophically for large d.
+of the expected precision loss and the constant Pi(q) are evaluated in
+integer fixed-point arithmetic and rounded to a float once, because the
+alternating terms cancel catastrophically for large d.
 """
 
 from __future__ import annotations
 
 import math
-
-import mpmath
 
 
 def vij_mass(q: int, v: int) -> float:
@@ -43,18 +42,18 @@ def expected_vl_alternating(q: int, d: int) -> float:
     """Same expectation as the alternating binomial sum
     sum_{k=1}^{d} (-1)^(k-1) C(d, k) / (q^k - 1).
 
-    The terms reach magnitude far beyond the result, so the sum runs at a
-    working precision proportional to d * log10(q).
+    The terms reach magnitude far beyond the result, so each is taken in
+    fixed point with B = d * log2(q) + 128 fractional bits (one floor per
+    term) and the exact integer total is rounded to a float once.
     """
     if d < 1:
         raise ValueError("d must be positive")
-    dps = int(d * math.log10(q)) + 30
-    with mpmath.workdps(dps):
-        total = mpmath.mpf(0)
-        for k in range(1, d + 1):
-            term = mpmath.mpf(math.comb(d, k)) / (q**k - 1)
-            total = total + term if k % 2 else total - term
-        return float(total)
+    b = d * q.bit_length() + 128
+    total = 0
+    for k in range(1, d + 1):
+        term = (math.comb(d, k) << b) // (q**k - 1)
+        total += term if k % 2 else -term
+    return total / (1 << b)
 
 
 def expected_vl(q: int, d: int) -> float:
@@ -73,11 +72,15 @@ def pi_q(q: int) -> float:
     """The constant Pi(q) = q * prod_{i>=1} (1 - q^-i).
 
     Satisfies q - 1 - 1/(q-1) < Pi(q) < q - 1; enters the sharper required
-    precision bound of the simultaneous factorization.
+    precision bound of the simultaneous factorization.  Evaluated in fixed
+    point with 192 fractional bits; factors with q^i >= 2^192 round to 1.
     """
-    with mpmath.workdps(40):
-        x = 1 / mpmath.mpf(q)
-        return float(q * mpmath.qp(x, x))
+    acc = q << 192
+    qi = q
+    while qi < 1 << 192:
+        acc -= acc // qi
+        qi *= q
+    return acc / (1 << 192)
 
 
 def det_val_cdf(q: int, d: int, v: int) -> float:

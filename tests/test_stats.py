@@ -80,6 +80,31 @@ def test_pi_q_frozen_value_and_bounds():
         assert q - 1 - 1.0 / (q - 1) < val < q - 1
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_expected_vl_alternating_is_the_rounded_exact_sum(q):
+    for d in range(1, 41):
+        exact = sum(Fraction((-1) ** (k - 1) * math.comb(d, k), q**k - 1)
+                    for k in range(1, d + 1))
+        assert expected_vl_alternating(q, d) == float(exact)
+
+
+def test_fixed_point_sums_match_mpmath():
+    # the mpmath evaluations these replaced, bit for bit
+    mpmath = pytest.importorskip("mpmath")
+    for q in (2, 3, 5, 7):
+        for d in list(range(1, 30)) + [97, 200, 400]:
+            with mpmath.workdps(int(d * math.log10(q)) + 30):
+                total = mpmath.mpf(0)
+                for k in range(1, d + 1):
+                    term = mpmath.mpf(math.comb(d, k)) / (q**k - 1)
+                    total = total + term if k % 2 else total - term
+                assert expected_vl_alternating(q, d) == float(total), (q, d)
+    for q in (2, 3, 5, 7, 11, 101, 65537, 2**31 - 1, 3037000493, 2**61 - 1):
+        with mpmath.workdps(40):
+            x = 1 / mpmath.mpf(q)
+            assert pi_q(q) == float(q * mpmath.qp(x, x)), q
+
+
 def test_det_val_mean_frozen():
     # q = 2, d = 3: 1/(2-1) + 1/(4-1) + 1/(8-1) = 31/21.
     assert det_val_mean(2, 3) == pytest.approx(float(Fraction(31, 21)), abs=1e-12)
