@@ -15,9 +15,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from dvrlu.config import DvrConfig
+from dvrlu.config import DvrConfig, is_prime
 from dvrlu.element import PrecElem
+from dvrlu.errors import AmbiguousValuation
 from dvrlu.lu_stable import lv_decomposition, vij_statistics
 from dvrlu.matrix import PrecMatrix
 from dvrlu.stats import (
@@ -266,6 +268,48 @@ def test_engine_at_int64_limit_matches_object_elimination():
         assert prof.boundary_sums == [int(x) for x in out["boundary"][b]]
         hp = lv_decomposition(obj).hp
         assert [[e.representative() for e in r] for r in hp.rows] == m[b].tolist()
+
+
+def _prime_at_most(x: int) -> int:
+    while not is_prime(x):
+        x -= 1
+    return x
+
+
+@settings(max_examples=40)
+@example(p=2, d=4, seed=0)
+@example(p=EDGE_P, d=4, seed=0)
+@given(
+    p=st.integers(2, EDGE_P).map(_prime_at_most),
+    d=st.integers(2, 5),
+    seed=st.integers(0, 2**32),
+)
+def test_engine_matches_object_elimination_at_random_primes(p, d, seed):
+    # every profile read, V_L, v(det) and H' of the engine agree with the
+    # tracked-element path on the same packed matrices
+    eng = Engine(p)
+    k = eng.K
+    mats = eng.random(np.random.default_rng(seed), (4, d, d))
+    out = simulate_matrices(p, mats, record_table=True)
+    eliminated = mats.copy()
+    eng.eliminate(eliminated)
+    cfg = DvrConfig(p=p, prec=k)
+    for b in range(mats.shape[0]):
+        obj = PrecMatrix(
+            [[PrecElem.from_int(cfg, int(x), abs_prec=k) for x in row] for row in mats[b]]
+        )
+        if out["ambiguous"][b]:
+            with pytest.raises(AmbiguousValuation):
+                vij_statistics(obj)
+            continue
+        prof = vij_statistics(obj)
+        for (i, j), v in prof.table.items():
+            assert out["table"][b, i, j] == (k if v is None else v)
+        assert prof.boundary_sums == [None if x < 0 else int(x) for x in out["boundary"][b]]
+        assert prof.det_val == (int(out["det_val"][b]) if out["det_ok"][b] else None)
+        assert prof.vl == (int(out["vl"][b]) if out["vl_ok"][b] else None)
+        hp = lv_decomposition(obj).hp
+        assert [[e.representative() for e in r] for r in hp.rows] == eliminated[b].tolist()
 
 
 def test_simulate_checks_p_once_per_call(monkeypatch):
