@@ -10,8 +10,8 @@ precision N before every column update; for an integral input known at flat
 precision N this keeps *every* intermediate entry at absolute precision
 exactly N (the update subtracts a term of absolute precision >= N from an
 entry of absolute precision N), which is what the precision guarantees — and
-the bit-identical fast variants — rely on.  So every pivoted elimination
-first caps its input to the smallest entry precision N
+the bit-identical fast variants — rely on.  So every elimination that
+returns a factor first caps its input to the smallest entry precision N
 (:func:`_flattened`): a cleared entry is exactly zero only up to the
 precision of its row.
 
@@ -72,10 +72,10 @@ def working_precision(m: PrecMatrix) -> int:
 def _flattened(m: PrecMatrix) -> tuple[PrecMatrix, int]:
     """A copy of m capped to its smallest entry precision N, and N.
 
-    Every pivoted elimination works on this copy at precision N: a cleared
-    entry is treated as exactly zero, which it is only up to the precision
-    of its row, so a digit beyond the smallest precision cannot be claimed.
-    Flat input comes back unchanged.
+    The eliminations that return a factor work on this copy at precision N:
+    a cleared entry is treated as exactly zero, which it is only up to the
+    precision of its row, so a digit beyond the smallest precision cannot be
+    claimed.  Flat input comes back unchanged.
     """
     n = m.min_abs_prec()
     return m.cap_abs(n), n
@@ -161,9 +161,9 @@ def _val_or_none(e) -> Optional[int]:
 def vij_statistics(m: PrecMatrix) -> VijProfile:
     """Run the pivoted column elimination recording its valuation profile.
 
-    Scalars are lifted to the smallest entry precision N, as in every
-    pivoted elimination, but the entries are read uncapped, so a value read
-    before any update keeps every digit its entry carries.
+    Scalars are lifted to the smallest entry precision N, as in the
+    eliminations that return a factor, but the entries are read uncapped,
+    so a value read before any update keeps every digit its entry carries.
 
     Raises AmbiguousValuation when a swap decision is not forced by the
     known precision, DegenerateInput when a pivot degenerates.
@@ -473,7 +473,7 @@ def lv_to_l(out: LvOutput) -> PrecMatrix:
     and precision for precision.
 
     Raises DegenerateDecomposition if a needed diagonal entry of L' or V'
-    is indistinguishable from zero.
+    is indistinguishable from zero, or a minor valuation v_j reaches N.
     """
     d = out.lp.nrows
     n = working_precision(out.lp)
@@ -481,11 +481,7 @@ def lv_to_l(out: LvOutput) -> PrecMatrix:
     v = 0
     for j in range(d):
         lkk, vkk = out.lp[j, j], out.vp[j, j]
-        if lkk.is_zeroish or vkk.is_zeroish:
-            raise DegenerateDecomposition(
-                f"diagonal entry at column {j} indistinguishable from zero"
-            )
-        v += lkk.valuation - vkk.valuation
+        v = n if lkk.is_zeroish or vkk.is_zeroish else v + lkk.valuation - vkk.valuation
         if v >= n:
             raise DegenerateDecomposition(
                 f"leading minor at column {j} indistinguishable from zero"
