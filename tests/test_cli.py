@@ -349,11 +349,19 @@ def test_simul_bench_cycles_block_types(capsys):
     assert (out["v"], out["successes"]) == (v, successes)
 
 
-@pytest.mark.parametrize("block_type", ["1,2", "2,2;1,2"])
-def test_simul_bench_block_type_mismatch(capsys, block_type):
+def test_simul_bench_block_type_mismatch(capsys):
     rc = main(
         ["simul", "bench", "--p", "2", "--prec", "10", "--dim", "4",
-         "--block-type", block_type, "--count", "1"]
+         "--block-type", "1,2", "--count", "1"]
+    )
+    assert rc == 2
+    assert "tile" in capsys.readouterr().err
+
+
+def test_simul_bench_rejects_each_untiled_block_type(capsys):
+    rc = main(
+        ["simul", "bench", "--p", "2", "--prec", "10", "--dim", "4",
+         "--block-type", "2,2;1,2", "--count", "1"]
     )
     assert rc == 2
     assert "tile" in capsys.readouterr().err
