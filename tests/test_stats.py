@@ -312,6 +312,88 @@ def test_engine_matches_object_elimination_at_random_primes(p, d, seed):
         assert [[e.representative() for e in r] for r in hp.rows] == eliminated[b].tolist()
 
 
+class _ZeroingRng:
+    """A generator whose integer draws have about 30% of their entries set
+    to zero, chosen by a second generator on the same seed words."""
+
+    def __init__(self, make, seq):
+        self._rng = make(seq)
+        self._mask = make([*seq.entropy, 1])
+
+    def integers(self, *args, **kwargs):
+        x = self._rng.integers(*args, **kwargs)
+        x[self._mask.random(x.shape) < 0.3] = 0
+        return x
+
+
+def _retry_truth(p, k, packed, ext, record_table):
+    """vij_statistics of one trial extended to 2K digits: the fields a
+    retry must return, or None for a trial that must be dropped."""
+    cfg = DvrConfig(p=p, prec=2 * k)
+    obj = PrecMatrix(
+        [[PrecElem.from_int(cfg, int(a) + p**k * int(b), abs_prec=2 * k)
+          for a, b in zip(ra, rb)] for ra, rb in zip(packed, ext)]
+    )
+    try:
+        prof = vij_statistics(obj)
+    except AmbiguousValuation:
+        return None
+    if prof.det_val is None or not isinstance(prof.vl, int):
+        return None
+    fix = {
+        "vl": prof.vl,
+        "det_val": prof.det_val,
+        "boundary": [-1 if s is None else s for s in prof.boundary_sums],
+    }
+    if record_table:
+        table = np.full(packed.shape, -1, dtype=np.int64)
+        for (i, j), v in prof.table.items():
+            table[i, j] = 2 * k if v is None else v
+        fix["table"] = table
+    return fix
+
+
+@pytest.mark.parametrize("p", [2, EDGE_P])
+@pytest.mark.parametrize("record_table", [True, False])
+def test_simulate_retries_unresolved_trials_at_twice_the_digits(monkeypatch, p, record_table):
+    # zeroed draws leave some trials unresolved at K digits; each is re-run
+    # with K fresh digits above p^K and must equal the object elimination of
+    # that 2K-digit matrix, or be dropped exactly when that one is undecided
+    import dvrlu.stats.montecarlo as mc
+
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seq: _ZeroingRng(real, seq))
+    d, trials, seed = 3, 300, 4
+    out = simulate(p, d, trials, seed=seed, record_table=record_table)
+
+    eng = Engine(p)
+    keys = ["vl", "det_val", "boundary"] + (["table"] if record_table else [])
+    want = {key: [] for key in keys}
+    retried = dropped = 0
+    size = mc._chunk_size(d)
+    for idx, start in enumerate(range(0, trials, size)):
+        chunk_rng = _ZeroingRng(real, np.random.SeedSequence([seed, idx]))
+        mats = eng.random(chunk_rng, (min(size, trials - start), d, d))
+        res = simulate_matrices(p, mats, record_table=record_table)
+        for t in range(mats.shape[0]):
+            if res["ambiguous"][t] or not (res["vl_ok"][t] and res["det_ok"][t]):
+                retried += 1
+                ext_rng = _ZeroingRng(real, np.random.SeedSequence([seed, idx, t]))
+                fix = _retry_truth(p, eng.K, mats[t], eng.random(ext_rng, (d, d)),
+                                   record_table)
+                if fix is None:
+                    dropped += 1
+                    continue
+            else:
+                fix = {key: res[key][t] for key in keys}
+            for key in keys:
+                want[key].append(np.asarray(fix[key], dtype=np.int64))
+    assert (out["retried"], out["dropped"]) == (retried, dropped)
+    assert retried > dropped >= 1
+    for key in keys:
+        assert np.array_equal(out[key], np.array(want[key]))
+
+
 def test_simulate_checks_p_once_per_call(monkeypatch):
     import dvrlu.stats.montecarlo as mc
 
