@@ -120,6 +120,11 @@ def _parse_block_type(text: str) -> list[int]:
     return sizes
 
 
+def _require_count(count: int) -> None:
+    if count < 1:
+        raise ValueError(f"--count must be at least 1, got {count}")
+
+
 def _matrix_input(obj: dict) -> tuple[DvrConfig, PrecMatrix]:
     try:
         cfg = DvrConfig.from_json(obj["config"])
@@ -180,6 +185,7 @@ def _cmd_lu_run(args) -> int:
 
 
 def _cmd_lu_bench(args) -> int:
+    _require_count(args.count)
     cfg = DvrConfig(p=args.p, prec=args.prec)
     rng = random.Random(_resolve_seed(args.seed))
     losses = []
@@ -303,6 +309,7 @@ def _cmd_simul_run(args) -> int:
 
 
 def _cmd_simul_bench(args) -> int:
+    _require_count(args.count)
     cfg = DvrConfig(p=args.p, prec=args.prec)
     types = [_parse_block_type(t) for t in args.block_type.split(";")]
     if any(sum(sizes) != args.dim for sizes in types):

@@ -247,9 +247,12 @@ def recursive_lv(
 
     Args:
         m: square matrix over the scalar ring.
-        threshold: dimensions <= threshold delegate to the scalar routine.
+        threshold: dimensions <= threshold delegate to the scalar routine;
+            ValueError when below 1.
         algo: multiplication kernel for the assembled products.
     """
+    if threshold < 1:
+        raise ValueError(f"threshold must be at least 1, got {threshold}")
     d = _square_dim(m)
     if d <= threshold:
         return lv_decomposition(m)

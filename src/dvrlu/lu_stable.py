@@ -1,7 +1,7 @@
 """Precision-stable column elimination over a DVR.
 
-Everything here computes variants of the (permuted) LU factorization of a
-square matrix whose entries carry finite precision, using the valuation-aware
+Everything here computes variants of the LU factorization of a square
+matrix whose entries carry finite precision, using the valuation-aware
 pivoting rule: before clearing entry (i, j) we swap columns i and j whenever
 v(entry) < v(pivot), so the pivot of every division has minimal valuation
 among the candidates and the division loses as little relative precision as
@@ -268,8 +268,11 @@ def lift_recompute_l(m: PrecMatrix, extra: Optional[int] = None) -> PrecMatrix:
     Args:
         m: square matrix over the scalar ring.
         extra: how many digits to lift; default ceil(2d/q), the expected
-            total pivot valuation margin for Haar-random input.
+            total pivot valuation margin for Haar-random input.  Raises
+            ValueError when negative.
     """
+    if extra is not None and extra < 0:
+        raise ValueError(f"extra must be non-negative, got {extra}")
     d = _square_dim(m)
     flat, n = _flattened(m)
     q = m.rows[0][0].cfg.q
@@ -314,12 +317,12 @@ class StableL:
     """Result of :func:`stable_l`.
 
     Attributes:
-        lower: unit lower triangular factor of the column-permuted input;
+        lower: unit lower triangular factor of the input itself;
             strictly-lower entries carry the guaranteed precision
             O(pi^(N - v_j + min(0, w))) where v_j is the j-th principal
             minor valuation and w the quotient's valuation offset.
         col_vals: v_j = sum(v(omega[k, k]) for k <= j) read at the end of
-            round j (the principal minor valuations of the permuted input).
+            round j (the leading principal minor valuations of the input).
         n: the working absolute precision N.
     """
 
@@ -347,10 +350,11 @@ def stable_l(m: PrecMatrix) -> StableL:
     Runs the column elimination with swap rule v(entry) < v(pivot) and
     scalars re-lifted to N, then after each round j fills column j of L with
     the quotients omega[i, j] / omega[j, j] (i > j) at the guaranteed
-    precision.  The factor satisfies A = L * U for a column permutation A of
-    the input and some upper triangular U, with every strictly-lower entry
-    correct at least at O(pi^(N - 2 * V)) where V bounds the principal minor
-    valuations.
+    precision.  Every swap up to round j stays within columns 0..j, so
+    column j of L lies in the span of the input's first j + 1 columns and
+    the factor satisfies M = L * U for the input M itself and some upper
+    triangular U, with every strictly-lower entry correct at least at
+    O(pi^(N - 2 * V)) where V bounds the principal minor valuations.
 
     Raises:
         AmbiguousValuation: a swap decision was not forced at this precision.
@@ -468,7 +472,7 @@ def lv_to_l(out: LvOutput) -> PrecMatrix:
     L[i, j] = L'[i, j] / L'[j, j] at prescribed precision
     O(pi^(N - v_j + min(0, w))), where v_j = sum over k <= j of
     (v(L'[k, k]) - v(V'[k, k])) equals the j-th principal minor valuation of
-    the (permuted) input, and w is the valuation offset of the quotient.
+    the input, and w is the valuation offset of the quotient.
     Produces exactly the factor :func:`stable_l` returns, entry for entry
     and precision for precision.
 

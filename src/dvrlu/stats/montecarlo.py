@@ -1,15 +1,16 @@
 """Vectorized Monte-Carlo engine for the elimination's valuation statistics.
 
 The engine runs the pivoted column elimination on batches of Haar-random
-matrices using exact machine arithmetic in Z/p^K — 64-bit wraparound words
-for p = 2, and the largest K >= 1 with p^K < 2^31 in signed words for odd p
-(an odd p above 3037000500, whose residue products overflow, is refused).  For
-an integral matrix at flat precision K the tracked-precision elimination is
+matrices using exact arithmetic in Z/p^K — 64-bit wraparound words for p = 2,
+and the largest K >= 1 with p^K < 2^31 in signed words for odd p (an odd p
+above 3037000500, whose residue products overflow, is refused).  For an
+integral matrix at flat precision K the tracked-precision elimination is
 literally arithmetic in Z/p^K (the re-lifted scalars are exactly the masked
 machine quotients), so the engine agrees with the object path digit for
 digit; it additionally flags every trial whose pivoting comparison was not
-forced (both operands exactly zero mod p^K), and those trials are re-run on
-the object path with fresh Haar digits extending the matrix to precision 2K.
+forced (both operands exactly zero mod p^K).  Those trials are re-run on an
+engine at 2K digits, which holds Python ints instead of machine words, after
+fresh Haar digits extend the matrix to precision 2K.
 
 Trials are processed in fixed-size chunks, each with its own generator
 seeded by (seed, chunk index), so results are identical for any worker
@@ -25,13 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..config import DvrConfig, require_prime
-from ..digits import pw
-from ..element import PrecElem
+from ..config import require_prime
 from .formulas import vl_centerings
-from ..errors import AmbiguousValuation, DegenerateInput
-from ..lu_stable import vij_statistics
-from ..matrix import PrecMatrix
 
 _CHUNK_TARGET = 1 << 22  # entries per chunk's matrix block
 
@@ -43,43 +39,44 @@ def _chunk_size(d: int) -> int:
 class Engine:
     """Exact batched arithmetic in Z/p^K with valuation bookkeeping.
 
+    With k unset, K is the machine-word capacity above and entries are
+    uint64 (p = 2) or int64 words; with k set, K = k and entries are Python
+    ints in object arrays, exact at any k.
+
     Raises ValueError unless p is prime (the valuations and Fermat inverses
-    mean nothing modulo a composite), and for an odd p whose residue
-    products (p - 1)^2 do not fit in int64.
+    mean nothing modulo a composite), and, with k unset, for an odd p whose
+    residue products (p - 1)^2 do not fit in int64.
     """
 
-    def __init__(self, p: int):
+    def __init__(self, p: int, k: Optional[int] = None):
         require_prime(p)
-        if p != 2 and (p - 1) ** 2 > np.iinfo(np.int64).max:
-            raise ValueError(
-                f"p must satisfy (p - 1)^2 < 2^63 for the engine's int64 "
-                f"arithmetic, got {p}"
-            )
         self.p = p
-        if p == 2:
+        self.dtype = object if k is not None else np.uint64 if p == 2 else np.int64
+        if self.dtype is np.uint64:
             self.K = 64
-            self.dtype = np.uint64
             self.modulus = None  # implicit 2^64 wraparound
-            self.pows = None
-        else:
+            return
+        if k is None:
+            if (p - 1) ** 2 > np.iinfo(np.int64).max:
+                raise ValueError(
+                    f"p must satisfy (p - 1)^2 < 2^63 for the engine's int64 "
+                    f"arithmetic, got {p}"
+                )
             k = 1
             while p ** (k + 1) < 2**31:
                 k += 1
-            self.K = k
-            self.dtype = np.int64
-            self.modulus = p**k
-            self.pows = np.array([p**i for i in range(k + 1)], dtype=np.int64)
+        self.K = k
+        self.modulus = p**k
+        self.pows = np.array([p**i for i in range(k + 1)], dtype=self.dtype)
 
     def random(self, rng: np.random.Generator, shape) -> np.ndarray:
-        if self.p == 2:
-            return rng.integers(
-                0, np.iinfo(np.uint64).max, size=shape, dtype=np.uint64, endpoint=True
-            )
-        return rng.integers(0, self.modulus, size=shape, dtype=np.int64)
+        """Haar-random residues mod p^K (machine-word engines only)."""
+        top = np.iinfo(np.uint64).max if self.modulus is None else self.modulus - 1
+        return rng.integers(0, top, size=shape, dtype=self.dtype, endpoint=True)
 
     def vals(self, x: np.ndarray) -> np.ndarray:
         """Entrywise valuation; exact zeros get the sentinel K."""
-        if self.p == 2:
+        if self.modulus is None:
             out = np.full(x.shape, 64, dtype=np.int64)
             nz = x != 0
             if nz.any():
@@ -101,14 +98,14 @@ class Engine:
 
     def inv_units(self, u: np.ndarray) -> np.ndarray:
         """Inverse of odd/unit residues mod p^K (Newton iteration)."""
-        if self.p == 2:
+        if self.modulus is None:
             x = u.copy()
             two = np.uint64(2)
             for _ in range(5):  # 3 correct bits double per step: > 64 after 5
                 x = x * (two - u * x)
             return x
         p, big = self.p, self.modulus
-        base = (u % p).astype(np.int64)
+        base = u % p
         res = np.ones_like(base)
         e = p - 2
         while e:  # Fermat inverse mod p
@@ -126,7 +123,7 @@ class Engine:
     def _scaled_quotient(self, e, piv, vp, dead):
         """The elimination scalar, exactly as the object path lifts it:
         strip the pivot, multiply by its unit inverse, keep K - v_p digits."""
-        if self.p == 2:
+        if self.modulus is None:
             vp_safe = np.where(dead, 0, vp).astype(np.uint64)
             piv_safe = np.where(dead, np.uint64(1), piv)
             inv = self.inv_units(piv_safe >> vp_safe)
@@ -140,7 +137,7 @@ class Engine:
         return np.where(dead, 0, s)
 
     def _sub_scaled(self, dst, s, src):
-        if self.p == 2:
+        if self.modulus is None:
             return dst - s[:, None] * src
         return (dst - s[:, None] * src) % self.modulus
 
@@ -215,80 +212,45 @@ class Engine:
 
 
 # ---------------------------------------------------------------------------
-# object-path fallback for unresolved trials
-# ---------------------------------------------------------------------------
-
-
-def _object_retry(p: int, k: int, packed: np.ndarray, rng) -> Optional[dict]:
-    """Re-run one trial on the tracked-element path at precision 2K,
-    extending every entry with fresh Haar digits above p^K.  Returns the
-    same per-trial fields as the engine, or None if still unresolved."""
-    d = packed.shape[0]
-    cfg = DvrConfig(p=p, prec=2 * k)
-    hi = pw(p, k)
-    if p == 2:
-        ext = rng.integers(
-            0, np.iinfo(np.uint64).max, size=(d, d), dtype=np.uint64, endpoint=True
-        )
-    else:
-        ext = rng.integers(0, hi, size=(d, d), dtype=np.int64)
-    rows = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            v = int(packed[i, j]) + hi * int(ext[i, j])
-            row.append(PrecElem.from_int(cfg, v, abs_prec=2 * k))
-        rows.append(row)
-    try:
-        prof = vij_statistics(PrecMatrix(rows))
-    except (AmbiguousValuation, DegenerateInput):
-        return None
-    if prof.det_val is None or not isinstance(prof.vl, int):
-        return None
-    table = np.full((d, d), -1, dtype=np.int64)
-    for (i, j), v in prof.table.items():
-        table[i, j] = 2 * k if v is None else v
-    boundary = np.array(
-        [-1 if s is None else s for s in prof.boundary_sums], dtype=np.int64
-    )
-    return {
-        "vl": prof.vl,
-        "det_val": prof.det_val,
-        "boundary": boundary,
-        "table": table,
-    }
-
-
-# ---------------------------------------------------------------------------
 # chunked simulation
 # ---------------------------------------------------------------------------
 
 
+def _unresolved(out: dict) -> np.ndarray:
+    return out["ambiguous"] | ~out["vl_ok"] | ~out["det_ok"]
+
+
+def _retry(eng: Engine, packed: np.ndarray, rng, record_table: bool) -> Optional[dict]:
+    """Re-run one trial on an engine at 2K digits, extending every entry
+    with fresh Haar digits above p^K.  Returns the engine's fields for the
+    trial, or None if it is still unresolved."""
+    hi = eng.p**eng.K
+    m = packed.astype(object) + hi * eng.random(rng, packed.shape).astype(object)
+    out = Engine(eng.p, 2 * eng.K).eliminate(m[None], record_table)
+    if _unresolved(out)[0]:
+        return None
+    return {key: val[0] for key, val in out.items()}
+
+
 def _run_chunk(args) -> dict:
     eng, d, n, seed, chunk_idx, record_table = args
-    p = eng.p
     rng = np.random.default_rng(np.random.SeedSequence([seed, chunk_idx]))
     m = eng.random(rng, (n, d, d))
     packed = m.copy()
     out = eng.eliminate(m, record_table)
-    bad = out["ambiguous"] | ~out["vl_ok"] | ~out["det_ok"]
+    bad = _unresolved(out)
     retried = 0
     dropped = 0
     for t in np.nonzero(bad)[0]:
         retried += 1
         rng_t = np.random.default_rng(np.random.SeedSequence([seed, chunk_idx, int(t)]))
-        fix = _object_retry(p, eng.K, packed[t], rng_t)
+        fix = _retry(eng, packed[t], rng_t, record_table)
         if fix is None:
             dropped += 1
             continue
-        out["vl"][t] = fix["vl"]
-        out["det_val"][t] = fix["det_val"]
-        out["boundary"][t] = fix["boundary"]
-        out["vl_ok"][t] = out["det_ok"][t] = True
-        out["ambiguous"][t] = False
-        if record_table:
-            out["table"][t] = fix["table"]
-    keep = ~(out["ambiguous"] | ~out["vl_ok"] | ~out["det_ok"])
+        for key, val in fix.items():
+            out[key][t] = val
+    keep = ~_unresolved(out)
     res = {
         "vl": out["vl"][keep],
         "det_val": out["det_val"][keep],
@@ -299,6 +261,11 @@ def _run_chunk(args) -> dict:
     if record_table:
         res["table"] = out["table"][keep]
     return res
+
+
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
 
 
 def simulate(
@@ -314,10 +281,11 @@ def simulate(
     Returns concatenated per-trial arrays ('vl', 'det_val', 'boundary', and
     'table' if requested) plus 'retried'/'dropped' counts.  Identical output
     for any `jobs`; chunks are merged in index order.  Raises ValueError for
-    a non-prime p or d < 1.
+    a non-prime p, d < 1 or trials < 1.
     """
     if d < 1:
         raise ValueError("d must be positive")
+    _require_trials(trials)
     eng = Engine(p)
     size = _chunk_size(d)
     starts = list(range(0, trials, size))
@@ -405,6 +373,7 @@ def monte_carlo_vl(p: int, d: int, trials: int, seed: int = 0, jobs: int = 1) ->
     """Sample statistics of the factor's max denominator exponent V_L."""
     if d == 1:
         require_prime(p)
+        _require_trials(trials)
         return McSummary(p=p, d=d, trials=trials, used=trials, mean=0.0,
                          stddev=0.0, ci99=0.0, histogram={0: trials})
     sim = simulate(p, d, trials, seed=seed, jobs=jobs)
@@ -432,10 +401,9 @@ def simulate_wi_2x2(p: int, trials: int, seed: int = 0) -> tuple[np.ndarray, np.
     eng = Engine(p)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     m = eng.random(rng, (trials, 2, 2))
-    if p == 2:
-        det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-    else:
-        det = (m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]) % eng.modulus
+    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    if eng.modulus is not None:
+        det %= eng.modulus
     w1 = np.minimum(eng.vals(m[:, 0, 0]), eng.vals(m[:, 0, 1]))
     vdet = eng.vals(det)
     keep = (vdet < eng.K) & (w1 < eng.K)

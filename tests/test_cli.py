@@ -146,6 +146,18 @@ def test_lu_bench_loss_sd_of_one_sample_is_zero(capsys):
     assert json.loads(capsys.readouterr().out)["loss_sd"] == 0.0
 
 
+@pytest.mark.parametrize("argv", [
+    "lu bench --p 2 --prec 10 --dim 3 --count COUNT",
+    "simul bench --p 2 --prec 10 --dim 3 --block-type 1,2 --count COUNT",
+], ids=["lu", "simul"])
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_bench_rejects_count_below_one(capsys, argv, count):
+    assert main(argv.replace("COUNT", count).split()) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.strip() == f"error: --count must be at least 1, got {count}"
+
+
 # ---------------------------------------------------------------------------
 # malformed input
 
@@ -235,6 +247,14 @@ def test_stats_eqd_routes_agree(capsys):
         (["stats", "vl", "--q", "4294967311", "--d", "3"],
          "error: p must satisfy (p - 1)^2 < 2^63 for the engine's int64 arithmetic, "
          "got 4294967311"),
+        (["stats", "vl", "--q", "2", "--d", "1", "--trials", "-5"],
+         "error: trials must be at least 1, got -5"),
+        (["stats", "vl", "--q", "2", "--d", "1", "--trials", "0"],
+         "error: trials must be at least 1, got 0"),
+        (["stats", "vl", "--q", "2", "--d", "3", "--trials", "0"],
+         "error: trials must be at least 1, got 0"),
+        (["stats", "detval", "--q", "2", "--d", "3", "--trials", "0"],
+         "error: trials must be at least 1, got 0"),
     ],
 )
 def test_stats_rejects_what_it_cannot_compute(capsys, argv, message):

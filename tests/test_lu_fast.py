@@ -157,6 +157,13 @@ def test_recursive_above_threshold_delegates():
     assert_same_output(lv_decomposition(m), recursive_lv(m, threshold=32))
 
 
+@pytest.mark.parametrize("threshold", [0, -3])
+def test_recursive_rejects_threshold_below_one(threshold):
+    m = random_matrix(CFG, 4, random.Random(6))
+    with pytest.raises(ValueError, match=f"threshold must be at least 1, got {threshold}"):
+        recursive_lv(m, threshold=threshold)
+
+
 def test_recursive_propagates_degeneracy():
     # collapse confined to the last column: no comparison ever reads it,
     # so the run completes and reports the degeneracy via the flag

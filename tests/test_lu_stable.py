@@ -97,6 +97,13 @@ def test_lift_recompute_certificate_failure():
     assert exc.value.required_prec == 10 + 4  # 2*(sum W - max W) = 4
 
 
+def test_lift_recompute_rejects_negative_extra():
+    m = flat_from_ints(CFG, [[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="extra must be non-negative, got -4"):
+        lift_recompute_l(m, extra=-4)
+    lift_recompute_l(m, extra=0)  # no lift is a valid request
+
+
 def test_lift_recompute_zeroish_pivot_reports_retry():
     m = flat_from_ints(CFG, [[0, 1], [1, 1]])
     with pytest.raises(InsufficientLift) as exc:
@@ -234,6 +241,7 @@ def test_vl_interval_from_hidden_entries():
 
 def test_stable_matches_cramer_on_permuted_input():
     rng = random.Random(13)
+    swapped = 0
     for _ in range(30):
         rows = nonsingular_rows(rng, 4, 5, 10)
         ref = oracles.exact_profile(rows, 5)
@@ -244,6 +252,16 @@ def test_stable_matches_cramer_on_permuted_input():
         except (AmbiguousValuation, DegenerateInput):
             continue
         assert res.col_vals == ref["col_vals"]
+        # the factor is of the input itself, swaps or not: L^-1 * M is
+        # upper triangular, and col_vals are the input's leading minors
+        swapped += bool(ref["swaps"])
+        assert res.col_vals == [oracles.val_of(oracles.leading_minor(rows, k), 5)
+                                for k in range(1, 5)]
+        for c in range(4):
+            x = []
+            for i in range(4):
+                x.append(rows[i][c] - sum(ref["lower"][(i, k)] * x[k] for k in range(i)))
+            assert x[c + 1:] == [0] * (3 - c), c
         for (i, j), exact in ref["lower"].items():
             got = res.lower[i, j]
             assert elem_matches_fraction(got, exact), (i, j)
@@ -251,6 +269,7 @@ def test_stable_matches_cramer_on_permuted_input():
             # taken under the column order of that entry's round
             snap = oracles.reorder_columns(rows, ref["col_orders"][j])
             assert exact == oracles.cramer_quotient(snap, i, j)
+    assert swapped >= 10
 
 
 def test_stable_prescribed_precision_formula():
