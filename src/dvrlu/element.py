@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .config import DvrConfig
+from .config import Backend, DvrConfig
 from .digits import pw
 from .errors import AmbiguousValuation, DivisionByUnknownZero
 
@@ -170,6 +170,19 @@ class PrecElem:
         if self._v < 0:
             raise ValueError("no integral representative: negative valuation")
         return self.cfg.ops.decode(self._u) * pw(self.cfg.p, self._v)
+
+    def residue(self, n: int) -> Optional[int]:
+        """The element mod p^n as an int in [0, p^n), or None unless it is
+        an integral ``Z_p`` element known to absolute precision >= n."""
+        if self.cfg.backend is not Backend.PADIC:
+            return None
+        v = self._v
+        if self._bigoh:
+            return 0 if v >= n else None
+        if v < 0 or v + self._rel < n:
+            return None
+        x = self._u * pw(self.cfg.p, v)
+        return x if v + self._rel == n else x % pw(self.cfg.p, n)
 
     # -- ring protocol (shared with series elements) --------------------------
 

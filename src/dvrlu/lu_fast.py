@@ -18,13 +18,20 @@ Matrix products route through :func:`matmul`, which counts scalar
 multiplications in a module-level counter (used by the complexity tests) and
 optionally uses Strassen's recursion — value-equal to the classical product,
 possibly with coarser tracked precision, so the default everywhere here is
-the classical order-deterministic kernel.
+the classical order-deterministic kernel.  A classical product truncated
+back to N (in :func:`recursive_lv` and :func:`clear_block`) whose operands
+are integral ``Z_p`` entries known to precision N runs on the integer kernel
+(:func:`dvrlu.kernel.capped_product`), which gives the same entries and
+counts the same scalar multiplications.  Series entries, an entry of
+negative valuation and Strassen stay on :func:`matmul`, and so does the
+uncapped public product.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from . import kernel
 from .lu_stable import LvOutput, lv_decomposition, working_precision
 from .lu_stable import _flattened, _pivot_step, _square_dim, _val_or_none
 from .matrix import PrecMatrix
@@ -75,6 +82,19 @@ def _matmul_classical(a: PrecMatrix, b: PrecMatrix) -> PrecMatrix:
         out.append(row)
     _MUL_COUNT += n * m * w
     return PrecMatrix(out)
+
+
+def _capped(a: PrecMatrix, b: PrecMatrix, n: int, algo: str) -> PrecMatrix:
+    """``matmul(a, b, algo).cap_abs(n)``.  A classical product of integral
+    ``Z_p`` operands known to precision >= n runs on the integer kernel,
+    which gives the same entries and the same count."""
+    global _MUL_COUNT
+    if algo == "classical" and a.ncols == b.nrows:
+        out = kernel.capped_product(a, b, n)
+        if out is not None:
+            _MUL_COUNT += a.nrows * a.ncols * b.ncols
+            return out
+    return matmul(a, b, algo).cap_abs(n)
 
 
 def _pad_even(a: PrecMatrix, n: int) -> PrecMatrix:
@@ -199,12 +219,12 @@ def clear_block(
     # 1) clear Y's top-left against X1, then carry the transform into the
     #    bottom rows of the touched columns
     x1, t1 = clear_block(x1, y1, n, algo)
-    band = matmul(_hstack(x3, y3), t1, algo).cap_abs(n)
+    band = _capped(_hstack(x3, y3), t1, n, algo)
     x3, y3 = band.block(0, k - c, 0, c), band.block(0, k - c, c, c + w1)
 
     # 2) clear Y's top-right against the updated X1
     x1, t2 = clear_block(x1, y2, n, algo)
-    band = matmul(_hstack(x3, y4), t2, algo).cap_abs(n)
+    band = _capped(_hstack(x3, y4), t2, n, algo)
     x3, y4 = band.block(0, k - c, 0, c), band.block(0, k - c, c, c + (w - w1))
 
     # 3) clear Y's bottom-left against X4 (top rows of these columns are
@@ -221,7 +241,7 @@ def clear_block(
     s4 = list(range(c, k)) + list(range(k + w1, k + w))
     t = _embed(t1, s1, size, n)
     for ti, si in ((t2, s2), (t3, s3), (t4, s4)):
-        t = matmul(t, _embed(ti, si, size, n), algo).cap_abs(n)
+        t = _capped(t, _embed(ti, si, size, n), n, algo)
     xf = PrecMatrix.from_blocks([[x1, x2], [x3, x4]])
     return xf, t
 
@@ -268,7 +288,7 @@ def recursive_lv(
     # the top band at the split boundary is [H'_top | M2]; clear it
     xf, t = clear_block(top.hp, m2, n, algo)
 
-    mm = lambda a, b: matmul(a, b, algo).cap_abs(n)
+    mm = lambda a, b: _capped(a, b, n, algo)
 
     # bottom rows at the boundary: [M3 * W'_top | M4], then the band transform
     bottom = mm(_hstack(mm(m3, top.wp), m4), t)
@@ -323,7 +343,12 @@ def is_nice_order(pairs: Sequence[tuple[int, int]], d: int) -> bool:
 
 
 def elimination_order(d: int, threshold: int = 32) -> list[tuple[int, int]]:
-    """The global order in which :func:`recursive_lv` clears positions."""
+    """The global order in which :func:`recursive_lv` clears positions.
+
+    Raises ValueError when threshold is below 1, as recursive_lv does.
+    """
+    if threshold < 1:
+        raise ValueError(f"threshold must be at least 1, got {threshold}")
 
     def scalar(cols: list[int]) -> list[tuple[int, int]]:
         return [(cols[i], cols[j]) for j in range(len(cols)) for i in range(j)]

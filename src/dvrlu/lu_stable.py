@@ -16,9 +16,21 @@ returns a factor first caps its input to the smallest entry precision N
 precision of its row.
 
 That step — swap test, pivot guard, re-lifted scalar, column update — is
-:func:`_pivot_step`, the only code that swaps or updates columns, and
-:func:`_rounds` runs it round by round.  Every pivoted elimination here, and
-the one-row band of :func:`dvrlu.lu_fast.clear_block`, is built on the two.
+:func:`_pivot_step`, the only code that swaps or updates columns of
+elements, and :func:`_rounds` runs it round by round.  Every pivoted
+elimination here, and the one-row band of :func:`dvrlu.lu_fast.clear_block`,
+is built on the two.
+
+Flat integral input makes the elimination plain arithmetic in ``Z/p^N``, so
+:func:`stable_l` and :func:`lv_decomposition` run it on the integer kernel
+:mod:`dvrlu.kernel` when their flattened input is all integral ``Z_p``
+entries, and build elements only for their outputs, which equal the object
+path's.  Series entries and an entry of negative valuation stay on the
+object path, and so does a whole call in which the kernel meets a swap
+comparison of two entries that are both 0 mod p^N: it is re-run on the
+object path, which raises ``AmbiguousValuation`` or ``DegenerateInput`` with
+the messages it always had.  :func:`vij_statistics`, :func:`naive_gauss_l`
+and the block eliminations always run on the object path.
 
 Provided algorithms:
 
@@ -47,6 +59,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from . import kernel
 from .element import PrecElem, valuation_less
 from .errors import (
     DegenerateDecomposition,
@@ -365,8 +378,7 @@ def stable_l(m: PrecMatrix) -> StableL:
     omega, n = _flattened(m)
     lower = PrecMatrix.identity_like(m, d, n)
     col_vals = []
-    for j in _rounds(omega, n):
-        diag = [omega[k, k] for k in range(j + 1)]
+    for j, diag, col in _round_states(omega, n):
         v = n if any(e.is_zeroish for e in diag) else sum(e.valuation for e in diag)
         if v >= n:
             raise DegenerateInput(
@@ -374,8 +386,36 @@ def stable_l(m: PrecMatrix) -> StableL:
             )
         col_vals.append(v)
         for i in range(j + 1, d):
-            lower[i, j] = _prescribed_quotient(omega[i, j], omega[j, j], v, n)
+            lower[i, j] = _prescribed_quotient(col[i], diag[j], v, n)
     return StableL(lower=lower, col_vals=col_vals, n=n)
+
+
+def _round_states(omega: PrecMatrix, n: int):
+    """Yield (j, [omega[k, k] for k <= j], column j of omega) at the end of
+    each round j of the pivoted elimination.
+
+    Runs on the integer kernel when it accepts omega, eliminating every
+    round before the first yield, so that an undecided comparison re-runs
+    the whole elimination on the object path; otherwise the rounds run one
+    by one on the object path.
+    """
+    on_kernel = kernel.columns(omega, n)
+    if on_kernel is not None:
+        cfg, cols = on_kernel
+        try:
+            states = [
+                ([cols[k][k] for k in range(j + 1)], cols[j])
+                for j in kernel.rounds(cols, n, cfg.p)
+            ]
+        except kernel.Undecided:
+            pass
+        else:
+            elem = kernel.elements(cfg, n)
+            for j, (diag, col) in enumerate(states):
+                yield j, [elem(x) for x in diag], [elem(x) for x in col]
+            return
+    for j in _rounds(omega, n):
+        yield j, [omega[k, k] for k in range(j + 1)], [r[j] for r in omega.rows]
 
 
 def precision_loss(lower: PrecMatrix, n: int) -> int:
@@ -454,16 +494,40 @@ def lv_decomposition(m: PrecMatrix) -> LvOutput:
     """
     d = _square_dim(m)
     omega, n = _flattened(m)
-    wp = PrecMatrix.identity_like(m, d, n)
-    lp = PrecMatrix.zero_like(m, d, d, n)
-    vp = PrecMatrix.zero_like(m, d, d, n)
-    for j in _rounds(omega, n, wp):
-        for r in range(d):
-            lp[r, j] = omega[r, j]
-            vp[r, j] = wp[r, j]
+    on_kernel = _lv_on_kernel(omega, n)
+    if on_kernel is not None:
+        lp, vp, omega, wp = on_kernel
+    else:
+        wp = PrecMatrix.identity_like(m, d, n)
+        lp = PrecMatrix.zero_like(m, d, d, n)
+        vp = PrecMatrix.zero_like(m, d, d, n)
+        for j in _rounds(omega, n, wp):
+            for r in range(d):
+                lp[r, j] = omega[r, j]
+                vp[r, j] = wp[r, j]
     col_val = [_val_or_none(omega[j, j]) for j in range(d)]
     degenerate = any(lp[j, j].is_zeroish for j in range(d))
     return LvOutput(lp=lp, vp=vp, hp=omega, wp=wp, col_val=col_val, degenerate=degenerate)
+
+
+def _lv_on_kernel(omega: PrecMatrix, n: int):
+    """(L', V', H', W') of omega's elimination on the integer kernel, or
+    None when the kernel refuses omega or meets an undecided comparison."""
+    on_kernel = kernel.columns(omega, n)
+    if on_kernel is None:
+        return None
+    cfg, cols = on_kernel
+    d = len(cols)
+    wcols = [[int(r == c) for r in range(d)] for c in range(d)]
+    try:
+        snaps = [(cols[j], wcols[j]) for j in kernel.rounds(cols, n, cfg.p, wcols)]
+    except kernel.Undecided:
+        return None
+    elem = kernel.elements(cfg, n)
+    lcols, vcols = zip(*snaps)
+    return tuple(
+        PrecMatrix([[elem(x) for x in r] for r in zip(*c)]) for c in (lcols, vcols, cols, wcols)
+    )
 
 
 def lv_to_l(out: LvOutput) -> PrecMatrix:

@@ -108,19 +108,13 @@ class PrecMatrix:
         """d x d identity in the same ring as proto's entries, flat at the
         given absolute precision (exact zeros are O(pi^n))."""
         e = proto.rows[0][0]
-        return PrecMatrix(
-            [
-                [e.like_one(abs_prec) if i == j else e.like_zero(abs_prec) for j in range(d)]
-                for i in range(d)
-            ]
-        )
+        one, zero = e.like_one(abs_prec), e.like_zero(abs_prec)
+        return PrecMatrix([[one if i == j else zero for j in range(d)] for i in range(d)])
 
     @staticmethod
     def zero_like(proto: "PrecMatrix", nrows: int, ncols: int, abs_prec: int) -> "PrecMatrix":
-        e = proto.rows[0][0]
-        return PrecMatrix(
-            [[e.like_zero(abs_prec) for _ in range(ncols)] for _ in range(nrows)]
-        )
+        zero = proto.rows[0][0].like_zero(abs_prec)
+        return PrecMatrix([[zero] * ncols for _ in range(nrows)])
 
     # -- io -------------------------------------------------------------------
 

@@ -281,11 +281,14 @@ def simulate(
     Returns concatenated per-trial arrays ('vl', 'det_val', 'boundary', and
     'table' if requested) plus 'retried'/'dropped' counts.  Identical output
     for any `jobs`; chunks are merged in index order.  Raises ValueError for
-    a non-prime p, d < 1 or trials < 1.
+    a non-prime p, d < 1, trials < 1 or jobs < 1.  At most one worker
+    process is started per chunk.
     """
     if d < 1:
         raise ValueError("d must be positive")
     _require_trials(trials)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     eng = Engine(p)
     size = _chunk_size(d)
     starts = list(range(0, trials, size))
@@ -294,7 +297,7 @@ def simulate(
         for idx, s in enumerate(starts)
     ]
     if jobs > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as ex:
             parts = list(ex.map(_run_chunk, args))
     else:
         parts = [_run_chunk(a) for a in args]

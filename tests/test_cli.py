@@ -255,6 +255,10 @@ def test_stats_eqd_routes_agree(capsys):
          "error: trials must be at least 1, got 0"),
         (["stats", "detval", "--q", "2", "--d", "3", "--trials", "0"],
          "error: trials must be at least 1, got 0"),
+        (["stats", "vl", "--q", "2", "--d", "3", "--jobs", "0"],
+         "error: jobs must be at least 1, got 0"),
+        (["stats", "detval", "--q", "2", "--d", "3", "--jobs", "0"],
+         "error: jobs must be at least 1, got 0"),
     ],
 )
 def test_stats_rejects_what_it_cannot_compute(capsys, argv, message):

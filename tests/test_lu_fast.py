@@ -8,6 +8,7 @@ from conftest import elem_matches_fraction, flat_from_ints, random_int_rows
 from dvrlu import (
     AmbiguousValuation,
     DvrConfig,
+    PrecElem,
     PrecMatrix,
     clear_block,
     lv_decomposition,
@@ -102,7 +103,7 @@ def test_clear_block_multiply_back_bit_identical():
             n = cfg.prec
             x = eliminated_block(cfg, k, rng)
             y = PrecMatrix(
-                [[__import__("dvrlu").PrecElem.random(cfg, rng) for _ in range(w)]
+                [[PrecElem.random(cfg, rng) for _ in range(w)]
                  for _ in range(k)]
             )
             try:
@@ -162,6 +163,26 @@ def test_recursive_rejects_threshold_below_one(threshold):
     m = random_matrix(CFG, 4, random.Random(6))
     with pytest.raises(ValueError, match=f"threshold must be at least 1, got {threshold}"):
         recursive_lv(m, threshold=threshold)
+
+
+# the counts of the element-by-element products; the integer kernel, which
+# runs these capped products, must count the same
+@pytest.mark.parametrize("seed, d, count", [(11, 6, 1413), (12, 7, 2411), (13, 9, 5648)])
+def test_recursive_mul_count_is_pinned(seed, d, count):
+    m = random_matrix(CFG, d, random.Random(seed))
+    reset_mul_count()
+    recursive_lv(m, threshold=2)
+    assert get_mul_count() == count
+
+
+@pytest.mark.parametrize("seed, k, w, count", [(21, 3, 4, 1465), (22, 4, 5, 3445), (23, 5, 3, 2748)])
+def test_clear_block_mul_count_is_pinned(seed, k, w, count):
+    rng = random.Random(seed)
+    x = lv_decomposition(random_matrix(CFG, k, rng)).hp
+    y = PrecMatrix([[PrecElem.random(CFG, rng) for _ in range(w)] for _ in range(k)])
+    reset_mul_count()
+    clear_block(x, y, CFG.prec)
+    assert get_mul_count() == count
 
 
 def test_recursive_propagates_degeneracy():
@@ -232,6 +253,12 @@ def test_within_column_inversion_is_not_nice():
 def test_pivot_column_must_be_finished_first():
     # using column 1 as a pivot (edge (1, 2)) before finishing it ((0, 1))
     assert not is_nice_order([(0, 2), (1, 2), (0, 1)], 3)
+
+
+@pytest.mark.parametrize("threshold", [0, -3])
+def test_elimination_order_rejects_threshold_below_one(threshold):
+    with pytest.raises(ValueError, match=f"threshold must be at least 1, got {threshold}"):
+        elimination_order(4, threshold=threshold)
 
 
 def test_generated_orders_are_nice_and_complete():

@@ -22,6 +22,7 @@ from dvrlu.element import PrecElem
 from dvrlu.errors import AmbiguousValuation
 from dvrlu.lu_stable import lv_decomposition, vij_statistics
 from dvrlu.matrix import PrecMatrix
+from dvrlu.stats import montecarlo
 from dvrlu.stats import (
     Engine,
     McSummary,
@@ -221,6 +222,39 @@ def test_simulate_deterministic_and_jobs_invariant():
     # a fresh seed gives different draws
     d = simulate(2, 3, 5000, seed=12, jobs=1)
     assert not np.array_equal(a["vl"], d["vl"])
+
+
+def test_simulate_starts_at_most_one_worker_per_chunk(monkeypatch):
+    # a recording stand-in for the pool: it starts no process and runs the
+    # chunks in this one
+    workers = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    trials = 2 * montecarlo._chunk_size(3)
+    got = simulate(2, 3, trials, seed=4, jobs=5000)
+    assert workers == [2]
+    want = simulate(2, 3, trials, seed=4, jobs=1)
+    for key in ("vl", "det_val", "boundary"):
+        assert np.array_equal(got[key], want[key])
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_simulate_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+        simulate(2, 3, 100, jobs=jobs)
 
 
 @pytest.mark.parametrize(
