@@ -112,6 +112,23 @@ def test_lu_run_precision_failure_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--algo", "lv"],
+     "cannot compare v(O(5^6)) with v(O(5^6)): both indistinguishable from zero"),
+    (["--algo", "recursive", "--threshold", "2"],
+     "cannot compare v(O(5^6)) with v(O(5^6)): both indistinguishable from zero"),
+    (["--algo", "stable"],
+     "leading minor indistinguishable from zero after round 1"),
+])
+def test_lu_run_undecided_comparison_exit_code(tmp_path, capsys, extra, message):
+    # step (1, 2) compares two entries that are both 0 mod 5^6; stable_l
+    # refuses the zero leading minor of round 1 before it gets there
+    cfg = DvrConfig(p=5, prec=6)
+    path = _matrix_input(tmp_path, cfg, [[1, 0, 0], [0, 0, 0], [0, 1, 1]])
+    assert main(["lu", "run", "--input", path] + extra) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_lu_bench_summary(capsys):
     rc = main(
         ["lu", "bench", "--p", "2", "--prec", "20", "--dim", "3",
