@@ -8,18 +8,36 @@ element known to precision N is its residue mod p^N, and ``O(p^N)`` is the
 residue 0.  This module runs that arithmetic on Python ints, and the callers
 build :class:`~dvrlu.element.PrecElem` objects only for their outputs.
 
+The flat elimination
+--------------------
+This is the one spec of the pivoted elimination of a square matrix omega of
+residues mod p^N, which :func:`rounds` runs on columns of ints.  Round j,
+for j = 0 .. d-1, runs the steps i = 0 .. j-1; step (i, j) clears entry
+(i, j) against the pivot (i, i).  With e = omega[i, j] and the pivot
+omega[i, i]:
+
+* **Swap rule.**  Columns i and j are swapped, in omega and in every
+  accumulated transform, when v(e) < v(pivot).  A nonzero residue has
+  valuation < N and the residue 0 stands for ``O(p^N)``, so the comparison
+  is forced unless both operands are 0 mod p^N.
+* **Both zero.**  Then v(e) < v(pivot) depends on unknown digits, and the
+  step raises ``AmbiguousValuation`` with the message of
+  :func:`dvrlu.element.valuation_less` on two ``O(p^N)`` elements.
+* **Scalar.**  After the swap, e = 0 leaves column j as it is.  Otherwise
+  the pivot is p^v u with u a unit and v <= v(e), and column j becomes
+  column j - s * column i mod p^N with ``s = (e / p^v) u^{-1} mod p^(N - v)``.
+
+:class:`dvrlu.stats.montecarlo.Engine` runs the same elimination on numpy
+batches; it differs only in that it flags the trials of a batch that meet
+the both-zero case instead of raising.
+
+The module's functions:
+
 * :func:`ints` reads a matrix as ints mod p^N, or refuses it.  It refuses
   series entries, an entry of negative valuation, an entry known to fewer
   than N digits, entries of more than one ring object and N < 1, which all
-  stay on the object path.
-* :func:`rounds` is the elimination of :func:`dvrlu.lu_stable._rounds` on
-  column-major ints, with the same swap rule as ``_pivot_step``: swap when
-  v(entry) < v(pivot).  A nonzero residue has valuation < N and the residue
-  0 stands for ``O(p^N)``, so the comparison is forced unless both operands
-  are 0 mod p^N; then :class:`Undecided` is raised and the caller re-runs
-  the whole call on the object path, which raises ``AmbiguousValuation``
-  with its own message.  With pivot p^v u the scalar is
-  ``(e / p^v) u^{-1} mod p^(N - v)``, and the column update is mod p^N.
+  stay on the object path; :func:`columns` reads a matrix's columns.
+* :func:`rounds` is the elimination above, yielding round by round.
 * :func:`capped_product` is ``matmul(a, b).cap_abs(N)``: each entry is
   ``sum(a_ik b_kj) mod p^N``.
 
@@ -33,12 +51,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .config import Backend, DvrConfig
 from .digits import pw
-from .element import PrecElem
+from .element import PrecElem, valuation_less
 from .matrix import PrecMatrix
-
-
-class Undecided(Exception):
-    """A swap comparison with both operands 0 mod p^N."""
 
 
 def ints(lines: Iterable[Sequence], n: int, cfg: DvrConfig) -> Optional[list[list[int]]]:
@@ -58,18 +72,12 @@ def ints(lines: Iterable[Sequence], n: int, cfg: DvrConfig) -> Optional[list[lis
     return out
 
 
-def ring_of(m: PrecMatrix) -> Optional[DvrConfig]:
-    """The ring of m's first entry when it is a Z_p element, else None."""
-    e = m.rows[0][0] if m.rows[0] else None
-    return e.cfg if type(e) is PrecElem else None
-
-
 def columns(m: PrecMatrix, n: int) -> Optional[tuple[DvrConfig, list[list[int]]]]:
-    """m's ring and its columns as ints mod p^n, or None when :func:`ints`
-    refuses m."""
-    cfg = ring_of(m)
-    cols = None if cfg is None else ints(zip(*m.rows), n, cfg)
-    return None if cols is None else (cfg, cols)
+    """The ring of m's first entry and m's columns as ints mod p^n, or None
+    when that entry is not a Z_p element or :func:`ints` refuses m."""
+    e = m.rows[0][0] if m.rows[0] else None
+    cols = ints(zip(*m.rows), n, e.cfg) if type(e) is PrecElem else None
+    return None if cols is None else (e.cfg, cols)
 
 
 def elements(cfg: DvrConfig, n: int) -> Callable[[int], PrecElem]:
@@ -86,24 +94,17 @@ def elements(cfg: DvrConfig, n: int) -> Callable[[int], PrecElem]:
     return elem
 
 
-def valuation(x: int, p: int) -> int:
-    """v_p of a nonzero int."""
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
-def rounds(cols: list[list[int]], n: int, p: int, *extras: list[list[int]]):
-    """Run the pivoted elimination of square omega, given as its columns of
-    residues mod p^n, yielding j once round j is done.  Swaps and updates
-    are applied to the extra column lists too (accumulated transforms).
+def rounds(cols: list[list[int]], n: int, cfg: DvrConfig, *extras: list[list[int]]):
+    """Run the flat elimination of square omega over ring cfg, given as its
+    columns of residues mod p^n, yielding j once round j is done.  Swaps and
+    updates are applied to the extra column lists too (accumulated
+    transforms).
 
     Columns are replaced, never changed in place, so a column list read
-    after round j keeps that round's state.  Raises Undecided when a swap
-    comparison has both operands 0 mod p^n.
+    after round j keeps that round's state.  Raises AmbiguousValuation when
+    a swap comparison has both operands 0 mod p^n.
     """
+    p, strip = cfg.p, cfg.ops.strip
     pn = pw(p, n)
     mats = (cols, *extras)
     pivots: dict[int, tuple[int, int, int, int]] = {}
@@ -112,21 +113,17 @@ def rounds(cols: list[list[int]], n: int, p: int, *extras: list[list[int]]):
         # v, p^v, p^(n - v) and the unit's inverse mod p^(n - v), for x != 0
         got = pivots.get(x)
         if got is None:
-            v = valuation(x, p)
-            pv, m = pw(p, v), pw(p, n - v)
-            got = pivots[x] = (v, pv, m, pow(x // pv, -1, m))
+            v, u = strip(x)
+            m = pw(p, n - v)
+            got = pivots[x] = (v, pw(p, v), m, pow(u, -1, m))
         return got
 
     for j in range(len(cols)):
         for i in range(j):
             e, piv = cols[j][i], cols[i][i]
-            if piv == 0:
-                if e == 0:
-                    raise Undecided
-                swap = True
-            else:
-                swap = e != 0 and valuation(e, p) < pivot(piv)[0]
-            if swap:
+            if piv == 0 and e == 0:  # undecided: raises AmbiguousValuation
+                valuation_less(PrecElem.bigoh(cfg, n), PrecElem.bigoh(cfg, n))
+            if piv == 0 or (e != 0 and strip(e)[0] < pivot(piv)[0]):
                 for x in mats:
                     x[i], x[j] = x[j], x[i]
                 e, piv = piv, e
@@ -146,12 +143,10 @@ def capped_product(a: PrecMatrix, b: PrecMatrix, n: int) -> Optional[PrecMatrix]
     Every term of the sum has absolute precision >= n, so the capped entry
     is the residue of the exact sum mod p^n at precision exactly n.
     """
-    cfg = ring_of(a)
-    if cfg is None:
+    got = columns(b, n)
+    ra = None if got is None else ints(a.rows, n, got[0])
+    if ra is None:
         return None
-    ra = ints(a.rows, n, cfg)
-    cb = ints(zip(*b.rows), n, cfg) if ra is not None else None
-    if cb is None:
-        return None
+    cfg, cb = got
     pn, elem = pw(cfg.p, n), elements(cfg, n)
     return PrecMatrix([[elem(sum(map(mul, r, c)) % pn) for c in cb] for r in ra])

@@ -22,15 +22,13 @@ elimination here, and the one-row band of :func:`dvrlu.lu_fast.clear_block`,
 is built on the two.
 
 Flat integral input makes the elimination plain arithmetic in ``Z/p^N``, so
-:func:`stable_l` and :func:`lv_decomposition` run it on the integer kernel
-:mod:`dvrlu.kernel` when their flattened input is all integral ``Z_p``
-entries, and build elements only for their outputs, which equal the object
-path's.  Series entries and an entry of negative valuation stay on the
-object path, and so does a whole call in which the kernel meets a swap
-comparison of two entries that are both 0 mod p^N: it is re-run on the
-object path, which raises ``AmbiguousValuation`` or ``DegenerateInput`` with
-the messages it always had.  :func:`vij_statistics`, :func:`naive_gauss_l`
-and the block eliminations always run on the object path.
+:func:`stable_l` and :func:`lv_decomposition` run it through
+:func:`_eliminate`, on the integer kernel :mod:`dvrlu.kernel` when their
+flattened input is all integral ``Z_p`` entries, and build elements only for
+what they read, which equals the object path's; the kernel raises the object
+path's errors itself.  Series entries and an entry of negative valuation
+stay on the object path.  :func:`vij_statistics`, :func:`naive_gauss_l` and
+the block eliminations always run on the object path.
 
 Provided algorithms:
 
@@ -344,17 +342,21 @@ class StableL:
     n: int
 
 
-def _prescribed_quotient(num, den, v_round: int, n: int):
-    """The quotient num / den capped at its guaranteed absolute precision.
+def _quotient_column(lower: PrecMatrix, j: int, num, den, v_round: int, n: int) -> None:
+    """Set lower[i, j] = num(i) / den for i > j, each capped at its
+    guaranteed absolute precision.
 
     The cap is N - v_round - max(0, v(den) - w), with w the numerator
     valuation (its precision bound when the numerator is indistinguishable
     from zero).  For flat integral inputs it never exceeds the quotient's
     natural precision; capping (never raising) keeps the claim honest for
-    arbitrary inputs.
+    arbitrary inputs.  den is inverted once; num(i) * den^-1 equals
+    num(i) / den field for field.
     """
-    w = num.val_lower_bound
-    return (num / den).cap_abs(n - v_round - max(0, den.valuation - w))
+    inv, vd = PrecElem.one(den.cfg, den.rel_prec) / den, den.valuation
+    for i in range(j + 1, lower.nrows):
+        e = num(i)
+        lower[i, j] = (e * inv).cap_abs(n - v_round - max(0, vd - e.val_lower_bound))
 
 
 def stable_l(m: PrecMatrix) -> StableL:
@@ -378,44 +380,42 @@ def stable_l(m: PrecMatrix) -> StableL:
     omega, n = _flattened(m)
     lower = PrecMatrix.identity_like(m, d, n)
     col_vals = []
-    for j, diag, col in _round_states(omega, n):
+    for j, at in _eliminate(omega, n):
+        diag = [at(0, k, k) for k in range(j + 1)]
         v = n if any(e.is_zeroish for e in diag) else sum(e.valuation for e in diag)
         if v >= n:
             raise DegenerateInput(
                 f"leading minor indistinguishable from zero after round {j}"
             )
         col_vals.append(v)
-        for i in range(j + 1, d):
-            lower[i, j] = _prescribed_quotient(col[i], diag[j], v, n)
+        _quotient_column(lower, j, lambda i: at(0, i, j), diag[j], v, n)
     return StableL(lower=lower, col_vals=col_vals, n=n)
 
 
-def _round_states(omega: PrecMatrix, n: int):
-    """Yield (j, [omega[k, k] for k <= j], column j of omega) at the end of
-    each round j of the pivoted elimination.
+def _eliminate(omega: PrecMatrix, n: int, *extras: PrecMatrix):
+    """Run the pivoted elimination of :func:`_rounds` on omega and the
+    extras, yielding (j, at) once round j is done, where at(x, r, c) is
+    entry (r, c) of (omega, *extras)[x] at that moment.
 
-    Runs on the integer kernel when it accepts omega, eliminating every
-    round before the first yield, so that an undecided comparison re-runs
-    the whole elimination on the object path; otherwise the rounds run one
-    by one on the object path.
+    The rounds run on the integer kernel when it accepts omega and the
+    extras, and one by one on the object path otherwise; either way each
+    round runs only when the next one is asked for, and its errors are the
+    object path's.  On the kernel the matrices themselves are left as they
+    were, so every entry, the final ones too, is read through ``at``.
     """
-    on_kernel = kernel.columns(omega, n)
-    if on_kernel is not None:
-        cfg, cols = on_kernel
-        try:
-            states = [
-                ([cols[k][k] for k in range(j + 1)], cols[j])
-                for j in kernel.rounds(cols, n, cfg.p)
-            ]
-        except kernel.Undecided:
-            pass
-        else:
-            elem = kernel.elements(cfg, n)
-            for j, (diag, col) in enumerate(states):
-                yield j, [elem(x) for x in diag], [elem(x) for x in col]
-            return
-    for j in _rounds(omega, n):
-        yield j, [omega[k, k] for k in range(j + 1)], [r[j] for r in omega.rows]
+    mats = (omega, *extras)
+    on_kernel = [kernel.columns(x, n) for x in mats]
+    if None in on_kernel:
+        at = lambda x, r, c: mats[x][r, c]
+        for j in _rounds(omega, n, *extras):
+            yield j, at
+        return
+    cfg = on_kernel[0][0]
+    colsets = [cols for _, cols in on_kernel]
+    elem = kernel.elements(cfg, n)
+    at = lambda x, r, c: elem(colsets[x][c][r])
+    for j in kernel.rounds(colsets[0], n, cfg, *colsets[1:]):
+        yield j, at
 
 
 def precision_loss(lower: PrecMatrix, n: int) -> int:
@@ -494,40 +494,17 @@ def lv_decomposition(m: PrecMatrix) -> LvOutput:
     """
     d = _square_dim(m)
     omega, n = _flattened(m)
-    on_kernel = _lv_on_kernel(omega, n)
-    if on_kernel is not None:
-        lp, vp, omega, wp = on_kernel
-    else:
-        wp = PrecMatrix.identity_like(m, d, n)
-        lp = PrecMatrix.zero_like(m, d, d, n)
-        vp = PrecMatrix.zero_like(m, d, d, n)
-        for j in _rounds(omega, n, wp):
-            for r in range(d):
-                lp[r, j] = omega[r, j]
-                vp[r, j] = wp[r, j]
-    col_val = [_val_or_none(omega[j, j]) for j in range(d)]
+    wp = PrecMatrix.identity_like(m, d, n)
+    lp = PrecMatrix.zero_like(m, d, d, n)
+    vp = PrecMatrix.zero_like(m, d, d, n)
+    for j, at in _eliminate(omega, n, wp):
+        for r in range(d):
+            lp[r, j] = at(0, r, j)
+            vp[r, j] = at(1, r, j)
+    hp, wp = (PrecMatrix([[at(x, r, c) for c in range(d)] for r in range(d)]) for x in (0, 1))
+    col_val = [_val_or_none(hp[j, j]) for j in range(d)]
     degenerate = any(lp[j, j].is_zeroish for j in range(d))
-    return LvOutput(lp=lp, vp=vp, hp=omega, wp=wp, col_val=col_val, degenerate=degenerate)
-
-
-def _lv_on_kernel(omega: PrecMatrix, n: int):
-    """(L', V', H', W') of omega's elimination on the integer kernel, or
-    None when the kernel refuses omega or meets an undecided comparison."""
-    on_kernel = kernel.columns(omega, n)
-    if on_kernel is None:
-        return None
-    cfg, cols = on_kernel
-    d = len(cols)
-    wcols = [[int(r == c) for r in range(d)] for c in range(d)]
-    try:
-        snaps = [(cols[j], wcols[j]) for j in kernel.rounds(cols, n, cfg.p, wcols)]
-    except kernel.Undecided:
-        return None
-    elem = kernel.elements(cfg, n)
-    lcols, vcols = zip(*snaps)
-    return tuple(
-        PrecMatrix([[elem(x) for x in r] for r in zip(*c)]) for c in (lcols, vcols, cols, wcols)
-    )
+    return LvOutput(lp=lp, vp=vp, hp=hp, wp=wp, col_val=col_val, degenerate=degenerate)
 
 
 def lv_to_l(out: LvOutput) -> PrecMatrix:
@@ -554,8 +531,7 @@ def lv_to_l(out: LvOutput) -> PrecMatrix:
             raise DegenerateDecomposition(
                 f"leading minor at column {j} indistinguishable from zero"
             )
-        for i in range(j + 1, d):
-            lower[i, j] = _prescribed_quotient(out.lp[i, j], lkk, v, n)
+        _quotient_column(lower, j, lambda i: out.lp[i, j], lkk, v, n)
     return lower
 
 

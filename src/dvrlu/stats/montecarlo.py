@@ -1,16 +1,18 @@
 """Vectorized Monte-Carlo engine for the elimination's valuation statistics.
 
-The engine runs the pivoted column elimination on batches of Haar-random
-matrices using exact arithmetic in Z/p^K — 64-bit wraparound words for p = 2,
+The engine runs the flat elimination specified in :mod:`dvrlu.kernel` (swap
+rule, scalar, both-zero case) on batches of Haar-random matrices.  It
+differs from that spec in one point: per batch, it flags the trials whose
+swap comparison has both operands 0 mod p^K instead of raising.  The
+arithmetic is exact in Z/p^K — 64-bit wraparound words for p = 2,
 and the largest K >= 1 with p^K < 2^31 in signed words for odd p (an odd p
 above 3037000500, whose residue products overflow, is refused).  For an
 integral matrix at flat precision K the tracked-precision elimination is
 literally arithmetic in Z/p^K (the re-lifted scalars are exactly the masked
 machine quotients), so the engine agrees with the object path digit for
-digit; it additionally flags every trial whose pivoting comparison was not
-forced (both operands exactly zero mod p^K).  Those trials are re-run on an
-engine at 2K digits, which holds Python ints instead of machine words, after
-fresh Haar digits extend the matrix to precision 2K.
+digit.  The flagged trials are re-run on an engine at 2K digits, which
+holds Python ints instead of machine words, after fresh Haar digits extend
+the matrix to precision 2K.
 
 Trials are processed in fixed-size chunks, each with its own generator
 seeded by (seed, chunk index), so results are identical for any worker
