@@ -37,9 +37,11 @@ The module's functions:
   series entries, an entry of negative valuation, an entry known to fewer
   than N digits, entries of more than one ring object and N < 1, which all
   stay on the object path; :func:`columns` reads a matrix's columns.
-* :func:`rounds` is the elimination above, yielding round by round.
+* :func:`rounds` is the elimination above, yielding round by round, for
+  :func:`dvrlu.lu_stable._eliminate`.
 * :func:`capped_product` is ``matmul(a, b).cap_abs(N)``: each entry is
-  ``sum(a_ik b_kj) mod p^N``.
+  ``sum(a_ik b_kj) mod p^N``.  It serves :func:`dvrlu.lu_fast._capped`,
+  which every product truncated back to N goes through.
 
 Every output equals the object path's, value and tracked precision alike.
 """

@@ -18,13 +18,12 @@ Matrix products route through :func:`matmul`, which counts scalar
 multiplications in a module-level counter (used by the complexity tests) and
 optionally uses Strassen's recursion — value-equal to the classical product,
 possibly with coarser tracked precision, so the default everywhere here is
-the classical order-deterministic kernel.  A classical product truncated
-back to N (in :func:`recursive_lv` and :func:`clear_block`) whose operands
-are integral ``Z_p`` entries known to precision N runs on the integer kernel
-(:func:`dvrlu.kernel.capped_product`), which gives the same entries and
-counts the same scalar multiplications.  Series entries, an entry of
-negative valuation and Strassen stay on :func:`matmul`, and so does the
-uncapped public product.
+the classical order-deterministic kernel.  Every product truncated back to
+N (in :func:`recursive_lv`, :func:`clear_block`, simul and sheaf) goes
+through :func:`_capped`, which runs a classical one of integral ``Z_p``
+operands known to precision N on :func:`dvrlu.kernel.capped_product`: same
+entries, same count.  Series entries (so sheaf's), an entry of negative
+valuation, Strassen and the uncapped public product stay on :func:`matmul`.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ def _matmul_classical(a: PrecMatrix, b: PrecMatrix) -> PrecMatrix:
     return PrecMatrix(out)
 
 
-def _capped(a: PrecMatrix, b: PrecMatrix, n: int, algo: str) -> PrecMatrix:
+def _capped(a: PrecMatrix, b: PrecMatrix, n: int, algo: str = "classical") -> PrecMatrix:
     """``matmul(a, b, algo).cap_abs(n)``.  A classical product of integral
     ``Z_p`` operands known to precision >= n runs on the integer kernel,
     which gives the same entries and the same count."""

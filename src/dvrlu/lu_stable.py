@@ -17,18 +17,18 @@ precision of its row.
 
 That step — swap test, pivot guard, re-lifted scalar, column update — is
 :func:`_pivot_step`, the only code that swaps or updates columns of
-elements, and :func:`_rounds` runs it round by round.  Every pivoted
-elimination here, and the one-row band of :func:`dvrlu.lu_fast.clear_block`,
-is built on the two.
+elements.  :func:`_eliminate` runs it round by round for every elimination
+here that returns a factor; :func:`vij_statistics` and the one-row band of
+:func:`dvrlu.lu_fast.clear_block` call it directly.
 
 Flat integral input makes the elimination plain arithmetic in ``Z/p^N``, so
-:func:`stable_l` and :func:`lv_decomposition` run it through
-:func:`_eliminate`, on the integer kernel :mod:`dvrlu.kernel` when their
-flattened input is all integral ``Z_p`` entries, and build elements only for
-what they read, which equals the object path's; the kernel raises the object
-path's errors itself.  Series entries and an entry of negative valuation
-stay on the object path.  :func:`vij_statistics`, :func:`naive_gauss_l` and
-the block eliminations always run on the object path.
+:func:`_eliminate` runs :func:`stable_l`, :func:`lv_decomposition` and the
+block eliminations on the integer kernel :mod:`dvrlu.kernel` when their
+flattened input is all integral ``Z_p`` entries, and they build elements
+only for what they read, which equals the object path's; the kernel raises
+the object path's errors itself.  Series entries and an entry of negative
+valuation stay on the object path.  :func:`vij_statistics` and
+:func:`naive_gauss_l` always run on the object path.
 
 Provided algorithms:
 
@@ -116,15 +116,6 @@ def _pivot_step(omega: PrecMatrix, i: int, j: int, n: int, *extras: PrecMatrix) 
     for x in mats:
         x.sub_scaled_col(s, i, j)
     return swapped
-
-
-def _rounds(omega: PrecMatrix, n: int, *extras: PrecMatrix):
-    """Run the pivoted elimination of square omega, yielding j once round j
-    (the steps (0, j) .. (j-1, j)) is done."""
-    for j in range(omega.nrows):
-        for i in range(j):
-            _pivot_step(omega, i, j, n, *extras)
-        yield j
 
 
 # ---------------------------------------------------------------------------
@@ -393,21 +384,23 @@ def stable_l(m: PrecMatrix) -> StableL:
 
 
 def _eliminate(omega: PrecMatrix, n: int, *extras: PrecMatrix):
-    """Run the pivoted elimination of :func:`_rounds` on omega and the
-    extras, yielding (j, at) once round j is done, where at(x, r, c) is
-    entry (r, c) of (omega, *extras)[x] at that moment.
+    """Run the pivoted elimination of square omega (and the extras),
+    yielding (j, at) once round j, the steps (0, j) .. (j-1, j), is done;
+    at(x, r, c) is entry (r, c) of (omega, *extras)[x] at that moment.
 
     The rounds run on the integer kernel when it accepts omega and the
-    extras, and one by one on the object path otherwise; either way each
-    round runs only when the next one is asked for, and its errors are the
-    object path's.  On the kernel the matrices themselves are left as they
-    were, so every entry, the final ones too, is read through ``at``.
+    extras, and as :func:`_pivot_step` calls otherwise; either way a round
+    runs only when asked for, and its errors are the object path's.  On the
+    kernel the matrices are left as they were, so every entry, the final
+    ones too, is read through ``at``.
     """
     mats = (omega, *extras)
     on_kernel = [kernel.columns(x, n) for x in mats]
     if None in on_kernel:
         at = lambda x, r, c: mats[x][r, c]
-        for j in _rounds(omega, n, *extras):
+        for j in range(omega.nrows):
+            for i in range(j):
+                _pivot_step(omega, i, j, n, *extras)
             yield j, at
         return
     cfg = on_kernel[0][0]
@@ -625,18 +618,18 @@ def _block_elimination(m: PrecMatrix, block_sizes: Sequence[int], clear: bool) -
     block_vals = []
     j0 = 0
     boundaries = set(itertools.accumulate(block_sizes))
-    for j in _rounds(omega, n):
+    for j, at in _eliminate(omega, n):
         if j + 1 in boundaries:
             hi = j + 1  # block spans columns j0..hi-1
             # normalize: L's block columns are omega's scaled by the pivot
             for jp in range(j0, hi):
-                piv = omega[jp, jp]
+                piv = at(0, jp, jp)
                 if piv.is_zeroish:
                     raise DegenerateInput(
                         f"block pivot at column {jp} indistinguishable from zero"
                     )
                 for r in range(d):
-                    lower[r, jp] = omega[r, jp] / piv
+                    lower[r, jp] = at(0, r, jp) / piv
             if clear:
                 # make the diagonal block an identity: subtract the other
                 # block columns one at a time, re-reading updated entries
@@ -648,7 +641,7 @@ def _block_elimination(m: PrecMatrix, block_sizes: Sequence[int], clear: bool) -
                         for r in range(d):
                             lower[r, jp] = lower[r, jp] - s * lower[r, ip]
             # precision budget: diagonal valuations strictly above the block
-            vparts = [omega[k, k].pivot_scalar() for k in range(j0)]
+            vparts = [at(0, k, k).pivot_scalar() for k in range(j0)]
             if any(e.is_zeroish for e in vparts):
                 raise DegenerateInput(
                     "diagonal entry above block indistinguishable from zero"

@@ -26,7 +26,7 @@ from functools import cached_property, partial
 from .config import Backend, DvrConfig
 from .element import PrecElem
 from .errors import AmbiguousValuation, CoincidentPoints, DvrError, NotSorted
-from .lu_fast import matmul
+from .lu_fast import _capped, matmul
 from .lu_stable import block_l_unitlower, lower_triangular_inverse
 from .matrix import PrecMatrix, random_matrix
 from .series import SeriesElem
@@ -316,7 +316,7 @@ class SheafInstance:
             raise ValueError("a sheaf instance needs at least one point")
         d = self.points[0].matrix.nrows
         for pt in self.points:
-            if len(pt.exponents) != d or pt.matrix.nrows != d:
+            if len(pt.exponents) != d or (pt.matrix.nrows, pt.matrix.ncols) != (d, d):
                 raise ValueError("all points must share the matrix dimension")
             block_type_from_exponents(pt.exponents)
             order = pt.order
@@ -486,7 +486,7 @@ def scalar_poly_matmul(s: PrecMatrix, pm: list[list[Poly]]) -> list[list[Poly]]:
 def _local_factor(omega: PrecMatrix, pt: SheafPoint, n: int):
     """Block unit-lower factor of omega * M_m over the series ring at pt."""
     omega_s = scalar_matrix_as_series(omega, pt.order, n)
-    return block_l_unitlower(matmul(omega_s, pt.matrix).cap_abs(n), pt.block_sizes)
+    return block_l_unitlower(_capped(omega_s, pt.matrix, n), pt.block_sizes)
 
 
 def solve_with_omega(

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 from .config import DvrConfig
 from .errors import DvrError, DegenerateInput, ExhaustedRetries
-from .lu_fast import matmul
+from .lu_fast import _capped, matmul
 from .lu_stable import (
     LvOutput,
     block_l,
@@ -204,7 +204,7 @@ def attempt_simultaneous(
     n = cfg.prec
     omega = random_matrix(cfg, _family_dim(family), rng, n)
     got = _certify(omega, v, n, [
-        (lambda w, mat=mat, sizes=sizes: block_l(matmul(w, mat).cap_abs(n), sizes), mat)
+        (lambda w, mat=mat, sizes=sizes: block_l(_capped(w, mat, n), sizes), mat)
         for mat, sizes in family
     ])
     if isinstance(got, SimulFailure):

@@ -22,6 +22,7 @@ from dvrlu.config import Backend, DvrConfig
 from dvrlu.element import PrecElem
 from dvrlu.errors import AmbiguousValuation, DegenerateInput, DvrError
 from dvrlu.matrix import PrecMatrix, random_matrix
+from dvrlu.simul import simultaneous_block_lu
 
 PRIMES = [2, 3, 5, 2**31 - 1]
 
@@ -34,13 +35,14 @@ def object_path():
 
 @contextmanager
 def counting(module, name):
-    """Count the calls of module.name while the block runs."""
+    """Record what each call of module.name returns while the block runs."""
     calls = []
     orig = getattr(module, name)
 
     def spy(*args, **kwargs):
-        calls.append(1)
-        return orig(*args, **kwargs)
+        out = orig(*args, **kwargs)
+        calls.append(out)
+        return out
 
     with mock.patch.object(module, name, spy):
         yield calls
@@ -55,22 +57,37 @@ def _outcome(fn, m):
         return type(exc), str(exc)
     if isinstance(out, lu_stable.StableL):
         fields = (out.lower, out.col_vals, out.n)
+    elif isinstance(out, lu_stable.BlockL):
+        fields = (out.lower, out.block_vals, out.n)
     else:
         fields = (out.lp, out.vp, out.hp, out.wp, out.col_val, out.degenerate)
     return fields, lu_fast.get_mul_count()
+
+
+def _tiling(d):
+    """Blocks of 2 then 3, repeated, the last one cut to fit d."""
+    sizes = []
+    while sum(sizes) < d:
+        sizes.append(min((2, 3)[len(sizes) % 2], d - sum(sizes)))
+    return sizes
 
 
 ELIMINATIONS = {
     "stable_l": lu_stable.stable_l,
     "lv_decomposition": lu_stable.lv_decomposition,
     "recursive_lv": lambda m: lu_fast.recursive_lv(m, threshold=2),
+    "block_l": lambda m: lu_stable.block_l(m, _tiling(m.nrows)),
+    "block_l_unitlower": lambda m: lu_stable.block_l_unitlower(m, _tiling(m.nrows)),
 }
+RAISE_DEGENERATE = {"stable_l", "block_l", "block_l_unitlower"}
 
 
 def _ran_on_objects(fn, m):
     """Run fn(m); return whether the object elimination ran, and fn's
-    outcome."""
-    with counting(lu_stable, "_rounds") as on_objects:
+    outcome.  Only lu_stable's own binding of _pivot_step is watched, so
+    the one-row bands of lu_fast.clear_block, which stay on elements, do
+    not count."""
+    with counting(lu_stable, "_pivot_step") as on_objects:
         out = _outcome(fn, m)
     return bool(on_objects), out
 
@@ -146,7 +163,8 @@ def test_series_and_negative_valuation_take_object_path(name):
 def test_undecided_comparison_raises_on_kernel(name):
     # step (1, 2) compares two entries that are both 0 mod 5^6; in
     # recursive_lv it is step (0, 1) of the bottom-right block.  stable_l
-    # refuses the zero leading minor of round 1 before it gets there.
+    # refuses the zero leading minor of round 1 before it gets there, and
+    # the block eliminations the zero pivot of their first block.
     m = flat_from_ints(DvrConfig(p=5, prec=6), [[1, 0, 0], [0, 0, 0], [0, 1, 1]])
     fn = ELIMINATIONS[name]
     with counting(kernel, "rounds") as on_kernel:
@@ -154,5 +172,35 @@ def test_undecided_comparison_raises_on_kernel(name):
     with object_path():
         want = _outcome(fn, m)
     assert on_kernel and not on_objects
-    assert got[0] is (DegenerateInput if name == "stable_l" else AmbiguousValuation)
+    assert got[0] is (DegenerateInput if name in RAISE_DEGENERATE else AmbiguousValuation)
     assert got == want
+
+
+def _simul_outcome(cfg, family, seed):
+    """simultaneous_block_lu's result and product count."""
+    lu_fast.reset_mul_count()
+    return simultaneous_block_lu(cfg, family, eps=0.5, seed=seed), lu_fast.get_mul_count()
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+@pytest.mark.parametrize("short", [False, True])
+def test_simul_products_match_object_path(seed, short):
+    # omega * M_m runs on the kernel unless M_m is known to fewer than N
+    # digits; the last member of the short family is known to N - 1 and
+    # has det divisible by 5, so its factor faces no precision gate
+    n, d = 10, 5
+    cfg = DvrConfig(p=5, prec=n)
+    rng = random.Random(seed)
+    sizes = [[2, 3], [1, 4], [5]]
+    family = [(random_matrix(cfg, d, rng), s) for s in sizes]
+    if short:
+        rows = [[rng.randrange(5**n) for _ in range(d)] for _ in range(d)]
+        rows[0] = [5 * x for x in rows[0]]
+        family.append((flat_from_ints(cfg, rows, n - 1), [2, 3]))
+    with counting(kernel, "capped_product") as products:
+        got = _simul_outcome(cfg, family, seed)
+    with object_path():
+        want = _simul_outcome(cfg, family, seed)
+    assert got == want
+    refused = [out is None for out in products]
+    assert not all(refused) and any(refused) == short

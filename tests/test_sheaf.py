@@ -251,6 +251,10 @@ def test_sheaf_instance_validation():
         SheafInstance(cfg, [SheafPoint(a, [0, 1], bad)])
     with pytest.raises(ValueError, match="at least one point"):
         SheafInstance(cfg, [])
+    for ncols in (1, 3):  # a 2x1 or 2x3 local matrix
+        odd = PrecMatrix([[ent] * ncols for _ in range(2)])
+        with pytest.raises(ValueError, match="share the matrix dimension"):
+            SheafInstance(cfg, [SheafPoint(a, [0, 1], odd)])
 
 
 def test_sheaf_instance_json_roundtrip():
