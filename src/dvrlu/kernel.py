@@ -11,9 +11,9 @@ build :class:`~dvrlu.element.PrecElem` objects only for their outputs.
 The flat elimination
 --------------------
 This is the one spec of the pivoted elimination of a square matrix omega of
-residues mod p^N, which :func:`rounds` runs on columns of ints.  Round j,
-for j = 0 .. d-1, runs the steps i = 0 .. j-1; step (i, j) clears entry
-(i, j) against the pivot (i, i).  With e = omega[i, j] and the pivot
+residues mod p^N, whose steps :func:`stepper` runs on columns of ints.
+Round j, for j = 0 .. d-1, runs the steps i = 0 .. j-1; step (i, j) clears
+entry (i, j) against the pivot (i, i).  With e = omega[i, j] and the pivot
 omega[i, i]:
 
 * **Swap rule.**  Columns i and j are swapped, in omega and in every
@@ -37,11 +37,18 @@ The module's functions:
   series entries, an entry of negative valuation, an entry known to fewer
   than N digits, entries of more than one ring object and N < 1, which all
   stay on the object path; :func:`columns` reads a matrix's columns.
-* :func:`rounds` is the elimination above, yielding round by round, for
-  :func:`dvrlu.lu_stable._eliminate`.
+* :func:`stepper` is one step (i, j) above, swap rule and raise included;
+  :func:`rounds` runs it as the elimination above, yielding round by round,
+  for :func:`dvrlu.lu_stable._eliminate`.
 * :func:`capped_product` is ``matmul(a, b).cap_abs(N)``: each entry is
   ``sum(a_ik b_kj) mod p^N``.  It serves :func:`dvrlu.lu_fast._capped`,
   which every product truncated back to N goes through.
+
+The int recursion of :func:`dvrlu.lu_fast.recursive_lv` (and of a
+:func:`~dvrlu.lu_fast.clear_block` band all at precision exactly N) runs on
+these residues from one read of its input to the output's elements: its
+leaves are :func:`rounds`, its one-row band steps are :func:`stepper`, and
+its products are the same sums mod p^N on row lists of ints.
 
 Every output equals the object path's, value and tracked precision alike.
 """
@@ -96,19 +103,17 @@ def elements(cfg: DvrConfig, n: int) -> Callable[[int], PrecElem]:
     return elem
 
 
-def rounds(cols: list[list[int]], n: int, cfg: DvrConfig, *extras: list[list[int]]):
-    """Run the flat elimination of square omega over ring cfg, given as its
-    columns of residues mod p^n, yielding j once round j is done.  Swaps and
-    updates are applied to the extra column lists too (accumulated
-    transforms).
+def stepper(n: int, cfg: DvrConfig) -> Callable[[Sequence[list], int, int], None]:
+    """step(mats, i, j) runs step (i, j) of the flat elimination over ring
+    cfg on mats[0], given as columns of residues mod p^n, and applies its
+    swap and update to every column list of mats (accumulated transforms).
 
-    Columns are replaced, never changed in place, so a column list read
-    after round j keeps that round's state.  Raises AmbiguousValuation when
-    a swap comparison has both operands 0 mod p^n.
+    The step replaces columns, never changes one in place.  Raises
+    AmbiguousValuation when the swap comparison has both operands 0 mod p^n.
+    Pivot data is cached per residue for the life of the returned function.
     """
     p, strip = cfg.p, cfg.ops.strip
     pn = pw(p, n)
-    mats = (cols, *extras)
     pivots: dict[int, tuple[int, int, int, int]] = {}
 
     def pivot(x: int) -> tuple[int, int, int, int]:
@@ -120,21 +125,39 @@ def rounds(cols: list[list[int]], n: int, cfg: DvrConfig, *extras: list[list[int
             got = pivots[x] = (v, pw(p, v), m, pow(u, -1, m))
         return got
 
+    def step(mats: Sequence[list[list[int]]], i: int, j: int) -> None:
+        cols = mats[0]
+        e, piv = cols[j][i], cols[i][i]
+        if piv == 0 and e == 0:  # undecided: raises AmbiguousValuation
+            valuation_less(PrecElem.bigoh(cfg, n), PrecElem.bigoh(cfg, n))
+        if piv == 0 or (e != 0 and strip(e)[0] < pivot(piv)[0]):
+            for x in mats:
+                x[i], x[j] = x[j], x[i]
+            e, piv = piv, e
+        if e == 0:
+            return
+        _, pv, m, inv = pivot(piv)
+        s = e // pv * inv % m
+        for x in mats:
+            x[j] = [(a - s * b) % pn for a, b in zip(x[j], x[i])]
+
+    return step
+
+
+def rounds(cols: list[list[int]], n: int, cfg: DvrConfig, *extras: list[list[int]]):
+    """Run the flat elimination of square omega over ring cfg, given as its
+    columns of residues mod p^n, yielding j once round j is done.  Swaps and
+    updates are applied to the extra column lists too (accumulated
+    transforms).
+
+    Columns are replaced, never changed in place, so a column list read
+    after round j keeps that round's state.  Raises AmbiguousValuation when
+    a swap comparison has both operands 0 mod p^n.
+    """
+    step, mats = stepper(n, cfg), (cols, *extras)
     for j in range(len(cols)):
         for i in range(j):
-            e, piv = cols[j][i], cols[i][i]
-            if piv == 0 and e == 0:  # undecided: raises AmbiguousValuation
-                valuation_less(PrecElem.bigoh(cfg, n), PrecElem.bigoh(cfg, n))
-            if piv == 0 or (e != 0 and strip(e)[0] < pivot(piv)[0]):
-                for x in mats:
-                    x[i], x[j] = x[j], x[i]
-                e, piv = piv, e
-            if e == 0:
-                continue
-            _, pv, m, inv = pivot(piv)
-            s = e // pv * inv % m
-            for x in mats:
-                x[j] = [(a - s * b) % pn for a, b in zip(x[j], x[i])]
+            step(mats, i, j)
         yield j
 
 

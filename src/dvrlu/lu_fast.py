@@ -19,18 +19,35 @@ multiplications in a module-level counter (used by the complexity tests) and
 optionally uses Strassen's recursion — value-equal to the classical product,
 possibly with coarser tracked precision, so the default everywhere here is
 the classical order-deterministic kernel.  Every product truncated back to
-N (in :func:`recursive_lv`, :func:`clear_block`, simul and sheaf) goes
-through :func:`_capped`, which runs a classical one of integral ``Z_p``
-operands known to precision N on :func:`dvrlu.kernel.capped_product`: same
-entries, same count.  Series entries (so sheaf's), an entry of negative
-valuation, Strassen and the uncapped public product stay on :func:`matmul`.
+N of elements (in simul, sheaf and the element recursion) goes through
+:func:`_capped`, which runs a classical one of integral ``Z_p`` operands
+known to precision N on :func:`dvrlu.kernel.capped_product`: same entries,
+same count.  Series entries (so sheaf's), an entry of negative valuation,
+Strassen and the uncapped public product stay on :func:`matmul`.
+
+:func:`recursive_lv` and :func:`clear_block` are written once, over row
+lists, and run in one of two representations chosen at the top:
+
+* the **int recursion** (:class:`_Residues`), for a classical run on
+  integral ``Z_p`` entries all at precision exactly N: the input is read
+  once as ints mod p^N, the leaves are :func:`dvrlu.kernel.rounds`, the
+  one-row band steps are :func:`dvrlu.kernel.stepper`, the products are
+  sums mod p^N counted as the element products they stand for, and
+  elements are built once, for the output;
+* the **element recursion** (:class:`_Elements`), for everything else:
+  the leaves are :func:`~dvrlu.lu_stable.lv_decomposition`, the band steps
+  :func:`~dvrlu.lu_stable._pivot_step` and the products :func:`_capped`.
+  It is the reference the int recursion reproduces field for field.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from operator import mul
+from typing import Sequence
 
 from . import kernel
+from .digits import pw
+from .element import PrecElem
 from .lu_stable import LvOutput, lv_decomposition, working_precision
 from .lu_stable import _flattened, _pivot_step, _square_dim, _val_or_none
 from .matrix import PrecMatrix
@@ -158,23 +175,188 @@ def matmul(
 
 
 # ---------------------------------------------------------------------------
+# the recursion's two representations
+# ---------------------------------------------------------------------------
+
+
+def _identity(r, size: int, n: int) -> list[list]:
+    one, zero = r.one(n), r.zero(n)
+    return [[one if i == j else zero for j in range(size)] for i in range(size)]
+
+
+def _transposed(m: Sequence[Sequence]) -> list[list]:
+    return [list(line) for line in zip(*m)]
+
+
+class _Residues:
+    """Row lists of ints mod p^n: the integer kernel's operations, for
+    integral ``Z_p`` entries at precision exactly n and classical products.
+    The swap rule is the kernel's :func:`~dvrlu.kernel.stepper`, the leaves
+    are :func:`~dvrlu.kernel.rounds`, and each product is counted as the
+    element product it stands for."""
+
+    def __init__(self, cfg, n: int):
+        self.cfg, self.n, self.pn = cfg, n, pw(cfg.p, n)
+        self.step = kernel.stepper(n, cfg)
+        self.elem = kernel.elements(cfg, n)
+
+    def zero(self, n: int) -> int:
+        return 0
+
+    def one(self, n: int) -> int:
+        return 1
+
+    def flat(self, m: list[list[int]]) -> tuple[list[list[int]], int]:
+        return m, self.n
+
+    def product(self, a: list[list[int]], b: list[list[int]], n: int) -> list[list[int]]:
+        global _MUL_COUNT
+        _MUL_COUNT += len(a) * len(b) * len(b[0])
+        pn, cols = self.pn, list(zip(*b))
+        return [[sum(map(mul, r, c)) % pn for c in cols] for r in a]
+
+    def band(self, row: list[int], n: int) -> tuple[list[list[int]], list[list[int]]]:
+        cols, t = [[e] for e in row], _identity(self, len(row), n)  # t by columns
+        for c in range(1, len(row)):
+            self.step((cols, t), 0, c)
+        return [cols[0]], _transposed(t)
+
+    def leaf(self, m: list[list[int]]) -> tuple[list[list[int]], ...]:
+        cols, w = _transposed(m), _identity(self, len(m), self.n)
+        lp, vp = [], []
+        for j in kernel.rounds(cols, self.n, self.cfg, w):
+            lp.append(cols[j])  # columns are replaced, so this is round j's state
+            vp.append(w[j])
+        return tuple(map(_transposed, (lp, vp, cols, w)))
+
+    def elements(self, m: list[list[int]]) -> list[list[PrecElem]]:
+        return [[self.elem(x) for x in row] for row in m]
+
+
+class _Elements:
+    """Row lists of elements: the object path, for series entries, an entry
+    of negative valuation or known beyond n, and Strassen products."""
+
+    def __init__(self, proto, algo: str):
+        self.proto, self.algo = proto, algo
+
+    def zero(self, n: int):
+        return self.proto.like_zero(n)
+
+    def one(self, n: int):
+        return self.proto.like_one(n)
+
+    def flat(self, m: list[list]) -> tuple[list[list], int]:
+        m, n = _flattened(PrecMatrix(m))
+        return m.rows, n
+
+    def product(self, a: list[list], b: list[list], n: int) -> list[list]:
+        return _capped(PrecMatrix(a), PrecMatrix(b), n, self.algo).rows
+
+    def band(self, row: list, n: int) -> tuple[list[list], list[list]]:
+        band = PrecMatrix([row])
+        t = PrecMatrix(_identity(self, len(row), n))
+        for c in range(1, len(row)):
+            _pivot_step(band, 0, c, n, t)
+        return [[band[0, 0]]], t.rows
+
+    def leaf(self, m: list[list]) -> tuple[list[list], ...]:
+        out = lv_decomposition(PrecMatrix(m))
+        return out.lp.rows, out.vp.rows, out.hp.rows, out.wp.rows
+
+    def elements(self, m: list[list]) -> list[list]:
+        return m
+
+
+def _representation(n: int, algo: str, *mats: PrecMatrix):
+    """The representation to run on and the rows of mats in it: residues
+    when algo is classical and every entry is an integral ``Z_p`` element
+    of one ring at absolute precision exactly n, elements otherwise.
+
+    An entry known beyond n stays an element: a swap comparison of two
+    entries that are both 0 mod p^n is decided by their further digits,
+    where the kernel, reading them mod p^n, would raise.
+    """
+    proto = mats[0].rows[0][0]
+    if algo == "classical" and type(proto) is PrecElem and all(
+        e.abs_prec == n for x in mats for row in x.rows for e in row
+    ):
+        rows = [kernel.ints(x.rows, n, proto.cfg) for x in mats]
+        if None not in rows:
+            return _Residues(proto.cfg, n), rows
+    return _Elements(proto, algo), [x.rows for x in mats]
+
+
+# ---------------------------------------------------------------------------
 # band clearing
 # ---------------------------------------------------------------------------
 
 
-def _hstack(a: PrecMatrix, b: Optional[PrecMatrix]) -> PrecMatrix:
-    if b is None:
-        return a.copy()
-    return PrecMatrix([ra + rb for ra, rb in zip(a.rows, b.rows)])
+def _hstack(a: list[list], b: list[list]) -> list[list]:
+    return [ra + rb for ra, rb in zip(a, b)]
 
 
-def _embed(t: PrecMatrix, idx: Sequence[int], size: int, n: int) -> PrecMatrix:
+def _split(m: list[list], c: int) -> tuple[list[list], list[list]]:
+    """The columns of m before c and from c on."""
+    return [row[:c] for row in m], [row[c:] for row in m]
+
+
+def _quarters(m: list[list], r: int, c: int) -> tuple[list[list], ...]:
+    """The blocks of m above-left, above-right, below-left and below-right
+    of row r and column c."""
+    return (*_split(m[:r], c), *_split(m[r:], c))
+
+
+def _joined(grid: Sequence[Sequence[list[list]]]) -> list[list]:
+    return [row for band in grid for row in _hstack(*band)]
+
+
+def _embed(t: list[list], idx: Sequence[int], size: int, n: int, r) -> list[list]:
     """Identity of the given size with t placed on the index set idx."""
-    out = PrecMatrix.identity_like(t, size, n)
+    out = _identity(r, size, n)
     for a, ia in enumerate(idx):
         for b, ib in enumerate(idx):
-            out[ia, ib] = t[a, b]
+            out[ia][ib] = t[a][b]
     return out
+
+
+def _clear(x: list[list], y: list[list], n: int, r) -> tuple[list[list], list[list]]:
+    """:func:`clear_block` on row lists in representation r."""
+    k, w = len(x), len(y[0])
+    if w == 0:
+        return x, _identity(r, k, n)
+    if k == 1:
+        return r.band(x[0] + y[0], n)
+    c, w1 = k // 2, w // 2
+    x1, x2, x3, x4 = _quarters(x, c, c)  # x2: exact zeros, passed through
+    y1, y2, y3, y4 = _quarters(y, c, w1)
+    mm = lambda a, b: r.product(a, b, n)
+
+    # 1) clear Y's top-left against X1, then carry the transform into the
+    #    bottom rows of the touched columns
+    x1, t1 = _clear(x1, y1, n, r)
+    x3, y3 = _split(mm(_hstack(x3, y3), t1), c)
+
+    # 2) clear Y's top-right against the updated X1
+    x1, t2 = _clear(x1, y2, n, r)
+    x3, y4 = _split(mm(_hstack(x3, y4), t2), c)
+
+    # 3) clear Y's bottom-left against X4 (top rows of these columns are
+    #    exact zeros at precision n and stay so: transform not applied)
+    x4, t3 = _clear(x4, y3, n, r)
+
+    # 4) clear Y's bottom-right against the updated X4
+    x4, t4 = _clear(x4, y4, n, r)
+
+    size = k + w
+    s1 = list(range(0, c)) + list(range(k, k + w1))
+    s2 = list(range(0, c)) + list(range(k + w1, k + w))
+    s3 = list(range(c, k)) + list(range(k, k + w1))
+    s4 = list(range(c, k)) + list(range(k + w1, k + w))
+    t = _embed(t1, s1, size, n, r)
+    for ti, si in ((t2, s2), (t3, s3), (t4, s4)):
+        t = mm(t, _embed(ti, si, size, n, r))
+    return _joined([[x1, x2], [x3, x4]]), t
 
 
 def clear_block(
@@ -193,61 +375,52 @@ def clear_block(
     sub-step operates on X's lower-right quadrant, the corresponding top
     rows of the touched columns are exact zeros O(pi^n) (cleared by the
     earlier sub-steps or the zero block of X), and column operations keep
-    them exact zeros, so the transform is not applied to them at all.
+    them exact zeros, so the transform is not applied to them at all.  A
+    band of integral ``Z_p`` entries all at precision exactly n runs on
+    ints mod p^n; any other band on elements.
     """
-    k, w = x.nrows, y.ncols
-    if y.nrows != k or x.ncols != k:
+    if y.nrows != x.nrows or x.ncols != x.nrows:
         raise ValueError("band shapes disagree")
-    if w == 0:
-        return x.copy(), PrecMatrix.identity_like(x, k, n)
-    if k == 1:
-        band = _hstack(x, y)
-        t = PrecMatrix.identity_like(band, 1 + w, n)
-        for c in range(1, 1 + w):
-            _pivot_step(band, 0, c, n, t)
-        return PrecMatrix([[band[0, 0]]]), t
-    c = k // 2
-    w1 = w // 2
-    x1 = x.block(0, c, 0, c)
-    x2 = x.block(0, c, c, k)  # exact zeros for eliminated X; passed through
-    x3 = x.block(c, k, 0, c)
-    x4 = x.block(c, k, c, k)
-    y1, y2 = y.block(0, c, 0, w1), y.block(0, c, w1, w)
-    y3, y4 = y.block(c, k, 0, w1), y.block(c, k, w1, w)
-
-    # 1) clear Y's top-left against X1, then carry the transform into the
-    #    bottom rows of the touched columns
-    x1, t1 = clear_block(x1, y1, n, algo)
-    band = _capped(_hstack(x3, y3), t1, n, algo)
-    x3, y3 = band.block(0, k - c, 0, c), band.block(0, k - c, c, c + w1)
-
-    # 2) clear Y's top-right against the updated X1
-    x1, t2 = clear_block(x1, y2, n, algo)
-    band = _capped(_hstack(x3, y4), t2, n, algo)
-    x3, y4 = band.block(0, k - c, 0, c), band.block(0, k - c, c, c + (w - w1))
-
-    # 3) clear Y's bottom-left against X4 (top rows of these columns are
-    #    exact zeros at precision n and stay so: transform not applied)
-    x4, t3 = clear_block(x4, y3, n, algo)
-
-    # 4) clear Y's bottom-right against the updated X4
-    x4, t4 = clear_block(x4, y4, n, algo)
-
-    size = k + w
-    s1 = list(range(0, c)) + list(range(k, k + w1))
-    s2 = list(range(0, c)) + list(range(k + w1, k + w))
-    s3 = list(range(c, k)) + list(range(k, k + w1))
-    s4 = list(range(c, k)) + list(range(k + w1, k + w))
-    t = _embed(t1, s1, size, n)
-    for ti, si in ((t2, s2), (t3, s3), (t4, s4)):
-        t = _capped(t, _embed(ti, si, size, n), n, algo)
-    xf = PrecMatrix.from_blocks([[x1, x2], [x3, x4]])
-    return xf, t
+    r, (xr, yr) = _representation(n, algo, x, y)
+    xf, t = _clear(xr, yr, n, r)
+    return PrecMatrix(r.elements(xf)), PrecMatrix(r.elements(t))
 
 
 # ---------------------------------------------------------------------------
 # recursive split decomposition
 # ---------------------------------------------------------------------------
+
+
+def _lv(m: list[list], n: int, threshold: int, r) -> tuple[list[list], ...]:
+    """(L', V', H', W') of the square row list m, flat at precision n, in
+    representation r, as row lists."""
+    d = len(m)
+    if d <= threshold:
+        return r.leaf(m)
+    dp = d // 2
+    m1, m2, m3, m4 = _quarters(m, dp, dp)
+    mm = lambda a, b: r.product(a, b, n)
+
+    lp1, vp1, hp1, wp1 = _lv(m1, n, threshold, r)
+
+    # the top band at the split boundary is [H'_top | M2]; clear it
+    xf, t = _clear(hp1, m2, n, r)
+
+    # bottom rows at the boundary: [M3 * W'_top | M4], then the band transform
+    bl, br = _split(mm(_hstack(mm(m3, wp1), m4), t), dp)
+
+    lp2, vp2, hp2, wp2 = _lv(*r.flat(br), threshold, r)
+
+    t11, t12, t21, t22 = _quarters(t, dp, dp)
+    z_tr = [[r.zero(n)] * (d - dp) for _ in range(dp)]
+    z_bl = [[r.zero(n)] * dp for _ in range(d - dp)]
+    hp = _joined([[xf, z_tr], [bl, hp2]])
+    lp = _joined([[lp1, z_tr], [mm(m3, vp1), lp2]])
+    w_tr = mm(mm(wp1, t12), wp2)
+    wp = _joined([[mm(wp1, t11), w_tr], [t21, mm(t22, wp2)]])
+    v_tr = mm(mm(wp1, t12), vp2)
+    vp = _joined([[vp1, v_tr], [z_bl, mm(t22, vp2)]])
+    return lp, vp, hp, wp
 
 
 def recursive_lv(
@@ -262,7 +435,8 @@ def recursive_lv(
     integral input at flat precision the output equals the scalar
     elimination's *bit for bit* (same values, same tracked precision); with
     algo "strassen" the values still agree but tracked precision can be
-    coarser.
+    coarser.  With classical products, an integral ``Z_p`` input runs the
+    whole recursion on ints mod p^N and builds elements only for the output.
 
     Args:
         m: square matrix over the scalar ring.
@@ -276,40 +450,10 @@ def recursive_lv(
     if d <= threshold:
         return lv_decomposition(m)
     m, n = _flattened(m)
-    dp = d // 2
-    m1 = m.block(0, dp, 0, dp)
-    m2 = m.block(0, dp, dp, d)
-    m3 = m.block(dp, d, 0, dp)
-    m4 = m.block(dp, d, dp, d)
-
-    top = recursive_lv(m1, threshold, algo)
-
-    # the top band at the split boundary is [H'_top | M2]; clear it
-    xf, t = clear_block(top.hp, m2, n, algo)
-
-    mm = lambda a, b: _capped(a, b, n, algo)
-
-    # bottom rows at the boundary: [M3 * W'_top | M4], then the band transform
-    bottom = mm(_hstack(mm(m3, top.wp), m4), t)
-    bl = bottom.block(0, d - dp, 0, dp)
-    br = bottom.block(0, d - dp, dp, d)
-
-    low = recursive_lv(br, threshold, algo)
-
-    t11, t12 = t.block(0, dp, 0, dp), t.block(0, dp, dp, d)
-    t21, t22 = t.block(dp, d, 0, dp), t.block(dp, d, dp, d)
-
-    z_tr = PrecMatrix.zero_like(m, dp, d - dp, n)
-    hp = PrecMatrix.from_blocks([[xf, z_tr], [bl, low.hp]])
-    lp = PrecMatrix.from_blocks([[top.lp, z_tr], [mm(m3, top.vp), low.lp]])
-    w_tr = mm(mm(top.wp, t12), low.wp)
-    wp = PrecMatrix.from_blocks([[mm(top.wp, t11), w_tr], [t21, mm(t22, low.wp)]])
-    v_tr = mm(mm(top.wp, t12), low.vp)
-    z_bl = PrecMatrix.zero_like(m, d - dp, dp, n)
-    vp = PrecMatrix.from_blocks([[top.vp, v_tr], [z_bl, mm(t22, low.vp)]])
-
+    r, (rows,) = _representation(n, algo, m)
+    lp, vp, hp, wp = (PrecMatrix(r.elements(x)) for x in _lv(rows, n, threshold, r))
     col_val = [_val_or_none(hp[j, j]) for j in range(d)]
-    degenerate = top.degenerate or low.degenerate
+    degenerate = any(lp[j, j].is_zeroish for j in range(d))
     return LvOutput(lp=lp, vp=vp, hp=hp, wp=wp, col_val=col_val, degenerate=degenerate)
 
 

@@ -19,7 +19,7 @@ That step — swap test, pivot guard, re-lifted scalar, column update — is
 :func:`_pivot_step`, the only code that swaps or updates columns of
 elements.  :func:`_eliminate` runs it round by round for every elimination
 here that returns a factor; :func:`vij_statistics` and the one-row band of
-:func:`dvrlu.lu_fast.clear_block` call it directly.
+:func:`dvrlu.lu_fast.clear_block`'s element recursion call it directly.
 
 Flat integral input makes the elimination plain arithmetic in ``Z/p^N``, so
 :func:`_eliminate` runs :func:`stable_l`, :func:`lv_decomposition` and the
@@ -233,7 +233,7 @@ def _naive_elimination(m: PrecMatrix) -> tuple[PrecMatrix, list[int]]:
         for i in range(j + 1, d):
             s = u[i, j] / piv
             lower[i, j] = s
-            for k in range(j, d):
+            for k in range(j + 1, d):  # no later step reads column j of u
                 u[i, k] = u[i, k] - s * u[j, k]
     return lower, pivot_vals
 
@@ -333,6 +333,17 @@ class StableL:
     n: int
 
 
+def _divide_by(den):
+    """x -> x / den, field for field.  A scalar den is inverted once:
+    x * den^-1 equals x / den.  A series den keeps the long division per
+    entry, whose tracked precision the product with the inverse does not
+    always reproduce."""
+    if type(den) is not PrecElem:
+        return lambda x: x / den
+    inv = den.like_one(den.rel_prec) / den
+    return lambda x: x * inv
+
+
 def _quotient_column(lower: PrecMatrix, j: int, num, den, v_round: int, n: int) -> None:
     """Set lower[i, j] = num(i) / den for i > j, each capped at its
     guaranteed absolute precision.
@@ -341,13 +352,12 @@ def _quotient_column(lower: PrecMatrix, j: int, num, den, v_round: int, n: int) 
     valuation (its precision bound when the numerator is indistinguishable
     from zero).  For flat integral inputs it never exceeds the quotient's
     natural precision; capping (never raising) keeps the claim honest for
-    arbitrary inputs.  den is inverted once; num(i) * den^-1 equals
-    num(i) / den field for field.
+    arbitrary inputs.
     """
-    inv, vd = PrecElem.one(den.cfg, den.rel_prec) / den, den.valuation
+    div, vd = _divide_by(den), den.valuation
     for i in range(j + 1, lower.nrows):
         e = num(i)
-        lower[i, j] = (e * inv).cap_abs(n - v_round - max(0, vd - e.val_lower_bound))
+        lower[i, j] = div(e).cap_abs(n - v_round - max(0, vd - e.val_lower_bound))
 
 
 def stable_l(m: PrecMatrix) -> StableL:
@@ -551,9 +561,10 @@ def hermite_from_lv(out: LvOutput) -> PrecMatrix:
             )
         vj = hjj.valuation
         uj = hjj / PrecElem.unit_form(proto.cfg, vj, 1, hjj.rel_prec)
+        div = _divide_by(uj)
         h[j, j] = PrecElem.unit_form(proto.cfg, vj, 1, n - vj)
         for i in range(j + 1, d):
-            h[i, j] = (out.hp[i, j] / uj).cap_abs(n - vj)
+            h[i, j] = div(out.hp[i, j]).cap_abs(n - vj)
     return h
 
 
@@ -628,8 +639,9 @@ def _block_elimination(m: PrecMatrix, block_sizes: Sequence[int], clear: bool) -
                     raise DegenerateInput(
                         f"block pivot at column {jp} indistinguishable from zero"
                     )
+                div = _divide_by(piv)
                 for r in range(d):
-                    lower[r, jp] = at(0, r, jp) / piv
+                    lower[r, jp] = div(at(0, r, jp))
             if clear:
                 # make the diagonal block an identity: subtract the other
                 # block columns one at a time, re-reading updated entries

@@ -83,13 +83,13 @@ RAISE_DEGENERATE = {"stable_l", "block_l", "block_l_unitlower"}
 
 
 def _ran_on_objects(fn, m):
-    """Run fn(m); return whether the object elimination ran, and fn's
-    outcome.  Only lu_stable's own binding of _pivot_step is watched, so
-    the one-row bands of lu_fast.clear_block, which stay on elements, do
-    not count."""
-    with counting(lu_stable, "_pivot_step") as on_objects:
-        out = _outcome(fn, m)
-    return bool(on_objects), out
+    """Run fn(m); return whether an object elimination step ran, in
+    lu_stable or in a one-row band of lu_fast.clear_block, and fn's
+    outcome."""
+    with counting(lu_stable, "_pivot_step") as steps:
+        with counting(lu_fast, "_pivot_step") as bands:
+            out = _outcome(fn, m)
+    return bool(steps or bands), out
 
 
 @st.composite
@@ -157,6 +157,31 @@ def test_series_and_negative_valuation_take_object_path(name):
         assert kernel.columns(m, m.min_abs_prec()) is None
         assert _ran_on_objects(fn, m)[0]
     assert not _ran_on_objects(fn, integral)[0]
+
+
+@pytest.mark.parametrize(
+    "backend, algo", [(Backend.PADIC, "strassen"), (Backend.SERIES, "classical")]
+)
+def test_recursive_lv_bands_stay_on_elements(backend, algo):
+    # Strassen's tracked precision is coarser than the kernel's, and series
+    # entries have no residues: both clear their bands on elements
+    m = random_matrix(DvrConfig(p=5, prec=10, backend=backend), 6, random.Random(4))
+    with counting(lu_fast, "_pivot_step") as bands:
+        lu_fast.recursive_lv(m, threshold=2, algo=algo)
+    assert bands
+
+
+def test_clear_block_decides_on_digits_beyond_n():
+    # both band entries are 0 mod 5^3, so read mod 5^3 their comparison is
+    # undecided; known to 5^6 they compare v(5^5) >= v(5^4), and the band
+    # is cleared on elements without a swap
+    cfg = DvrConfig(p=5, prec=6)
+    x, y = (flat_from_ints(cfg, [[5**k]], 6) for k in (4, 5))
+    with counting(lu_fast, "_pivot_step") as bands:
+        xf, t = lu_fast.clear_block(x, y, 3)
+    assert bands
+    assert xf == x
+    assert t == flat_from_ints(cfg, [[1, -5], [0, 1]], 3)
 
 
 @pytest.mark.parametrize("name", ELIMINATIONS)
