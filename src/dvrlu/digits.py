@@ -12,9 +12,12 @@ digits.  The backend decides the layout and therefore the arithmetic:
 
 Both expose the same methods, all taking and returning stored ints:
 ``add``, ``neg``, ``mul`` and ``inv`` keep n digits, ``shift`` multiplies by
-pi^k, ``strip`` splits off the valuation of a nonzero value, ``trunc`` keeps
-n digits, and ``encode``/``decode`` convert from/to the public base-p
-packing.  :class:`~dvrlu.config.DvrConfig` picks the object once per ring.
+pi^k and ``unshift`` divides a multiple of pi^k by it, ``strip`` splits off
+the valuation of a nonzero value, ``trunc`` keeps n digits, ``sub_scaled``
+is the column update ``[x - s*y mod pi^n]`` of the flat elimination in
+:mod:`dvrlu.kernel`, and ``encode``/``decode`` convert from/to the public
+base-p packing.  :class:`~dvrlu.config.DvrConfig` picks the object once per
+ring.
 """
 
 from __future__ import annotations
@@ -51,6 +54,13 @@ class PadicDigits:
 
     def shift(self, x: int, k: int) -> int:
         return x * pw(self.p, k)
+
+    def unshift(self, x: int, k: int) -> int:
+        return x // pw(self.p, k)
+
+    def sub_scaled(self, xs: list[int], ys: list[int], s: int, n: int) -> list[int]:
+        pn = pw(self.p, n)
+        return [(a - s * b) % pn for a, b in zip(xs, ys)]
 
     def strip(self, x: int) -> tuple[int, int]:
         p = self.p
@@ -98,22 +108,22 @@ class SeriesDigits:
         self._tabs = _SlotMasks(self)
 
     def _reduce(self, x: int, n: int) -> int:
-        """Every one of x's n slots (each below 2^b) reduced mod p.  add, neg
-        and mul repeat this expression inline: they are the hot path, and
-        the call costs about a sixth of stable_l's time at d=14, N=30."""
+        """Every one of x's n slots (each below 2^b) reduced mod p.  add, neg,
+        mul and sub_scaled repeat this expression inline: they are the hot
+        path, and a call per entry would cost more than the reduction."""
         return x - self.p * (((x * self.m) >> self.k) & self._tabs[n][1])
 
     def add(self, x: int, y: int, n: int) -> int:
         if n <= 0:
             return 0
-        full, low_b, _ = self._tabs[n]
+        full, low_b, _, _ = self._tabs[n]
         x = (x + y) & full
         return x - self.p * (((x * self.m) >> self.k) & low_b)
 
     def neg(self, x: int, n: int) -> int:
         if n <= 0:
             return 0
-        full, low_b, pones = self._tabs[n]
+        full, low_b, pones, _ = self._tabs[n]
         x = pones - (x & full)
         return x - self.p * (((x * self.m) >> self.k) & low_b)
 
@@ -124,7 +134,7 @@ class SeriesDigits:
         if n <= 0:
             return 0
         if n <= self.CAP:
-            full, low_b, _ = self._tabs[n]
+            full, low_b, _, _ = self._tabs[n]
             x = (x * y) & full
             return x - self.p * (((x * self.m) >> self.k) & low_b)
         cap, w, tabs = self.CAP, self.w, self._tabs
@@ -154,6 +164,22 @@ class SeriesDigits:
     def shift(self, x: int, k: int) -> int:
         return x << (k * self.w)
 
+    def unshift(self, x: int, k: int) -> int:
+        return x >> (k * self.w)
+
+    def sub_scaled(self, xs: list[int], ys: list[int], s: int, n: int) -> list[int]:
+        # A slot of s*y is at most n*(p-1)^2 <= q (see _SlotMasks), so every
+        # slot of x + q - s*y lies in [0, 2^b): no borrow, and one reduction
+        # mod p gives x - s*y.
+        if n > self.CAP - 2:
+            return [self.add(a, self.neg(self.mul(s, b, n), n), n) for a, b in zip(xs, ys)]
+        full, low_b, _, q = self._tabs[n]
+        m, k, p = self.m, self.k, self.p
+        return [
+            (x := a + q - (s * b & full)) - p * (((x * m) >> k) & low_b)
+            for a, b in zip(xs, ys)
+        ]
+
     def strip(self, x: int) -> tuple[int, int]:
         v = ((x & -x).bit_length() - 1) // self.w
         return v, x >> (v * self.w)
@@ -182,15 +208,20 @@ class SeriesDigits:
 
 class _SlotMasks(dict):
     """Per digit count n of a :class:`SeriesDigits`, built on first use: the
-    mask of n whole slots, the mask of the low b bits of n slots, and p in
-    each of n slots."""
+    mask of n whole slots, the mask of the low b bits of n slots, p in each
+    of n slots, and in each of n slots q, the largest multiple of p at most
+    2^b - p.  A slot of a product of two n-slot operands is at most
+    q when n <= CAP - 2, and p - 1 + q < 2^b."""
 
     def __init__(self, ops: SeriesDigits):
         super().__init__()
         self.ops = ops
 
-    def __missing__(self, n: int) -> tuple[int, int, int]:
+    def __missing__(self, n: int) -> tuple[int, int, int, int]:
         ops = self.ops
         ones = (1 << (n * ops.w)) // ops.slot  # 1 in each of n slots
-        t = self[n] = (ones * ops.slot, ones * ((1 << ops.b) - 1), ones * ops.p)
+        spare = ops.p * ((1 << ops.b) // ops.p - 1)
+        t = self[n] = (
+            ones * ops.slot, ones * ((1 << ops.b) - 1), ones * ops.p, ones * spare
+        )
         return t

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .config import Backend, DvrConfig
+from .config import DvrConfig
 from .digits import pw
 from .errors import AmbiguousValuation, DivisionByUnknownZero
 
@@ -172,17 +172,17 @@ class PrecElem:
         return self.cfg.ops.decode(self._u) * pw(self.cfg.p, self._v)
 
     def residue(self, n: int) -> Optional[int]:
-        """The element mod p^n as an int in [0, p^n), or None unless it is
-        an integral ``Z_p`` element known to absolute precision >= n."""
-        if self.cfg.backend is not Backend.PADIC:
-            return None
+        """The element mod pi^n as a stored int of n digits (for ``Z_p`` the
+        int in [0, p^n) itself), or None unless it is integral and known to
+        absolute precision >= n."""
         v = self._v
         if self._bigoh:
             return 0 if v >= n else None
         if v < 0 or v + self._rel < n:
             return None
-        x = self._u * pw(self.cfg.p, v)
-        return x if v + self._rel == n else x % pw(self.cfg.p, n)
+        ops = self.cfg.ops
+        x = ops.shift(self._u, v)
+        return x if v + self._rel == n else ops.trunc(x, n)
 
     # -- ring protocol (shared with series elements) --------------------------
 

@@ -22,8 +22,9 @@ the classical order-deterministic kernel.  Every product truncated back to
 N of elements (in simul, sheaf and the element recursion) goes through
 :func:`_capped`, which runs a classical one of integral ``Z_p`` operands
 known to precision N on :func:`dvrlu.kernel.capped_product`: same entries,
-same count.  Series entries (so sheaf's), an entry of negative valuation,
-Strassen and the uncapped public product stay on :func:`matmul`.
+same count.  ``F_p[[t]]`` operands, ``SeriesElem`` entries (so sheaf's), an
+entry of negative valuation, Strassen and the uncapped public product stay
+on :func:`matmul`.
 
 :func:`recursive_lv` and :func:`clear_block` are written once, over row
 lists, and run in one of two representations chosen at the top:
@@ -37,7 +38,9 @@ lists, and run in one of two representations chosen at the top:
 * the **element recursion** (:class:`_Elements`), for everything else:
   the leaves are :func:`~dvrlu.lu_stable.lv_decomposition`, the band steps
   :func:`~dvrlu.lu_stable._pivot_step` and the products :func:`_capped`.
-  It is the reference the int recursion reproduces field for field.
+  It is the reference the int recursion reproduces field for field.  On
+  flat ``F_p[[t]]`` input its leaves still run on the kernel, through
+  :func:`~dvrlu.lu_stable.lv_decomposition`.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from operator import mul
 from typing import Sequence
 
 from . import kernel
+from .config import Backend
 from .digits import pw
 from .element import PrecElem
 from .lu_stable import LvOutput, lv_decomposition, working_precision
@@ -234,8 +238,9 @@ class _Residues:
 
 
 class _Elements:
-    """Row lists of elements: the object path, for series entries, an entry
-    of negative valuation or known beyond n, and Strassen products."""
+    """Row lists of elements: the object path, for ``F_p[[t]]`` and
+    ``SeriesElem`` entries, an entry of negative valuation or known beyond
+    n, and Strassen products."""
 
     def __init__(self, proto, algo: str):
         self.proto, self.algo = proto, algo
@@ -275,11 +280,15 @@ def _representation(n: int, algo: str, *mats: PrecMatrix):
 
     An entry known beyond n stays an element: a swap comparison of two
     entries that are both 0 mod p^n is decided by their further digits,
-    where the kernel, reading them mod p^n, would raise.
+    where the kernel, reading them mod p^n, would raise.  ``F_p[[t]]`` stays
+    on elements: a product's sum of slot products could overflow a slot.
     """
     proto = mats[0].rows[0][0]
-    if algo == "classical" and type(proto) is PrecElem and all(
-        e.abs_prec == n for x in mats for row in x.rows for e in row
+    if (
+        algo == "classical"
+        and type(proto) is PrecElem
+        and proto.cfg.backend is Backend.PADIC
+        and all(e.abs_prec == n for x in mats for row in x.rows for e in row)
     ):
         rows = [kernel.ints(x.rows, n, proto.cfg) for x in mats]
         if None not in rows:
@@ -416,9 +425,9 @@ def _lv(m: list[list], n: int, threshold: int, r) -> tuple[list[list], ...]:
     z_bl = [[r.zero(n)] * dp for _ in range(d - dp)]
     hp = _joined([[xf, z_tr], [bl, hp2]])
     lp = _joined([[lp1, z_tr], [mm(m3, vp1), lp2]])
-    w_tr = mm(mm(wp1, t12), wp2)
-    wp = _joined([[mm(wp1, t11), w_tr], [t21, mm(t22, wp2)]])
-    v_tr = mm(mm(wp1, t12), vp2)
+    wt = mm(wp1, t12)
+    wp = _joined([[mm(wp1, t11), mm(wt, wp2)], [t21, mm(t22, wp2)]])
+    v_tr = mm(wt, vp2)
     vp = _joined([[vp1, v_tr], [z_bl, mm(t22, vp2)]])
     return lp, vp, hp, wp
 

@@ -21,12 +21,14 @@ elements.  :func:`_eliminate` runs it round by round for every elimination
 here that returns a factor; :func:`vij_statistics` and the one-row band of
 :func:`dvrlu.lu_fast.clear_block`'s element recursion call it directly.
 
-Flat integral input makes the elimination plain arithmetic in ``Z/p^N``, so
-:func:`_eliminate` runs :func:`stable_l`, :func:`lv_decomposition` and the
-block eliminations on the integer kernel :mod:`dvrlu.kernel` when their
-flattened input is all integral ``Z_p`` entries, and they build elements
-only for what they read, which equals the object path's; the kernel raises
-the object path's errors itself.  Series entries and an entry of negative
+Flat integral input makes the elimination plain arithmetic in ``Z/p^N``
+(``F_p[t]/(t^N)`` over ``F_p[[t]]``), so :func:`_eliminate` runs
+:func:`stable_l`, :func:`lv_decomposition` and the block eliminations on
+the integer kernel :mod:`dvrlu.kernel` when their flattened input is all
+integral :class:`~dvrlu.element.PrecElem` entries of either backend, and
+they build elements only for what they read, which equals the object
+path's; the kernel raises the object path's errors itself.
+:class:`~dvrlu.series.SeriesElem` entries and an entry of negative
 valuation stay on the object path.  :func:`vij_statistics` and
 :func:`naive_gauss_l` always run on the object path.
 

@@ -351,6 +351,25 @@ def test_series_digit_ops_match_schoolbook(p, data):
         assert v >= k and ops.decode(u) * p ** (v - k) == x
     if x % p:
         assert ops.decode(ops.inv(ex, n)) == series_inv(x, p, n)
+    assert ops.decode(ops.unshift(ops.shift(ex, k), k)) == x
+    s = packed(p, data.draw(digit_lists(p)))
+    got = ops.sub_scaled([ops.trunc(ex, n)], [ey], ops.encode(s), n)
+    assert [ops.decode(z) for z in got] == [
+        series_add(x, series_neg(series_mul(s, y, p, n), p, n), p, n)
+    ]
+
+
+@pytest.mark.parametrize("p", SERIES_PRIMES)
+def test_series_sub_scaled_at_the_slot_limit(p):
+    """All digits p - 1 make every slot of x, and of s*y, as large as n
+    digits allow; up to CAP - 2 digits one reduction handles both, beyond
+    that the update goes through add, neg and mul."""
+    ops = SER_CFGS[p].ops
+    for n in (ops.CAP - 2, ops.CAP - 1, ops.CAP + 3):
+        top = sum(ops.shift(p - 1, i) for i in range(n))
+        xs, ys = [top, top, 0, ops.encode(1)], [top, 0, top, top]
+        want = [ops.add(a, ops.neg(ops.mul(top, b, n), n), n) for a, b in zip(xs, ys)]
+        assert ops.sub_scaled(xs, ys, top, n) == want
 
 
 def test_series_beyond_cap_is_exact():

@@ -1,4 +1,4 @@
-"""The integer Z/p^N kernel against the object path.
+"""The integer kernel (Z/p^N and F_p[t]/(t^N)) against the object path.
 
 The object path is forced by making the kernel's eligibility check
 (``kernel.ints``) refuse every matrix.  Both paths must then give equal
@@ -13,6 +13,7 @@ import random
 from contextlib import contextmanager
 from unittest import mock
 
+import oracles
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,6 +23,7 @@ from dvrlu.config import Backend, DvrConfig
 from dvrlu.element import PrecElem
 from dvrlu.errors import AmbiguousValuation, DegenerateInput, DvrError
 from dvrlu.matrix import PrecMatrix, random_matrix
+from dvrlu.series import SeriesElem
 from dvrlu.simul import simultaneous_block_lu
 
 PRIMES = [2, 3, 5, 2**31 - 1]
@@ -94,9 +96,10 @@ def _ran_on_objects(fn, m):
 
 @st.composite
 def residue_matrices(draw):
-    """A flat integer matrix over Z_p at precision N; entries are often 0
-    or divisible by a power of p, so that swaps and undecided comparisons
-    come up."""
+    """A flat integer matrix over Z_p or F_p[[t]] at precision N; entries
+    are often 0 or divisible by a power of p (of t), so that swaps and
+    undecided comparisons come up."""
+    backend = draw(st.sampled_from(Backend))
     p = draw(st.sampled_from(PRIMES))
     n = draw(st.integers(1, 30))
     d = draw(st.integers(1, 8))
@@ -108,7 +111,7 @@ def residue_matrices(draw):
             return 0
         return rng.randrange(p**n) * p ** rng.choice([0, 0, 1, 2, n // 2])
 
-    cfg = DvrConfig(p=p, prec=n)
+    cfg = DvrConfig(p=p, prec=n, backend=backend)
     return flat_from_ints(cfg, [[entry() for _ in range(d)] for _ in range(d)], n)
 
 
@@ -121,7 +124,9 @@ def test_kernel_matches_object_path(name, m):
     with object_path():
         want = _outcome(fn, m)
     assert got == want
-    assert on_kernel and not on_objects
+    # recursive_lv clears F_p[[t]] bands on elements, around kernel leaves
+    bands = name == "recursive_lv" and m.rows[0][0].cfg.backend is Backend.SERIES
+    assert on_kernel and on_objects <= bands
 
 
 @given(
@@ -146,25 +151,82 @@ def test_capped_product_matches_matmul(p, n, shape, extra, seed):
 
 @pytest.mark.parametrize("name", ELIMINATIONS)
 def test_series_and_negative_valuation_take_object_path(name):
+    # SeriesElem entries (the sheaf solver's local factors, which stable_l
+    # does not take) and an entry of negative valuation have no residues
     fn = ELIMINATIONS[name]
     rng = random.Random(3)
-    series = random_matrix(DvrConfig(p=3, prec=8, backend=Backend.SERIES), 4, rng)
     cfg = DvrConfig(p=3, prec=8)
+    series = PrecMatrix([[SeriesElem(cfg, [PrecElem.random(cfg, rng) for _ in range(3)])
+                          for _ in range(4)] for _ in range(4)])
     negative = random_matrix(cfg, 4, rng)
     negative[2, 1] = PrecElem.unit_form(cfg, -1, 2, 9)  # 2/3 + O(3^8)
     integral = random_matrix(cfg, 4, rng)
-    for m in (series, negative):
+    for m in [negative] if name == "stable_l" else [negative, series]:
         assert kernel.columns(m, m.min_abs_prec()) is None
         assert _ran_on_objects(fn, m)[0]
     assert not _ran_on_objects(fn, integral)[0]
+
+
+@pytest.mark.parametrize("name", ELIMINATIONS)
+def test_flat_series_runs_on_kernel(name):
+    # flat F_p[[t]] input is eliminated on slot ints; recursive_lv's leaves
+    # run there too, while its bands and products stay on elements
+    fn = ELIMINATIONS[name]
+    m = random_matrix(DvrConfig(p=3, prec=8, backend=Backend.SERIES), 6, random.Random(3))
+    assert kernel.columns(m, 8) is not None
+    with counting(kernel, "rounds") as leaves, counting(kernel, "capped_product") as products:
+        with counting(lu_stable, "_pivot_step") as steps:
+            with counting(lu_fast, "_pivot_step") as bands:
+                fn(m)
+    assert leaves and not steps
+    assert bool(bands) == bool(products) == (name == "recursive_lv")
+    assert products.count(None) == len(products)
+
+
+def _schoolbook(e):
+    """The schoolbook-oracle copy of an F_p[[t]] element."""
+    j = e.to_json()
+    if "bigoh" in j:
+        return oracles.SchoolbookSeries(e.cfg.p, True, j["bigoh"])
+    return oracles.SchoolbookSeries(e.cfg.p, False, j["v"], int(j["digits"]), j["rel"])
+
+
+@given(
+    p=st.sampled_from(PRIMES),
+    n=st.integers(1, 12),
+    shape=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+    seed=st.integers(0, 2**32),
+)
+def test_series_products_stay_on_elements(p, n, shape, seed):
+    # a sum of slot products could overflow a slot, so F_p[[t]] products
+    # stay on elements: the public matmul is the schoolbook classical
+    # product, and recursive_lv (leaves on the kernel, products and bands on
+    # elements) equals its all-element run
+    rng = random.Random(seed)
+    cfg = DvrConfig(p=p, prec=n, backend=Backend.SERIES)
+    r, k, c = shape
+    a, b = (
+        PrecMatrix([[PrecElem.random(cfg, rng) for _ in range(w)] for _ in range(h)])
+        for h, w in ((r, k), (k, c))
+    )
+    assert kernel.capped_product(a, b, n) is None
+    sa, sb = ([[_schoolbook(e) for e in row] for row in x.rows] for x in (a, b))
+    want = [[sum((x * y for x, y in zip(ra[1:], cb[1:])), ra[0] * cb[0]).to_json()
+             for cb in zip(*sb)] for ra in sa]
+    assert [[e.to_json() for e in row] for row in lu_fast.matmul(a, b).rows] == want
+    m = random_matrix(cfg, r + c, rng)
+    got = _outcome(lambda x: lu_fast.recursive_lv(x, threshold=2), m)
+    with object_path():
+        assert got == _outcome(lambda x: lu_fast.recursive_lv(x, threshold=2), m)
 
 
 @pytest.mark.parametrize(
     "backend, algo", [(Backend.PADIC, "strassen"), (Backend.SERIES, "classical")]
 )
 def test_recursive_lv_bands_stay_on_elements(backend, algo):
-    # Strassen's tracked precision is coarser than the kernel's, and series
-    # entries have no residues: both clear their bands on elements
+    # Strassen's tracked precision is coarser than the kernel's, and a sum
+    # of F_p[[t]] slot products could overflow a slot: both clear their
+    # bands on elements
     m = random_matrix(DvrConfig(p=5, prec=10, backend=backend), 6, random.Random(4))
     with counting(lu_fast, "_pivot_step") as bands:
         lu_fast.recursive_lv(m, threshold=2, algo=algo)
