@@ -76,6 +76,18 @@ def _square_dim(m: PrecMatrix) -> int:
     return m.nrows
 
 
+def _scalar_dim(m: PrecMatrix, what: str) -> int:
+    """The dimension of square m, after refusing any entry that is not a
+    :class:`~dvrlu.element.PrecElem`: `what` reads scalar valuations, which
+    a truncated series over the ring (``SeriesElem``) does not have."""
+    d = _square_dim(m)
+    for row in m.rows:
+        for e in row:
+            if not isinstance(e, PrecElem):
+                raise ValueError(f"{what} needs PrecElem entries, got {type(e).__name__}")
+    return d
+
+
 def working_precision(m: PrecMatrix) -> int:
     """The largest precision any entry carries (= the flat precision for
     flat inputs)."""
@@ -170,9 +182,10 @@ def vij_statistics(m: PrecMatrix) -> VijProfile:
     so a value read before any update keeps every digit its entry carries.
 
     Raises AmbiguousValuation when a swap decision is not forced by the
-    known precision, DegenerateInput when a pivot degenerates.
+    known precision, DegenerateInput when a pivot degenerates, ValueError
+    for an entry that is not a PrecElem.
     """
-    d = _square_dim(m)
+    d = _scalar_dim(m, "vij_statistics")
     n = m.min_abs_prec()
     omega = m.copy()
     prof = VijProfile()
@@ -246,8 +259,10 @@ def naive_gauss_l(m: PrecMatrix) -> PrecMatrix:
     Precision is whatever the plain arithmetic yields — this is the unstable
     baseline whose entries lose precision proportional to the accumulated
     pivot valuations.  Raises DivisionByUnknownZero when a pivot is
-    indistinguishable from zero.
+    indistinguishable from zero, ValueError for an entry that is not a
+    PrecElem.
     """
+    _scalar_dim(m, "naive_gauss_l")
     return _naive_elimination(m)[0]
 
 
@@ -277,7 +292,7 @@ def lift_recompute_l(m: PrecMatrix, extra: Optional[int] = None) -> PrecMatrix:
     """
     if extra is not None and extra < 0:
         raise ValueError(f"extra must be non-negative, got {extra}")
-    d = _square_dim(m)
+    d = _scalar_dim(m, "lift_recompute_l")
     flat, n = _flattened(m)
     q = m.rows[0][0].cfg.q
     if extra is None:
@@ -378,8 +393,9 @@ def stable_l(m: PrecMatrix) -> StableL:
         AmbiguousValuation: a swap decision was not forced at this precision.
         DegenerateInput: a leading principal minor is indistinguishable
             from zero (a pivot is, or the minor's valuation reaches N).
+        ValueError: an entry is not a PrecElem.
     """
-    d = _square_dim(m)
+    d = _scalar_dim(m, "stable_l")
     omega, n = _flattened(m)
     lower = PrecMatrix.identity_like(m, d, n)
     col_vals = []

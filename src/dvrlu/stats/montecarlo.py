@@ -14,6 +14,15 @@ digit.  The flagged trials are re-run on an engine at 2K digits, which
 holds Python ints instead of machine words, after fresh Haar digits extend
 the matrix to precision 2K.
 
+The engine works on a column-major, trial-minor copy ``c[col, row, trial]``
+of the batch, so that one column of every trial is one contiguous (d, B)
+block and each (i, j) step is a few in-place numpy calls on it.  Per
+diagonal it caches the pivot's valuation and the inverse of its unit part,
+refreshed only where a swap replaces the pivot.  Odd-p valuations below
+2^16 read a per-p table on ``x mod p^k0`` (p^k0 <= 2^16), built on first
+use; the rare entries that p^k0 divides, larger p and the object engine
+take ``gcd(x, p^K)``.
+
 Trials are processed in fixed-size chunks, each with its own generator
 seeded by (seed, chunk index), so results are identical for any worker
 count and the chunked merge is deterministic.
@@ -21,6 +30,7 @@ count and the chunked merge is deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -38,6 +48,27 @@ def _chunk_size(d: int) -> int:
     return max(256, min(4096, _CHUNK_TARGET // max(1, d * d)))
 
 
+_TABLE_SPAN = 1 << 16  # largest p^k0 a valuation table covers
+
+
+@functools.cache
+def _valuation_table(p: int) -> tuple[int, np.ndarray]:
+    """(p^k0, t) with p^k0 the largest power of p <= 2^16, t[r] = v_p(r)
+    for 0 < r < p^k0 and t[0] = -1: x mod p^k0 = 0 says only v(x) >= k0.
+    Read-only; one per p for the life of the process."""
+    span = p
+    while span * p <= _TABLE_SPAN:
+        span *= p
+    table = np.zeros(span, dtype=np.int8)
+    q = p
+    while q < span:
+        table[::q] += 1
+        q *= p
+    table[0] = -1
+    table.flags.writeable = False
+    return span, table
+
+
 class Engine:
     """Exact batched arithmetic in Z/p^K with valuation bookkeeping.
 
@@ -48,6 +79,13 @@ class Engine:
     Raises ValueError unless p is prime (the valuations and Fermat inverses
     mean nothing modulo a composite), and, with k unset, for an odd p whose
     residue products (p - 1)^2 do not fit in int64.
+
+    :meth:`eliminate` runs on a column-major, trial-minor copy of the batch
+    and caches each pivot's valuation and unit inverse (see there).
+    :meth:`vals` takes the lowest set bit for p = 2, reads the module's
+    valuation table on ``x mod p^k0`` for an odd p <= 2^16 on machine words,
+    and otherwise looks ``gcd(x, p^K)`` up among the powers of p.  The
+    engine holds no table itself, so pickling it to a worker sends none.
     """
 
     def __init__(self, p: int, k: Optional[int] = None):
@@ -79,24 +117,23 @@ class Engine:
     def vals(self, x: np.ndarray) -> np.ndarray:
         """Entrywise valuation; exact zeros get the sentinel K."""
         if self.modulus is None:
-            out = np.full(x.shape, 64, dtype=np.int64)
-            nz = x != 0
-            if nz.any():
-                xs = x[nz]
-                lsb = xs & ((~xs) + np.uint64(1))
-                out[nz] = np.log2(lsb.astype(np.float64)).astype(np.int64)
+            # the lowest set bit 2^v is exact as a float: frexp gives v + 1
+            lsb = x & ((~x) + np.uint64(1))
+            out = np.frexp(lsb.astype(np.float64))[1].astype(np.int64) - 1
+            out[x == 0] = 64
             return out
-        out = np.zeros(x.shape, dtype=np.int64)
-        y = x.copy()
-        nz = y != 0
-        while True:
-            div = nz & (y % self.p == 0)
-            if not div.any():
-                break
-            y[div] //= self.p
-            out[div] += 1
-        out[~nz] = self.K
+        if self.dtype is object or self.p > _TABLE_SPAN:
+            return self._gcd_vals(x)
+        span, table = _valuation_table(self.p)
+        out = table[x % span].astype(np.int64)
+        rest = out < 0
+        if rest.any():
+            out[rest] = self._gcd_vals(x[rest])
         return out
+
+    def _gcd_vals(self, x: np.ndarray) -> np.ndarray:
+        # gcd(x, p^K) = p^v(x), and p^K for an exact zero
+        return np.searchsorted(self.pows, np.gcd(x, self.modulus)).astype(np.int64)
 
     def inv_units(self, u: np.ndarray) -> np.ndarray:
         """Inverse of odd/unit residues mod p^K (Newton iteration)."""
@@ -122,29 +159,27 @@ class Engine:
             bits *= 2
         return x
 
-    def _scaled_quotient(self, e, piv, vp, dead):
+    def _unit_inverse(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Inverse of the unit part of x, whose valuation is v.  An exact
+        zero (v = K) gets 0, which makes its scalar 0."""
+        if self.modulus is None:
+            return self.inv_units(x >> v.astype(np.uint64))
+        return self.inv_units(x // self.pows[v])
+
+    def _scalar(self, e: np.ndarray, v: np.ndarray, inv: np.ndarray) -> np.ndarray:
         """The elimination scalar, exactly as the object path lifts it:
-        strip the pivot, multiply by its unit inverse, keep K - v_p digits."""
+        strip the pivot's valuation v from e, multiply by the inverse of
+        the pivot's unit part, keep K - v digits.  It is 0 for a dead pivot,
+        since then e is an exact zero too (the swap rule left it there)."""
         if self.modulus is None:
-            vp_safe = np.where(dead, 0, vp).astype(np.uint64)
-            piv_safe = np.where(dead, np.uint64(1), piv)
-            inv = self.inv_units(piv_safe >> vp_safe)
-            mask = (~np.uint64(0)) >> vp_safe
-            s = ((e >> vp_safe) * inv) & mask
-            return np.where(dead, np.uint64(0), s)
-        vp_safe = np.where(dead, 0, vp)
-        piv_safe = np.where(dead, 1, piv)
-        inv = self.inv_units(piv_safe // self.pows[vp_safe])
-        s = ((e // self.pows[vp_safe]) * inv) % self.pows[self.K - vp_safe]
-        return np.where(dead, 0, s)
+            sh = v.astype(np.uint64)
+            return ((e >> sh) * inv) & ((~np.uint64(0)) >> sh)
+        return ((e // self.pows[v]) * inv) % self.pows[self.K - v]
 
-    def _sub_scaled(self, dst, s, src):
-        if self.modulus is None:
-            return dst - s[:, None] * src
-        return (dst - s[:, None] * src) % self.modulus
-
-    def eliminate(self, m: np.ndarray, record_table: bool = False) -> dict:
-        """Run the pivoted elimination in place on a (B, d, d) batch.
+    def eliminate(self, m: np.ndarray, record_table: bool = False, *,
+                  in_place: bool = True) -> dict:
+        """Run the pivoted elimination on a (B, d, d) batch; with in_place
+        (the default) H' is left in m, otherwise m is not touched.
 
         Returns per-trial arrays:
           vl          max denominator exponent of the factor (int64)
@@ -155,61 +190,71 @@ class Engine:
           ambiguous   True when some swap comparison was not forced
           table       (B, d, d) valuation reads (sentinel K for zeros),
                       only when record_table
+
+        The work runs on c[col, row, trial].  By step (i, j) rows < i of
+        columns i and j are exact zeros, so a swap or an update touches
+        rows >= i only.  pv[i] and inv[i] cache the valuation of the
+        diagonal entry (i, i) and the inverse of its unit part: set at the
+        end of round i, changed afterwards only by a swap at some (i, j).
         """
         b, d, _ = m.shape
         k = self.K
+        c = np.ascontiguousarray(m.transpose(2, 1, 0))
+        pv = np.empty((d, b), dtype=np.int64)
+        inv = np.empty((d, b), dtype=self.dtype)
         ambiguous = np.zeros(b, dtype=bool)
         vl_ok = np.ones(b, dtype=bool)
-        boundary = np.full((b, d), -1, dtype=np.int64)
-        table = np.full((b, d, d), -1, dtype=np.int64) if record_table else None
+        boundary = np.empty((d, b), dtype=np.int64)
+        table = np.full((d, d, b), -1, dtype=np.int64) if record_table else None
         min_m = np.zeros(b, dtype=np.int64)
         for j in range(d):
+            cj = c[j]
             for i in range(j):
-                e = m[:, i, j]
-                piv = m[:, i, i]
-                ve = self.vals(e)
-                vp = self.vals(piv)
+                ci, vp = c[i], pv[i]
+                ve = self.vals(cj[i])
                 if record_table:
-                    table[:, i, j] = ve
+                    table[i, j] = ve
                 ambiguous |= (ve == k) & (vp == k)
                 sw = ve < vp
                 if sw.any():
                     idx = np.nonzero(sw)[0]
-                    tmp = m[idx, :, i].copy()
-                    m[idx, :, i] = m[idx, :, j]
-                    m[idx, :, j] = tmp
-                    ve, vp = np.where(sw, vp, ve), np.where(sw, ve, vp)
-                    e = m[:, i, j]
-                    piv = m[:, i, i]
-                dead = vp == k
-                s = self._scaled_quotient(e, piv, vp, dead)
-                m[:, :, j] = self._sub_scaled(m[:, :, j], s, m[:, :, i])
-            idx = np.arange(j + 1)
-            dvals = self.vals(np.ascontiguousarray(m[:, idx, idx]))
+                    tmp = ci[i:, idx]
+                    ci[i:, idx] = cj[i:, idx]
+                    cj[i:, idx] = tmp
+                    vp[idx] = ve[idx]
+                    inv[i, idx] = self._unit_inverse(ci[i, idx], vp[idx])
+                s = self._scalar(cj[i], vp, inv[i])
+                rows = cj[i:]
+                rows -= ci[i:] * s
+                if self.modulus is not None:
+                    rows %= self.modulus
+            vjj = self.vals(cj[j])
+            pv[j] = vjj
+            inv[j] = self._unit_inverse(cj[j], vjj)
             if record_table:
-                table[:, j, j] = dvals[:, j]
-            good = ~(dvals == k).any(axis=1)
-            boundary[good, j] = dvals[good].sum(axis=1)
+                table[j, j] = vjj
+            diag = pv[: j + 1]
+            boundary[j] = np.where((diag == k).any(axis=0), -1, diag.sum(axis=0))
             if j < d - 1:
-                vjj = dvals[:, j]
                 vl_ok &= vjj != k
-                vsub = self.vals(np.ascontiguousarray(m[:, j + 1 :, j]))
                 # exact-zero entries have quotient valuation >= K - v_jj >= 1,
                 # so they can never lower the (<= 0 clipped) minimum: the
                 # sentinel K makes them harmlessly large here
-                mj = vsub.min(axis=1) - vjj
+                mj = self.vals(cj[j + 1 :]).min(axis=0) - vjj
                 min_m = np.minimum(min_m, np.where(vl_ok, mj, min_m))
-        det_ok = boundary[:, d - 1] >= 0
+        if in_place:
+            m[...] = c.transpose(2, 1, 0)
+        boundary = np.ascontiguousarray(boundary.T)
         out = {
             "vl": -min_m,
             "vl_ok": vl_ok,
             "det_val": boundary[:, d - 1],
-            "det_ok": det_ok,
+            "det_ok": boundary[:, d - 1] >= 0,
             "boundary": boundary,
             "ambiguous": ambiguous,
         }
         if record_table:
-            out["table"] = table
+            out["table"] = np.ascontiguousarray(table.transpose(2, 0, 1))
         return out
 
 
@@ -238,15 +283,14 @@ def _run_chunk(args) -> dict:
     eng, d, n, seed, chunk_idx, record_table = args
     rng = np.random.default_rng(np.random.SeedSequence([seed, chunk_idx]))
     m = eng.random(rng, (n, d, d))
-    packed = m.copy()
-    out = eng.eliminate(m, record_table)
+    out = eng.eliminate(m, record_table, in_place=False)
     bad = _unresolved(out)
     retried = 0
     dropped = 0
     for t in np.nonzero(bad)[0]:
         retried += 1
         rng_t = np.random.default_rng(np.random.SeedSequence([seed, chunk_idx, int(t)]))
-        fix = _retry(eng, packed[t], rng_t, record_table)
+        fix = _retry(eng, m[t], rng_t, record_table)
         if fix is None:
             dropped += 1
             continue
@@ -322,8 +366,7 @@ def simulate_matrices(p: int, matrices: np.ndarray, record_table: bool = False) 
     against the tracked-element path on identical inputs.
     """
     eng = Engine(p)
-    m = np.array(matrices, dtype=eng.dtype, copy=True)
-    return eng.eliminate(m, record_table)
+    return eng.eliminate(np.asarray(matrices, dtype=eng.dtype), record_table, in_place=False)
 
 
 # ---------------------------------------------------------------------------

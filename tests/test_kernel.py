@@ -15,7 +15,7 @@ from unittest import mock
 
 import oracles
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import flat_from_ints
 from dvrlu import kernel, lu_fast, lu_stable
@@ -37,12 +37,17 @@ def object_path():
 
 @contextmanager
 def counting(module, name):
-    """Record what each call of module.name returns while the block runs."""
+    """Record what each call of module.name returns, or the exception it
+    raises, while the block runs."""
     calls = []
     orig = getattr(module, name)
 
     def spy(*args, **kwargs):
-        out = orig(*args, **kwargs)
+        try:
+            out = orig(*args, **kwargs)
+        except BaseException as exc:
+            calls.append(exc)
+            raise
         calls.append(out)
         return out
 
@@ -115,8 +120,14 @@ def residue_matrices(draw):
     return flat_from_ints(cfg, [[entry() for _ in range(d)] for _ in range(d)], n)
 
 
+# row 0 is 0 mod t, so recursive_lv's first band step raises AmbiguousValuation
+BAND_RAISES = flat_from_ints(DvrConfig(p=2, prec=1, backend=Backend.SERIES),
+                             [[0, 0, 0], [0, 1, 1], [1, 1, 1]], 1)
+
+
 @pytest.mark.parametrize("name", ELIMINATIONS)
 @given(m=residue_matrices())
+@example(m=BAND_RAISES)
 def test_kernel_matches_object_path(name, m):
     fn = ELIMINATIONS[name]
     with counting(kernel, "rounds") as on_kernel:
@@ -127,6 +138,11 @@ def test_kernel_matches_object_path(name, m):
     # recursive_lv clears F_p[[t]] bands on elements, around kernel leaves
     bands = name == "recursive_lv" and m.rows[0][0].cfg.backend is Backend.SERIES
     assert on_kernel and on_objects <= bands
+
+
+def test_a_step_that_raises_is_counted():
+    ran, (exc, _) = _ran_on_objects(ELIMINATIONS["recursive_lv"], BAND_RAISES)
+    assert ran and exc is AmbiguousValuation
 
 
 @given(

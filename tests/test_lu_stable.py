@@ -321,6 +321,19 @@ def test_stable_degenerate_raises():
         stable_l(m)
 
 
+@pytest.mark.parametrize(
+    "fn", [stable_l, vij_statistics, naive_gauss_l, lift_recompute_l], ids=lambda f: f.__name__
+)
+def test_scalar_eliminations_refuse_series_entries(fn):
+    # these read scalar valuations, which truncated series entries lack
+    cfg = DvrConfig(p=3, prec=6)
+    rng = random.Random(3)
+    m = PrecMatrix([[SeriesElem(cfg, [PrecElem.random(cfg, rng) for _ in range(3)])
+                     for _ in range(4)] for _ in range(4)])
+    with pytest.raises(ValueError, match=f"^{fn.__name__} needs PrecElem entries, got SeriesElem$"):
+        fn(m)
+
+
 def test_unit_minor_input_has_zero_col_vals():
     # build L * U with unit diagonals: all principal minors are units
     rng = random.Random(4)

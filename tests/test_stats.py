@@ -10,6 +10,7 @@ valuation read, boundary sum and swap must agree digit for digit.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -311,39 +312,56 @@ def _prime_at_most(x: int) -> int:
 
 
 @settings(max_examples=40)
-@example(p=2, d=4, seed=0)
-@example(p=EDGE_P, d=4, seed=0)
+@example(p=2, d=4, b=4, zeros=0.0, twice=False, seed=0)
+@example(p=EDGE_P, d=4, b=4, zeros=0.0, twice=False, seed=0)
+@example(p=3, d=8, b=16, zeros=0.3, twice=False, seed=1)
+@example(p=2, d=5, b=8, zeros=0.3, twice=True, seed=2)
 @given(
-    p=st.integers(2, EDGE_P).map(_prime_at_most),
-    d=st.integers(2, 5),
+    p=st.one_of(
+        st.sampled_from([2, 3, 5, 7]),
+        st.integers(2, 1 << 16).map(_prime_at_most),
+        st.integers(2, EDGE_P).map(_prime_at_most),
+    ),
+    d=st.integers(1, 8),
+    b=st.integers(1, 16),
+    zeros=st.sampled_from([0.0, 0.3, 0.7]),
+    twice=st.booleans(),
     seed=st.integers(0, 2**32),
 )
-def test_engine_matches_object_elimination_at_random_primes(p, d, seed):
-    # every profile read, V_L, v(det) and H' of the engine agree with the
-    # tracked-element path on the same packed matrices
+def test_engine_matches_object_elimination_at_random_primes(p, d, b, zeros, twice, seed):
+    # every profile read, flag, V_L, v(det) and the in-place H' of the engine
+    # agree with the tracked-element path on the same packed matrices; zeroed
+    # entries bring swaps, dead pivots and undecided comparisons, p above
+    # 2^16 the valuations by gcd, and `twice` the 2K-digit engine of retries
     eng = Engine(p)
+    rng = np.random.default_rng(seed)
+    mats = eng.random(rng, (b, d, d))
+    mats[rng.random(mats.shape) < zeros] = 0
+    if twice:
+        high = eng.random(rng, mats.shape)
+        high[rng.random(mats.shape) < zeros] = 0
+        mats = mats.astype(object) + p**eng.K * high.astype(object)
+        eng = Engine(p, 2 * eng.K)
     k = eng.K
-    mats = eng.random(np.random.default_rng(seed), (4, d, d))
-    out = simulate_matrices(p, mats, record_table=True)
     eliminated = mats.copy()
-    eng.eliminate(eliminated)
+    out = eng.eliminate(eliminated, record_table=True)
     cfg = DvrConfig(p=p, prec=k)
-    for b in range(mats.shape[0]):
+    for t in range(b):
         obj = PrecMatrix(
-            [[PrecElem.from_int(cfg, int(x), abs_prec=k) for x in row] for row in mats[b]]
+            [[PrecElem.from_int(cfg, int(x), abs_prec=k) for x in row] for row in mats[t]]
         )
-        if out["ambiguous"][b]:
+        if out["ambiguous"][t]:
             with pytest.raises(AmbiguousValuation):
                 vij_statistics(obj)
             continue
         prof = vij_statistics(obj)
         for (i, j), v in prof.table.items():
-            assert out["table"][b, i, j] == (k if v is None else v)
-        assert prof.boundary_sums == [None if x < 0 else int(x) for x in out["boundary"][b]]
-        assert prof.det_val == (int(out["det_val"][b]) if out["det_ok"][b] else None)
-        assert prof.vl == (int(out["vl"][b]) if out["vl_ok"][b] else None)
+            assert out["table"][t, i, j] == (k if v is None else v)
+        assert prof.boundary_sums == [None if x < 0 else int(x) for x in out["boundary"][t]]
+        assert prof.det_val == (int(out["det_val"][t]) if out["det_ok"][t] else None)
+        assert prof.vl == (int(out["vl"][t]) if out["vl_ok"][t] else None)
         hp = lv_decomposition(obj).hp
-        assert [[e.representative() for e in r] for r in hp.rows] == eliminated[b].tolist()
+        assert [[e.representative() for e in r] for r in hp.rows] == eliminated[t].tolist()
 
 
 class _ZeroingRng:
@@ -426,6 +444,53 @@ def test_simulate_retries_unresolved_trials_at_twice_the_digits(monkeypatch, p, 
     assert retried > dropped >= 1
     for key in keys:
         assert np.array_equal(out[key], np.array(want[key]))
+
+
+def _digest(out: dict) -> str:
+    """sha256 over simulate's fields in key order: name, shape and int64
+    bytes of each array, the value of each count."""
+    h = hashlib.sha256()
+    for key in sorted(out):
+        val = out[key]
+        h.update(key.encode())
+        if isinstance(val, np.ndarray):
+            a = np.ascontiguousarray(val, dtype=np.int64)
+            h.update(repr(a.shape).encode())
+            h.update(a.tobytes())
+        else:
+            h.update(repr(int(val)).encode())
+    return h.hexdigest()
+
+
+# simulate's outputs for fixed seeds: the benchmark's three kinds, a
+# recorded table, two worker processes, and zeroed draws that force 196
+# retries at 2K digits (51 of them dropped)
+MC_GOLDEN = {
+    "p2_d16": ((2, 16, 1536), {"seed": 1},
+               "429490441b10de15e08273a743ada19799b3c97c2936a7d7394f0c844df1b7ae"),
+    "p5_d25": ((5, 25, 320), {"seed": 2},
+               "0da72ea0bcf7529c77faf4f95b4d16078cd7c80135d975a03778bb4947df8c2a"),
+    "p3_d32": ((3, 32, 144), {"seed": 3},
+               "6ccbdf81f4d2e2aed148d932f563d2b80bcaca7a2d086ecdfec66597c687f6fc"),
+    "table": ((7, 5, 600), {"seed": 5, "record_table": True},
+              "c5c56f9225052c3f4d92c6bc6494322c5ec4872e8a832f02b1db96377e8ebcd5"),
+    "jobs2": ((3, 3, 6000), {"seed": 6, "jobs": 2},
+              "007c9aa02d43be6bc04975d0ff55f2da838242ebefd43133ee452ad97964709e"),
+    "retry": ((3, 4, 400), {"seed": 8, "record_table": True},
+              "79471368d718777b380c87dea66749167dd86012951ee9b3befe4be70cf12d2c"),
+}
+
+
+@pytest.mark.parametrize("case", MC_GOLDEN)
+def test_simulate_matches_golden_hashes(monkeypatch, case):
+    args, kwargs, want = MC_GOLDEN[case]
+    if case == "retry":
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seq: _ZeroingRng(real, seq))
+    out = simulate(*args, **kwargs)
+    if case == "retry":
+        assert (out["retried"], out["dropped"]) == (196, 51)
+    assert _digest(out) == want
 
 
 def test_simulate_checks_p_once_per_call(monkeypatch):
