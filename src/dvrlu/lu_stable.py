@@ -29,8 +29,11 @@ integral :class:`~dvrlu.element.PrecElem` entries of either backend, and
 they build elements only for what they read, which equals the object
 path's; the kernel raises the object path's errors itself.
 :class:`~dvrlu.series.SeriesElem` entries and an entry of negative
-valuation stay on the object path.  :func:`vij_statistics` and
-:func:`naive_gauss_l` always run on the object path.
+valuation stay on the object path.  :func:`vij_statistics` always runs on
+the object path.  The naive elimination under :func:`naive_gauss_l` and
+:func:`lift_recompute_l` is not flat, so it has no kernel; it runs
+:class:`~dvrlu.element.PrecElem`'s arithmetic inline on each entry's fields
+(:func:`_naive_elimination`) and builds elements only for L.
 
 Provided algorithms:
 
@@ -60,6 +63,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import kernel
+from .digits import PadicDigits
 from .element import PrecElem, valuation_less
 from .errors import (
     DegenerateDecomposition,
@@ -94,15 +98,24 @@ def working_precision(m: PrecMatrix) -> int:
     return max(e.abs_prec for r in m.rows for e in r)
 
 
+def _require_digits(n: int) -> int:
+    """n, or ValueError unless the working precision n leaves a digit to
+    eliminate on."""
+    if n < 1:
+        raise ValueError(f"working precision N = {n}: an elimination needs N >= 1")
+    return n
+
+
 def _flattened(m: PrecMatrix) -> tuple[PrecMatrix, int]:
     """A copy of m capped to its smallest entry precision N, and N.
 
     The eliminations that return a factor work on this copy at precision N:
     a cleared entry is treated as exactly zero, which it is only up to the
     precision of its row, so a digit beyond the smallest precision cannot be
-    claimed.  Flat input comes back unchanged.
+    claimed.  Flat input comes back unchanged.  Raises ValueError when N is
+    below 1 (an entry of negative valuation known to precision <= 0).
     """
-    n = m.min_abs_prec()
+    n = _require_digits(m.min_abs_prec())
     return m.cap_abs(n), n
 
 
@@ -231,25 +244,100 @@ def _naive_elimination(m: PrecMatrix) -> tuple[PrecMatrix, list[int]]:
     """Textbook row elimination without pivoting: the unit lower triangular
     L and the successive pivot valuations.
 
-    Raises DivisionByUnknownZero when a pivot is indistinguishable from zero.
+    For i > j, step j sets L[i, j] = s = u[i, j] / u[j, j] and
+    u[i, k] = u[i, k] - s * u[j, k] for k > j (no later step reads column j
+    of u), in :class:`~dvrlu.element.PrecElem` arithmetic: every entry's
+    precision evolves on its own, so this is no flat elimination and the
+    integer kernel does not apply.  The loop runs on each entry's fields
+    ``(bigoh, v, u, rel)``, read once, with the element's precision rules
+    inlined (a big-oh zero ``O(pi^v)`` has u = rel = 0, so its absolute
+    precision is v + rel as for a unit form):
+
+    * the product t = s * b, b = u[j, k], has valuation (bound)
+      vt = vs + vb, keeps the smaller relative precision and has digits
+      su * bu;
+    * a - t, a = u[i, k], keeps n = min(abs(a), abs(t)) and is
+      ``au pi^(va - m) - su bu pi^(vt - m)`` mod pi^(n - m), m = min(va, vt),
+      split into valuation and unit, or ``O(pi^n)`` when that is zero or
+      n <= m (the negation's and the product's own truncations drop only
+      digits at or above pi^n);
+    * the quotient keeps the smaller relative precision, with the pivot's
+      unit inverted once per column.
+
+    Elements are built only for L, equal field for field to the element
+    arithmetic's (``tests/oracles.py`` keeps that loop as the reference).
+    ``Z_p`` runs on ints and a p-power list, ``F_p[[t]]`` on its digit-ops
+    methods.
+
+    Raises DivisionByUnknownZero when a pivot is indistinguishable from
+    zero, ValueError when the largest entry precision N is below 1.
     """
     d = _square_dim(m)
-    n = working_precision(m)
-    u = m.copy()
+    n = _require_digits(working_precision(m))
+    ops = m.rows[0][0].cfg.ops
+    padic = isinstance(ops, PadicDigits)
+    p, add, neg, mul, shift, strip = ops.p, ops.add, ops.neg, ops.mul, ops.shift, ops.strip
+    rows = [[(e._bigoh, e._v, e._u, e._rel) for e in row] for row in m.rows]
+    lo = min(e[1] for row in rows for e in row)  # no valuation (bound) goes lower
+    pows = [1]  # powers of p, grown per column as far as its exponents reach
     lower = PrecMatrix.identity_like(m, d, n)
     pivot_vals = []
     for j in range(d):
-        piv = u[j, j]
-        if piv.is_zeroish:
+        prow = rows[j]
+        zero, pv, pu, pr = prow[j]
+        if zero:
             raise DivisionByUnknownZero(
                 f"naive elimination hit zeroish pivot at column {j}"
             )
-        pivot_vals.append(piv.valuation)
-        for i in range(j + 1, d):
-            s = u[i, j] / piv
-            lower[i, j] = s
-            for k in range(j + 1, d):  # no later step reads column j of u
-                u[i, k] = u[i, k] - s * u[j, k]
+        pivot_vals.append(pv)
+        ks = range(j + 1, d)
+        if not ks:
+            break
+        # each exponent below (va - m, vt - m, n - m, the pivot's rel) is at
+        # most max(N, vt) - lo: precisions stay <= N, valuations >= lo
+        svs = [rows[i][j][1] - pv for i in ks]
+        bvs = [prow[k][1] for k in ks]
+        lo = min(lo, min(svs) + min(bvs))
+        while len(pows) <= max(n, max(svs) + max(bvs)) - lo:
+            pows.append(pows[-1] * p)
+        pinv = pow(pu, -1, pows[pr]) if padic else ops.inv(pu, pr)
+        for i, sv in zip(ks, svs):
+            row = rows[i]
+            sz, _, su, sr = row[j]
+            if not sz:
+                sr = sr if sr < pr else pr
+                su = su * pinv % pows[sr] if padic else mul(su, pinv, sr)
+            lower[i, j] = PrecElem(m.rows[i][j].cfg, sz, sv, su, sr)
+            for k in ks:
+                _, av, au, ar = row[k]
+                _, bv, bu, br = prow[k]
+                tv = sv + bv
+                tr = sr if sr < br else br
+                nn = av + ar
+                if tv + tr < nn:
+                    nn = tv + tr
+                mm = av if av < tv else tv
+                nd = nn - mm
+                if nd <= 0:
+                    row[k] = (True, nn, 0, 0)
+                    continue
+                if padic:
+                    r = (au * pows[av - mm] - su * bu * pows[tv - mm]) % pows[nd]
+                    rv = 0
+                    if not r % p:
+                        if not r:
+                            row[k] = (True, nn, 0, 0)
+                            continue
+                        while not r % p:
+                            r //= p
+                            rv += 1
+                else:
+                    r = add(shift(au, av - mm), neg(shift(mul(su, bu, tr), tv - mm), nd), nd)
+                    if not r:
+                        row[k] = (True, nn, 0, 0)
+                        continue
+                    rv, r = strip(r)
+                row[k] = (False, mm + rv, r, nd - rv)
     return lower, pivot_vals
 
 

@@ -21,7 +21,8 @@ diagonal it caches the pivot's valuation and the inverse of its unit part,
 refreshed only where a swap replaces the pivot.  Odd-p valuations below
 2^16 read a per-p table on ``x mod p^k0`` (p^k0 <= 2^16), built on first
 use; the rare entries that p^k0 divides, larger p and the object engine
-take ``gcd(x, p^K)``.
+take ``gcd(x, p^K)``.  A unit inverse mod p^K is a Newton lift that starts,
+for p <= 2^16, from a second such table, of the inverses mod p^k0.
 
 Trials are processed in fixed-size chunks, each with its own generator
 seeded by (seed, chunk index), so results are identical for any worker
@@ -67,6 +68,43 @@ def _valuation_table(p: int) -> tuple[int, np.ndarray]:
     table[0] = -1
     table.flags.writeable = False
     return span, table
+
+
+@functools.cache
+def _inverse_table(p: int) -> tuple[int, int, np.ndarray]:
+    """(p^k0, k0, t) for the span p^k0 of :func:`_valuation_table`, with
+    t[r] = r^-1 mod p^k0 for r prime to p and t[r] = 0 otherwise: the seed
+    of :meth:`Engine.inv_units`' Newton lift.  Read-only; one per p for
+    the life of the process."""
+    span, _ = _valuation_table(p)
+    k0 = 1
+    while p**k0 < span:
+        k0 += 1
+    r = np.arange(span, dtype=np.uint32)  # a product of two residues fits
+    t = _lift_inverse(r, _fermat_inverse(r, p), 1, k0, span).astype(np.uint16)
+    t[r % p == 0] = 0
+    t.flags.writeable = False
+    return span, k0, t
+
+
+def _fermat_inverse(u: np.ndarray, p: int) -> np.ndarray:
+    """u^(p-2) mod p entrywise: the inverse mod p of every unit."""
+    base, x, e = u % p, np.ones_like(u), p - 2
+    while e:
+        if e & 1:
+            x = (x * base) % p
+        base = (base * base) % p
+        e >>= 1
+    return x
+
+
+def _lift_inverse(u: np.ndarray, x: np.ndarray, digits: int, k: int, modulus) -> np.ndarray:
+    """x, the inverse of the units u mod p^digits, Newton-lifted to mod
+    p^k = modulus: each step doubles the digits that are right."""
+    while digits < k:  # 2 + modulus - ..., not 2 - ...: u may be unsigned
+        x = (x * ((2 + modulus - (u * x) % modulus) % modulus)) % modulus
+        digits *= 2
+    return x
 
 
 class Engine:
@@ -136,28 +174,23 @@ class Engine:
         return np.searchsorted(self.pows, np.gcd(x, self.modulus)).astype(np.int64)
 
     def inv_units(self, u: np.ndarray) -> np.ndarray:
-        """Inverse of odd/unit residues mod p^K (Newton iteration)."""
+        """Inverse of odd/unit residues mod p^K by Newton iteration: from
+        u itself on 2^64 words, otherwise from the module's table of
+        inverses mod p^k0 for p <= 2^16 and from the Fermat inverse mod p
+        above that."""
         if self.modulus is None:
             x = u.copy()
             two = np.uint64(2)
             for _ in range(5):  # 3 correct bits double per step: > 64 after 5
                 x = x * (two - u * x)
             return x
-        p, big = self.p, self.modulus
-        base = u % p
-        res = np.ones_like(base)
-        e = p - 2
-        while e:  # Fermat inverse mod p
-            if e & 1:
-                res = (res * base) % p
-            base = (base * base) % p
-            e >>= 1
-        x = res
-        bits = 1
-        while bits < self.K:  # lift to mod p^K
-            x = (x * ((2 - (u * x) % big) % big)) % big
-            bits *= 2
-        return x
+        if self.p > _TABLE_SPAN:
+            return _lift_inverse(u, _fermat_inverse(u, self.p), 1, self.K, self.modulus)
+        span, k0, table = _inverse_table(self.p)
+        x = table[np.asarray(u % span, dtype=np.int64)].astype(self.dtype, copy=False)
+        if k0 >= self.K:
+            return x % self.modulus
+        return _lift_inverse(u, x, k0, self.K, self.modulus)
 
     def _unit_inverse(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Inverse of the unit part of x, whose valuation is v.  An exact

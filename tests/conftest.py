@@ -2,9 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
-from dvrlu import DvrConfig, PrecElem, PrecMatrix
+from dvrlu import Backend, DvrConfig, PrecElem, PrecMatrix
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -16,6 +16,30 @@ def flat_from_ints(cfg: DvrConfig, rows, n=None) -> PrecMatrix:
     return PrecMatrix(
         [[PrecElem.from_int(cfg, x, abs_prec=n) for x in row] for row in rows]
     )
+
+
+PRIMES = [2, 3, 5, 2**31 - 1]
+
+
+@st.composite
+def residue_matrices(draw):
+    """A flat integer matrix over Z_p or F_p[[t]] at precision N; entries
+    are often 0 or divisible by a power of p (of t), so that swaps and
+    undecided comparisons come up."""
+    backend = draw(st.sampled_from(Backend))
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 8))
+    zeros = draw(st.sampled_from([0.0, 0.3, 0.7]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def entry():
+        if rng.random() < zeros:
+            return 0
+        return rng.randrange(p**n) * p ** rng.choice([0, 0, 1, 2, n // 2])
+
+    cfg = DvrConfig(p=p, prec=n, backend=backend)
+    return flat_from_ints(cfg, [[entry() for _ in range(d)] for _ in range(d)], n)
 
 
 def random_int_rows(rng: random.Random, d: int, p: int, n: int):

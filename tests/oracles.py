@@ -2,7 +2,8 @@
 
 Everything in this module works over exact rationals (``fractions.Fraction``)
 and plain integers — no precision tracking, no imports from the package under
-test.  The elimination oracle mirrors the pivoted column elimination over the
+test — except :func:`naive_elimination`, the reference for the package's
+naive elimination, which runs the package's own element arithmetic.  The elimination oracle mirrors the pivoted column elimination over the
 field of fractions, so the package's finite-precision answers can be checked
 digit by digit against ground truth; the determinant and minor helpers give a
 second, independent route to the same quantities (Cramer quotients, principal
@@ -352,3 +353,36 @@ class SchoolbookSeries:
             return f"O(t^{self.v})"
         head = f"{self.u}" if self.v == 0 else f"{self.u}*t^{self.v}"
         return f"{head} + O(t^{self.abs_prec()})"
+
+
+# ---------------------------------------------------------------------------
+# the naive elimination on elements
+# ---------------------------------------------------------------------------
+
+
+def naive_elimination(m):
+    """Textbook row elimination without pivoting on the matrix's own
+    elements: (L, pivot valuations), or DivisionByUnknownZero at a pivot
+    indistinguishable from zero.  This is the element loop that
+    ``dvrlu.lu_stable._naive_elimination`` runs on entry fields; both must
+    agree field for field on every input of working precision >= 1."""
+    from dvrlu.errors import DivisionByUnknownZero
+
+    d = m.nrows
+    n = max(e.abs_prec for row in m.rows for e in row)
+    u = m.copy()
+    lower = type(m).identity_like(m, d, n)
+    pivot_vals = []
+    for j in range(d):
+        piv = u[j, j]
+        if piv.is_zeroish:
+            raise DivisionByUnknownZero(
+                f"naive elimination hit zeroish pivot at column {j}"
+            )
+        pivot_vals.append(piv.valuation)
+        for i in range(j + 1, d):
+            s = u[i, j] / piv
+            lower[i, j] = s
+            for k in range(j + 1, d):  # no later step reads column j of u
+                u[i, k] = u[i, k] - s * u[j, k]
+    return lower, pivot_vals

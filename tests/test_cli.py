@@ -112,6 +112,17 @@ def test_lu_run_precision_failure_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algo", ["stable", "naive"])
+def test_lu_run_working_precision_below_one_is_input_error(tmp_path, capsys, algo):
+    # 3^-1 + O(3^0) is known to absolute precision 0
+    cfg = DvrConfig(p=3, prec=10)
+    rows = [[{"v": -1, "digits": "1", "rel": 1}]]
+    path = _write(tmp_path, "m.json", {"config": cfg.to_json(), "matrix": {"d": 1, "rows": rows}})
+    assert main(["lu", "run", "--input", path, "--algo", algo]) == 2
+    assert capsys.readouterr() == (
+        "", "error: working precision N = 0: an elimination needs N >= 1\n")
+
+
 @pytest.mark.parametrize("extra, message", [
     (["--algo", "lv"],
      "cannot compare v(O(5^6)) with v(O(5^6)): both indistinguishable from zero"),

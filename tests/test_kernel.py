@@ -17,7 +17,7 @@ import oracles
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import flat_from_ints
+from conftest import PRIMES, flat_from_ints, residue_matrices
 from dvrlu import kernel, lu_fast, lu_stable
 from dvrlu.config import Backend, DvrConfig
 from dvrlu.element import PrecElem
@@ -25,9 +25,6 @@ from dvrlu.errors import AmbiguousValuation, DegenerateInput, DvrError
 from dvrlu.matrix import PrecMatrix, random_matrix
 from dvrlu.series import SeriesElem
 from dvrlu.simul import simultaneous_block_lu
-
-PRIMES = [2, 3, 5, 2**31 - 1]
-
 
 @contextmanager
 def object_path():
@@ -97,27 +94,6 @@ def _ran_on_objects(fn, m):
         with counting(lu_fast, "_pivot_step") as bands:
             out = _outcome(fn, m)
     return bool(steps or bands), out
-
-
-@st.composite
-def residue_matrices(draw):
-    """A flat integer matrix over Z_p or F_p[[t]] at precision N; entries
-    are often 0 or divisible by a power of p (of t), so that swaps and
-    undecided comparisons come up."""
-    backend = draw(st.sampled_from(Backend))
-    p = draw(st.sampled_from(PRIMES))
-    n = draw(st.integers(1, 30))
-    d = draw(st.integers(1, 8))
-    zeros = draw(st.sampled_from([0.0, 0.3, 0.7]))
-    rng = random.Random(draw(st.integers(0, 2**32)))
-
-    def entry():
-        if rng.random() < zeros:
-            return 0
-        return rng.randrange(p**n) * p ** rng.choice([0, 0, 1, 2, n // 2])
-
-    cfg = DvrConfig(p=p, prec=n, backend=backend)
-    return flat_from_ints(cfg, [[entry() for _ in range(d)] for _ in range(d)], n)
 
 
 # row 0 is 0 mod t, so recursive_lv's first band step raises AmbiguousValuation

@@ -2,12 +2,13 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from conftest import elem_matches_fraction, flat_from_ints, random_int_rows
+from conftest import elem_matches_fraction, flat_from_ints, random_int_rows, residue_matrices
 from dvrlu import (
     AmbiguousValuation,
     Backend,
@@ -36,10 +37,12 @@ from dvrlu import (
     vl_of_lower,
     working_precision,
 )
+from dvrlu import lu_stable
 from dvrlu.series import SeriesElem
 
 CFG = DvrConfig(p=5, prec=10)
 CFG2 = DvrConfig(p=2, prec=20)
+CFG3 = DvrConfig(p=3, prec=10)
 
 
 def nonsingular_rows(rng, d, p, n):
@@ -83,6 +86,91 @@ def test_naive_zeroish_pivot_raises():
     m = flat_from_ints(CFG, [[0, 1], [1, 1]])
     with pytest.raises(DivisionByUnknownZero):
         naive_gauss_l(m)
+
+
+@st.composite
+def naive_inputs(draw):
+    """A residue matrix made non-flat: some entries lose digits, some take
+    a negative valuation, some become big-oh zeros of another precision."""
+    m = draw(residue_matrices())
+    cfg = m.rows[0][0].cfg
+    p, n, d = cfg.p, cfg.prec, m.nrows
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    for _ in range(draw(st.integers(0, 2 * d))):
+        i, j = rng.randrange(d), rng.randrange(d)
+        kind = rng.randrange(3)
+        if kind == 0:
+            m[i, j] = m[i, j].cap_abs(n - rng.randint(1, 4))
+        elif kind == 1:
+            unit = rng.randrange(1, p) + p * rng.randrange(p**2)
+            m[i, j] = PrecElem.unit_form(cfg, -rng.randint(1, 3), unit, rng.randint(1, n + 3))
+        else:
+            m[i, j] = PrecElem.bigoh(cfg, rng.randint(-2, n))
+    return m
+
+
+def _raised_or(fn, m):
+    """fn(m), or the class, message and required_prec of what it raised."""
+    try:
+        return fn(m)
+    except (DvrError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "required_prec", None)
+
+
+# a pivot of negative valuation, an entry known to fewer digits and a big-oh
+# entry: [[3^-1 + O(3), 1 + O(3^10)], [1 + O(3^4), O(3^7)]]
+NEGATIVE_PIVOT = PrecMatrix([
+    [PrecElem.unit_form(CFG3, -1, 1, 2), PrecElem.from_int(CFG3, 1)],
+    [PrecElem.from_int(CFG3, 1, abs_prec=4), PrecElem.bigoh(CFG3, 7)],
+])
+
+
+@given(m=naive_inputs())
+@example(m=NEGATIVE_PIVOT)
+def test_naive_tuples_match_the_element_loop(m):
+    # _naive_elimination runs on entry fields; oracles keeps the element
+    # loop it replaced.  L, the pivot valuations, the error and message
+    # must agree, and so must lift_recompute_l run on either loop.
+    if working_precision(m) >= 1:  # below, the reference fails building L
+        assert _raised_or(lu_stable._naive_elimination, m) == _raised_or(
+            oracles.naive_elimination, m)
+    got = _raised_or(lift_recompute_l, m)
+    with mock.patch.object(lu_stable, "_naive_elimination", oracles.naive_elimination):
+        assert got == _raised_or(lift_recompute_l, m)
+
+
+# ---------------------------------------------------------------------------
+# a working precision below 1
+# ---------------------------------------------------------------------------
+
+
+# [[3^-1 + O(3^0), 1], [1, 1]]: the smallest entry precision N is 0
+BELOW_ONE = PrecMatrix([
+    [PrecElem.unit_form(CFG3, -1, 1, 1), PrecElem.from_int(CFG3, 1)],
+    [PrecElem.from_int(CFG3, 1), PrecElem.from_int(CFG3, 1)],
+])
+
+BELOW_ONE_ELIMINATIONS = {
+    "stable_l": stable_l,
+    "lv_decomposition": lv_decomposition,
+    "lv_to_l": lambda m: lv_to_l(lv_decomposition(m)),
+    "hermite_from_lv": lambda m: hermite_from_lv(lv_decomposition(m)),
+    "recursive_lv": lambda m: recursive_lv(m, threshold=1),
+    "block_l": lambda m: block_l(m, [1, 1]),
+    "block_l_unitlower": lambda m: block_l_unitlower(m, [1, 1]),
+    "lift_recompute_l": lift_recompute_l,
+    # the naive elimination works at the largest entry precision
+    "naive_gauss_l": lambda m: naive_gauss_l(m.block(0, 1, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", BELOW_ONE_ELIMINATIONS)
+def test_working_precision_below_one_is_refused(name):
+    # N < 1 leaves no digit to eliminate on, and no lift adds one: the
+    # refusal names N, and is an input error (CLI exit 2), not a precision
+    # failure (exit 3)
+    with pytest.raises(ValueError, match=r"^working precision N = 0: an elimination needs N >= 1$"):
+        BELOW_ONE_ELIMINATIONS[name](BELOW_ONE)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -284,6 +285,21 @@ EDGE_P = 3037000493  # the largest prime with (p - 1)^2 < 2^63
 def test_engine_rejects_p_whose_products_overflow(call):
     with pytest.raises(ValueError, match=r"\(p - 1\)\^2 < 2\^63"):
         call()
+
+
+@pytest.mark.parametrize("k", [None, 1, 3, 40])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 251, 65521, 65537, EDGE_P])
+def test_inv_units_is_the_inverse_mod_p_to_the_k(p, k):
+    # odd p <= 2^16 seed the Newton lift from a table mod p^k0, which can
+    # hold more digits than K (k = 1, 3); larger p start from Fermat mod p;
+    # p = 2 on machine words (k = None) has a lift of its own
+    eng = Engine(p, k)
+    modulus = 2**64 if eng.modulus is None else eng.modulus
+    rng = random.Random(p)
+    units = [x for x in (rng.randrange(1, modulus) for _ in range(60)) if x % p]
+    got = eng.inv_units(np.array(units, dtype=eng.dtype))
+    assert got.dtype == eng.dtype
+    assert [int(x) for x in got] == [pow(x, -1, modulus) for x in units]
 
 
 def test_engine_at_int64_limit_matches_object_elimination():
