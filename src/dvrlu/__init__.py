@@ -7,7 +7,7 @@ live in :mod:`dvrlu.stats`.
 """
 
 from .config import Backend, DvrConfig
-from .element import PrecElem, valuation_less
+from .element import PrecElem
 from .errors import (
     AmbiguousValuation,
     CoincidentPoints,
@@ -36,8 +36,6 @@ from .lu_stable import (
     precision_loss,
     stable_l,
     vij_statistics,
-    vl_of_lower,
-    working_precision,
 )
 from .matrix import PrecMatrix, random_matrix
 from .series import SeriesElem
@@ -46,8 +44,6 @@ from .sheaf import (
     SheafInstance,
     SheafPoint,
     VerifyReport,
-    block_type_from_exponents,
-    build_divisors,
     random_instance,
     solve_sheaf,
     verify_local_equivalence,
@@ -91,8 +87,6 @@ __all__ = [
     "attempt_simultaneous",
     "block_l",
     "block_l_unitlower",
-    "block_type_from_exponents",
-    "build_divisors",
     "clear_block",
     "hermite_from_lv",
     "invert_via_lv",
@@ -110,9 +104,6 @@ __all__ = [
     "simultaneous_block_lu",
     "solve_sheaf",
     "stable_l",
-    "valuation_less",
     "verify_local_equivalence",
     "vij_statistics",
-    "vl_of_lower",
-    "working_precision",
 ]

@@ -320,15 +320,6 @@ def _joined(grid: Sequence[Sequence[list[list]]]) -> list[list]:
     return [row for band in grid for row in _hstack(*band)]
 
 
-def _embed(t: list[list], idx: Sequence[int], size: int, n: int, r) -> list[list]:
-    """Identity of the given size with t placed on the index set idx."""
-    out = _identity(r, size, n)
-    for a, ia in enumerate(idx):
-        for b, ib in enumerate(idx):
-            out[ia][ib] = t[a][b]
-    return out
-
-
 def _clear(x: list[list], y: list[list], n: int, r) -> tuple[list[list], list[list]]:
     """:func:`clear_block` on row lists in representation r."""
     k, w = len(x), len(y[0])
@@ -357,14 +348,15 @@ def _clear(x: list[list], y: list[list], n: int, r) -> tuple[list[list], list[li
     # 4) clear Y's bottom-right against the updated X4
     x4, t4 = _clear(x4, y4, n, r)
 
-    size = k + w
-    s1 = list(range(0, c)) + list(range(k, k + w1))
-    s2 = list(range(0, c)) + list(range(k + w1, k + w))
-    s3 = list(range(c, k)) + list(range(k, k + w1))
-    s4 = list(range(c, k)) + list(range(k + w1, k + w))
-    t = _embed(t1, s1, size, n, r)
-    for ti, si in ((t2, s2), (t3, s3), (t4, s4)):
-        t = mm(t, _embed(ti, si, size, n, r))
+    # T = E(t1) E(t2) E(t3) E(t4), E(ti) the identity with ti on the index
+    # set si: right-multiplying by E(ti) replaces only the columns si
+    top, bottom = list(range(c)), list(range(c, k))
+    left, right = list(range(k, k + w1)), list(range(k + w1, k + w))
+    t = _identity(r, k + w, n)
+    for ti, si in ((t1, top + left), (t2, top + right), (t3, bottom + left), (t4, bottom + right)):
+        for row, updated in zip(t, mm([[row[j] for j in si] for row in t], ti)):
+            for j, e in zip(si, updated):
+                row[j] = e
     return _joined([[x1, x2], [x3, x4]]), t
 
 
@@ -384,9 +376,11 @@ def clear_block(
     sub-step operates on X's lower-right quadrant, the corresponding top
     rows of the touched columns are exact zeros O(pi^n) (cleared by the
     earlier sub-steps or the zero block of X), and column operations keep
-    them exact zeros, so the transform is not applied to them at all.  A
-    band of integral ``Z_p`` entries all at precision exactly n runs on
-    ints mod p^n; any other band on elements.
+    them exact zeros, so the transform is not applied to them at all.  T is
+    the product of the four sub-steps' transforms, each the identity outside
+    the columns its sub-step touches.  A band of integral ``Z_p`` entries
+    all at precision exactly n runs on ints mod p^n; any other band on
+    elements.
     """
     if y.nrows != x.nrows or x.ncols != x.nrows:
         raise ValueError("band shapes disagree")

@@ -196,10 +196,10 @@ def vij_statistics(m: PrecMatrix) -> VijProfile:
 
     Raises AmbiguousValuation when a swap decision is not forced by the
     known precision, DegenerateInput when a pivot degenerates, ValueError
-    for an entry that is not a PrecElem.
+    for an entry that is not a PrecElem or when N is below 1.
     """
     d = _scalar_dim(m, "vij_statistics")
-    n = m.min_abs_prec()
+    n = _require_digits(m.min_abs_prec())
     omega = m.copy()
     prof = VijProfile()
     quotients = []  # (numerator, pivot valuation) below each round's pivot

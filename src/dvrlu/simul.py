@@ -146,12 +146,11 @@ def _certify(omega: PrecMatrix, v: int, n: int, items):
             return SimulFailure(
                 "factor-valuation", idx, f"factor has an entry below valuation {-v}"
             )
-        if _det_unit_detectable(gate):
-            got = fact.lower.min_abs_prec()
-            if got < n - 2 * v:
-                return SimulFailure(
-                    "factor-precision", idx, f"absolute precision {got} < {n - 2 * v}"
-                )
+        got = fact.lower.min_abs_prec()
+        if got < n - 2 * v and _det_unit_detectable(gate):
+            return SimulFailure(
+                "factor-precision", idx, f"absolute precision {got} < {n - 2 * v}"
+            )
         factors.append(fact)
     return omega_inv, factors
 

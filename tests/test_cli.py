@@ -112,7 +112,7 @@ def test_lu_run_precision_failure_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("algo", ["stable", "naive"])
+@pytest.mark.parametrize("algo", ["stable", "naive", "profile"])
 def test_lu_run_working_precision_below_one_is_input_error(tmp_path, capsys, algo):
     # 3^-1 + O(3^0) is known to absolute precision 0
     cfg = DvrConfig(p=3, prec=10)

@@ -15,8 +15,8 @@ from dvrlu import (
     DivisionByUnknownZero,
     DvrConfig,
     PrecElem,
-    valuation_less,
 )
+from dvrlu.element import valuation_less
 
 CFG = DvrConfig(p=5, prec=10)
 CFG2 = DvrConfig(p=2, prec=16)

@@ -34,10 +34,9 @@ from dvrlu import (
     recursive_lv,
     stable_l,
     vij_statistics,
-    vl_of_lower,
-    working_precision,
 )
 from dvrlu import lu_stable
+from dvrlu.lu_stable import vl_of_lower, working_precision
 from dvrlu.series import SeriesElem
 
 CFG = DvrConfig(p=5, prec=10)
@@ -159,6 +158,7 @@ BELOW_ONE_ELIMINATIONS = {
     "block_l": lambda m: block_l(m, [1, 1]),
     "block_l_unitlower": lambda m: block_l_unitlower(m, [1, 1]),
     "lift_recompute_l": lift_recompute_l,
+    "vij_statistics": vij_statistics,
     # the naive elimination works at the largest entry precision
     "naive_gauss_l": lambda m: naive_gauss_l(m.block(0, 1, 0, 1)),
 }

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from dvrlu import simul
 from dvrlu.config import DvrConfig
 from dvrlu.element import PrecElem
 from dvrlu.errors import DegenerateInput, ExhaustedRetries
@@ -198,6 +199,29 @@ def test_attempt_factor_stage_failure(monkeypatch):
     got = attempt_simultaneous(cfg, [(zero, [1, 1])], 2, random.Random(0))
     assert isinstance(got, SimulFailure)
     assert got.stage == "factor"
+
+
+@pytest.mark.parametrize("member_prec, stage, gate_reads", [
+    (10, None, 0),  # every factor meets N - 2v: the gate is never read
+    (5, "factor-precision", 1),  # below N - 2v with a unit determinant
+])
+def test_factor_precision_reads_the_gate_only_below_the_bound(
+    monkeypatch, member_prec, stage, gate_reads
+):
+    cfg = DvrConfig(p=5, prec=10)
+    ident = flat_from_ints(cfg, [[1, 0], [0, 1]])
+    monkeypatch.setattr("dvrlu.simul.random_matrix", lambda *a, **k: ident.copy())
+    reads = []
+    real = simul._det_unit_detectable
+    monkeypatch.setattr(simul, "_det_unit_detectable", lambda m: reads.append(m) or real(m))
+    member = flat_from_ints(cfg, [[1, 0], [0, 1]], member_prec)
+    got = attempt_simultaneous(cfg, [(member, [1, 1])], 1, random.Random(0))
+    assert len(reads) == gate_reads
+    if stage is None:
+        assert isinstance(got, SimulResult)
+    else:
+        assert isinstance(got, SimulFailure)
+        assert (got.stage, got.matrix_index) == (stage, 0)
 
 
 # ---------------------------------------------------------------------------
