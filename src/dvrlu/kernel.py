@@ -52,8 +52,10 @@ The module's functions:
 * :func:`capped_product` is ``matmul(a, b).cap_abs(N)`` for ``Z_p``
   operands: each entry is ``sum(a_ik b_kj) mod p^N``.  It serves
   :func:`dvrlu.lu_fast._capped`, which every product truncated back to N
-  goes through.  It refuses ``F_p[[t]]``, whose sum of d slot products
-  could overflow a slot.
+  goes through, and :func:`dvrlu.lu_fast._capped_coefficients`, which runs
+  the sheaf's ``omega * M_m`` as one such product per coefficient matrix
+  ``M^(l)`` of the series matrix M_m.  It refuses ``F_p[[t]]``, whose sum of
+  d slot products could overflow a slot.
 
 The int recursion of :func:`dvrlu.lu_fast.recursive_lv` (and of a
 :func:`~dvrlu.lu_fast.clear_block` band all at precision exactly N) runs on

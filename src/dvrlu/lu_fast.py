@@ -22,9 +22,13 @@ the classical order-deterministic kernel.  Every product truncated back to
 N of elements (in simul, sheaf and the element recursion) goes through
 :func:`_capped`, which runs a classical one of integral ``Z_p`` operands
 known to precision N on :func:`dvrlu.kernel.capped_product`: same entries,
-same count.  ``F_p[[t]]`` operands, ``SeriesElem`` entries (so sheaf's), an
-entry of negative valuation, Strassen and the uncapped public product stay
-on :func:`matmul`.
+same count.  ``F_p[[t]]`` operands, ``SeriesElem`` entries, an entry of
+negative valuation, Strassen and the uncapped public product stay on
+:func:`matmul`.  The sheaf's ``omega * M_m``, a scalar matrix times a
+series matrix, runs per coefficient instead: :func:`_capped_coefficients`
+takes each coefficient matrix's product ``omega * M^(l)`` to the kernel and
+counts them as the one product they stand for; only when the kernel
+refuses one does the ``SeriesElem`` product run on :func:`matmul`.
 
 :func:`recursive_lv` and :func:`clear_block` are written once, over row
 lists, and run in one of two representations chosen at the top:
@@ -115,6 +119,20 @@ def _capped(a: PrecMatrix, b: PrecMatrix, n: int, algo: str = "classical") -> Pr
             _MUL_COUNT += a.nrows * a.ncols * b.ncols
             return out
     return matmul(a, b, algo).cap_abs(n)
+
+
+def _capped_coefficients(
+    a: PrecMatrix, bs: Sequence[PrecMatrix], n: int
+) -> list[PrecMatrix] | None:
+    """``[_capped(a, b, n) for b in bs]`` on the integer kernel, counted as
+    the one product it stands for (bs are the coefficient matrices of one
+    series matrix), or None when the kernel refuses any of them."""
+    global _MUL_COUNT
+    out = [kernel.capped_product(a, b, n) if a.ncols == b.nrows else None for b in bs]
+    if any(x is None for x in out):
+        return None
+    _MUL_COUNT += a.nrows * a.ncols * bs[0].ncols
+    return out
 
 
 def _pad_even(a: PrecMatrix, n: int) -> PrecMatrix:
@@ -458,65 +476,3 @@ def recursive_lv(
     col_val = [_val_or_none(hp[j, j]) for j in range(d)]
     degenerate = any(lp[j, j].is_zeroish for j in range(d))
     return LvOutput(lp=lp, vp=vp, hp=hp, wp=wp, col_val=col_val, degenerate=degenerate)
-
-
-# ---------------------------------------------------------------------------
-# elimination orders
-# ---------------------------------------------------------------------------
-
-
-def is_nice_order(pairs: Sequence[tuple[int, int]], d: int) -> bool:
-    """Check the two defining conditions of a nice elimination order on the
-    strictly-upper positions (i, j), 0-indexed, i < j:
-
-    1. within a column, earlier rows first: i <= i' < j implies (i, j)
-       comes no later than (i', j);
-    2. a column is complete before serving as pivot: j <= i' implies (i, j)
-       comes no later than (i', j').
-    """
-    pos = {p: r for r, p in enumerate(pairs)}
-    if len(pos) != d * (d - 1) // 2:
-        return False
-    for (i, j), r in pos.items():
-        if not (0 <= i < j < d):
-            return False
-        for (a, b), r2 in pos.items():
-            if b == j and i <= a and r > r2 and (a, b) != (i, j):
-                return False
-            if j <= a and r > r2:
-                return False
-    return True
-
-
-def elimination_order(d: int, threshold: int = 32) -> list[tuple[int, int]]:
-    """The global order in which :func:`recursive_lv` clears positions.
-
-    Raises ValueError when threshold is below 1, as recursive_lv does.
-    """
-    if threshold < 1:
-        raise ValueError(f"threshold must be at least 1, got {threshold}")
-
-    def scalar(cols: list[int]) -> list[tuple[int, int]]:
-        return [(cols[i], cols[j]) for j in range(len(cols)) for i in range(j)]
-
-    def band(rows: list[int], ycols: list[int]) -> list[tuple[int, int]]:
-        k, w = len(rows), len(ycols)
-        if w == 0:
-            return []
-        if k == 1:
-            return [(rows[0], yc) for yc in ycols]
-        c, w1 = k // 2, w // 2
-        return (
-            band(rows[:c], ycols[:w1])
-            + band(rows[:c], ycols[w1:])
-            + band(rows[c:], ycols[:w1])
-            + band(rows[c:], ycols[w1:])
-        )
-
-    def rec(cols: list[int]) -> list[tuple[int, int]]:
-        if len(cols) <= threshold:
-            return scalar(cols)
-        dp = len(cols) // 2
-        return rec(cols[:dp]) + band(cols[:dp], cols[dp:]) + rec(cols[dp:])
-
-    return rec(list(range(d)))

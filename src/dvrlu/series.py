@@ -7,6 +7,12 @@ same element protocol as the scalars, so the block elimination runs on
 series matrices unchanged; pivoting decisions are driven by the constant
 coefficient (an entry counts as "indistinguishable from zero" when its
 constant coefficient does).
+
+Products and quotients read each coefficient once as its fields
+``(v, u, rel)``, a big-oh zero ``O(pi^n)`` being ``(n, 0, 0)`` so that one
+formula serves both shapes, run PrecElem's rules on them through the ring's
+digit-ops object and build elements only for the result, equal field for
+field to the element loops that ``tests/oracles.py`` keeps as reference.
 """
 
 from __future__ import annotations
@@ -16,6 +22,71 @@ from typing import Sequence
 from .config import DvrConfig
 from .element import PrecElem
 from .errors import DivisionByUnknownZero
+
+Fields = tuple[int, int, int]
+
+
+def _fields(coeffs: Sequence[PrecElem]) -> list[Fields]:
+    return [(c._v, c._u, c._rel) for c in coeffs]
+
+
+def _elements(cfg: DvrConfig, fields: Sequence[Fields]) -> list[PrecElem]:
+    return [PrecElem(cfg, rel == 0, v, u, rel) for v, u, rel in fields]
+
+
+def _times(ops, x: Fields, y: Fields) -> Fields:
+    """x * y by PrecElem's rule; the unit is 0 when a factor is big-oh."""
+    r = x[2] if x[2] < y[2] else y[2]
+    return x[0] + y[0], ops.mul(x[1], y[1], r), r
+
+
+def _plus(ops, x: Fields, y: Fields) -> Fields:
+    """x + y by PrecElem's rule (a big-oh zero's unit 0 shifts to 0)."""
+    xv, xu, xr = x
+    yv, yu, yr = y
+    n = xv + xr if xv + xr < yv + yr else yv + yr
+    m = xv if xv < yv else yv
+    nd = n - m
+    s = ops.add(ops.shift(xu, xv - m), ops.shift(yu, yv - m), nd)  # 0 if nd <= 0
+    if not s:
+        return n, 0, 0
+    v, s = ops.strip(s)
+    return m + v, s, nd - v
+
+
+def _convolve(ops, a: Sequence[Fields], b: Sequence[Fields], k: int) -> list[Fields]:
+    """The first k <= len(a) + len(b) - 1 coefficients of the product of
+    coefficient lists a and b, each summed in ascending index of a."""
+    out = []
+    for s in range(k):
+        lo, hi = max(0, s - len(b) + 1), min(s + 1, len(a))
+        acc = _times(ops, a[lo], b[s - lo])
+        for i in range(lo + 1, hi):
+            acc = _plus(ops, acc, _times(ops, a[i], b[s - i]))
+        out.append(acc)
+    return out
+
+
+def _quotient(ops, f: Sequence[Fields], g: Sequence[Fields]) -> list[Fields]:
+    """Long division f / g in R[[X]]/(X^len(f)), g_0 in unit form:
+    q_k = (f_k - g_1 q_(k-1) - ... - g_k q_0) / g_0, inverting g_0's unit
+    once per relative precision the quotients need."""
+    gv, gu, gr = g[0]
+    invs: dict[int, int] = {}
+    q: list[Fields] = []
+    for k in range(len(f)):
+        acc = f[k]
+        for i in range(1, k + 1):
+            tv, tu, tr = _times(ops, g[i], q[k - i])
+            acc = _plus(ops, acc, (tv, ops.neg(tu, tr), tr))
+        av, au, r = acc
+        r = r if r < gr else gr
+        if r:
+            if r not in invs:
+                invs[r] = ops.inv(gu, r)
+            au = ops.mul(au, invs[r], r)
+        q.append((av - gv, au, r))
+    return q
 
 
 class SeriesElem:
@@ -93,33 +164,22 @@ class SeriesElem:
 
     def __mul__(self, other: "SeriesElem") -> "SeriesElem":
         self._check(other)
-        n = self.order
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for k in range(n):
-            acc = a[0] * b[k]
-            for i in range(1, k + 1):
-                acc = acc + a[i] * b[k - i]
-            out.append(acc)
-        return SeriesElem(self.cfg, out)
+        cfg = self.cfg
+        prod = _convolve(cfg.ops, _fields(self.coeffs), _fields(other.coeffs), self.order)
+        return SeriesElem(cfg, _elements(cfg, prod))
 
     def __truediv__(self, other: "SeriesElem") -> "SeriesElem":
         """Long division in R[[X]]/(X^order); the divisor's constant
         coefficient must be distinguishable from zero (it may have positive
         valuation — quotient coefficients then live in the fraction field)."""
         self._check(other)
-        g = other.coeffs
-        if g[0].is_zeroish:
+        if other.coeffs[0].is_zeroish:
             raise DivisionByUnknownZero(
                 "series division by element with zeroish constant coefficient"
             )
-        q: list[PrecElem] = []
-        for k in range(self.order):
-            acc = self.coeffs[k]
-            for i in range(1, k + 1):
-                acc = acc - g[i] * q[k - i]
-            q.append(acc / g[0])
-        return SeriesElem(self.cfg, q)
+        cfg = self.cfg
+        q = _quotient(cfg.ops, _fields(self.coeffs), _fields(other.coeffs))
+        return SeriesElem(cfg, _elements(cfg, q))
 
     # -- comparison / io --------------------------------------------------------
 

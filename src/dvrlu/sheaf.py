@@ -21,15 +21,15 @@ import bisect
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 
 from .config import Backend, DvrConfig
 from .element import PrecElem
 from .errors import AmbiguousValuation, CoincidentPoints, DvrError, NotSorted
-from .lu_fast import _capped, matmul
+from .lu_fast import _capped, _capped_coefficients, matmul
 from .lu_stable import block_l_unitlower, lower_triangular_inverse
 from .matrix import PrecMatrix, random_matrix
-from .series import SeriesElem
+from .series import SeriesElem, _convolve, _elements, _fields
 from .simul import SimulFailure, _certify, _det_unit_detectable, _retry, required_v
 
 Poly = list  # list[PrecElem], coefficients lowest-first
@@ -42,15 +42,8 @@ Poly = list  # list[PrecElem], coefficients lowest-first
 
 def poly_add(f: Poly, g: Poly) -> Poly:
     """Add coefficient lists; missing high coefficients are exact zeros."""
-    out = []
-    for k in range(max(len(f), len(g))):
-        if k < len(f) and k < len(g):
-            out.append(f[k] + g[k])
-        elif k < len(f):
-            out.append(f[k])
-        else:
-            out.append(g[k])
-    return out
+    k = min(len(f), len(g))
+    return [a + b for a, b in zip(f, g)] + f[k:] + g[k:]
 
 
 def poly_neg(f: Poly) -> Poly:
@@ -66,20 +59,15 @@ def poly_scale(c: PrecElem, f: Poly) -> Poly:
 
 
 def poly_mul(f: Poly, g: Poly) -> Poly:
-    """Full (untruncated) product of two coefficient lists."""
-    out: list = [None] * (len(f) + len(g) - 1)
-    for i, fi in enumerate(f):
-        for j, gj in enumerate(g):
-            term = fi * gj
-            out[i + j] = term if out[i + j] is None else out[i + j] + term
-    return out
+    """Full (untruncated) product of two coefficient lists, on their fields
+    (:func:`dvrlu.series._convolve`)."""
+    cfg = f[0].cfg
+    prod = _convolve(cfg.ops, _fields(f), _fields(g), len(f) + len(g) - 1)
+    return _elements(cfg, prod)
 
 
 def poly_pow(f: Poly, k: int, one: PrecElem) -> Poly:
-    acc = [one]
-    for _ in range(k):
-        acc = poly_mul(acc, f)
-    return acc
+    return reduce(poly_mul, [f] * k, [one])
 
 
 def poly_eval(f: Poly, x: PrecElem) -> PrecElem:
@@ -111,15 +99,16 @@ def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     return quot, rem[: len(g) - 1]
 
 
-def taylor_coeffs(f: Poly, a: PrecElem) -> Poly:
-    """Coefficients of ``f`` expanded around ``a`` (same length as ``f``).
+def taylor_coeffs(f: Poly, a: PrecElem, count: int | None = None) -> Poly:
+    """The first ``count`` (default all ``len(f)``) coefficients of ``f``
+    expanded around ``a``.
 
     Uses repeated synthetic division by ``X - a``: each pass peels off the
     next Taylor coefficient as the remainder.
     """
     out = []
     cur = list(f)
-    while cur:
+    while cur and len(out) != count:
         # divide cur by (X - a): quotient top-down, remainder = cur(a)
         quot = [None] * (len(cur) - 1)
         acc = cur[-1]
@@ -142,11 +131,8 @@ def taylor_unshift(c: Poly, a: PrecElem, one: PrecElem) -> Poly:
 
 def poly_to_series(f: Poly, a: PrecElem, order: int, n: int) -> SeriesElem:
     """Reduce a polynomial modulo ``(X - a)^order`` into the local series ring."""
-    c = taylor_coeffs(f, a)[:order]
-    pad = a.like_zero(n)
-    while len(c) < order:
-        c.append(pad)
-    return SeriesElem(a.cfg, c)
+    c = taylor_coeffs(f, a, order)
+    return SeriesElem(a.cfg, c + [a.like_zero(n)] * (order - len(c)))
 
 
 def series_to_poly(s: SeriesElem, a: PrecElem, one: PrecElem) -> Poly:
@@ -163,14 +149,12 @@ def poly_det(rows: list[list[Poly]]) -> Poly:
     d = len(rows)
     if d == 1:
         return rows[0][0]
-    acc: Poly | None = None
+    terms = []
     for i in range(d):
         minor = [[rows[r][c] for c in range(1, d)] for r in range(d) if r != i]
         term = poly_mul(rows[i][0], poly_det(minor))
-        if i % 2 == 1:
-            term = poly_neg(term)
-        acc = term if acc is None else poly_add(acc, term)
-    return acc
+        terms.append(poly_neg(term) if i % 2 else term)
+    return reduce(poly_add, terms)
 
 
 def scalar_det(m: PrecMatrix) -> PrecElem:
@@ -224,13 +208,10 @@ def build_divisors(cfg: DvrConfig, points: list[tuple[PrecElem, list[int]]]) -> 
     n = cfg.prec
     d = len(points[0][1])
     one = points[0][0].like_one(n)
-    out = []
-    for j in range(d):
-        dj = [one]
-        for a, exps in points:
-            dj = poly_mul(dj, poly_pow([-a, one], exps[j], one))
-        out.append(dj)
-    return out
+    return [
+        reduce(poly_mul, (poly_pow([-a, one], e[j], one) for a, e in points), [one])
+        for j in range(d)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -255,16 +236,10 @@ class CrtBasis:
         one = pts[0].like_one(n)
         self.one = one
         q_polys = [poly_pow([-a, one], o, one) for a, o in zip(pts, orders)]
-        q_total = [one]
-        for qp in q_polys:
-            q_total = poly_mul(q_total, qp)
-        self.modulus = q_total
+        self.modulus = reduce(poly_mul, q_polys, [one])
         self.cofactors = []
         for m, (a, o) in enumerate(zip(pts, orders)):
-            qhat = [one]
-            for mm, qp in enumerate(q_polys):
-                if mm != m:
-                    qhat = poly_mul(qhat, qp)
+            qhat = reduce(poly_mul, q_polys[:m] + q_polys[m + 1:], [one])
             local = poly_to_series(qhat, a, o, n)
             if local.coeffs[0].is_zeroish:
                 raise AmbiguousValuation(
@@ -276,10 +251,7 @@ class CrtBasis:
             self.cofactors.append(poly_mul(qhat, i_poly))
 
     def combine(self, residues: list[Poly]) -> Poly:
-        acc: Poly | None = None
-        for c_m, p_m in zip(self.cofactors, residues):
-            term = poly_mul(c_m, p_m)
-            acc = term if acc is None else poly_add(acc, term)
+        acc = reduce(poly_add, map(poly_mul, self.cofactors, residues))
         _, rem = poly_divmod(acc, self.modulus)
         return rem
 
@@ -470,23 +442,32 @@ def scalar_matrix_as_series(m: PrecMatrix, order: int, n: int) -> PrecMatrix:
 def scalar_poly_matmul(s: PrecMatrix, pm: list[list[Poly]]) -> list[list[Poly]]:
     """Product of a scalar matrix with a polynomial matrix (no truncation)."""
     d = len(pm)
-    out = []
-    for i in range(s.nrows):
-        row = []
-        for j in range(d):
-            acc: Poly | None = None
-            for k in range(d):
-                term = poly_scale(s[i, k], pm[k][j])
-                acc = term if acc is None else poly_add(acc, term)
-            row.append(acc)
-        out.append(row)
-    return out
+    return [
+        [reduce(poly_add, (poly_scale(s[i, k], pm[k][j]) for k in range(d))) for j in range(d)]
+        for i in range(s.nrows)
+    ]
+
+
+def _local_product(omega: PrecMatrix, m: PrecMatrix, n: int) -> PrecMatrix:
+    """``_capped(scalar_matrix_as_series(omega), m, n)``: omega * M_m capped
+    at n, as the products ``omega * M^(l)`` of the coefficient matrices when
+    the integer kernel takes them all.  The series product's padding terms
+    ``O(pi^n) * b`` have absolute precision >= n, so either way each capped
+    entry is the residue of the exact sum mod pi^n at precision n.
+    """
+    order = m[0, 0].order
+    coeffs = [m.map(lambda e, l=l: e.coeffs[l]) for l in range(order)]
+    prods = _capped_coefficients(omega, coeffs, n)
+    if prods is None:
+        return _capped(scalar_matrix_as_series(omega, order, n), m, n)
+    cfg = omega[0, 0].cfg
+    rows = zip(*(p.rows for p in prods))  # row i of every coefficient's product
+    return PrecMatrix([[SeriesElem(cfg, c) for c in zip(*r)] for r in rows])
 
 
 def _local_factor(omega: PrecMatrix, pt: SheafPoint, n: int):
     """Block unit-lower factor of omega * M_m over the series ring at pt."""
-    omega_s = scalar_matrix_as_series(omega, pt.order, n)
-    return block_l_unitlower(_capped(omega_s, pt.matrix, n), pt.block_sizes)
+    return block_l_unitlower(_local_product(omega, pt.matrix, n), pt.block_sizes)
 
 
 def solve_with_omega(
@@ -512,21 +493,16 @@ def solve_with_omega(
     crt = inst.crt
     one = inst.points[0].a.like_one(n)
     zero = inst.points[0].a.like_zero(n)
-    l_poly: list[list[Poly]] = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            if i == j:
-                row.append([one])
-            elif i < j:
-                row.append([zero])
-            else:
-                residues = [
-                    series_to_poly(fact.lower[i, j], pt.a, one)
-                    for fact, pt in zip(factors, inst.points)
-                ]
-                row.append(crt.combine(residues))
-        l_poly.append(row)
+
+    def glued(i: int, j: int) -> Poly:
+        if i <= j:
+            return [one if i == j else zero]
+        return crt.combine([
+            series_to_poly(fact.lower[i, j], pt.a, one)
+            for fact, pt in zip(factors, inst.points)
+        ])
+
+    l_poly = [[glued(i, j) for j in range(d)] for i in range(d)]
 
     m_poly = scalar_poly_matmul(omega_inv, l_poly)
     d_polys = build_divisors(cfg, [(pt.a, pt.exponents) for pt in inst.points])
@@ -634,12 +610,9 @@ def verify_local_equivalence(inst: SheafInstance, basis: GlobalBasis) -> VerifyR
             notes.append(f"point {idx}: factor recomputation failed: {exc}")
             local_ok.append(False)
             continue
-        local = PrecMatrix(
-            [
-                [poly_to_series(omega_m[i][j], pt.a, order, n) for j in range(d)]
-                for i in range(d)
-            ]
-        )
+        local = PrecMatrix([
+            [poly_to_series(omega_m[i][j], pt.a, order, n) for j in range(d)] for i in range(d)
+        ])
         t_mat = matmul(l_inv, local)
 
         bounds = list(itertools.accumulate(sizes))

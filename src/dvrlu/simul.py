@@ -30,6 +30,7 @@ from .errors import DvrError, DegenerateInput, ExhaustedRetries
 from .lu_fast import _capped, matmul
 from .lu_stable import (
     LvOutput,
+    _require_digits,
     block_l,
     lower_triangular_inverse,
     lv_decomposition,
@@ -174,14 +175,16 @@ def _retry(attempt: Callable, max_tries: int, what: str):
 
 
 def _family_dim(family: Sequence[tuple[PrecMatrix, Sequence[int]]]) -> int:
-    """The common dimension d of a family whose every member is d x d and
-    whose every block type tiles d; raises ValueError otherwise."""
+    """The common dimension d of a family whose every member is d x d, known
+    to precision >= 1, and whose every block type tiles d; raises ValueError
+    otherwise."""
     if not family:
         raise ValueError("family is empty")
     d = family[0][0].nrows
     for idx, (mat, sizes) in enumerate(family):
         if mat.nrows != d or mat.ncols != d:
             raise ValueError(f"family matrix {idx} is not {d}x{d}")
+        _require_digits(mat.min_abs_prec())
         if any(s < 1 for s in sizes) or sum(sizes) != d:
             raise ValueError(
                 f"block type {list(sizes)} of family matrix {idx} does not tile dimension {d}"
@@ -197,7 +200,8 @@ def attempt_simultaneous(
 ):
     """One draw of omega and the full certification.
 
-    The family's shapes and block types are checked before omega is drawn.
+    The family's shapes, block types and precisions are checked before
+    omega is drawn.
     Returns a SimulResult on success, a SimulFailure otherwise.
     """
     n = cfg.prec

@@ -44,14 +44,17 @@ def expected_vl_alternating(q: int, d: int) -> float:
 
     The terms reach magnitude far beyond the result, so each is taken in
     fixed point with B = d * log2(q) + 128 fractional bits (one floor per
-    term) and the exact integer total is rounded to a float once.
+    term) and the exact integer total is rounded to a float once.  C(d, k)
+    and q^k are updated from k - 1, exactly.
     """
     if d < 1:
         raise ValueError("d must be positive")
     b = d * q.bit_length() + 128
-    total = 0
+    total, c, qk = 0, 1, 1
     for k in range(1, d + 1):
-        term = (math.comb(d, k) << b) // (q**k - 1)
+        c = c * (d - k + 1) // k
+        qk *= q
+        term = (c << b) // (qk - 1)
         total += term if k % 2 else -term
     return total / (1 << b)
 

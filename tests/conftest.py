@@ -42,6 +42,23 @@ def residue_matrices(draw):
     return flat_from_ints(cfg, [[entry() for _ in range(d)] for _ in range(d)], n)
 
 
+@st.composite
+def tracked_elements(draw, cfg: DvrConfig, unit: bool = False):
+    """An element of ring cfg in either shape: a big-oh zero O(pi^n) or a
+    unit form pi^v u + O(pi^(v+rel)), with valuations and precisions from
+    the fraction field (v, n >= -3) and mixed relative precisions."""
+    if not unit and draw(st.integers(0, 3)) == 0:
+        return PrecElem.bigoh(cfg, draw(st.integers(-3, 12)))
+    rel = draw(st.integers(1, 10))
+    u = draw(st.integers(1, cfg.p - 1)) + cfg.p * draw(st.integers(0, cfg.p ** (rel - 1)))
+    return PrecElem.unit_form(cfg, draw(st.integers(-3, 6)), u, rel)
+
+
+rings = st.builds(
+    DvrConfig, p=st.sampled_from([2, 3, 5, 7]), prec=st.just(8), backend=st.sampled_from(Backend)
+)
+
+
 def random_int_rows(rng: random.Random, d: int, p: int, n: int):
     """Uniform integer representatives mod p^n, as plain ints."""
     hi = p**n

@@ -2,18 +2,23 @@
 
 Everything in this module works over exact rationals (``fractions.Fraction``)
 and plain integers — no precision tracking, no imports from the package under
-test — except :func:`naive_elimination`, the reference for the package's
-naive elimination, which runs the package's own element arithmetic.  The elimination oracle mirrors the pivoted column elimination over the
+test — except :func:`naive_elimination` and the series and polynomial
+products and quotient, the references for the package's loops on entry
+fields, which run the package's own element arithmetic one element at a
+time.  The elimination oracle mirrors the pivoted column elimination over the
 field of fractions, so the package's finite-precision answers can be checked
 digit by digit against ground truth; the determinant and minor helpers give a
 second, independent route to the same quantities (Cramer quotients, principal
-minor valuations) so the oracle itself is cross-checked.
+minor valuations) so the oracle itself is cross-checked.  The nice-order
+helpers at the end specify the reorderings of the elimination that
+``dvrlu.lu_fast.recursive_lv`` relies on.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Sequence
 
 
 def val_of(x, p: int):
@@ -386,3 +391,100 @@ def naive_elimination(m):
             for k in range(j + 1, d):  # no later step reads column j of u
                 u[i, k] = u[i, k] - s * u[j, k]
     return lower, pivot_vals
+
+
+def series_product(a, b):
+    """Coefficients of the product of two series coefficient lists of one
+    order, in R[[X]]/(X^order), by element arithmetic in ascending index."""
+    out = []
+    for k in range(len(a)):
+        acc = a[0] * b[k]
+        for i in range(1, k + 1):
+            acc = acc + a[i] * b[k - i]
+        out.append(acc)
+    return out
+
+
+def series_quotient(f, g):
+    """Long division of two series coefficient lists of one order, by
+    element arithmetic in ascending index; g[0] must be a unit form."""
+    q = []
+    for k in range(len(f)):
+        acc = f[k]
+        for i in range(1, k + 1):
+            acc = acc - g[i] * q[k - i]
+        q.append(acc / g[0])
+    return q
+
+
+def poly_product(f, g):
+    """Full product of two coefficient lists by element arithmetic, each
+    coefficient summed in ascending index of f."""
+    out = [None] * (len(f) + len(g) - 1)
+    for i, fi in enumerate(f):
+        for j, gj in enumerate(g):
+            term = fi * gj
+            out[i + j] = term if out[i + j] is None else out[i + j] + term
+    return out
+
+
+# ---------------------------------------------------------------------------
+# elimination orders
+# ---------------------------------------------------------------------------
+
+
+def is_nice_order(pairs: Sequence[tuple[int, int]], d: int) -> bool:
+    """Check the two defining conditions of a nice elimination order on the
+    strictly-upper positions (i, j), 0-indexed, i < j:
+
+    1. within a column, earlier rows first: i <= i' < j implies (i, j)
+       comes no later than (i', j);
+    2. a column is complete before serving as pivot: j <= i' implies (i, j)
+       comes no later than (i', j').
+    """
+    pos = {p: r for r, p in enumerate(pairs)}
+    if len(pos) != d * (d - 1) // 2:
+        return False
+    for (i, j), r in pos.items():
+        if not (0 <= i < j < d):
+            return False
+        for (a, b), r2 in pos.items():
+            if b == j and i <= a and r > r2 and (a, b) != (i, j):
+                return False
+            if j <= a and r > r2:
+                return False
+    return True
+
+
+def elimination_order(d: int, threshold: int = 32) -> list[tuple[int, int]]:
+    """The global order in which :func:`recursive_lv` clears positions.
+
+    Raises ValueError when threshold is below 1, as recursive_lv does.
+    """
+    if threshold < 1:
+        raise ValueError(f"threshold must be at least 1, got {threshold}")
+
+    def scalar(cols: list[int]) -> list[tuple[int, int]]:
+        return [(cols[i], cols[j]) for j in range(len(cols)) for i in range(j)]
+
+    def band(rows: list[int], ycols: list[int]) -> list[tuple[int, int]]:
+        k, w = len(rows), len(ycols)
+        if w == 0:
+            return []
+        if k == 1:
+            return [(rows[0], yc) for yc in ycols]
+        c, w1 = k // 2, w // 2
+        return (
+            band(rows[:c], ycols[:w1])
+            + band(rows[:c], ycols[w1:])
+            + band(rows[c:], ycols[:w1])
+            + band(rows[c:], ycols[w1:])
+        )
+
+    def rec(cols: list[int]) -> list[tuple[int, int]]:
+        if len(cols) <= threshold:
+            return scalar(cols)
+        dp = len(cols) // 2
+        return rec(cols[:dp]) + band(cols[:dp], cols[dp:]) + rec(cols[dp:])
+
+    return rec(list(range(d)))

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from conftest import elem_matches_fraction, flat_from_ints, random_int_rows
+from oracles import elimination_order, is_nice_order
 from dvrlu import (
     AmbiguousValuation,
     DvrConfig,
@@ -16,7 +17,7 @@ from dvrlu import (
     random_matrix,
     recursive_lv,
 )
-from dvrlu.lu_fast import elimination_order, get_mul_count, is_nice_order, reset_mul_count
+from dvrlu.lu_fast import get_mul_count, reset_mul_count
 from dvrlu.lu_stable import working_precision
 
 CFG = DvrConfig(p=5, prec=10)

@@ -1,7 +1,10 @@
 """Truncated power series with tracked-precision coefficients."""
 
 import pytest
+from hypothesis import given, strategies as st
 
+import oracles
+from conftest import rings, tracked_elements
 from dvrlu import DivisionByUnknownZero, DvrConfig, PrecElem
 from dvrlu.series import SeriesElem
 
@@ -91,3 +94,28 @@ def test_precision_surgery_coefficientwise():
 def test_json_roundtrip():
     s = ser(3, 0, 12)
     assert SeriesElem.from_json(CFG, s.to_json(), 3) == s
+
+
+# ---------------------------------------------------------------------------
+# the field loops against the element loops
+
+
+@given(st.data())
+def test_field_product_matches_element_loop(data):
+    cfg = data.draw(rings)
+    order = data.draw(st.integers(1, 5))
+    a, b = ([data.draw(tracked_elements(cfg)) for _ in range(order)] for _ in "ab")
+    got = SeriesElem(cfg, a) * SeriesElem(cfg, b)
+    assert got.coeffs == tuple(oracles.series_product(a, b))
+
+
+@given(st.data())
+def test_field_quotient_matches_element_loop(data):
+    # g_0 may have any known valuation: a non-unit or negative one too
+    cfg = data.draw(rings)
+    order = data.draw(st.integers(1, 5))
+    f = [data.draw(tracked_elements(cfg)) for _ in range(order)]
+    g = [data.draw(tracked_elements(cfg, unit=True))]
+    g += [data.draw(tracked_elements(cfg)) for _ in range(order - 1)]
+    got = SeriesElem(cfg, f) / SeriesElem(cfg, g)
+    assert got.coeffs == tuple(oracles.series_quotient(f, g))

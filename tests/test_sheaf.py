@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dvrlu.config import DvrConfig
+import oracles
+from dvrlu.config import Backend, DvrConfig
 from dvrlu.element import PrecElem
 from dvrlu.errors import (
     AmbiguousValuation,
@@ -16,14 +17,16 @@ from dvrlu.errors import (
     ExhaustedRetries,
     NotSorted,
 )
+from dvrlu.lu_fast import _capped, _capped_coefficients, get_mul_count, reset_mul_count
 from dvrlu.lu_stable import vij_statistics
-from dvrlu.matrix import PrecMatrix
+from dvrlu.matrix import PrecMatrix, random_matrix
 from dvrlu.series import SeriesElem
 from dvrlu.sheaf import (
     CrtBasis,
     GlobalBasis,
     SheafInstance,
     SheafPoint,
+    _local_product,
     block_type_from_exponents,
     build_divisors,
     poly_divmod,
@@ -34,6 +37,7 @@ from dvrlu.sheaf import (
     poly_to_series,
     random_instance,
     scalar_det,
+    scalar_matrix_as_series,
     series_matrix_from_json,
     series_matrix_to_json,
     series_to_poly,
@@ -45,7 +49,7 @@ from dvrlu.sheaf import (
 )
 from dvrlu.simul import SimulFailure, required_v
 
-from conftest import flat_from_ints
+from conftest import flat_from_ints, rings, tracked_elements
 
 CFG = DvrConfig(p=5, prec=12)
 
@@ -88,6 +92,13 @@ def test_poly_mul_and_pow():
     assert len(poly_mul(_poly([1, 2, 3]), _poly([4, 5]))) == 4
 
 
+@given(st.data())
+def test_poly_mul_matches_element_loop(data):
+    cfg = data.draw(rings)
+    f, g = (data.draw(st.lists(tracked_elements(cfg), min_size=1, max_size=5)) for _ in "fg")
+    assert poly_mul(f, g) == oracles.poly_product(f, g)
+
+
 @settings(max_examples=40)
 @given(
     f=st.lists(st.integers(0, 5**6 - 1), min_size=1, max_size=6),
@@ -124,6 +135,14 @@ def test_taylor_shift_roundtrip(coeffs, a):
     assert shifted[0] == poly_eval(f, pt)
     back = taylor_unshift(shifted, pt, _one())
     _assert_poly_zeroish(poly_sub(back, f))
+
+
+def test_taylor_coeffs_stops_after_count():
+    f = _poly([3, 1, 4, 1, 5])
+    pt = PrecElem.from_int(CFG, 9, abs_prec=12)
+    full = taylor_coeffs(f, pt)
+    for count in range(7):
+        assert taylor_coeffs(f, pt, count) == full[:count]
 
 
 def test_poly_series_roundtrip():
@@ -394,3 +413,35 @@ def test_solve_sheaf_exhausts_retries(monkeypatch):
         solve_sheaf(inst, eps=0.5, seed=0, max_tries=3)
     assert info.value.tries == 3
     assert info.value.last_failure.stage == "invertibility"
+
+
+# ---------------------------------------------------------------------------
+# the local product omega * M_m
+
+
+@pytest.mark.parametrize("case", ["kernel", "negative-valuation", "short-coefficient", "series-ring"])
+@settings(max_examples=30)
+@given(p=st.sampled_from([2, 3, 5, 7]), n=st.sampled_from([5, 12, 40]),
+       order=st.integers(1, 4), seed=st.integers(0, 2**32))
+def test_local_product_is_the_series_product(case, p, n, order, seed):
+    backend = Backend.SERIES if case == "series-ring" else Backend.PADIC
+    cfg = DvrConfig(p=p, prec=n, backend=backend)
+    rng = random.Random(seed)
+    d = 3
+    coeffs = [random_matrix(cfg, d, rng) for _ in range(order)]
+    # the refused coefficient is the constant one, which the series product
+    # multiplies by the padding O(pi^n) of omega's higher coefficients
+    if case == "negative-valuation":
+        coeffs[0][0, 1] = PrecElem.unit_form(cfg, -1, 1, n + 1)
+    elif case == "short-coefficient":
+        coeffs[0][1, 0] = PrecElem.from_int(cfg, 1, abs_prec=n - 1)
+    m = PrecMatrix([[SeriesElem(cfg, [c[i, j] for c in coeffs]) for j in range(d)] for i in range(d)])
+    omega = random_matrix(cfg, d, rng)
+    assert (_capped_coefficients(omega, coeffs, n) is None) == (case != "kernel")
+    reset_mul_count()
+    want = _capped(scalar_matrix_as_series(omega, order, n), m, n)
+    want_count = get_mul_count()
+    reset_mul_count()
+    got = _local_product(omega, m, n)
+    assert got.rows == want.rows
+    assert get_mul_count() == want_count == d**3

@@ -171,6 +171,18 @@ def test_family_checked_before_omega_is_drawn(later):
     assert rng.getstate() == state
 
 
+def test_member_without_digits_refused_before_omega_is_drawn():
+    # 3^-1 + O(3^0) is known to precision 0, so no draw can factor the member
+    cfg = DvrConfig(p=3, prec=10)
+    low, one = PrecElem.unit_form(cfg, -1, 1, 1), PrecElem.one(cfg)
+    fam = [(PrecMatrix([[low, one], [one, one]]), [1, 1])]
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=r"working precision N = 0"):
+        attempt_simultaneous(cfg, fam, 1, rng)
+    assert rng.getstate() == state
+
+
 def test_attempt_factor_valuation_failure(monkeypatch):
     # pin omega to the identity so the product is the raw matrix, whose
     # unit-lower factor costs a 1/p entry; budget v = 0 must reject it
