@@ -1,24 +1,33 @@
 """Precision-tracked elements of a complete discrete valuation ring.
 
-An element is stored in one of two shapes:
+An element is stored as its **fields** ``(v, u, rel)``, three ints, in one
+of two shapes:
 
-* **unit form** ``pi^v * u + O(pi^(v+r))`` — a known valuation ``v``, a unit
-  ``u`` (its lowest base-p digit is nonzero) carried to ``r`` significant
-  digits, hence absolute precision ``v + r``;
-* **big-oh zero** ``O(pi^n)`` — indistinguishable from zero, only the lower
-  bound ``n`` on the valuation is known.
+* **unit form** (``rel >= 1``) ``pi^v * u + O(pi^(v+rel))`` — a known
+  valuation ``v`` and a unit ``u`` (its lowest base-p digit is nonzero)
+  carried to ``rel`` significant digits;
+* **big-oh zero** (``rel == 0``) ``O(pi^v)`` — indistinguishable from zero,
+  only the lower bound ``v`` on the valuation is known; ``u`` is 0.
 
-The unit ``u`` is one Python int in the storage layout of the ring's
-digit-ops object ``cfg.ops`` (:mod:`dvrlu.digits`): the integer itself for
-``Z_p``, one bit slot per coefficient for ``F_p[[t]]``.  All digit arithmetic
-goes through ``cfg.ops``; the public face of a unit (constructors,
-``unit_digits``, ``representative``, JSON and ``repr``) is always the base-p
-packing ``sum(c_i * p**i)``.
+Either way the absolute precision is ``v + rel``.  The unit ``u`` is one
+Python int in the storage layout of the ring's digit-ops object ``cfg.ops``
+(:mod:`dvrlu.digits`): the integer itself for ``Z_p``, one bit slot per
+coefficient for ``F_p[[t]]``.  All digit arithmetic goes through
+``cfg.ops``; the public face of a unit (constructors, ``unit_digits``,
+``representative``, JSON and ``repr``) is always the base-p packing
+``sum(c_i * p**i)``.
 
 Valuations may be negative (elements of the fraction field use the same
-representation), and all arithmetic follows the ultrametric precision rules:
-addition keeps the minimum absolute precision, multiplication and division
-keep the minimum relative precision.
+representation), and all arithmetic follows the ultrametric precision rules
+of zealous arithmetic (Caruso, "Computations with p-adic numbers", 2017):
+a sum keeps the smaller absolute precision, a product or quotient the
+smaller relative precision.  Those rules are written once, on fields, as
+:func:`_plus`, :func:`_times` and :func:`_neg`, one formula for both shapes
+(a big-oh zero's unit 0 shifts and multiplies to 0, and a digit op keeping
+no digits gives 0).  :class:`PrecElem`'s operators apply them to their
+operands' fields, and the loops that run element arithmetic without building
+elements — series products and quotients (:mod:`dvrlu.series`) and the naive
+elimination (:mod:`dvrlu.lu_stable`) — call them on fields too.
 """
 
 from __future__ import annotations
@@ -28,6 +37,41 @@ from typing import Optional
 from .config import DvrConfig
 from .digits import pw
 from .errors import AmbiguousValuation, DivisionByUnknownZero
+
+Fields = tuple[int, int, int]
+
+# ---------------------------------------------------------------------------
+# the precision rules, on fields
+# ---------------------------------------------------------------------------
+
+
+def _neg(ops, x: Fields) -> Fields:
+    """-x: same valuation and precision."""
+    return x[0], ops.neg(x[1], x[2]), x[2]
+
+
+def _times(ops, x: Fields, y: Fields) -> Fields:
+    """x * y: valuations add, the smaller relative precision stays (so a
+    big-oh factor gives a big-oh product)."""
+    r = x[2] if x[2] < y[2] else y[2]
+    return x[0] + y[0], ops.mul(x[1], y[1], r), r
+
+
+def _plus(ops, x: Fields, y: Fields) -> Fields:
+    """x + y: the smaller absolute precision n stays; the digits from the
+    smaller valuation m up to n are summed and split into valuation and
+    unit, or the sum is O(pi^n) when they are all zero or n <= m."""
+    xv, xu, xr = x
+    yv, yu, yr = y
+    n = xv + xr if xv + xr < yv + yr else yv + yr
+    m = xv if xv < yv else yv
+    nd = n - m
+    s = ops.add(ops.shift(xu, xv - m), ops.shift(yu, yv - m), nd)  # 0 if nd <= 0
+    if not s:
+        return n, 0, 0
+    v, s = ops.strip(s)
+    return m + v, s, nd - v
+
 
 # ---------------------------------------------------------------------------
 # the element itself
@@ -43,21 +87,18 @@ class PrecElem:
     :meth:`bigoh`, :meth:`one`, :meth:`zero` or :meth:`random`.
     """
 
-    __slots__ = ("cfg", "_bigoh", "_v", "_u", "_rel")
+    __slots__ = ("cfg", "_f")
 
-    def __init__(self, cfg: DvrConfig, bigoh: bool, v: int, u: int, rel: int):
+    def __init__(self, cfg: DvrConfig, fields: Fields):
         self.cfg = cfg
-        self._bigoh = bigoh
-        self._v = v  # valuation (unit form) or absolute precision (big-oh)
-        self._u = u
-        self._rel = rel
+        self._f = fields  # (v, u, rel), rel == 0 for O(pi^v)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def bigoh(cls, cfg: DvrConfig, n: int) -> "PrecElem":
         """The element O(pi^n): indistinguishable from zero below pi^n."""
-        return cls(cfg, True, n, 0, 0)
+        return cls(cfg, (n, 0, 0))
 
     @classmethod
     def unit_form(cls, cfg: DvrConfig, v: int, u: int, rel: int) -> "PrecElem":
@@ -68,7 +109,7 @@ class PrecElem:
         u = cfg.ops.encode(u % pw(cfg.p, rel))
         if cfg.ops.trunc(u, 1) == 0:
             raise ValueError("unit part has zero lowest digit")
-        return cls(cfg, False, v, u, rel)
+        return cls(cfg, (v, u, rel))
 
     @classmethod
     def from_int(
@@ -101,7 +142,7 @@ class PrecElem:
             rel = rel_prec if rel_prec is not None else cfg.prec
         if rel < 1:
             raise ValueError("unit form needs at least one significant digit")
-        return cls(cfg, False, v, ops.trunc(stripped, rel), rel)
+        return cls(cfg, (v, ops.trunc(stripped, rel), rel))
 
     @classmethod
     def one(cls, cfg: DvrConfig, rel_prec: Optional[int] = None) -> "PrecElem":
@@ -120,44 +161,45 @@ class PrecElem:
         if packed == 0:
             return cls.bigoh(cfg, n)
         v, stripped = cfg.ops.strip(cfg.ops.encode(packed))
-        return cls(cfg, False, v, stripped, n - v)
+        return cls(cfg, (v, stripped, n - v))
 
     # -- inspection --------------------------------------------------------
 
     @property
     def is_zeroish(self) -> bool:
         """True when the element is indistinguishable from zero."""
-        return self._bigoh
+        return not self._f[2]
 
     @property
     def valuation(self) -> int:
         """Exact valuation; raises AmbiguousValuation for big-oh zeros."""
-        if self._bigoh:
+        v, _, rel = self._f
+        if not rel:
             raise AmbiguousValuation(
-                f"valuation of {self!r} is only bounded below by {self._v}"
+                f"valuation of {self!r} is only bounded below by {v}"
             )
-        return self._v
+        return v
 
     @property
     def val_lower_bound(self) -> int:
         """Guaranteed lower bound on the valuation (the valuation itself in
         unit form, the precision bound for a big-oh zero)."""
-        return self._v
+        return self._f[0]
 
     @property
     def abs_prec(self) -> int:
-        return self._v if self._bigoh else self._v + self._rel
+        return self._f[0] + self._f[2]
 
     @property
     def rel_prec(self) -> int:
-        return 0 if self._bigoh else self._rel
+        return self._f[2]
 
     @property
     def unit_digits(self) -> int:
         """Packed digits of the unit part (unit form only)."""
-        if self._bigoh:
+        if not self._f[2]:
             raise AmbiguousValuation("big-oh zero has no unit part")
-        return self.cfg.ops.decode(self._u)
+        return self.cfg.ops.decode(self._f[1])
 
     def representative(self) -> int:
         """Packed representative u * p**v (0 for big-oh zeros).
@@ -165,24 +207,25 @@ class PrecElem:
         Only meaningful when the valuation is >= 0.  For the padic backend
         this is the smallest nonnegative integer representative.
         """
-        if self._bigoh:
+        v, u, rel = self._f
+        if not rel:
             return 0
-        if self._v < 0:
+        if v < 0:
             raise ValueError("no integral representative: negative valuation")
-        return self.cfg.ops.decode(self._u) * pw(self.cfg.p, self._v)
+        return self.cfg.ops.decode(u) * pw(self.cfg.p, v)
 
     def residue(self, n: int) -> Optional[int]:
         """The element mod pi^n as a stored int of n digits (for ``Z_p`` the
         int in [0, p^n) itself), or None unless it is integral and known to
         absolute precision >= n."""
-        v = self._v
-        if self._bigoh:
+        v, u, rel = self._f
+        if not rel:
             return 0 if v >= n else None
-        if v < 0 or v + self._rel < n:
+        if v < 0 or v + rel < n:
             return None
         ops = self.cfg.ops
-        x = ops.shift(self._u, v)
-        return x if v + self._rel == n else ops.trunc(x, n)
+        x = ops.shift(u, v)
+        return x if v + rel == n else ops.trunc(x, n)
 
     # -- ring protocol (shared with series elements) --------------------------
 
@@ -209,111 +252,75 @@ class PrecElem:
         (n above it); if n dips to the valuation or below, the element
         degenerates to O(pi^n).
         """
-        if self._bigoh:
+        v, u, rel = self._f
+        if not rel or n - v < 1:
             return PrecElem.bigoh(self.cfg, n)
-        rel = n - self._v
-        if rel < 1:
-            return PrecElem.bigoh(self.cfg, n)
-        if rel == self._rel:
+        if n - v == rel:
             return self
-        if rel > self._rel:  # zero-pad: same digits, more declared precision
-            return PrecElem(self.cfg, False, self._v, self._u, rel)
-        u = self.cfg.ops.trunc(self._u, rel)
-        # lowest digit survives truncation, so u is still a unit
-        return PrecElem(self.cfg, False, self._v, u, rel)
+        if n - v < rel:  # lowest digit survives truncation, so u stays a unit
+            u = self.cfg.ops.trunc(u, n - v)
+        return PrecElem(self.cfg, (v, u, n - v))
 
     def cap_abs(self, n: int) -> "PrecElem":
         """Truncate to absolute precision n if currently more precise."""
         return self.lift_to_precision(n) if self.abs_prec > n else self
 
-    # -- arithmetic ----------------------------------------------------------
+    # -- arithmetic: the rules above on the operands' fields ------------------
 
     def __neg__(self) -> "PrecElem":
-        if self._bigoh:
-            return self
-        return PrecElem(
-            self.cfg, False, self._v, self.cfg.ops.neg(self._u, self._rel), self._rel
-        )
+        return PrecElem(self.cfg, _neg(self.cfg.ops, self._f))
 
     def __add__(self, other: "PrecElem") -> "PrecElem":
-        cfg = self.cfg
-        n = min(self.abs_prec, other.abs_prec)
-        if self._bigoh and other._bigoh:
-            return PrecElem.bigoh(cfg, n)
-        # shift both to a common valuation floor and add packed digits
-        m = min(self._v, other._v)
-        ndig = n - m
-        if ndig <= 0:
-            return PrecElem.bigoh(cfg, n)
-        ops = cfg.ops
-        x = 0 if self._bigoh else ops.shift(self._u, self._v - m)
-        y = 0 if other._bigoh else ops.shift(other._u, other._v - m)
-        s = ops.add(x, y, ndig)
-        if s == 0:
-            return PrecElem.bigoh(cfg, n)
-        v, stripped = ops.strip(s)
-        return PrecElem(cfg, False, m + v, stripped, ndig - v)
+        return PrecElem(self.cfg, _plus(self.cfg.ops, self._f, other._f))
 
     def __sub__(self, other: "PrecElem") -> "PrecElem":
-        return self + (-other)
+        ops = self.cfg.ops
+        return PrecElem(self.cfg, _plus(ops, self._f, _neg(ops, other._f)))
 
     def __mul__(self, other: "PrecElem") -> "PrecElem":
-        cfg = self.cfg
-        if self._bigoh or other._bigoh:
-            if self._bigoh and other._bigoh:
-                return PrecElem.bigoh(cfg, self._v + other._v)
-            boz, unit = (self, other) if self._bigoh else (other, self)
-            return PrecElem.bigoh(cfg, boz._v + unit._v)
-        rel = min(self._rel, other._rel)
-        u = cfg.ops.mul(self._u, other._u, rel)
-        return PrecElem(cfg, False, self._v + other._v, u, rel)
+        return PrecElem(self.cfg, _times(self.cfg.ops, self._f, other._f))
 
     def __truediv__(self, other: "PrecElem") -> "PrecElem":
-        cfg = self.cfg
-        if other._bigoh:
+        """self times the inverse of other, known to the smaller relative
+        precision; other must be in unit form."""
+        v, u, rel = other._f
+        if not rel:
             raise DivisionByUnknownZero(
                 f"division by {other!r}, indistinguishable from zero"
             )
-        if self._bigoh:
-            return PrecElem.bigoh(cfg, self._v - other._v)
-        rel = min(self._rel, other._rel)
-        ops = cfg.ops
-        u = ops.mul(self._u, ops.inv(other._u, rel), rel)
-        return PrecElem(cfg, False, self._v - other._v, u, rel)
+        ops = self.cfg.ops
+        r = self._f[2] if self._f[2] < rel else rel
+        return PrecElem(self.cfg, _times(ops, self._f, (-v, ops.inv(u, r) if r else 0, r)))
 
     # -- comparison / hashing ------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        """Structural equality: same shape, valuation, digits and precision.
-        (Two elements can represent overlapping congruence classes and still
-        compare unequal; use subtraction for congruence questions.)"""
+        """Structural equality: same ring and fields.  (Two elements can
+        represent overlapping congruence classes and still compare unequal;
+        use subtraction for congruence questions.)"""
         if not isinstance(other, PrecElem):
             return NotImplemented
-        return (
-            self.cfg == other.cfg
-            and self._bigoh == other._bigoh
-            and self._v == other._v
-            and self._u == other._u
-            and self._rel == other._rel
-        )
+        return self.cfg == other.cfg and self._f == other._f
 
     def __hash__(self) -> int:
-        return hash((self.cfg.p, self.cfg.backend, self._bigoh, self._v, self._u, self._rel))
+        return hash((self.cfg.p, self.cfg.backend, self._f))
 
     # -- io -------------------------------------------------------------------
 
     def __repr__(self) -> str:
         sym = self.cfg.ops.symbol
-        if self._bigoh:
-            return f"O({sym}^{self._v})"
-        u = self.cfg.ops.decode(self._u)
-        head = f"{u}" if self._v == 0 else f"{u}*{sym}^{self._v}"
-        return f"{head} + O({sym}^{self.abs_prec})"
+        v, u, rel = self._f
+        if not rel:
+            return f"O({sym}^{v})"
+        u = self.cfg.ops.decode(u)
+        head = f"{u}" if v == 0 else f"{u}*{sym}^{v}"
+        return f"{head} + O({sym}^{v + rel})"
 
     def to_json(self) -> dict:
-        if self._bigoh:
-            return {"bigoh": self._v}
-        return {"v": self._v, "digits": str(self.cfg.ops.decode(self._u)), "rel": self._rel}
+        v, u, rel = self._f
+        if not rel:
+            return {"bigoh": v}
+        return {"v": v, "digits": str(self.cfg.ops.decode(u)), "rel": rel}
 
     @classmethod
     def from_json(cls, cfg: DvrConfig, obj: dict) -> "PrecElem":
@@ -334,16 +341,17 @@ def valuation_less(a: PrecElem, b: PrecElem) -> bool:
     known valuation (then v(a) >= v(b), so the strict comparison fails).
     Everything else would depend on unknown digits.
     """
-    if not a._bigoh and not b._bigoh:
-        return a._v < b._v
-    if not a._bigoh:  # b = O(pi^n): v(b) >= n
-        if a._v < b._v:
+    (av, _, ar), (bv, _, br) = a._f, b._f
+    if ar and br:
+        return av < bv
+    if ar:  # b = O(pi^bv): v(b) >= bv
+        if av < bv:
             return True
         raise AmbiguousValuation(
             f"cannot compare v({a!r}) with v({b!r}): pivot valuation unknown"
         )
-    if not b._bigoh:  # a = O(pi^n): v(a) >= n
-        if a._v >= b._v:
+    if br:  # a = O(pi^av): v(a) >= av
+        if av >= bv:
             return False
         raise AmbiguousValuation(
             f"cannot compare v({a!r}) with v({b!r}): entry valuation unknown"

@@ -9,8 +9,8 @@ precision N is its residue mod pi^N, and ``O(pi^N)`` is the residue 0.  This
 module runs that arithmetic on Python ints in the ring's stored layout
 (:mod:`dvrlu.digits`: the integer itself for ``Z_p``, one bit slot per
 coefficient for ``F_p[[t]]``), through the ring's digit-ops object, and the
-callers build :class:`~dvrlu.element.PrecElem` objects only for their
-outputs.
+callers build :class:`~dvrlu.element.PrecElem` objects, in the field
+format of :mod:`dvrlu.element`, only for their outputs (:func:`elements`).
 
 The flat elimination
 --------------------
@@ -49,19 +49,21 @@ The module's functions:
   for :func:`dvrlu.lu_stable._eliminate`.  The two pieces that differ by
   ring, dividing out pi^v and the column update, are the digit-ops
   object's ``unshift`` and ``sub_scaled``.
-* :func:`capped_product` is ``matmul(a, b).cap_abs(N)`` for ``Z_p``
-  operands: each entry is ``sum(a_ik b_kj) mod p^N``.  It serves
-  :func:`dvrlu.lu_fast._capped`, which every product truncated back to N
-  goes through, and :func:`dvrlu.lu_fast._capped_coefficients`, which runs
-  the sheaf's ``omega * M_m`` as one such product per coefficient matrix
-  ``M^(l)`` of the series matrix M_m.  It refuses ``F_p[[t]]``, whose sum of
-  d slot products could overflow a slot.
+* :func:`product` is the one int product: each entry of a product of row
+  lists is ``sum(a_ik b_kj) mod p^N``.
+* :func:`capped_products` is ``matmul(a, b).cap_abs(N)`` for ``Z_p``
+  operands, on :func:`product`, for one or more right operands b.  It
+  serves :func:`dvrlu.lu_fast._capped`, which every product truncated back
+  to N goes through, and :func:`dvrlu.lu_fast._capped_coefficients`, which
+  runs the sheaf's ``omega * M_m`` as one such product per coefficient
+  matrix ``M^(l)`` of the series matrix M_m, reading omega once.  It
+  refuses ``F_p[[t]]``, whose sum of d slot products could overflow a slot.
 
 The int recursion of :func:`dvrlu.lu_fast.recursive_lv` (and of a
 :func:`~dvrlu.lu_fast.clear_block` band all at precision exactly N) runs on
 ``Z_p`` residues from one read of its input to the output's elements: its
 leaves are :func:`rounds`, its one-row band steps are :func:`stepper`, and
-its products are the same sums mod p^N on row lists of ints.
+its products are :func:`product`.
 
 Every output equals the object path's, value and tracked precision alike.
 """
@@ -116,7 +118,7 @@ def elements(cfg: DvrConfig, n: int) -> Callable[[int], PrecElem]:
                 e = PrecElem.bigoh(cfg, n)
             else:
                 v, u = strip(x)
-                e = PrecElem(cfg, False, v, u, n - v)
+                e = PrecElem(cfg, (v, u, n - v))
             made[x] = e
         return e
 
@@ -180,20 +182,29 @@ def rounds(cols: list[list[int]], n: int, cfg: DvrConfig, *extras: list[list[int
         yield j
 
 
-def capped_product(a: PrecMatrix, b: PrecMatrix, n: int) -> Optional[PrecMatrix]:
-    """``matmul(a, b).cap_abs(n)`` for integral Z_p operands known to
-    precision >= n, or None when the ring is not ``Z_p`` or either operand
-    is refused by :func:`ints`.
+def product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], pn: int) -> list[list[int]]:
+    """The product of the row lists of ints a and b, each entry summed in
+    ascending index and reduced mod pn."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, r, c)) % pn for c in cols] for r in a]
+
+
+def capped_products(
+    a: PrecMatrix, bs: Sequence[PrecMatrix], n: int
+) -> Optional[list[PrecMatrix]]:
+    """``[matmul(a, b).cap_abs(n) for b in bs]`` for integral Z_p operands
+    known to precision >= n, reading a once, or None when the ring is not
+    ``Z_p`` or :func:`ints` refuses any operand.
 
     Every term of the sum has absolute precision >= n, so the capped entry
     is the residue of the exact sum mod p^n at precision exactly n.
     """
-    got = columns(b, n)
-    if got is None or got[0].backend is not Backend.PADIC:
+    e = a.rows[0][0]
+    if type(e) is not PrecElem or e.cfg.backend is not Backend.PADIC:
         return None
-    cfg, cb = got
-    ra = ints(a.rows, n, cfg)
-    if ra is None:
+    cfg = e.cfg
+    ra, rbs = ints(a.rows, n, cfg), [ints(b.rows, n, cfg) for b in bs]
+    if ra is None or None in rbs:
         return None
     pn, elem = pw(cfg.p, n), elements(cfg, n)
-    return PrecMatrix([[elem(sum(map(mul, r, c)) % pn) for c in cb] for r in ra])
+    return [PrecMatrix([[elem(x) for x in row] for row in product(ra, rb, pn)]) for rb in rbs]

@@ -21,7 +21,7 @@ possibly with coarser tracked precision, so the default everywhere here is
 the classical order-deterministic kernel.  Every product truncated back to
 N of elements (in simul, sheaf and the element recursion) goes through
 :func:`_capped`, which runs a classical one of integral ``Z_p`` operands
-known to precision N on :func:`dvrlu.kernel.capped_product`: same entries,
+known to precision N on :func:`dvrlu.kernel.capped_products`: same entries,
 same count.  ``F_p[[t]]`` operands, ``SeriesElem`` entries, an entry of
 negative valuation, Strassen and the uncapped public product stay on
 :func:`matmul`.  The sheaf's ``omega * M_m``, a scalar matrix times a
@@ -37,8 +37,8 @@ lists, and run in one of two representations chosen at the top:
   integral ``Z_p`` entries all at precision exactly N: the input is read
   once as ints mod p^N, the leaves are :func:`dvrlu.kernel.rounds`, the
   one-row band steps are :func:`dvrlu.kernel.stepper`, the products are
-  sums mod p^N counted as the element products they stand for, and
-  elements are built once, for the output;
+  :func:`dvrlu.kernel.product` counted as the element products they stand
+  for, and elements are built once, for the output;
 * the **element recursion** (:class:`_Elements`), for everything else:
   the leaves are :func:`~dvrlu.lu_stable.lv_decomposition`, the band steps
   :func:`~dvrlu.lu_stable._pivot_step` and the products :func:`_capped`.
@@ -49,7 +49,6 @@ lists, and run in one of two representations chosen at the top:
 
 from __future__ import annotations
 
-from operator import mul
 from typing import Sequence
 
 from . import kernel
@@ -57,7 +56,7 @@ from .config import Backend
 from .digits import pw
 from .element import PrecElem
 from .lu_stable import LvOutput, lv_decomposition, working_precision
-from .lu_stable import _flattened, _pivot_step, _square_dim, _val_or_none
+from .lu_stable import _flattened, _pivot_step, _require_digits, _square_dim, _val_or_none
 from .matrix import PrecMatrix
 
 _MUL_COUNT = 0
@@ -114,10 +113,10 @@ def _capped(a: PrecMatrix, b: PrecMatrix, n: int, algo: str = "classical") -> Pr
     which gives the same entries and the same count."""
     global _MUL_COUNT
     if algo == "classical" and a.ncols == b.nrows:
-        out = kernel.capped_product(a, b, n)
+        out = kernel.capped_products(a, [b], n)
         if out is not None:
             _MUL_COUNT += a.nrows * a.ncols * b.ncols
-            return out
+            return out[0]
     return matmul(a, b, algo).cap_abs(n)
 
 
@@ -128,10 +127,11 @@ def _capped_coefficients(
     the one product it stands for (bs are the coefficient matrices of one
     series matrix), or None when the kernel refuses any of them."""
     global _MUL_COUNT
-    out = [kernel.capped_product(a, b, n) if a.ncols == b.nrows else None for b in bs]
-    if any(x is None for x in out):
+    if any(a.ncols != b.nrows for b in bs):
         return None
-    _MUL_COUNT += a.nrows * a.ncols * bs[0].ncols
+    out = kernel.capped_products(a, bs, n)
+    if out is not None:
+        _MUL_COUNT += a.nrows * a.ncols * bs[0].ncols
     return out
 
 
@@ -234,8 +234,7 @@ class _Residues:
     def product(self, a: list[list[int]], b: list[list[int]], n: int) -> list[list[int]]:
         global _MUL_COUNT
         _MUL_COUNT += len(a) * len(b) * len(b[0])
-        pn, cols = self.pn, list(zip(*b))
-        return [[sum(map(mul, r, c)) % pn for c in cols] for r in a]
+        return kernel.product(a, b, self.pn)
 
     def band(self, row: list[int], n: int) -> tuple[list[list[int]], list[list[int]]]:
         cols, t = [[e] for e in row], _identity(self, len(row), n)  # t by columns
@@ -398,10 +397,11 @@ def clear_block(
     the product of the four sub-steps' transforms, each the identity outside
     the columns its sub-step touches.  A band of integral ``Z_p`` entries
     all at precision exactly n runs on ints mod p^n; any other band on
-    elements.
+    elements.  Raises ValueError for n < 1.
     """
     if y.nrows != x.nrows or x.ncols != x.nrows:
         raise ValueError("band shapes disagree")
+    _require_digits(n)
     r, (xr, yr) = _representation(n, algo, x, y)
     xf, t = _clear(xr, yr, n, r)
     return PrecMatrix(r.elements(xf)), PrecMatrix(r.elements(t))

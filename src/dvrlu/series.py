@@ -9,10 +9,11 @@ coefficient (an entry counts as "indistinguishable from zero" when its
 constant coefficient does).
 
 Products and quotients read each coefficient once as its fields
-``(v, u, rel)``, a big-oh zero ``O(pi^n)`` being ``(n, 0, 0)`` so that one
-formula serves both shapes, run PrecElem's rules on them through the ring's
-digit-ops object and build elements only for the result, equal field for
-field to the element loops that ``tests/oracles.py`` keeps as reference.
+``(v, u, rel)`` (the format of :mod:`dvrlu.element`), run the element's
+precision rules :func:`~dvrlu.element._plus`, :func:`~dvrlu.element._times`
+and :func:`~dvrlu.element._neg` on them and build elements only for the
+result, equal field for field to the element loops that ``tests/oracles.py``
+keeps as reference.
 """
 
 from __future__ import annotations
@@ -20,38 +21,16 @@ from __future__ import annotations
 from typing import Sequence
 
 from .config import DvrConfig
-from .element import PrecElem
+from .element import Fields, PrecElem, _neg, _plus, _times
 from .errors import DivisionByUnknownZero
-
-Fields = tuple[int, int, int]
 
 
 def _fields(coeffs: Sequence[PrecElem]) -> list[Fields]:
-    return [(c._v, c._u, c._rel) for c in coeffs]
+    return [c._f for c in coeffs]
 
 
 def _elements(cfg: DvrConfig, fields: Sequence[Fields]) -> list[PrecElem]:
-    return [PrecElem(cfg, rel == 0, v, u, rel) for v, u, rel in fields]
-
-
-def _times(ops, x: Fields, y: Fields) -> Fields:
-    """x * y by PrecElem's rule; the unit is 0 when a factor is big-oh."""
-    r = x[2] if x[2] < y[2] else y[2]
-    return x[0] + y[0], ops.mul(x[1], y[1], r), r
-
-
-def _plus(ops, x: Fields, y: Fields) -> Fields:
-    """x + y by PrecElem's rule (a big-oh zero's unit 0 shifts to 0)."""
-    xv, xu, xr = x
-    yv, yu, yr = y
-    n = xv + xr if xv + xr < yv + yr else yv + yr
-    m = xv if xv < yv else yv
-    nd = n - m
-    s = ops.add(ops.shift(xu, xv - m), ops.shift(yu, yv - m), nd)  # 0 if nd <= 0
-    if not s:
-        return n, 0, 0
-    v, s = ops.strip(s)
-    return m + v, s, nd - v
+    return [PrecElem(cfg, f) for f in fields]
 
 
 def _convolve(ops, a: Sequence[Fields], b: Sequence[Fields], k: int) -> list[Fields]:
@@ -77,8 +56,7 @@ def _quotient(ops, f: Sequence[Fields], g: Sequence[Fields]) -> list[Fields]:
     for k in range(len(f)):
         acc = f[k]
         for i in range(1, k + 1):
-            tv, tu, tr = _times(ops, g[i], q[k - i])
-            acc = _plus(ops, acc, (tv, ops.neg(tu, tr), tr))
+            acc = _plus(ops, acc, _neg(ops, _times(ops, g[i], q[k - i])))
         av, au, r = acc
         r = r if r < gr else gr
         if r:

@@ -159,7 +159,10 @@ def _certify(omega: PrecMatrix, v: int, n: int, items):
 def _retry(attempt: Callable, max_tries: int, what: str):
     """Call attempt() until it returns something other than a SimulFailure,
     stamp the number of tries on that result and return it.  Raises
-    ExhaustedRetries (carrying the last failure) after max_tries failures."""
+    ExhaustedRetries (carrying the last failure) after max_tries failures,
+    ValueError before any try when max_tries is below 1."""
+    if max_tries < 1:
+        raise ValueError(f"max_tries must be at least 1, got {max_tries}")
     last: Optional[SimulFailure] = None
     for t in range(1, max_tries + 1):
         got = attempt()

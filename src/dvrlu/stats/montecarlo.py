@@ -342,9 +342,17 @@ def _run_chunk(args) -> dict:
     return res
 
 
-def _require_trials(trials: int) -> None:
+def _checked_engine(p: int, d: int, trials: int, jobs: int) -> Engine:
+    """The engine for p, once the arguments of a simulation are checked:
+    ValueError for d < 1, trials < 1 or jobs < 1, and (from the engine) for
+    a non-prime p or one too large for its int64 arithmetic."""
+    if d < 1:
+        raise ValueError("d must be positive")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return Engine(p)
 
 
 def simulate(
@@ -363,12 +371,7 @@ def simulate(
     a non-prime p, d < 1, trials < 1 or jobs < 1.  At most one worker
     process is started per chunk.
     """
-    if d < 1:
-        raise ValueError("d must be positive")
-    _require_trials(trials)
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    eng = Engine(p)
+    eng = _checked_engine(p, d, trials, jobs)
     size = _chunk_size(d)
     starts = list(range(0, trials, size))
     args = [
@@ -451,10 +454,11 @@ def _summary(p, d, trials, arr, retried, dropped) -> McSummary:
 
 
 def monte_carlo_vl(p: int, d: int, trials: int, seed: int = 0, jobs: int = 1) -> McSummary:
-    """Sample statistics of the factor's max denominator exponent V_L."""
+    """Sample statistics of the factor's max denominator exponent V_L
+    (always 0 for d = 1, which draws nothing but checks the arguments as
+    :func:`simulate` does)."""
     if d == 1:
-        require_prime(p)
-        _require_trials(trials)
+        _checked_engine(p, d, trials, jobs)
         return McSummary(p=p, d=d, trials=trials, used=trials, mean=0.0,
                          stddev=0.0, ci99=0.0, histogram={0: trials})
     sim = simulate(p, d, trials, seed=seed, jobs=jobs)

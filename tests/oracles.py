@@ -2,12 +2,14 @@
 
 Everything in this module works over exact rationals (``fractions.Fraction``)
 and plain integers — no precision tracking, no imports from the package under
-test — except :func:`naive_elimination` and the series and polynomial
-products and quotient, the references for the package's loops on entry
-fields, which run the package's own element arithmetic one element at a
-time.  The elimination oracle mirrors the pivoted column elimination over the
-field of fractions, so the package's finite-precision answers can be checked
-digit by digit against ground truth; the determinant and minor helpers give a
+test — except the element arithmetic written case by case (:func:`elem_add`
+and its siblings), the reference for the precision rules the package writes
+once on element fields, and the loops that run it one element at a time:
+:func:`naive_elimination` and the series and polynomial products and
+quotient, the references for the package's loops on entry fields.  The
+elimination oracle mirrors the pivoted column elimination over the field of
+fractions, so the package's finite-precision answers can be checked digit
+by digit against ground truth; the determinant and minor helpers give a
 second, independent route to the same quantities (Cramer quotients, principal
 minor valuations) so the oracle itself is cross-checked.  The nice-order
 helpers at the end specify the reorderings of the elimination that
@@ -361,14 +363,98 @@ class SchoolbookSeries:
 
 
 # ---------------------------------------------------------------------------
+# element arithmetic case by case
+# ---------------------------------------------------------------------------
+#
+# The package writes its precision rules once, as one formula on an
+# element's fields (v, u, rel) for both shapes.  These are the same rules
+# written out per shape, big-oh zero or unit form, reading elements through
+# their public face and computing on their ring's digit ops; results are
+# built through the public constructors, which check that a unit form's
+# unit is a unit.
+
+
+def _shape(e) -> tuple[bool, int, int, int]:
+    """(big-oh?, valuation or bound, stored unit, relative precision)."""
+    if e.is_zeroish:
+        return True, e.val_lower_bound, 0, 0
+    return False, e.valuation, e.cfg.ops.encode(e.unit_digits), e.rel_prec
+
+
+def _unit(like, v: int, u: int, rel: int):
+    """pi^v u + O(pi^(v+rel)) in like's ring, u a stored unit."""
+    return type(like).unit_form(like.cfg, v, like.cfg.ops.decode(u), rel)
+
+
+def elem_neg(x):
+    bigoh, v, u, rel = _shape(x)
+    if bigoh:
+        return x
+    return _unit(x, v, x.cfg.ops.neg(u, rel), rel)
+
+
+def elem_add(x, y):
+    """The smaller absolute precision n stays; the digits from the smaller
+    valuation m up to n are summed."""
+    ops, bigoh = x.cfg.ops, type(x).bigoh
+    xz, xv, xu, _ = _shape(x)
+    yz, yv, yu, _ = _shape(y)
+    n = min(x.abs_prec, y.abs_prec)
+    if xz and yz:
+        return bigoh(x.cfg, n)
+    m = min(xv, yv)
+    ndig = n - m
+    if ndig <= 0:
+        return bigoh(x.cfg, n)
+    a = 0 if xz else ops.shift(xu, xv - m)
+    b = 0 if yz else ops.shift(yu, yv - m)
+    s = ops.add(a, b, ndig)
+    if s == 0:
+        return bigoh(x.cfg, n)
+    v, stripped = ops.strip(s)
+    return _unit(x, m + v, stripped, ndig - v)
+
+
+def elem_sub(x, y):
+    return elem_add(x, elem_neg(y))
+
+
+def elem_mul(x, y):
+    """Valuations add; the smaller relative precision stays."""
+    xz, xv, xu, xr = _shape(x)
+    yz, yv, yu, yr = _shape(y)
+    if xz or yz:
+        return type(x).bigoh(x.cfg, xv + yv)
+    rel = min(xr, yr)
+    return _unit(x, xv + yv, x.cfg.ops.mul(xu, yu, rel), rel)
+
+
+def elem_div(x, y):
+    """Valuations subtract; the smaller relative precision stays.  Raises
+    DivisionByUnknownZero when y is a big-oh zero."""
+    from dvrlu.errors import DivisionByUnknownZero
+
+    ops = x.cfg.ops
+    xz, xv, xu, xr = _shape(x)
+    yz, yv, yu, yr = _shape(y)
+    if yz:
+        raise DivisionByUnknownZero(f"division by {y!r}, indistinguishable from zero")
+    if xz:
+        return type(x).bigoh(x.cfg, xv - yv)
+    rel = min(xr, yr)
+    return _unit(x, xv - yv, ops.mul(xu, ops.inv(yu, rel), rel), rel)
+
+
+# ---------------------------------------------------------------------------
 # the naive elimination on elements
 # ---------------------------------------------------------------------------
 
 
 def naive_elimination(m):
     """Textbook row elimination without pivoting on the matrix's own
-    elements: (L, pivot valuations), or DivisionByUnknownZero at a pivot
-    indistinguishable from zero.  This is the element loop that
+    elements, in the case-by-case arithmetic above: (L, pivot valuations),
+    or DivisionByUnknownZero at a pivot indistinguishable from zero.  This
+    is the element loop that
     ``dvrlu.lu_stable._naive_elimination`` runs on entry fields; both must
     agree field for field on every input of working precision >= 1."""
     from dvrlu.errors import DivisionByUnknownZero
@@ -386,10 +472,10 @@ def naive_elimination(m):
             )
         pivot_vals.append(piv.valuation)
         for i in range(j + 1, d):
-            s = u[i, j] / piv
+            s = elem_div(u[i, j], piv)
             lower[i, j] = s
             for k in range(j + 1, d):  # no later step reads column j of u
-                u[i, k] = u[i, k] - s * u[j, k]
+                u[i, k] = elem_sub(u[i, k], elem_mul(s, u[j, k]))
     return lower, pivot_vals
 
 
@@ -398,9 +484,9 @@ def series_product(a, b):
     order, in R[[X]]/(X^order), by element arithmetic in ascending index."""
     out = []
     for k in range(len(a)):
-        acc = a[0] * b[k]
+        acc = elem_mul(a[0], b[k])
         for i in range(1, k + 1):
-            acc = acc + a[i] * b[k - i]
+            acc = elem_add(acc, elem_mul(a[i], b[k - i]))
         out.append(acc)
     return out
 
@@ -412,8 +498,8 @@ def series_quotient(f, g):
     for k in range(len(f)):
         acc = f[k]
         for i in range(1, k + 1):
-            acc = acc - g[i] * q[k - i]
-        q.append(acc / g[0])
+            acc = elem_sub(acc, elem_mul(g[i], q[k - i]))
+        q.append(elem_div(acc, g[0]))
     return q
 
 
@@ -423,8 +509,8 @@ def poly_product(f, g):
     out = [None] * (len(f) + len(g) - 1)
     for i, fi in enumerate(f):
         for j, gj in enumerate(g):
-            term = fi * gj
-            out[i + j] = term if out[i + j] is None else out[i + j] + term
+            term = elem_mul(fi, gj)
+            out[i + j] = term if out[i + j] is None else elem_add(out[i + j], term)
     return out
 
 

@@ -287,6 +287,11 @@ def test_stats_eqd_routes_agree(capsys):
          "error: jobs must be at least 1, got 0"),
         (["stats", "detval", "--q", "2", "--d", "3", "--jobs", "0"],
          "error: jobs must be at least 1, got 0"),
+        (["stats", "vl", "--q", "2", "--d", "1", "--jobs", "0"],
+         "error: jobs must be at least 1, got 0"),
+        (["stats", "vl", "--q", "4294967311", "--d", "1"],
+         "error: p must satisfy (p - 1)^2 < 2^63 for the engine's int64 arithmetic, "
+         "got 4294967311"),
     ],
 )
 def test_stats_rejects_what_it_cannot_compute(capsys, argv, message):
@@ -506,6 +511,22 @@ def test_sheaf_solve_exhausted_retries(tmp_path, capsys, monkeypatch):
     )
     assert rc == 4
     assert "3 tries" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tries", ["0", "-3"])
+@pytest.mark.parametrize("command", ["simul run", "sheaf solve"])
+def test_max_tries_below_one_is_input_error(tmp_path, capsys, command, tries):
+    cfg = DvrConfig(p=5, prec=12)
+    if command == "simul run":
+        path = _family_file(tmp_path, cfg, [[1, 1]])
+    else:
+        inst = random_instance(cfg, random.Random(2), n_points=2, d=2, e_max=1)
+        path = _write(tmp_path, "inst.json", inst.to_json())
+    argv = [*command.split(), "--input", path, "--seed", "0", "--max-tries", tries]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.strip() == f"error: max_tries must be at least 1, got {tries}"
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import elem_matches_fraction
+import oracles
+from conftest import elem_matches_fraction, rings, tracked_elements
 from oracles import SchoolbookSeries, series_add, series_inv, series_mul, series_neg
 from dvrlu import (
     AmbiguousValuation,
@@ -196,6 +197,25 @@ def test_exact_cancellation_reports_bound():
     b = PrecElem.from_int(CFG, 7, abs_prec=9)
     z = a - b
     assert z.is_zeroish and z.val_lower_bound == 6
+
+
+@given(st.data())
+def test_operators_match_the_case_by_case_rules(data):
+    # the operators run one formula on fields for both shapes; the oracle
+    # writes each rule out per shape, so every result must agree with it
+    # field for field, the refused division by O(pi^n) included
+    cfg = data.draw(rings)
+    x, y = data.draw(tracked_elements(cfg)), data.draw(tracked_elements(cfg))
+    assert -x == oracles.elem_neg(x)
+    assert x + y == oracles.elem_add(x, y)
+    assert x - y == oracles.elem_sub(x, y)
+    assert x * y == oracles.elem_mul(x, y)
+    if not y.is_zeroish:
+        assert x / y == oracles.elem_div(x, y)
+        return
+    for div in (lambda a, b: a / b, oracles.elem_div):
+        with pytest.raises(DivisionByUnknownZero, match="indistinguishable from zero"):
+            div(x, y)
 
 
 # ---------------------------------------------------------------------------

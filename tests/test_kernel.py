@@ -138,7 +138,7 @@ def test_capped_product_matches_matmul(p, n, shape, extra, seed):
                      for _ in range(w)] for _ in range(h)])
         for h, w in ((r, k), (k, c))
     )
-    assert kernel.capped_product(a, b, n) == lu_fast.matmul(a, b).cap_abs(n)
+    assert kernel.capped_products(a, [b], n) == [lu_fast.matmul(a, b).cap_abs(n)]
 
 
 @pytest.mark.parametrize("name", ELIMINATIONS)
@@ -166,7 +166,7 @@ def test_flat_series_runs_on_kernel(name):
     fn = ELIMINATIONS[name]
     m = random_matrix(DvrConfig(p=3, prec=8, backend=Backend.SERIES), 6, random.Random(3))
     assert kernel.columns(m, 8) is not None
-    with counting(kernel, "rounds") as leaves, counting(kernel, "capped_product") as products:
+    with counting(kernel, "rounds") as leaves, counting(kernel, "capped_products") as products:
         with counting(lu_stable, "_pivot_step") as steps:
             with counting(lu_fast, "_pivot_step") as bands:
                 fn(m)
@@ -201,7 +201,7 @@ def test_series_products_stay_on_elements(p, n, shape, seed):
         PrecMatrix([[PrecElem.random(cfg, rng) for _ in range(w)] for _ in range(h)])
         for h, w in ((r, k), (k, c))
     )
-    assert kernel.capped_product(a, b, n) is None
+    assert kernel.capped_products(a, [b], n) is None
     sa, sb = ([[_schoolbook(e) for e in row] for row in x.rows] for x in (a, b))
     want = [[sum((x * y for x, y in zip(ra[1:], cb[1:])), ra[0] * cb[0]).to_json()
              for cb in zip(*sb)] for ra in sa]
@@ -276,7 +276,7 @@ def test_simul_products_match_object_path(seed, short):
         rows = [[rng.randrange(5**n) for _ in range(d)] for _ in range(d)]
         rows[0] = [5 * x for x in rows[0]]
         family.append((flat_from_ints(cfg, rows, n - 1), [2, 3]))
-    with counting(kernel, "capped_product") as products:
+    with counting(kernel, "capped_products") as products:
         got = _simul_outcome(cfg, family, seed)
     with object_path():
         want = _simul_outcome(cfg, family, seed)

@@ -22,6 +22,7 @@ from dvrlu import (
     PrecMatrix,
     block_l,
     block_l_unitlower,
+    clear_block,
     hermite_from_lv,
     lift_recompute_l,
     lower_triangular_inverse,
@@ -171,6 +172,15 @@ def test_working_precision_below_one_is_refused(name):
     # failure (exit 3)
     with pytest.raises(ValueError, match=r"^working precision N = 0: an elimination needs N >= 1$"):
         BELOW_ONE_ELIMINATIONS[name](BELOW_ONE)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_clear_block_below_one_digit_is_refused(n):
+    # the band is cleared at the precision it is given, which must leave a
+    # digit: refused up front as the eliminations refuse N < 1
+    x, y = flat_from_ints(CFG, [[1]]), flat_from_ints(CFG, [[5]])
+    with pytest.raises(ValueError, match=rf"^working precision N = {n}: an elimination needs N >= 1$"):
+        clear_block(x, y, n)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from dvrlu.element import PrecElem
 from dvrlu.errors import DegenerateInput, ExhaustedRetries
 from dvrlu.lu_fast import matmul
 from dvrlu.matrix import PrecMatrix
+from dvrlu.sheaf import random_instance, solve_sheaf
 from dvrlu.simul import (
     SimulFailure,
     SimulResult,
@@ -263,6 +264,24 @@ def test_simultaneous_block_lu_exhausts_on_hopeless_draws(monkeypatch):
         simultaneous_block_lu(cfg, fam, eps=0.5, seed=0, max_tries=5)
     assert info.value.tries == 5
     assert info.value.last_failure.stage == "invertibility"
+
+
+@pytest.mark.parametrize("max_tries", [0, -3])
+def test_retry_budget_below_one_is_refused_before_drawing(max_tries):
+    # both solvers retry through one loop: no tries at all is bad input,
+    # refused before omega is drawn, not retries exhausted
+    cfg = DvrConfig(p=5, prec=12)
+    fam = [(flat_from_ints(cfg, [[1, 0], [0, 1]]), [1, 1])]
+    inst = random_instance(cfg, random.Random(2), n_points=2, d=2, e_max=1)
+    for solve in (
+        lambda rng: simultaneous_block_lu(cfg, fam, eps=0.5, rng=rng, max_tries=max_tries),
+        lambda rng: solve_sheaf(inst, rng=rng, max_tries=max_tries),
+    ):
+        rng = random.Random(4)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=f"max_tries must be at least 1, got {max_tries}"):
+            solve(rng)
+        assert rng.getstate() == state
 
 
 # ---------------------------------------------------------------------------

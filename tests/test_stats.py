@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -524,6 +525,19 @@ def test_monte_carlo_vl_d1_shortcut():
     assert isinstance(s, McSummary)
     assert s.mean == 0.0 and s.stddev == 0.0
     assert s.histogram == {0: 1000}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("p, trials, jobs, message", [
+    (4, 10, 1, "p must be prime, got 4"),
+    (4294967311, 10, 1, "p must satisfy (p - 1)^2 < 2^63"),
+    (2, 0, 1, "trials must be at least 1, got 0"),
+    (2, 10, 0, "jobs must be at least 1, got 0"),
+])
+def test_monte_carlo_vl_checks_arguments_at_every_d(d, p, trials, jobs, message):
+    # the d = 1 shortcut draws nothing but refuses what simulate refuses
+    with pytest.raises(ValueError, match=re.escape(message)):
+        monte_carlo_vl(p, d, trials, jobs=jobs)
 
 
 def test_monte_carlo_summary_sanity():
