@@ -50,7 +50,7 @@ class PadicDigits:
         return (x * y) % pw(self.p, n) if n > 0 else 0
 
     def inv(self, u: int, n: int) -> int:
-        return pow(u, -1, pw(self.p, n))
+        return pow(u, -1, pw(self.p, n)) if n > 0 else 0
 
     def shift(self, x: int, k: int) -> int:
         return x * pw(self.p, k)
@@ -150,6 +150,8 @@ class SeriesDigits:
 
     def inv(self, u: int, n: int) -> int:
         # Newton: g <- g*(2 - u*g) doubles the number of correct digits.
+        if n <= 0:
+            return 0
         g = pow(u & self.slot, -1, self.p)
         steps = []
         while n > 1:

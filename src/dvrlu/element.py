@@ -129,9 +129,9 @@ class PrecElem:
         significant digits (default ``cfg.prec``), or up to absolute
         precision ``abs_prec`` if that is given instead.
         """
+        rel_prec = cfg.prec if rel_prec is None else rel_prec
         if value == 0:
-            n = abs_prec if abs_prec is not None else (rel_prec or cfg.prec)
-            return cls.bigoh(cfg, n)
+            return cls.bigoh(cfg, rel_prec if abs_prec is None else abs_prec)
         ops = cfg.ops
         v, stripped = ops.strip(ops.encode(value))
         if abs_prec is not None:
@@ -139,14 +139,14 @@ class PrecElem:
             if rel < 1:
                 return cls.bigoh(cfg, abs_prec)
         else:
-            rel = rel_prec if rel_prec is not None else cfg.prec
+            rel = rel_prec
         if rel < 1:
             raise ValueError("unit form needs at least one significant digit")
         return cls(cfg, (v, ops.trunc(stripped, rel), rel))
 
     @classmethod
     def one(cls, cfg: DvrConfig, rel_prec: Optional[int] = None) -> "PrecElem":
-        return cls.unit_form(cfg, 0, 1, rel_prec or cfg.prec)
+        return cls.unit_form(cfg, 0, 1, cfg.prec if rel_prec is None else rel_prec)
 
     @classmethod
     def zero(cls, cfg: DvrConfig, abs_prec: Optional[int] = None) -> "PrecElem":
@@ -290,7 +290,7 @@ class PrecElem:
             )
         ops = self.cfg.ops
         r = self._f[2] if self._f[2] < rel else rel
-        return PrecElem(self.cfg, _times(ops, self._f, (-v, ops.inv(u, r) if r else 0, r)))
+        return PrecElem(self.cfg, _times(ops, self._f, (-v, ops.inv(u, r), r)))
 
     # -- comparison / hashing ------------------------------------------------
 

@@ -43,12 +43,12 @@ The module's functions:
   sheaf factors' ``SeriesElem``), an entry of negative valuation, an entry
   known to fewer than N digits, entries of more than one ring object and
   N < 1, which all stay on the object path; :func:`columns` reads a
-  matrix's columns.
+  matrix's columns for an elimination, and also refuses an entry known to
+  more than N digits.
 * :func:`stepper` is one step (i, j) above, swap rule and raise included;
-  :func:`rounds` runs it as the elimination above, yielding round by round,
-  for :func:`dvrlu.lu_stable._eliminate`.  The two pieces that differ by
-  ring, dividing out pi^v and the column update, are the digit-ops
-  object's ``unshift`` and ``sub_scaled``.
+  :func:`dvrlu.lu_stable._eliminate` runs it as the elimination above.
+  The two pieces that differ by ring, dividing out pi^v and the column
+  update, are the digit-ops object's ``unshift`` and ``sub_scaled``.
 * :func:`product` is the one int product: each entry of a product of row
   lists is ``sum(a_ik b_kj) mod p^N``.
 * :func:`capped_products` is ``matmul(a, b).cap_abs(N)`` for ``Z_p``
@@ -62,8 +62,8 @@ The module's functions:
 The int recursion of :func:`dvrlu.lu_fast.recursive_lv` (and of a
 :func:`~dvrlu.lu_fast.clear_block` band all at precision exactly N) runs on
 ``Z_p`` residues from one read of its input to the output's elements: its
-leaves are :func:`rounds`, its one-row band steps are :func:`stepper`, and
-its products are :func:`product`.
+leaves and its one-row band steps run on :func:`stepper`, and its products
+are :func:`product`.
 
 Every output equals the object path's, value and tracked precision alike.
 """
@@ -98,9 +98,12 @@ def ints(lines: Iterable[Sequence], n: int, cfg: DvrConfig) -> Optional[list[lis
 
 def columns(m: PrecMatrix, n: int) -> Optional[tuple[DvrConfig, list[list[int]]]]:
     """The ring of m's first entry and m's columns as ints mod pi^n, or None
-    when that entry is not a :class:`PrecElem` or :func:`ints` refuses m."""
+    when that entry is not a :class:`PrecElem`, an entry is not known to
+    exactly n (the object path reads further digits) or :func:`ints`
+    refuses m."""
     e = m.rows[0][0] if m.rows[0] else None
-    cols = ints(zip(*m.rows), n, e.cfg) if type(e) is PrecElem else None
+    exact = type(e) is PrecElem and all(x.abs_prec == n for row in m.rows for x in row)
+    cols = ints(zip(*m.rows), n, e.cfg) if exact else None
     return None if cols is None else (e.cfg, cols)
 
 
@@ -163,23 +166,6 @@ def stepper(n: int, cfg: DvrConfig) -> Callable[[Sequence[list], int, int], None
             x[j] = update(x[j], x[i], s, n)
 
     return step
-
-
-def rounds(cols: list[list[int]], n: int, cfg: DvrConfig, *extras: list[list[int]]):
-    """Run the flat elimination of square omega over ring cfg, given as its
-    columns of residues mod pi^n, yielding j once round j is done.  Swaps and
-    updates are applied to the extra column lists too (accumulated
-    transforms).
-
-    Columns are replaced, never changed in place, so a column list read
-    after round j keeps that round's state.  Raises AmbiguousValuation when
-    a swap comparison has both operands 0 mod pi^n.
-    """
-    step, mats = stepper(n, cfg), (cols, *extras)
-    for j in range(len(cols)):
-        for i in range(j):
-            step(mats, i, j)
-        yield j
 
 
 def product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], pn: int) -> list[list[int]]:

@@ -35,8 +35,8 @@ lists, and run in one of two representations chosen at the top:
 
 * the **int recursion** (:class:`_Residues`), for a classical run on
   integral ``Z_p`` entries all at precision exactly N: the input is read
-  once as ints mod p^N, the leaves are :func:`dvrlu.kernel.rounds`, the
-  one-row band steps are :func:`dvrlu.kernel.stepper`, the products are
+  once as ints mod p^N, the leaves' rounds and the one-row band steps run
+  on :func:`dvrlu.kernel.stepper`, the products are
   :func:`dvrlu.kernel.product` counted as the element products they stand
   for, and elements are built once, for the output;
 * the **element recursion** (:class:`_Elements`), for everything else:
@@ -213,12 +213,11 @@ def _transposed(m: Sequence[Sequence]) -> list[list]:
 class _Residues:
     """Row lists of ints mod p^n: the integer kernel's operations, for
     integral ``Z_p`` entries at precision exactly n and classical products.
-    The swap rule is the kernel's :func:`~dvrlu.kernel.stepper`, the leaves
-    are :func:`~dvrlu.kernel.rounds`, and each product is counted as the
-    element product it stands for."""
+    Leaves and bands run on the kernel's :func:`~dvrlu.kernel.stepper`, and
+    each product is counted as the element product it stands for."""
 
     def __init__(self, cfg, n: int):
-        self.cfg, self.n, self.pn = cfg, n, pw(cfg.p, n)
+        self.n, self.pn = n, pw(cfg.p, n)
         self.step = kernel.stepper(n, cfg)
         self.elem = kernel.elements(cfg, n)
 
@@ -245,7 +244,9 @@ class _Residues:
     def leaf(self, m: list[list[int]]) -> tuple[list[list[int]], ...]:
         cols, w = _transposed(m), _identity(self, len(m), self.n)
         lp, vp = [], []
-        for j in kernel.rounds(cols, self.n, self.cfg, w):
+        for j in range(len(cols)):
+            for i in range(j):
+                self.step((cols, w), i, j)
             lp.append(cols[j])  # columns are replaced, so this is round j's state
             vp.append(w[j])
         return tuple(map(_transposed, (lp, vp, cols, w)))

@@ -17,20 +17,21 @@ precision of its row.
 
 That step — swap test, pivot guard, re-lifted scalar, column update — is
 :func:`_pivot_step`, the only code that swaps or updates columns of
-elements.  :func:`_eliminate` runs it round by round for every elimination
-here that returns a factor; :func:`vij_statistics` and the one-row band of
-:func:`dvrlu.lu_fast.clear_block`'s element recursion call it directly.
+elements.  :func:`_eliminate` is the one round loop: every elimination
+here reads its yields, and only the one-row band of
+:func:`dvrlu.lu_fast.clear_block`'s element recursion calls the step
+directly.
 
 Flat integral input makes the elimination plain arithmetic in ``Z/p^N``
-(``F_p[t]/(t^N)`` over ``F_p[[t]]``), so :func:`_eliminate` runs
-:func:`stable_l`, :func:`lv_decomposition` and the block eliminations on
-the integer kernel :mod:`dvrlu.kernel` when their flattened input is all
-integral :class:`~dvrlu.element.PrecElem` entries of either backend, and
-they build elements only for what they read, which equals the object
-path's; the kernel raises the object path's errors itself.
-:class:`~dvrlu.series.SeriesElem` entries and an entry of negative
-valuation stay on the object path.  :func:`vij_statistics` always runs on
-the object path.  The naive elimination under :func:`naive_gauss_l` and
+(``F_p[t]/(t^N)`` over ``F_p[[t]]``), so :func:`_eliminate` runs its steps
+on the integer kernel :mod:`dvrlu.kernel` when every entry is an integral
+:class:`~dvrlu.element.PrecElem` of either backend known to exactly N (a
+flattened input, or flat input to :func:`vij_statistics`), and the callers
+build elements only for what they read, which equals the object path's;
+the kernel raises the object path's errors itself.
+:class:`~dvrlu.series.SeriesElem` entries, an entry of negative valuation
+and an entry known beyond N stay on the object path.  The naive
+elimination under :func:`naive_gauss_l` and
 :func:`lift_recompute_l` is not flat, so it has no kernel; it runs the
 element's precision rules on each entry's fields ``(v, u, rel)`` (the
 format of :mod:`dvrlu.element`; :func:`_naive_elimination`) and builds
@@ -120,7 +121,7 @@ def _flattened(m: PrecMatrix) -> tuple[PrecMatrix, int]:
     return m.cap_abs(n), n
 
 
-def _pivot_step(omega: PrecMatrix, i: int, j: int, n: int, *extras: PrecMatrix) -> bool:
+def _pivot_step(omega: PrecMatrix, i: int, j: int, n: int, *extras: PrecMatrix) -> None:
     """One elimination step: clear (i, j) using pivot (i, i).
 
     Columns i and j are swapped first when v(omega[i, j]) < v(omega[i, i])
@@ -129,11 +130,10 @@ def _pivot_step(omega: PrecMatrix, i: int, j: int, n: int, *extras: PrecMatrix) 
     before the column update (choosing a representative; the transform
     identity is exact for any representative, and for flat inputs this is
     what keeps precision flat).  Swap and update are applied to every extra
-    matrix too (accumulated transforms).  Returns whether it swapped.
+    matrix too (accumulated transforms).
     """
     mats = (omega, *extras)
-    swapped = valuation_less(omega[i, j].pivot_scalar(), omega[i, i].pivot_scalar())
-    if swapped:
+    if valuation_less(omega[i, j].pivot_scalar(), omega[i, i].pivot_scalar()):
         for x in mats:
             x.swap_cols(i, j)
     if omega[i, i].is_zeroish:
@@ -143,7 +143,6 @@ def _pivot_step(omega: PrecMatrix, i: int, j: int, n: int, *extras: PrecMatrix) 
     s = (omega[i, j] / omega[i, i]).lift_to_precision(n)
     for x in mats:
         x.sub_scaled_col(s, i, j)
-    return swapped
 
 
 # ---------------------------------------------------------------------------
@@ -201,23 +200,25 @@ def vij_statistics(m: PrecMatrix) -> VijProfile:
     """
     d = _scalar_dim(m, "vij_statistics")
     n = _require_digits(m.min_abs_prec())
-    omega = m.copy()
     prof = VijProfile()
     quotients = []  # (numerator, pivot valuation) below each round's pivot
     vl_defined = True
-    for j in range(d):
-        for i in range(j):
-            prof.table[(i, j)] = _val_or_none(omega[i, j])
-            if _pivot_step(omega, i, j, n):
-                prof.swaps.append((i, j))
-        prof.table[(j, j)] = _val_or_none(omega[j, j])
-        vals = [_val_or_none(omega[k, k]) for k in range(j + 1)]
+    pivot = None  # entry (i, i) before step (i, j)
+    for i, j, at in _eliminate(m.copy(), n):
+        # only a swap changes column i - 1 in step (i - 1, j)
+        if i and at(0, i - 1, i - 1) != pivot:
+            prof.swaps.append((i - 1, j))
+        prof.table[(i, j)] = _val_or_none(at(0, i, j))
+        if i < j:
+            pivot = at(0, i, i)
+            continue
+        vals = [_val_or_none(at(0, k, k)) for k in range(j + 1)]
         prof.boundary_sums.append(None if None in vals else sum(vals))
         if j < d - 1:
-            piv = omega[j, j]
+            piv = at(0, j, j)
             vl_defined = vl_defined and not piv.is_zeroish
             if vl_defined:
-                quotients += [(omega[i, j], piv.valuation) for i in range(j + 1, d)]
+                quotients += [(at(0, r, j), piv.valuation) for r in range(j + 1, d)]
     prof.det_val = prof.boundary_sums[-1]
     prof.vl = _vl_bound(quotients) if vl_defined else None
     return prof
@@ -479,7 +480,9 @@ def stable_l(m: PrecMatrix) -> StableL:
     omega, n = _flattened(m)
     lower = PrecMatrix.identity_like(m, d, n)
     col_vals = []
-    for j, at in _eliminate(omega, n):
+    for i, j, at in _eliminate(omega, n):
+        if i < j:
+            continue
         diag = [at(0, k, k) for k in range(j + 1)]
         v = n if any(e.is_zeroish for e in diag) else sum(e.valuation for e in diag)
         if v >= n:
@@ -493,30 +496,31 @@ def stable_l(m: PrecMatrix) -> StableL:
 
 def _eliminate(omega: PrecMatrix, n: int, *extras: PrecMatrix):
     """Run the pivoted elimination of square omega (and the extras),
-    yielding (j, at) once round j, the steps (0, j) .. (j-1, j), is done;
-    at(x, r, c) is entry (r, c) of (omega, *extras)[x] at that moment.
+    yielding (i, j, at) before each step (i, j) and (j, j, at) once round j
+    is done; at(x, r, c) is entry (r, c) of (omega, *extras)[x] then.
 
-    The rounds run on the integer kernel when it accepts omega and the
-    extras, and as :func:`_pivot_step` calls otherwise; either way a round
-    runs only when asked for, and its errors are the object path's.  On the
-    kernel the matrices are left as they were, so every entry, the final
-    ones too, is read through ``at``.
+    The steps are :func:`~dvrlu.kernel.stepper` on the columns when
+    :func:`~dvrlu.kernel.columns` takes omega and the extras, and
+    :func:`_pivot_step` otherwise; either way a step runs only when asked
+    for, and its errors are the object path's.  On the kernel the matrices
+    are left as they were, so every entry is read through ``at``.
     """
     mats = (omega, *extras)
     on_kernel = [kernel.columns(x, n) for x in mats]
     if None in on_kernel:
         at = lambda x, r, c: mats[x][r, c]
-        for j in range(omega.nrows):
-            for i in range(j):
-                _pivot_step(omega, i, j, n, *extras)
-            yield j, at
-        return
-    cfg = on_kernel[0][0]
-    colsets = [cols for _, cols in on_kernel]
-    elem = kernel.elements(cfg, n)
-    at = lambda x, r, c: elem(colsets[x][c][r])
-    for j in kernel.rounds(colsets[0], n, cfg, *colsets[1:]):
-        yield j, at
+        step = lambda i, j: _pivot_step(omega, i, j, n, *extras)
+    else:
+        colsets = [cols for _, cols in on_kernel]
+        cfg = on_kernel[0][0]
+        elem, kernel_step = kernel.elements(cfg, n), kernel.stepper(n, cfg)
+        at = lambda x, r, c: elem(colsets[x][c][r])
+        step = lambda i, j: kernel_step(colsets, i, j)
+    for j in range(omega.nrows):
+        for i in range(j):
+            yield i, j, at
+            step(i, j)
+        yield j, j, at
 
 
 def precision_loss(lower: PrecMatrix, n: int) -> int:
@@ -598,7 +602,9 @@ def lv_decomposition(m: PrecMatrix) -> LvOutput:
     wp = PrecMatrix.identity_like(m, d, n)
     lp = PrecMatrix.zero_like(m, d, d, n)
     vp = PrecMatrix.zero_like(m, d, d, n)
-    for j, at in _eliminate(omega, n, wp):
+    for i, j, at in _eliminate(omega, n, wp):
+        if i < j:
+            continue
         for r in range(d):
             lp[r, j] = at(0, r, j)
             vp[r, j] = at(1, r, j)
@@ -727,8 +733,8 @@ def _block_elimination(m: PrecMatrix, block_sizes: Sequence[int], clear: bool) -
     block_vals = []
     j0 = 0
     boundaries = set(itertools.accumulate(block_sizes))
-    for j, at in _eliminate(omega, n):
-        if j + 1 in boundaries:
+    for i, j, at in _eliminate(omega, n):
+        if i == j and j + 1 in boundaries:
             hi = j + 1  # block spans columns j0..hi-1
             # normalize: L's block columns are omega's scaled by the pivot
             for jp in range(j0, hi):

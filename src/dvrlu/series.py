@@ -59,11 +59,9 @@ def _quotient(ops, f: Sequence[Fields], g: Sequence[Fields]) -> list[Fields]:
             acc = _plus(ops, acc, _neg(ops, _times(ops, g[i], q[k - i])))
         av, au, r = acc
         r = r if r < gr else gr
-        if r:
-            if r not in invs:
-                invs[r] = ops.inv(gu, r)
-            au = ops.mul(au, invs[r], r)
-        q.append((av - gv, au, r))
+        if r not in invs:
+            invs[r] = ops.inv(gu, r)
+        q.append((av - gv, ops.mul(au, invs[r], r), r))
     return q
 
 

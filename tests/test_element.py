@@ -59,6 +59,18 @@ def test_unit_form_rejects_non_units():
         PrecElem.unit_form(CFG, 0, 1, 0)
 
 
+def test_zero_precision_is_not_the_default():
+    # 0 is a precision, not "unset": one digit-less unit is refused, and a
+    # zero at relative precision 0 is O(pi^0)
+    for cfg in (CFG, SER):
+        with pytest.raises(ValueError, match="unit form needs"):
+            PrecElem.one(cfg, 0)
+        with pytest.raises(ValueError, match="unit form needs"):
+            PrecElem.from_int(cfg, 3, rel_prec=0)
+        assert PrecElem.from_int(cfg, 0, rel_prec=0) == PrecElem.bigoh(cfg, 0)
+        assert PrecElem.one(cfg) == PrecElem.unit_form(cfg, 0, 1, 10)
+
+
 def test_series_backend_rejects_negative():
     with pytest.raises(ValueError):
         PrecElem.from_int(SER, -3)
@@ -462,6 +474,16 @@ def test_repr_mentions_precision():
 # ---------------------------------------------------------------------------
 # the config's digit-ops field
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+@pytest.mark.parametrize("n", [0, -1])
+def test_inverse_keeping_no_digits_is_zero(backend, n):
+    # like every other digit op, inv keeps no digit for n <= 0
+    ops = DvrConfig(p=5, prec=10, backend=backend).ops
+    assert ops.inv(ops.encode(3), n) == 0
+    assert ops.inv(ops.encode(3), 1) == ops.encode(2)
+
 
 
 @pytest.mark.parametrize("backend", list(Backend))

@@ -63,6 +63,8 @@ def _outcome(fn, m):
         fields = (out.lower, out.col_vals, out.n)
     elif isinstance(out, lu_stable.BlockL):
         fields = (out.lower, out.block_vals, out.n)
+    elif isinstance(out, lu_stable.VijProfile):
+        fields = (out.table, out.boundary_sums, out.det_val, out.swaps, out.vl)
     else:
         fields = (out.lp, out.vp, out.hp, out.wp, out.col_val, out.degenerate)
     return fields, lu_fast.get_mul_count()
@@ -82,6 +84,7 @@ ELIMINATIONS = {
     "recursive_lv": lambda m: lu_fast.recursive_lv(m, threshold=2),
     "block_l": lambda m: lu_stable.block_l(m, _tiling(m.nrows)),
     "block_l_unitlower": lambda m: lu_stable.block_l_unitlower(m, _tiling(m.nrows)),
+    "vij_statistics": lu_stable.vij_statistics,
 }
 RAISE_DEGENERATE = {"stable_l", "block_l", "block_l_unitlower"}
 
@@ -106,7 +109,7 @@ BAND_RAISES = flat_from_ints(DvrConfig(p=2, prec=1, backend=Backend.SERIES),
 @example(m=BAND_RAISES)
 def test_kernel_matches_object_path(name, m):
     fn = ELIMINATIONS[name]
-    with counting(kernel, "rounds") as on_kernel:
+    with counting(kernel, "stepper") as on_kernel:
         on_objects, got = _ran_on_objects(fn, m)
     with object_path():
         want = _outcome(fn, m)
@@ -144,7 +147,8 @@ def test_capped_product_matches_matmul(p, n, shape, extra, seed):
 @pytest.mark.parametrize("name", ELIMINATIONS)
 def test_series_and_negative_valuation_take_object_path(name):
     # SeriesElem entries (the sheaf solver's local factors, which stable_l
-    # does not take) and an entry of negative valuation have no residues
+    # and vij_statistics do not take) and an entry of negative valuation
+    # have no residues
     fn = ELIMINATIONS[name]
     rng = random.Random(3)
     cfg = DvrConfig(p=3, prec=8)
@@ -153,7 +157,7 @@ def test_series_and_negative_valuation_take_object_path(name):
     negative = random_matrix(cfg, 4, rng)
     negative[2, 1] = PrecElem.unit_form(cfg, -1, 2, 9)  # 2/3 + O(3^8)
     integral = random_matrix(cfg, 4, rng)
-    for m in [negative] if name == "stable_l" else [negative, series]:
+    for m in [negative] if name in ("stable_l", "vij_statistics") else [negative, series]:
         assert kernel.columns(m, m.min_abs_prec()) is None
         assert _ran_on_objects(fn, m)[0]
     assert not _ran_on_objects(fn, integral)[0]
@@ -166,7 +170,7 @@ def test_flat_series_runs_on_kernel(name):
     fn = ELIMINATIONS[name]
     m = random_matrix(DvrConfig(p=3, prec=8, backend=Backend.SERIES), 6, random.Random(3))
     assert kernel.columns(m, 8) is not None
-    with counting(kernel, "rounds") as leaves, counting(kernel, "capped_products") as products:
+    with counting(kernel, "stepper") as leaves, counting(kernel, "capped_products") as products:
         with counting(lu_stable, "_pivot_step") as steps:
             with counting(lu_fast, "_pivot_step") as bands:
                 fn(m)
@@ -246,13 +250,31 @@ def test_undecided_comparison_raises_on_kernel(name):
     # the block eliminations the zero pivot of their first block.
     m = flat_from_ints(DvrConfig(p=5, prec=6), [[1, 0, 0], [0, 0, 0], [0, 1, 1]])
     fn = ELIMINATIONS[name]
-    with counting(kernel, "rounds") as on_kernel:
+    with counting(kernel, "stepper") as on_kernel:
         on_objects, got = _ran_on_objects(fn, m)
     with object_path():
         want = _outcome(fn, m)
     assert on_kernel and not on_objects
     assert got[0] is (DegenerateInput if name in RAISE_DEGENERATE else AmbiguousValuation)
     assert got == want
+
+
+def test_entry_known_beyond_n_stays_off_kernel():
+    # N = 3, set by the O(5^3) entry; vij_statistics reads the others to
+    # 5^10, so round 0's pivot has valuation 5 and V_L the interval (0, 2).
+    # Read mod 5^3 on the kernel, that pivot would be O(5^3) and V_L None.
+    cfg = DvrConfig(p=5, prec=10)
+    m = PrecMatrix(
+        [
+            [PrecElem.unit_form(cfg, 5, 1, 5), PrecElem.from_int(cfg, 1, abs_prec=10)],
+            [PrecElem.bigoh(cfg, 3), PrecElem.from_int(cfg, 1, abs_prec=10)],
+        ]
+    )
+    assert kernel.columns(m, 3) is None
+    with counting(kernel, "stepper") as on_kernel:
+        on_objects, got = _ran_on_objects(lu_stable.vij_statistics, m)
+    assert on_objects and not on_kernel
+    assert got[0][-1] == (0, 2)
 
 
 def _simul_outcome(cfg, family, seed):
