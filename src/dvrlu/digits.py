@@ -14,15 +14,17 @@ Both expose the same methods, all taking and returning stored ints:
 ``add``, ``neg``, ``mul`` and ``inv`` keep n digits, ``shift`` multiplies by
 pi^k and ``unshift`` divides a multiple of pi^k by it, ``strip`` splits off
 the valuation of a nonzero value, ``trunc`` keeps n digits, ``sub_scaled``
-is the column update ``[x - s*y mod pi^n]`` of the flat elimination in
-:mod:`dvrlu.kernel`, and ``encode``/``decode`` convert from/to the public
+is the column update ``[x - s*y mod pi^n]`` of the flat elimination and
+``product`` the matrix product mod pi^n of the integer kernel
+(:mod:`dvrlu.kernel`), and ``encode``/``decode`` convert from/to the public
 base-p packing.  :class:`~dvrlu.config.DvrConfig` picks the object once per
 ring.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul as _times
 
 
 @lru_cache(maxsize=1024)
@@ -61,6 +63,11 @@ class PadicDigits:
     def sub_scaled(self, xs: list[int], ys: list[int], s: int, n: int) -> list[int]:
         pn = pw(self.p, n)
         return [(a - s * b) % pn for a, b in zip(xs, ys)]
+
+    def product(self, rows: list[list[int]], cols: list[list[int]], n: int) -> list[list[int]]:
+        # one reduction per entry, of the exact sum in ascending index
+        pn = pw(self.p, n)
+        return [[sum(map(_times, r, c)) % pn for c in cols] for r in rows]
 
     def strip(self, x: int) -> tuple[int, int]:
         p = self.p
@@ -181,6 +188,25 @@ class SeriesDigits:
             (x := a + q - (s * b & full)) - p * (((x * m) >> k) & low_b)
             for a, b in zip(xs, ys)
         ]
+
+    def product(self, rows: list[list[int]], cols: list[list[int]], n: int) -> list[list[int]]:
+        # A slot of a sum of g = CAP // n slot products is at most
+        # g*n*(p-1)^2 <= CAP*(p-1)^2 < 2^b, so the terms are summed raw g
+        # at a time, each group is reduced once and the groups are added.
+        # Past CAP digits each term is one mul, as in sub_scaled.
+        if n > self.CAP:
+            g, group = 1, lambda xs, ys: self.mul(xs[0], ys[0], n)
+        else:
+            full, low_b, _, _ = self._tabs[n]
+            m, k, p, g = self.m, self.k, self.p, self.CAP // n
+
+            def group(xs: list[int], ys: list[int]) -> int:
+                x = sum(map(_times, xs, ys)) & full
+                return x - p * (((x * m) >> k) & low_b)
+
+        plus = lambda x, y: self.add(x, y, n)
+        return [[reduce(plus, [group(r[s:s + g], c[s:s + g]) for s in range(0, len(r), g)])
+                 for c in cols] for r in rows]
 
     def strip(self, x: int) -> tuple[int, int]:
         v = ((x & -x).bit_length() - 1) // self.w

@@ -42,39 +42,34 @@ The module's functions:
   refuses an entry that is not a :class:`~dvrlu.element.PrecElem` (the
   sheaf factors' ``SeriesElem``), an entry of negative valuation, an entry
   known to fewer than N digits, entries of more than one ring object and
-  N < 1, which all stay on the object path; :func:`columns` reads a
-  matrix's columns for an elimination, and also refuses an entry known to
-  more than N digits.
+  N < 1, which all stay on the object path.  :func:`exact` reads matrices,
+  by rows or by columns, for an elimination: it also refuses an entry
+  known to more than N digits, whose further digits the object path reads.
 * :func:`stepper` is one step (i, j) above, swap rule and raise included;
   :func:`dvrlu.lu_stable._eliminate` runs it as the elimination above.
   The two pieces that differ by ring, dividing out pi^v and the column
   update, are the digit-ops object's ``unshift`` and ``sub_scaled``.
-* :func:`product` is the one int product: each entry of a product of row
-  lists is ``sum(a_ik b_kj) mod p^N``.
-* :func:`capped_products` is ``matmul(a, b).cap_abs(N)`` for ``Z_p``
-  operands, on :func:`product`, for one or more right operands b.  It
-  serves :func:`dvrlu.lu_fast._capped`, which every product truncated back
-  to N goes through, and :func:`dvrlu.lu_fast._capped_coefficients`, which
-  runs the sheaf's ``omega * M_m`` as one such product per coefficient
-  matrix ``M^(l)`` of the series matrix M_m, reading omega once.  It
-  refuses ``F_p[[t]]``, whose sum of d slot products could overflow a slot.
+* :func:`capped_products` is ``matmul(a, b).cap_abs(N)`` on the digit-ops
+  object's ``product``, for one or more right operands b.  It serves
+  :func:`dvrlu.lu_fast._capped_coefficients`, which every product
+  truncated back to N goes through; the sheaf's ``omega * M_m`` passes it
+  one coefficient matrix ``M^(l)`` of the series matrix M_m per operand,
+  reading omega once.
 
 The int recursion of :func:`dvrlu.lu_fast.recursive_lv` (and of a
 :func:`~dvrlu.lu_fast.clear_block` band all at precision exactly N) runs on
-``Z_p`` residues from one read of its input to the output's elements: its
-leaves and its one-row band steps run on :func:`stepper`, and its products
-are :func:`product`.
+residues of either ring from one read of its input (:func:`exact`) to the
+output's elements: its leaves and its one-row band steps run on
+:func:`stepper`, and its products on the digit-ops object's ``product``.
 
 Every output equals the object path's, value and tracked precision alike.
 """
 
 from __future__ import annotations
 
-from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
-from .config import Backend, DvrConfig
-from .digits import pw
+from .config import DvrConfig
 from .element import PrecElem, valuation_less
 from .matrix import PrecMatrix
 
@@ -86,25 +81,24 @@ def ints(lines: Iterable[Sequence], n: int, cfg: DvrConfig) -> Optional[list[lis
         return None
     out = []
     for line in lines:
-        row = []
-        for e in line:
-            x = e.residue(n) if type(e) is PrecElem and e.cfg is cfg else None
-            if x is None:
-                return None
-            row.append(x)
+        row = [e.residue(n) if type(e) is PrecElem and e.cfg is cfg else None for e in line]
+        if None in row:
+            return None
         out.append(row)
     return out
 
 
-def columns(m: PrecMatrix, n: int) -> Optional[tuple[DvrConfig, list[list[int]]]]:
-    """The ring of m's first entry and m's columns as ints mod pi^n, or None
-    when that entry is not a :class:`PrecElem`, an entry is not known to
-    exactly n (the object path reads further digits) or :func:`ints`
-    refuses m."""
-    e = m.rows[0][0] if m.rows[0] else None
-    exact = type(e) is PrecElem and all(x.abs_prec == n for row in m.rows for x in row)
-    cols = ints(zip(*m.rows), n, e.cfg) if exact else None
-    return None if cols is None else (e.cfg, cols)
+def exact(n: int, *mats: Sequence[Sequence]) -> Optional[tuple[DvrConfig, list[list[list[int]]]]]:
+    """The ring of the first entry of mats[0] and each of mats, given as
+    lists of rows or of columns, as ints mod pi^n, or None when that entry
+    is not a :class:`PrecElem`, an entry is not known to exactly n (the
+    object path reads further digits) or :func:`ints` refuses a matrix in
+    that ring."""
+    e = mats[0][0][0]
+    if type(e) is not PrecElem or any(x.abs_prec != n for m in mats for line in m for x in line):
+        return None
+    out = [ints(m, n, e.cfg) for m in mats]
+    return None if None in out else (e.cfg, out)
 
 
 def elements(cfg: DvrConfig, n: int) -> Callable[[int], PrecElem]:
@@ -168,29 +162,20 @@ def stepper(n: int, cfg: DvrConfig) -> Callable[[Sequence[list], int, int], None
     return step
 
 
-def product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], pn: int) -> list[list[int]]:
-    """The product of the row lists of ints a and b, each entry summed in
-    ascending index and reduced mod pn."""
-    cols = list(zip(*b))
-    return [[sum(map(mul, r, c)) % pn for c in cols] for r in a]
-
-
 def capped_products(
     a: PrecMatrix, bs: Sequence[PrecMatrix], n: int
 ) -> Optional[list[PrecMatrix]]:
-    """``[matmul(a, b).cap_abs(n) for b in bs]`` for integral Z_p operands
-    known to precision >= n, reading a once, or None when the ring is not
-    ``Z_p`` or :func:`ints` refuses any operand.
+    """``[matmul(a, b).cap_abs(n) for b in bs]`` for integral operands of
+    one ring known to precision >= n, on the ring's ``product``, reading a
+    once, or None when :func:`ints` refuses any operand.
 
     Every term of the sum has absolute precision >= n, so the capped entry
-    is the residue of the exact sum mod p^n at precision exactly n.
+    is the residue of the exact sum mod pi^n at precision exactly n.
     """
-    e = a.rows[0][0]
-    if type(e) is not PrecElem or e.cfg.backend is not Backend.PADIC:
+    cfg = a.rows[0][0].cfg
+    ra, cbs = ints(a.rows, n, cfg), [ints(zip(*b.rows), n, cfg) for b in bs]
+    if ra is None or None in cbs:
         return None
-    cfg = e.cfg
-    ra, rbs = ints(a.rows, n, cfg), [ints(b.rows, n, cfg) for b in bs]
-    if ra is None or None in rbs:
-        return None
-    pn, elem = pw(cfg.p, n), elements(cfg, n)
-    return [PrecMatrix([[elem(x) for x in row] for row in product(ra, rb, pn)]) for rb in rbs]
+    elem = elements(cfg, n)
+    return [PrecMatrix([[elem(x) for x in row] for row in cfg.ops.product(ra, cb, n)])
+            for cb in cbs]

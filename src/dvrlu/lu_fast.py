@@ -20,31 +20,30 @@ optionally uses Strassen's recursion — value-equal to the classical product,
 possibly with coarser tracked precision, so the default everywhere here is
 the classical order-deterministic kernel.  Every product truncated back to
 N of elements (in simul, sheaf and the element recursion) goes through
-:func:`_capped`, which runs a classical one of integral ``Z_p`` operands
-known to precision N on :func:`dvrlu.kernel.capped_products`: same entries,
-same count.  ``F_p[[t]]`` operands, ``SeriesElem`` entries, an entry of
-negative valuation, Strassen and the uncapped public product stay on
-:func:`matmul`.  The sheaf's ``omega * M_m``, a scalar matrix times a
-series matrix, runs per coefficient instead: :func:`_capped_coefficients`
-takes each coefficient matrix's product ``omega * M^(l)`` to the kernel and
-counts them as the one product they stand for; only when the kernel
-refuses one does the ``SeriesElem`` product run on :func:`matmul`.
+:func:`_capped_coefficients`, which runs a classical one of integral
+operands of either ring known to precision N on
+:func:`dvrlu.kernel.capped_products`: same entries, same count.
+``SeriesElem`` entries, an entry of negative valuation, Strassen and the
+uncapped public product stay on :func:`matmul` (:func:`_capped`).  The
+sheaf's ``omega * M_m``, a scalar matrix times a series matrix, passes the
+kernel one coefficient matrix ``M^(l)`` of M_m per operand and counts them
+as the one product they stand for; only when the kernel refuses one does
+the ``SeriesElem`` product run on :func:`matmul`.
 
 :func:`recursive_lv` and :func:`clear_block` are written once, over row
 lists, and run in one of two representations chosen at the top:
 
 * the **int recursion** (:class:`_Residues`), for a classical run on
-  integral ``Z_p`` entries all at precision exactly N: the input is read
-  once as ints mod p^N, the leaves' rounds and the one-row band steps run
-  on :func:`dvrlu.kernel.stepper`, the products are
-  :func:`dvrlu.kernel.product` counted as the element products they stand
-  for, and elements are built once, for the output;
+  integral entries of either ring all at precision exactly N: the input is
+  read once as stored ints mod pi^N (:func:`dvrlu.kernel.exact`), the
+  leaves' rounds and the one-row band steps run on
+  :func:`dvrlu.kernel.stepper`, the products on the ring's digit-ops
+  ``product`` counted as the element products they stand for, and elements
+  are built once, for the output;
 * the **element recursion** (:class:`_Elements`), for everything else:
   the leaves are :func:`~dvrlu.lu_stable.lv_decomposition`, the band steps
   :func:`~dvrlu.lu_stable._pivot_step` and the products :func:`_capped`.
-  It is the reference the int recursion reproduces field for field.  On
-  flat ``F_p[[t]]`` input its leaves still run on the kernel, through
-  :func:`~dvrlu.lu_stable.lv_decomposition`.
+  It is the reference the int recursion reproduces field for field.
 """
 
 from __future__ import annotations
@@ -52,8 +51,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import kernel
-from .config import Backend
-from .digits import pw
 from .element import PrecElem
 from .lu_stable import LvOutput, lv_decomposition, working_precision
 from .lu_stable import _flattened, _pivot_step, _require_digits, _square_dim, _val_or_none
@@ -108,16 +105,10 @@ def _matmul_classical(a: PrecMatrix, b: PrecMatrix) -> PrecMatrix:
 
 
 def _capped(a: PrecMatrix, b: PrecMatrix, n: int, algo: str = "classical") -> PrecMatrix:
-    """``matmul(a, b, algo).cap_abs(n)``.  A classical product of integral
-    ``Z_p`` operands known to precision >= n runs on the integer kernel,
-    which gives the same entries and the same count."""
-    global _MUL_COUNT
-    if algo == "classical" and a.ncols == b.nrows:
-        out = kernel.capped_products(a, [b], n)
-        if out is not None:
-            _MUL_COUNT += a.nrows * a.ncols * b.ncols
-            return out[0]
-    return matmul(a, b, algo).cap_abs(n)
+    """``matmul(a, b, algo).cap_abs(n)``, on the integer kernel when the
+    product is classical and the kernel takes its operands."""
+    out = _capped_coefficients(a, [b], n) if algo == "classical" else None
+    return matmul(a, b, algo).cap_abs(n) if out is None else out[0]
 
 
 def _capped_coefficients(
@@ -186,14 +177,16 @@ def matmul(
     """
     if a.ncols != b.nrows:
         raise ValueError(f"shape mismatch {a.nrows}x{a.ncols} * {b.nrows}x{b.ncols}")
-    if algo == "classical":
-        return _matmul_classical(a, b)
-    if algo == "strassen":
-        if a.nrows == a.ncols == b.ncols:
-            n = max(working_precision(a), working_precision(b))
-            return _matmul_strassen(a, b, cutoff, n)
-        return _matmul_classical(a, b)
-    raise ValueError(f"unknown multiplication algorithm {algo!r}")
+    _require_algo(algo)
+    if algo == "strassen" and a.nrows == a.ncols == b.ncols:
+        n = max(working_precision(a), working_precision(b))
+        return _matmul_strassen(a, b, cutoff, n)
+    return _matmul_classical(a, b)
+
+
+def _require_algo(algo: str) -> None:
+    if algo not in ("classical", "strassen"):
+        raise ValueError(f"unknown multiplication algorithm {algo!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +204,14 @@ def _transposed(m: Sequence[Sequence]) -> list[list]:
 
 
 class _Residues:
-    """Row lists of ints mod p^n: the integer kernel's operations, for
-    integral ``Z_p`` entries at precision exactly n and classical products.
-    Leaves and bands run on the kernel's :func:`~dvrlu.kernel.stepper`, and
-    each product is counted as the element product it stands for."""
+    """Row lists of stored ints mod pi^n: the integer kernel's operations,
+    for integral entries of either ring at precision exactly n and
+    classical products.  Leaves and bands run on the kernel's
+    :func:`~dvrlu.kernel.stepper`, products on the ring's digit-ops
+    ``product``, each counted as the element product it stands for."""
 
     def __init__(self, cfg, n: int):
-        self.n, self.pn = n, pw(cfg.p, n)
+        self.n, self.ops = n, cfg.ops
         self.step = kernel.stepper(n, cfg)
         self.elem = kernel.elements(cfg, n)
 
@@ -233,7 +227,7 @@ class _Residues:
     def product(self, a: list[list[int]], b: list[list[int]], n: int) -> list[list[int]]:
         global _MUL_COUNT
         _MUL_COUNT += len(a) * len(b) * len(b[0])
-        return kernel.product(a, b, self.pn)
+        return self.ops.product(a, list(zip(*b)), n)
 
     def band(self, row: list[int], n: int) -> tuple[list[list[int]], list[list[int]]]:
         cols, t = [[e] for e in row], _identity(self, len(row), n)  # t by columns
@@ -256,9 +250,9 @@ class _Residues:
 
 
 class _Elements:
-    """Row lists of elements: the object path, for ``F_p[[t]]`` and
-    ``SeriesElem`` entries, an entry of negative valuation or known beyond
-    n, and Strassen products."""
+    """Row lists of elements: the object path, for ``SeriesElem`` entries,
+    an entry of negative valuation or known beyond n, and Strassen
+    products."""
 
     def __init__(self, proto, algo: str):
         self.proto, self.algo = proto, algo
@@ -293,25 +287,18 @@ class _Elements:
 
 def _representation(n: int, algo: str, *mats: PrecMatrix):
     """The representation to run on and the rows of mats in it: residues
-    when algo is classical and every entry is an integral ``Z_p`` element
-    of one ring at absolute precision exactly n, elements otherwise.
+    when algo is classical and :func:`dvrlu.kernel.exact` takes every
+    matrix, elements otherwise.
 
     An entry known beyond n stays an element: a swap comparison of two
-    entries that are both 0 mod p^n is decided by their further digits,
-    where the kernel, reading them mod p^n, would raise.  ``F_p[[t]]`` stays
-    on elements: a product's sum of slot products could overflow a slot.
+    entries that are both 0 mod pi^n is decided by their further digits,
+    where the kernel, reading them mod pi^n, would raise.
     """
-    proto = mats[0].rows[0][0]
-    if (
-        algo == "classical"
-        and type(proto) is PrecElem
-        and proto.cfg.backend is Backend.PADIC
-        and all(e.abs_prec == n for x in mats for row in x.rows for e in row)
-    ):
-        rows = [kernel.ints(x.rows, n, proto.cfg) for x in mats]
-        if None not in rows:
-            return _Residues(proto.cfg, n), rows
-    return _Elements(proto, algo), [x.rows for x in mats]
+    read = kernel.exact(n, *(x.rows for x in mats)) if algo == "classical" else None
+    if read is None:
+        return _Elements(mats[0].rows[0][0], algo), [x.rows for x in mats]
+    cfg, rows = read
+    return _Residues(cfg, n), rows
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +387,7 @@ def clear_block(
     all at precision exactly n runs on ints mod p^n; any other band on
     elements.  Raises ValueError for n < 1.
     """
+    _require_algo(algo)
     if y.nrows != x.nrows or x.ncols != x.nrows:
         raise ValueError("band shapes disagree")
     _require_digits(n)
@@ -466,6 +454,7 @@ def recursive_lv(
             ValueError when below 1.
         algo: multiplication kernel for the assembled products.
     """
+    _require_algo(algo)
     if threshold < 1:
         raise ValueError(f"threshold must be at least 1, got {threshold}")
     d = _square_dim(m)

@@ -500,19 +500,18 @@ def _eliminate(omega: PrecMatrix, n: int, *extras: PrecMatrix):
     is done; at(x, r, c) is entry (r, c) of (omega, *extras)[x] then.
 
     The steps are :func:`~dvrlu.kernel.stepper` on the columns when
-    :func:`~dvrlu.kernel.columns` takes omega and the extras, and
+    :func:`~dvrlu.kernel.exact` takes omega's and the extras' columns, and
     :func:`_pivot_step` otherwise; either way a step runs only when asked
     for, and its errors are the object path's.  On the kernel the matrices
     are left as they were, so every entry is read through ``at``.
     """
     mats = (omega, *extras)
-    on_kernel = [kernel.columns(x, n) for x in mats]
-    if None in on_kernel:
+    on_kernel = kernel.exact(n, *(list(zip(*x.rows)) for x in mats))
+    if on_kernel is None:
         at = lambda x, r, c: mats[x][r, c]
         step = lambda i, j: _pivot_step(omega, i, j, n, *extras)
     else:
-        colsets = [cols for _, cols in on_kernel]
-        cfg = on_kernel[0][0]
+        cfg, colsets = on_kernel
         elem, kernel_step = kernel.elements(cfg, n), kernel.stepper(n, cfg)
         at = lambda x, r, c: elem(colsets[x][c][r])
         step = lambda i, j: kernel_step(colsets, i, j)

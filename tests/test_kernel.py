@@ -4,7 +4,9 @@ The object path is forced by making the kernel's eligibility check
 (``kernel.ints``) refuse every matrix.  Both paths must then give equal
 factors, field for field, the same exceptions with the same messages and the
 same product counts, and an input the kernel accepts never reaches the
-object elimination, not even to raise.
+object elimination, not even to raise.  The forced run itself is checked
+not to touch the kernel, so the comparison is never the kernel against
+itself.
 """
 
 from __future__ import annotations
@@ -27,12 +29,6 @@ from dvrlu.series import SeriesElem
 from dvrlu.simul import simultaneous_block_lu
 
 @contextmanager
-def object_path():
-    with mock.patch.object(kernel, "ints", lambda *args: None):
-        yield
-
-
-@contextmanager
 def counting(module, name):
     """Record what each call of module.name returns, or the exception it
     raises, while the block runs."""
@@ -50,6 +46,16 @@ def counting(module, name):
 
     with mock.patch.object(module, name, spy):
         yield calls
+
+
+@contextmanager
+def object_path():
+    """Run the block with the kernel refusing every matrix, and check that
+    no kernel step ran and no kernel product was returned."""
+    with mock.patch.object(kernel, "ints", lambda *args: None):
+        with counting(kernel, "stepper") as steps, counting(kernel, "capped_products") as products:
+            yield
+    assert not steps and all(out is None for out in products)
 
 
 def _outcome(fn, m):
@@ -114,27 +120,28 @@ def test_kernel_matches_object_path(name, m):
     with object_path():
         want = _outcome(fn, m)
     assert got == want
-    # recursive_lv clears F_p[[t]] bands on elements, around kernel leaves
-    bands = name == "recursive_lv" and m.rows[0][0].cfg.backend is Backend.SERIES
-    assert on_kernel and on_objects <= bands
+    assert on_kernel and not on_objects
 
 
 def test_a_step_that_raises_is_counted():
-    ran, (exc, _) = _ran_on_objects(ELIMINATIONS["recursive_lv"], BAND_RAISES)
+    # with Strassen products the bands are cleared on elements
+    strassen = lambda m: lu_fast.recursive_lv(m, threshold=2, algo="strassen")
+    ran, (exc, _) = _ran_on_objects(strassen, BAND_RAISES)
     assert ran and exc is AmbiguousValuation
 
 
 @given(
+    backend=st.sampled_from(Backend),
     p=st.sampled_from(PRIMES),
     n=st.integers(1, 30),
     shape=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
     extra=st.integers(0, 4),
     seed=st.integers(0, 2**32),
 )
-def test_capped_product_matches_matmul(p, n, shape, extra, seed):
-    # operands known to more than n digits are read mod p^n
+def test_capped_product_matches_matmul(backend, p, n, shape, extra, seed):
+    # operands known to more than n digits are read mod pi^n
     rng = random.Random(seed)
-    cfg = DvrConfig(p=p, prec=n)
+    cfg = DvrConfig(p=p, prec=n, backend=backend)
     r, k, c = shape
     a, b = (
         PrecMatrix([[PrecElem.random(cfg, rng, n + rng.randint(0, extra))
@@ -142,6 +149,32 @@ def test_capped_product_matches_matmul(p, n, shape, extra, seed):
         for h, w in ((r, k), (k, c))
     )
     assert kernel.capped_products(a, [b], n) == [lu_fast.matmul(a, b).cap_abs(n)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n, inner", [(1024, 64), (4096, 8), (4097, 2)])
+def test_series_product_at_its_edges(p, n, inner):
+    # a row and a column whose every digit is p - 1 give the largest slot
+    # sums (n * inner > CAP overflows one unreduced sum of slot products);
+    # n = CAP + 1 takes the one product per term route
+    cfg = DvrConfig(p=p, prec=n, backend=Backend.SERIES)
+    ops, rng = cfg.ops, random.Random(p * n)
+    a = [[p**n - 1] * inner, [rng.randrange(p**n) for _ in range(inner)]]
+    b = [[p**n - 1, rng.randrange(p**n)] for _ in range(inner)]
+    rows = [[ops.encode(x) for x in row] for row in a]
+    cols = [[ops.encode(x) for x in col] for col in zip(*b)]
+    want = []
+    for r in rows:
+        want.append([])
+        for c in cols:
+            acc = 0
+            for x, y in zip(r, c):
+                acc = ops.add(acc, ops.mul(x, y, n), n)
+            want[-1].append(acc)
+    assert ops.product(rows, cols, n) == want
+    elem = kernel.elements(cfg, n)
+    ea, eb = (PrecMatrix([[elem(x) for x in line] for line in m]) for m in (rows, zip(*cols)))
+    assert kernel.capped_products(ea, [eb], n) == [lu_fast.matmul(ea, eb).cap_abs(n)]
 
 
 @pytest.mark.parametrize("name", ELIMINATIONS)
@@ -158,25 +191,22 @@ def test_series_and_negative_valuation_take_object_path(name):
     negative[2, 1] = PrecElem.unit_form(cfg, -1, 2, 9)  # 2/3 + O(3^8)
     integral = random_matrix(cfg, 4, rng)
     for m in [negative] if name in ("stable_l", "vij_statistics") else [negative, series]:
-        assert kernel.columns(m, m.min_abs_prec()) is None
+        assert kernel.exact(m.min_abs_prec(), m.rows) is None
         assert _ran_on_objects(fn, m)[0]
     assert not _ran_on_objects(fn, integral)[0]
 
 
 @pytest.mark.parametrize("name", ELIMINATIONS)
 def test_flat_series_runs_on_kernel(name):
-    # flat F_p[[t]] input is eliminated on slot ints; recursive_lv's leaves
-    # run there too, while its bands and products stay on elements
+    # flat F_p[[t]] input is eliminated on slot ints; recursive_lv's leaves,
+    # bands and products run there too, and its products are counted
     fn = ELIMINATIONS[name]
     m = random_matrix(DvrConfig(p=3, prec=8, backend=Backend.SERIES), 6, random.Random(3))
-    assert kernel.columns(m, 8) is not None
-    with counting(kernel, "stepper") as leaves, counting(kernel, "capped_products") as products:
-        with counting(lu_stable, "_pivot_step") as steps:
-            with counting(lu_fast, "_pivot_step") as bands:
-                fn(m)
-    assert leaves and not steps
-    assert bool(bands) == bool(products) == (name == "recursive_lv")
-    assert products.count(None) == len(products)
+    assert kernel.exact(8, m.rows) is not None
+    with counting(kernel, "stepper") as on_kernel, counting(lu_fast, "matmul") as products:
+        on_objects, (_, count) = _ran_on_objects(fn, m)
+    assert on_kernel and not on_objects and not products
+    assert (count > 0) == (name == "recursive_lv")
 
 
 def _schoolbook(e):
@@ -193,11 +223,10 @@ def _schoolbook(e):
     shape=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
     seed=st.integers(0, 2**32),
 )
-def test_series_products_stay_on_elements(p, n, shape, seed):
-    # a sum of slot products could overflow a slot, so F_p[[t]] products
-    # stay on elements: the public matmul is the schoolbook classical
-    # product, and recursive_lv (leaves on the kernel, products and bands on
-    # elements) equals its all-element run
+def test_series_products_are_the_schoolbook_product(p, n, shape, seed):
+    # the kernel's capped F_p[[t]] product and the public matmul are both
+    # the schoolbook classical product, and recursive_lv (leaves, products
+    # and bands on the kernel) equals its all-element run
     rng = random.Random(seed)
     cfg = DvrConfig(p=p, prec=n, backend=Backend.SERIES)
     r, k, c = shape
@@ -205,11 +234,13 @@ def test_series_products_stay_on_elements(p, n, shape, seed):
         PrecMatrix([[PrecElem.random(cfg, rng) for _ in range(w)] for _ in range(h)])
         for h, w in ((r, k), (k, c))
     )
-    assert kernel.capped_products(a, [b], n) is None
     sa, sb = ([[_schoolbook(e) for e in row] for row in x.rows] for x in (a, b))
-    want = [[sum((x * y for x, y in zip(ra[1:], cb[1:])), ra[0] * cb[0]).to_json()
+    want = [[sum((x * y for x, y in zip(ra[1:], cb[1:])), ra[0] * cb[0])
              for cb in zip(*sb)] for ra in sa]
-    assert [[e.to_json() for e in row] for row in lu_fast.matmul(a, b).rows] == want
+    capped = [[e.lift_to_precision(n) if e.abs_prec() > n else e for e in row] for row in want]
+    as_json = lambda rows: [[e.to_json() for e in row] for row in rows]
+    assert as_json(lu_fast.matmul(a, b).rows) == as_json(want)
+    assert as_json(kernel.capped_products(a, [b], n)[0].rows) == as_json(capped)
     m = random_matrix(cfg, r + c, rng)
     got = _outcome(lambda x: lu_fast.recursive_lv(x, threshold=2), m)
     with object_path():
@@ -217,12 +248,11 @@ def test_series_products_stay_on_elements(p, n, shape, seed):
 
 
 @pytest.mark.parametrize(
-    "backend, algo", [(Backend.PADIC, "strassen"), (Backend.SERIES, "classical")]
+    "backend, algo", [(Backend.PADIC, "strassen"), (Backend.SERIES, "strassen")]
 )
 def test_recursive_lv_bands_stay_on_elements(backend, algo):
-    # Strassen's tracked precision is coarser than the kernel's, and a sum
-    # of F_p[[t]] slot products could overflow a slot: both clear their
-    # bands on elements
+    # Strassen's tracked precision is coarser than the kernel's: it clears
+    # its bands on elements
     m = random_matrix(DvrConfig(p=5, prec=10, backend=backend), 6, random.Random(4))
     with counting(lu_fast, "_pivot_step") as bands:
         lu_fast.recursive_lv(m, threshold=2, algo=algo)
@@ -270,7 +300,7 @@ def test_entry_known_beyond_n_stays_off_kernel():
             [PrecElem.bigoh(cfg, 3), PrecElem.from_int(cfg, 1, abs_prec=10)],
         ]
     )
-    assert kernel.columns(m, 3) is None
+    assert kernel.exact(3, m.rows) is None
     with counting(kernel, "stepper") as on_kernel:
         on_objects, got = _ran_on_objects(lu_stable.vij_statistics, m)
     assert on_objects and not on_kernel

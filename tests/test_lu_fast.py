@@ -166,6 +166,23 @@ def test_recursive_rejects_threshold_below_one(threshold):
         recursive_lv(m, threshold=threshold)
 
 
+# none of these calls reaches a product: a 3x3 input below the threshold, a
+# one-row band and a band with no columns
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: recursive_lv(m, threshold=32, algo="bogus"),
+        lambda m: clear_block(m.block(0, 1, 0, 1), m.block(0, 1, 1, 3), CFG.prec, algo="bogus"),
+        lambda m: clear_block(m, m.block(0, 3, 0, 0), CFG.prec, algo="bogus"),
+    ],
+    ids=["recursive_lv", "one-row band", "kx0 band"],
+)
+def test_unknown_algo_is_refused(call):
+    m = lv_decomposition(random_matrix(CFG, 3, random.Random(6))).hp
+    with pytest.raises(ValueError, match="unknown multiplication algorithm 'bogus'"):
+        call(m)
+
+
 # the counts of the element-by-element products; the integer kernel, which
 # runs these capped products, must count the same
 @pytest.mark.parametrize("seed, d, count", [(11, 6, 783), (12, 7, 1302), (13, 9, 2978)])
