@@ -386,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--block-type", help="comma-separated block sizes")
     run.add_argument("--threshold", type=int, default=32,
-                     help="recursion cutoff for --algo recursive")
+                     help="--algo recursive: blocks and bands of at most this many "
+                          "rows run the scalar elimination")
     run.add_argument("--mul", default="classical", choices=["classical", "strassen"])
     run.add_argument("--extra", type=int, default=None,
                      help="lift amount for --algo lift")

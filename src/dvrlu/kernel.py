@@ -59,7 +59,7 @@ The module's functions:
 The int recursion of :func:`dvrlu.lu_fast.recursive_lv` (and of a
 :func:`~dvrlu.lu_fast.clear_block` band all at precision exactly N) runs on
 residues of either ring from one read of its input (:func:`exact`) to the
-output's elements: its leaves and its one-row band steps run on
+output's elements: its leaves and its band steps run on
 :func:`stepper`, and its products on the digit-ops object's ``product``.
 
 Every output equals the object path's, value and tracked precision alike.

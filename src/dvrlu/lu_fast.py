@@ -12,7 +12,11 @@ matrix products.  Two facts make that possible:
 * the elimination steps (i, j) may be reordered into any "nice" order
   (earlier rows of a column first; a column fully processed before it is
   used as a pivot column), and all nice orders produce the same output, so
-  clearing whole bands at a time is just a reordering.
+  clearing whole bands at a time is just a reordering.  So is clearing a
+  band of k rows by its scalar steps (i, c), i < k <= c, in row-major
+  order, which :func:`recursive_lv` does for the bands of at most
+  ``threshold`` rows, as for its leaves, and :func:`clear_block` for
+  one-row bands.
 
 Matrix products route through :func:`matmul`, which counts scalar
 multiplications in a module-level counter (used by the complexity tests) and
@@ -36,7 +40,7 @@ lists, and run in one of two representations chosen at the top:
 * the **int recursion** (:class:`_Residues`), for a classical run on
   integral entries of either ring all at precision exactly N: the input is
   read once as stored ints mod pi^N (:func:`dvrlu.kernel.exact`), the
-  leaves' rounds and the one-row band steps run on
+  leaves' rounds and the band steps run on
   :func:`dvrlu.kernel.stepper`, the products on the ring's digit-ops
   ``product`` counted as the element products they stand for, and elements
   are built once, for the output;
@@ -203,12 +207,17 @@ def _transposed(m: Sequence[Sequence]) -> list[list]:
     return [list(line) for line in zip(*m)]
 
 
+def _hstack(a: list[list], b: list[list]) -> list[list]:
+    return [ra + rb for ra, rb in zip(a, b)]
+
+
 class _Residues:
     """Row lists of stored ints mod pi^n: the integer kernel's operations,
     for integral entries of either ring at precision exactly n and
-    classical products.  Leaves and bands run on the kernel's
-    :func:`~dvrlu.kernel.stepper`, products on the ring's digit-ops
-    ``product``, each counted as the element product it stands for."""
+    classical products.  Leaves and bands of k rows run their scalar steps
+    on the kernel's :func:`~dvrlu.kernel.stepper`, products on the ring's
+    digit-ops ``product``, each counted as the element product it stands
+    for."""
 
     def __init__(self, cfg, n: int):
         self.n, self.ops = n, cfg.ops
@@ -229,11 +238,13 @@ class _Residues:
         _MUL_COUNT += len(a) * len(b) * len(b[0])
         return self.ops.product(a, list(zip(*b)), n)
 
-    def band(self, row: list[int], n: int) -> tuple[list[list[int]], list[list[int]]]:
-        cols, t = [[e] for e in row], _identity(self, len(row), n)  # t by columns
-        for c in range(1, len(row)):
-            self.step((cols, t), 0, c)
-        return [cols[0]], _transposed(t)
+    def band(self, x: list[list[int]], y: list[list[int]], n: int) -> tuple[list[list[int]], ...]:
+        k, cols = len(x), _transposed(_hstack(x, y))
+        t = _identity(self, len(cols), n)  # by columns
+        for i in range(k):
+            for c in range(k, len(cols)):
+                self.step((cols, t), i, c)
+        return _transposed(cols[:k]), _transposed(t)
 
     def leaf(self, m: list[list[int]]) -> tuple[list[list[int]], ...]:
         cols, w = _transposed(m), _identity(self, len(m), self.n)
@@ -270,12 +281,13 @@ class _Elements:
     def product(self, a: list[list], b: list[list], n: int) -> list[list]:
         return _capped(PrecMatrix(a), PrecMatrix(b), n, self.algo).rows
 
-    def band(self, row: list, n: int) -> tuple[list[list], list[list]]:
-        band = PrecMatrix([row])
-        t = PrecMatrix(_identity(self, len(row), n))
-        for c in range(1, len(row)):
-            _pivot_step(band, 0, c, n, t)
-        return [[band[0, 0]]], t.rows
+    def band(self, x: list[list], y: list[list], n: int) -> tuple[list[list], list[list]]:
+        k, band = len(x), PrecMatrix(_hstack(x, y))
+        t = PrecMatrix(_identity(self, band.ncols, n))
+        for i in range(k):
+            for c in range(k, band.ncols):
+                _pivot_step(band, i, c, n, t)
+        return [row[:k] for row in band.rows], t.rows
 
     def leaf(self, m: list[list]) -> tuple[list[list], ...]:
         out = lv_decomposition(PrecMatrix(m))
@@ -306,10 +318,6 @@ def _representation(n: int, algo: str, *mats: PrecMatrix):
 # ---------------------------------------------------------------------------
 
 
-def _hstack(a: list[list], b: list[list]) -> list[list]:
-    return [ra + rb for ra, rb in zip(a, b)]
-
-
 def _split(m: list[list], c: int) -> tuple[list[list], list[list]]:
     """The columns of m before c and from c on."""
     return [row[:c] for row in m], [row[c:] for row in m]
@@ -325,13 +333,14 @@ def _joined(grid: Sequence[Sequence[list[list]]]) -> list[list]:
     return [row for band in grid for row in _hstack(*band)]
 
 
-def _clear(x: list[list], y: list[list], n: int, r) -> tuple[list[list], list[list]]:
-    """:func:`clear_block` on row lists in representation r."""
+def _clear(x: list[list], y: list[list], n: int, r, cut: int) -> tuple[list[list], list[list]]:
+    """:func:`clear_block` on row lists in representation r, by scalar
+    steps once X has at most cut rows."""
     k, w = len(x), len(y[0])
     if w == 0:
         return x, _identity(r, k, n)
-    if k == 1:
-        return r.band(x[0] + y[0], n)
+    if k <= cut:
+        return r.band(x, y, n)
     c, w1 = k // 2, w // 2
     x1, x2, x3, x4 = _quarters(x, c, c)  # x2: exact zeros, passed through
     y1, y2, y3, y4 = _quarters(y, c, w1)
@@ -339,29 +348,44 @@ def _clear(x: list[list], y: list[list], n: int, r) -> tuple[list[list], list[li
 
     # 1) clear Y's top-left against X1, then carry the transform into the
     #    bottom rows of the touched columns
-    x1, t1 = _clear(x1, y1, n, r)
+    x1, t1 = _clear(x1, y1, n, r, cut)
     x3, y3 = _split(mm(_hstack(x3, y3), t1), c)
 
     # 2) clear Y's top-right against the updated X1
-    x1, t2 = _clear(x1, y2, n, r)
+    x1, t2 = _clear(x1, y2, n, r, cut)
     x3, y4 = _split(mm(_hstack(x3, y4), t2), c)
 
     # 3) clear Y's bottom-left against X4 (top rows of these columns are
     #    exact zeros at precision n and stay so: transform not applied)
-    x4, t3 = _clear(x4, y3, n, r)
+    x4, t3 = _clear(x4, y3, n, r, cut)
 
     # 4) clear Y's bottom-right against the updated X4
-    x4, t4 = _clear(x4, y4, n, r)
+    x4, t4 = _clear(x4, y4, n, r, cut)
 
     # T = E(t1) E(t2) E(t3) E(t4), E(ti) the identity with ti on the index
-    # set si: right-multiplying by E(ti) replaces only the columns si
-    top, bottom = list(range(c)), list(range(c, k))
-    left, right = list(range(k, k + w1)), list(range(k + w1, k + w))
+    # set si, the union of two of the spans below: right-multiplying by
+    # E(ti) replaces only the columns si.  A row of T that no earlier
+    # sub-step wrote on si is the identity's there, so it takes ti's row
+    # when it lies in si and stays as it is otherwise; only the rows written
+    # on si are multiplied.  A sub-step with no columns of Y (w1 = 0) has
+    # the identity for ti and is skipped.
+    spans = (range(c), range(c, k), range(k, k + w1), range(k + w1, k + w))
+    written = [set() for _ in spans]  # per span of rows: the spans of columns written
     t = _identity(r, k + w, n)
-    for ti, si in ((t1, top + left), (t2, top + right), (t3, bottom + left), (t4, bottom + right)):
-        for row, updated in zip(t, mm([[row[j] for j in si] for row in t], ti)):
-            for j, e in zip(si, updated):
-                row[j] = e
+    for ti, si in ((t1, (0, 2)), (t2, (0, 3)), (t3, (1, 2)), (t4, (1, 3))):
+        if not spans[si[1]]:
+            continue
+        cols = [j for g in si for j in spans[g]]
+        hit = {g for g in range(len(spans)) if written[g].intersection(si)}
+        old = [i for g in sorted(hit) for i in spans[g]]
+        lines = dict(zip(cols, ti))
+        if old:
+            lines.update(zip(old, mm([[t[i][j] for j in cols] for i in old], ti)))
+        for i, line in lines.items():
+            for j, e in zip(cols, line):
+                t[i][j] = e
+        for g in hit.union(si):
+            written[g].update(si)
     return _joined([[x1, x2], [x3, x4]]), t
 
 
@@ -383,16 +407,19 @@ def clear_block(
     earlier sub-steps or the zero block of X), and column operations keep
     them exact zeros, so the transform is not applied to them at all.  T is
     the product of the four sub-steps' transforms, each the identity outside
-    the columns its sub-step touches.  A band of integral ``Z_p`` entries
-    all at precision exactly n runs on ints mod p^n; any other band on
-    elements.  Raises ValueError for n < 1.
+    the columns its sub-step touches, and only the rows of T that an
+    earlier sub-step wrote on those columns are multiplied.  The recursion
+    ends at one-row bands, cleared by scalar steps.  With classical
+    products, a band of integral entries of either ring all at precision
+    exactly n runs on ints mod pi^n; any other band on elements.  Raises
+    ValueError for n < 1.
     """
     _require_algo(algo)
     if y.nrows != x.nrows or x.ncols != x.nrows:
         raise ValueError("band shapes disagree")
     _require_digits(n)
     r, (xr, yr) = _representation(n, algo, x, y)
-    xf, t = _clear(xr, yr, n, r)
+    xf, t = _clear(xr, yr, n, r, 1)
     return PrecMatrix(r.elements(xf)), PrecMatrix(r.elements(t))
 
 
@@ -401,9 +428,10 @@ def clear_block(
 # ---------------------------------------------------------------------------
 
 
-def _lv(m: list[list], n: int, threshold: int, r) -> tuple[list[list], ...]:
+def _lv(m: list[list], n: int, threshold: int, cut: int, r) -> tuple[list[list], ...]:
     """(L', V', H', W') of the square row list m, flat at precision n, in
-    representation r, as row lists."""
+    representation r, as row lists; blocks of at most threshold rows and
+    bands of at most cut rows run the scalar elimination."""
     d = len(m)
     if d <= threshold:
         return r.leaf(m)
@@ -411,15 +439,15 @@ def _lv(m: list[list], n: int, threshold: int, r) -> tuple[list[list], ...]:
     m1, m2, m3, m4 = _quarters(m, dp, dp)
     mm = lambda a, b: r.product(a, b, n)
 
-    lp1, vp1, hp1, wp1 = _lv(m1, n, threshold, r)
+    lp1, vp1, hp1, wp1 = _lv(m1, n, threshold, cut, r)
 
     # the top band at the split boundary is [H'_top | M2]; clear it
-    xf, t = _clear(hp1, m2, n, r)
+    xf, t = _clear(hp1, m2, n, r, cut)
 
     # bottom rows at the boundary: [M3 * W'_top | M4], then the band transform
     bl, br = _split(mm(_hstack(mm(m3, wp1), m4), t), dp)
 
-    lp2, vp2, hp2, wp2 = _lv(*r.flat(br), threshold, r)
+    lp2, vp2, hp2, wp2 = _lv(*r.flat(br), threshold, cut, r)
 
     t11, t12, t21, t22 = _quarters(t, dp, dp)
     z_tr = [[r.zero(n)] * (d - dp) for _ in range(dp)]
@@ -439,19 +467,24 @@ def recursive_lv(
     """Divide-and-conquer form of :func:`~dvrlu.lu_stable.lv_decomposition`.
 
     Splits the columns at d' = floor(d/2): recurses on the top-left block,
-    clears the top band against it with :func:`clear_block`, pushes the
+    clears the top band against it as :func:`clear_block` does, pushes the
     accumulated transforms into the bottom rows with (precision-capped)
     matrix products, and recurses on the remaining bottom-right block.  For
     integral input at flat precision the output equals the scalar
     elimination's *bit for bit* (same values, same tracked precision); with
     algo "strassen" the values still agree but tracked precision can be
-    coarser.  With classical products, an integral ``Z_p`` input runs the
-    whole recursion on ints mod p^N and builds elements only for the output.
+    coarser.  With classical products, an integral input of either ring
+    runs the whole recursion on ints mod pi^N and builds elements only for
+    the output.
 
     Args:
         m: square matrix over the scalar ring.
-        threshold: dimensions <= threshold delegate to the scalar routine;
-            ValueError when below 1.
+        threshold: blocks of at most threshold rows run the scalar
+            elimination, and so do the bands of at most threshold rows when
+            every entry is integral (other bands are cleared one row at a
+            time: on an entry of negative valuation or a ``SeriesElem`` the
+            scalar steps track precision otherwise than the recursion's
+            capped products); ValueError when below 1.
         algo: multiplication kernel for the assembled products.
     """
     _require_algo(algo)
@@ -461,8 +494,10 @@ def recursive_lv(
     if d <= threshold:
         return lv_decomposition(m)
     m, n = _flattened(m)
+    integral = all(type(e) is PrecElem and e.val_lower_bound >= 0 for row in m.rows for e in row)
     r, (rows,) = _representation(n, algo, m)
-    lp, vp, hp, wp = (PrecMatrix(r.elements(x)) for x in _lv(rows, n, threshold, r))
+    out = _lv(rows, n, threshold, threshold if integral else 1, r)
+    lp, vp, hp, wp = (PrecMatrix(r.elements(x)) for x in out)
     col_val = [_val_or_none(hp[j, j]) for j in range(d)]
     degenerate = any(lp[j, j].is_zeroish for j in range(d))
     return LvOutput(lp=lp, vp=vp, hp=hp, wp=wp, col_val=col_val, degenerate=degenerate)

@@ -18,8 +18,8 @@ precision of its row.
 That step — swap test, pivot guard, re-lifted scalar, column update — is
 :func:`_pivot_step`, the only code that swaps or updates columns of
 elements.  :func:`_eliminate` is the one round loop: every elimination
-here reads its yields, and only the one-row band of
-:func:`dvrlu.lu_fast.clear_block`'s element recursion calls the step
+here reads its yields, and only the bands of
+:func:`dvrlu.lu_fast.clear_block`'s element recursion call the step
 directly.
 
 Flat integral input makes the elimination plain arithmetic in ``Z/p^N``

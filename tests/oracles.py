@@ -543,7 +543,9 @@ def is_nice_order(pairs: Sequence[tuple[int, int]], d: int) -> bool:
 
 
 def elimination_order(d: int, threshold: int = 32) -> list[tuple[int, int]]:
-    """The global order in which :func:`recursive_lv` clears positions.
+    """The global order in which :func:`recursive_lv` clears positions of
+    an integral input (its bands of at most threshold rows by row-major
+    scalar steps).
 
     Raises ValueError when threshold is below 1, as recursive_lv does.
     """
@@ -557,8 +559,8 @@ def elimination_order(d: int, threshold: int = 32) -> list[tuple[int, int]]:
         k, w = len(rows), len(ycols)
         if w == 0:
             return []
-        if k == 1:
-            return [(rows[0], yc) for yc in ycols]
+        if k <= threshold:
+            return [(row, yc) for row in rows for yc in ycols]
         c, w1 = k // 2, w // 2
         return (
             band(rows[:c], ycols[:w1])

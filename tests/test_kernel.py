@@ -97,8 +97,7 @@ RAISE_DEGENERATE = {"stable_l", "block_l", "block_l_unitlower"}
 
 def _ran_on_objects(fn, m):
     """Run fn(m); return whether an object elimination step ran, in
-    lu_stable or in a one-row band of lu_fast.clear_block, and fn's
-    outcome."""
+    lu_stable or in a band of lu_fast's recursion, and fn's outcome."""
     with counting(lu_stable, "_pivot_step") as steps:
         with counting(lu_fast, "_pivot_step") as bands:
             out = _outcome(fn, m)
@@ -270,6 +269,98 @@ def test_clear_block_decides_on_digits_beyond_n():
     assert bands
     assert xf == x
     assert t == flat_from_ints(cfg, [[1, -5], [0, 1]], 3)
+
+
+def _cleared(r, x, y, n, cut):
+    """lu_fast._clear's (Xf, T) on the row lists x and y in representation
+    r, as elements, or the message of the AmbiguousValuation it raised."""
+    try:
+        xf, t = lu_fast._clear(x, y, n, r, cut)
+    except AmbiguousValuation as exc:
+        return str(exc)
+    return r.elements(xf), r.elements(t)
+
+
+def _assert_cuts_agree(x, y, n):
+    """The band [X | Y], flat and integral at n, cleared by scalar steps
+    from every cut 1, 2 and k on, on residues and on elements, equals its
+    recursion down to one-row bands on residues, field for field."""
+    r, (xr, yr) = lu_fast._representation(n, "classical", x, y)
+    assert isinstance(r, lu_fast._Residues)
+    want = _cleared(r, xr, yr, n, 1)
+    on_elements = lu_fast._Elements(x[0, 0], "classical")
+    for cut in {1, 2, x.nrows}:
+        assert _cleared(r, xr, yr, n, cut) == want
+        with object_path():
+            assert _cleared(on_elements, x.rows, y.rows, n, cut) == want
+
+
+@given(
+    backend=st.sampled_from(Backend),
+    p=st.sampled_from([2, 3, 5, 7]),
+    n=st.integers(1, 12),
+    shape=st.tuples(st.integers(1, 7), st.integers(0, 7)),
+    seed=st.integers(0, 2**32),
+)
+def test_band_steps_are_the_band_recursion(backend, p, n, shape, seed):
+    # the scalar steps (i, c), i < k <= c, in row-major order are a nice
+    # order, so they reproduce the recursion on a flat integral band
+    cfg = DvrConfig(p=p, prec=n, backend=backend)
+    rng = random.Random(seed)
+    k, w = shape
+    entries = lambda h, v: [[rng.randrange(p**n) * p ** rng.choice([0, 0, 1, 2, n])
+                             for _ in range(v)] for _ in range(h)]
+    while True:
+        try:
+            x = lu_stable.lv_decomposition(flat_from_ints(cfg, entries(k, k), n)).hp
+            break
+        except AmbiguousValuation:
+            continue
+    _assert_cuts_agree(x, flat_from_ints(cfg, entries(k, w), n) if w else x.block(0, k, 0, 0), n)
+
+
+# row 1's pivot is 0 mod t, and so is the band entry beside it once row 0
+# is cleared: step (1, 3) raises AmbiguousValuation
+BAND_RAISES_AT_ROW_1 = tuple(
+    flat_from_ints(BAND_RAISES[0, 0].cfg, rows, 1)
+    for rows in ([[1, 0, 0], [1, 0, 0], [0, 1, 1]], [[1, 1], [1, 1], [1, 0]])
+)
+
+
+@pytest.mark.parametrize("band", [BAND_RAISES_AT_ROW_1, (BAND_RAISES.block(0, 1, 0, 1),
+                                                         BAND_RAISES.block(0, 1, 1, 3))])
+def test_band_raises_the_same_at_every_cut(band):
+    x, y = band
+    r, (xr, yr) = lu_fast._representation(1, "classical", x, y)
+    assert "cannot compare" in _cleared(r, xr, yr, 1, 1)
+    _assert_cuts_agree(x, y, 1)
+
+
+def test_inexact_bands_clear_one_row_at_a_time():
+    # on an entry of negative valuation or a SeriesElem the scalar steps
+    # track precision otherwise than the recursion's capped products, so
+    # recursive_lv clears such bands one row at a time; integral bands
+    # (here on elements, under Strassen products) take scalar steps up to
+    # threshold rows
+    rng = random.Random(5)
+    cfg = DvrConfig(p=3, prec=8)
+    integral = random_matrix(cfg, 8, rng)
+    negative = random_matrix(cfg, 8, rng)
+    negative[5, 6] = PrecElem.unit_form(cfg, -1, 2, 9)  # 2/3 + O(3^8)
+    series = PrecMatrix([[SeriesElem(cfg, [PrecElem.random(cfg, rng) for _ in range(2)])
+                          for _ in range(8)] for _ in range(8)])
+    band = lu_fast._Elements.band
+    for m, algo, widest in ((integral, "strassen", 4), (negative, "classical", 1),
+                            (series, "classical", 1)):
+        rows = []
+
+        def spy(self, x, y, n):
+            rows.append(len(x))
+            return band(self, x, y, n)
+
+        with mock.patch.object(lu_fast._Elements, "band", spy):
+            lu_fast.recursive_lv(m, threshold=4, algo=algo)
+        assert max(rows) == widest
 
 
 @pytest.mark.parametrize("name", ELIMINATIONS)

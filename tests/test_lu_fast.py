@@ -183,24 +183,41 @@ def test_unknown_algo_is_refused(call):
         call(m)
 
 
-# the counts of the element-by-element products; the integer kernel, which
-# runs these capped products, must count the same
-@pytest.mark.parametrize("seed, d, count", [(11, 6, 783), (12, 7, 1302), (13, 9, 2978)])
-def test_recursive_mul_count_is_pinned(seed, d, count):
+# the products left once the blocks and bands of at most threshold rows
+# (one row in clear_block) are cleared by scalar steps and T's identity rows
+# are copied, not multiplied, counted as element-by-element products; the
+# integer kernel, which runs these capped products, must count the same.
+# Each case is parametrized by the count from before those savings (every
+# band recursed to one row, every row of T multiplied), which the pinned
+# count must stay under.
+RECURSIVE_MUL_COUNTS = {(11, 6): 580, (12, 7): 923, (13, 9): 1984}
+CLEAR_BLOCK_MUL_COUNTS = {(21, 3, 4): 303, (22, 4, 5): 719, (23, 5, 3): 578}
+
+
+@pytest.mark.parametrize("seed, d, before", [(11, 6, 783), (12, 7, 1302), (13, 9, 2978)])
+def test_recursive_mul_count_is_pinned(seed, d, before):
     m = random_matrix(CFG, d, random.Random(seed))
     reset_mul_count()
     recursive_lv(m, threshold=2)
-    assert get_mul_count() == count
+    assert get_mul_count() == RECURSIVE_MUL_COUNTS[seed, d] < before
 
 
-@pytest.mark.parametrize("seed, k, w, count", [(21, 3, 4, 530), (22, 4, 5, 1250), (23, 5, 3, 1043)])
-def test_clear_block_mul_count_is_pinned(seed, k, w, count):
+def test_recursive_mul_count_is_pinned_at_the_benchmark_shape():
+    # Z_5, N = 100, d = 25 at threshold 8: perfbench's lu_padic recursive_lv op
+    m = random_matrix(DvrConfig(p=5, prec=100), 25, random.Random(14))
+    reset_mul_count()
+    recursive_lv(m, threshold=8)
+    assert get_mul_count() == 39799
+
+
+@pytest.mark.parametrize("seed, k, w, before", [(21, 3, 4, 530), (22, 4, 5, 1250), (23, 5, 3, 1043)])
+def test_clear_block_mul_count_is_pinned(seed, k, w, before):
     rng = random.Random(seed)
     x = lv_decomposition(random_matrix(CFG, k, rng)).hp
     y = PrecMatrix([[PrecElem.random(CFG, rng) for _ in range(w)] for _ in range(k)])
     reset_mul_count()
     clear_block(x, y, CFG.prec)
-    assert get_mul_count() == count
+    assert get_mul_count() == CLEAR_BLOCK_MUL_COUNTS[seed, k, w] < before
 
 
 def test_recursive_propagates_degeneracy():
@@ -215,7 +232,7 @@ def test_recursive_propagates_degeneracy():
     assert_same_output(want, got)
 
 
-def _assert_strassen_value_equal(d, cases):
+def _assert_strassen_value_equal(d, cases, threshold=2):
     rng = random.Random(7)
     hits = 0
     while hits < cases:
@@ -225,7 +242,7 @@ def _assert_strassen_value_equal(d, cases):
         except AmbiguousValuation:
             continue
         try:
-            got = recursive_lv(m, threshold=2, algo="strassen")
+            got = recursive_lv(m, threshold=threshold, algo="strassen")
         except AmbiguousValuation:
             continue  # coarser intermediate precision may block a swap test
         hits += 1
@@ -248,6 +265,12 @@ def test_recursive_with_strassen_is_value_equal():
 def test_recursive_with_strassen_is_value_equal_past_the_cutoff():
     # at d = 16 the 8 x 8 products reach matmul's Strassen cutoff of 8
     _assert_strassen_value_equal(16, 2)
+
+
+def test_recursive_with_strassen_and_scalar_bands_is_value_equal():
+    # at threshold 8 the 8-row band is cleared by scalar steps on elements,
+    # and the 8 x 8 products still reach matmul's Strassen cutoff
+    _assert_strassen_value_equal(16, 2, threshold=8)
 
 
 def test_recursive_multiply_back():
