@@ -671,6 +671,18 @@ def hermite_from_lv(out: LvOutput) -> PrecMatrix:
     return h
 
 
+def _lower_dim(m: PrecMatrix) -> int:
+    """The dimension of a square lower triangular m, after checking that no
+    diagonal entry is indistinguishable from zero (DegenerateInput)."""
+    d = _square_dim(m)
+    for j in range(d):
+        if m[j, j].is_zeroish:
+            raise DegenerateInput(
+                f"diagonal entry {j} indistinguishable from zero"
+            )
+    return d
+
+
 def lower_triangular_inverse(m: PrecMatrix) -> PrecMatrix:
     """Inverse of a lower triangular matrix by forward substitution.
 
@@ -679,12 +691,7 @@ def lower_triangular_inverse(m: PrecMatrix) -> PrecMatrix:
     diagonal entry is indistinguishable from zero.  Works for scalar and
     series entries alike; no precision capping is applied.
     """
-    d = _square_dim(m)
-    for j in range(d):
-        if m[j, j].is_zeroish:
-            raise DegenerateInput(
-                f"diagonal entry {j} indistinguishable from zero"
-            )
+    d = _lower_dim(m)
     n = working_precision(m)
     out = PrecMatrix.zero_like(m, d, d, n)
     for c in range(d):
@@ -698,6 +705,29 @@ def lower_triangular_inverse(m: PrecMatrix) -> PrecMatrix:
                 acc = -term if acc is None else acc - term
             out[i, c] = acc / m[i, i]
     return out
+
+
+def _lower_solve(m: PrecMatrix, b: PrecMatrix) -> PrecMatrix:
+    """X with ``m X = b`` for lower triangular m, by forward substitution:
+    ``X[i] = (b[i] - sum_{k<i} m[i, k] X[k]) / m[i, i]``, row by row.
+
+    The same conventions as :func:`lower_triangular_inverse` (strictly-upper
+    entries of m are exact zeros, DegenerateInput for a zeroish diagonal
+    entry, scalar or series entries, no capping), at d(d-1)/2 products per
+    column of b instead of the inverse's and then a full product.  The
+    inverse keeps its own loop: it skips the identity's zeros above the
+    diagonal, which this loop would carry as ``O(pi^N)`` divided by the
+    diagonal, at a lower precision.
+    """
+    d = _lower_dim(m)
+    x = b.copy()
+    for i in range(d):
+        for c in range(b.ncols):
+            acc = b[i, c]
+            for k in range(i):
+                acc = acc - m[i, k] * x[k, c]
+            x[i, c] = acc / m[i, i]
+    return x
 
 
 # ---------------------------------------------------------------------------

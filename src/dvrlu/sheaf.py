@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
@@ -26,8 +27,8 @@ from functools import cached_property, partial, reduce
 from .config import Backend, DvrConfig
 from .element import PrecElem
 from .errors import AmbiguousValuation, CoincidentPoints, DvrError, NotSorted
-from .lu_fast import _capped, _capped_coefficients, matmul
-from .lu_stable import block_l_unitlower, lower_triangular_inverse
+from .lu_fast import _capped, _capped_coefficients
+from .lu_stable import _lower_solve, block_l_unitlower
 from .matrix import PrecMatrix, random_matrix
 from .series import SeriesElem, _convolve, _elements, _fields
 from .simul import SimulFailure, _certify, _det_unit_detectable, _retry, required_v
@@ -138,28 +139,6 @@ def poly_to_series(f: Poly, a: PrecElem, order: int, n: int) -> SeriesElem:
 def series_to_poly(s: SeriesElem, a: PrecElem, one: PrecElem) -> Poly:
     """Polynomial of degree < order representing ``s`` around ``a``."""
     return taylor_unshift(list(s.coeffs), a, one)
-
-
-def poly_det(rows: list[list[Poly]]) -> Poly:
-    """Determinant of a small polynomial matrix by Laplace expansion.
-
-    Exponential in the dimension; intended for the low-dimensional
-    verification checks only.
-    """
-    d = len(rows)
-    if d == 1:
-        return rows[0][0]
-    terms = []
-    for i in range(d):
-        minor = [[rows[r][c] for c in range(1, d)] for r in range(d) if r != i]
-        term = poly_mul(rows[i][0], poly_det(minor))
-        terms.append(poly_neg(term) if i % 2 else term)
-    return reduce(poly_add, terms)
-
-
-def scalar_det(m: PrecMatrix) -> PrecElem:
-    """Laplace-expansion determinant of a small scalar matrix."""
-    return poly_det([[[m[i, j]] for j in range(m.ncols)] for i in range(m.nrows)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -546,13 +525,103 @@ def solve_sheaf(
 # ---------------------------------------------------------------------------
 
 
+def _schur(rows: list[list[PrecElem]], r: int, c: int) -> list[list[PrecElem]]:
+    """The Schur complement of the unit-form pivot ``rows[r][c]``: rows and
+    column c without row r, less ``(a[i][c] / piv) * a[r][j]``."""
+    piv, prow = rows[r][c], rows[r]
+    out = []
+    for i, row in enumerate(rows):
+        if i != r:
+            q = row[c] / piv
+            out.append([x - q * y for k, (x, y) in enumerate(zip(row, prow)) if k != c])
+    return out
+
+
+def _pivots(rows: list[list[PrecElem]]) -> list[tuple[int, int]]:
+    """The unit-form entries of a square block, best pivot first: full
+    pivoting by valuation, ties to the larger relative precision."""
+    keyed = [
+        ((e.valuation, -e.rel_prec), i, j)
+        for i, row in enumerate(rows) for j, e in enumerate(row) if not e.is_zeroish
+    ]
+    return [(i, j) for _, i, j in sorted(keyed)]
+
+
+def _greedy_det(rows: list[list[PrecElem]], first: int) -> PrecElem | None:
+    """Signed product of the pivots that take candidate ``first`` of
+    :func:`_pivots` at the first step and the best one after, or None once
+    a remaining block has no such candidate."""
+    det, k = None, first
+    while rows:
+        cands = _pivots(rows)
+        if len(cands) <= k:
+            return None
+        r, c = cands[k]
+        piv = -rows[r][c] if (r + c) % 2 else rows[r][c]
+        det = piv if det is None else det * piv
+        rows, k = _schur(rows, r, c), 0
+    return det
+
+
+def _pivoted_det(m: PrecMatrix) -> PrecElem | None:
+    """Determinant of a small scalar matrix by full-pivot elimination in
+    element arithmetic, or None when it is indeterminate.
+
+    Every entry keeps its own precision -- nothing is flattened -- so
+    entries of negative valuation and ``O(pi^k)`` with k <= 0 are fine.  The
+    determinant is determinable when every pivot is distinguishable from
+    zero, and it is then the signed product of the pivots.  The greedy order
+    of :func:`_pivots` takes O(d^3) operations; when it ends on a block with
+    no unit-form entry, each other first pivot is tried before giving up
+    (O(d^5), on indeterminate input only), since on uneven precision the
+    order decides how far errors spread.
+    """
+    rows = [list(r) for r in m.rows]
+    det = None
+    for first in range(len(_pivots(rows))):
+        det = _greedy_det(rows, first)
+        if det is not None:
+            break
+    return det
+
+
+def _det_bound(b: list[list[float]]) -> float:
+    """A bound on the valuation of ``det(1 + E) - 1`` for a square E whose
+    entries have valuation >= ``b[i][j]``: when the result is >= 1, so is
+    that valuation; a result <= 0 proves nothing.
+
+    Every term of the determinant but the diagonal's is a product of
+    entries 1 + E_ii and of cycles of off-diagonal entries, so the bound is
+    the least diagonal bound or cycle weight.  Floyd-Warshall gives each
+    ``dist[i][i]`` as the weight of a closed walk and at most that of every
+    cycle through i: the least cycle weight when every cycle weighs >= 1,
+    and <= 0 otherwise.
+    """
+    d = len(b)
+    dist = [[math.inf if i == j else b[i][j] for j in range(d)] for i in range(d)]
+    for k in range(d):
+        for i in range(d):
+            for j in range(d):
+                dist[i][j] = min(dist[i][j], dist[i][k] + dist[k][j])
+    return min(min(b[i][i], dist[i][i]) for i in range(d))
+
+
 @dataclass
 class VerifyReport:
     """Per-condition outcome of the local-equivalence audit.
 
-    ``margin`` is the smallest valuation bound among all entries that the
-    checks required to be indistinguishable from zero -- the worst-case
-    precision headroom behind the certificate.
+    ``local_ok[m]`` is the check at point m, ``det_ok`` the global check
+    that ``omega * M`` is unit lower triangular with ``det omega`` and the
+    constant term of ``det M`` determinable (so ``det M`` is a nonzero
+    constant), and ``div_ok`` the divisor chain;
+    :func:`verify_local_equivalence` says what each proves.  ``margin`` is
+    the smallest valuation bound among all entries that the checks required
+    to be indistinguishable from zero -- the worst-case precision headroom
+    behind the certificate.  Those entries are the below-block coefficients
+    of each local ``T``, the coefficients of ``omega * M`` above its
+    diagonal and of its diagonal minus 1, those of ``det(omega * M) - 1``
+    (bounded by :func:`_det_bound`, so the entries below the diagonal count
+    too), and the remainders of the divisor chain.
     """
 
     local_ok: list[bool]
@@ -579,11 +648,31 @@ class VerifyReport:
 def verify_local_equivalence(inst: SheafInstance, basis: GlobalBasis) -> VerifyReport:
     """Audit a basis against the instance it claims to solve.
 
-    Checks, per point: ``L_m^{-1} (omega M mod (X-a_m)^{o_m})`` is block
-    upper of the prescribed type with invertible diagonal blocks (over the
-    local series field).  Globally: ``det M`` is a nonzero constant, and
-    the divisor chain ``D_j | D_{j+1}`` holds.  All recomputed from the
-    inputs; nothing is trusted from the solve.
+    All recomputed from the inputs; nothing is trusted from the solve, and
+    every check is polynomial in the dimension d.
+
+    * Per point m: with ``L_m`` the block unit-lower factor of ``omega *
+      M_m``, ``T = L_m^{-1} (omega M mod (X-a_m)^{o_m})`` (by forward
+      substitution) must be block upper of the prescribed type -- every
+      coefficient below the block diagonal indistinguishable from zero --
+      with each diagonal block's constant-term determinant determinable, so
+      the blocks are invertible over the local series ring.
+    * Globally: every coefficient of ``omega * M`` above the diagonal and of
+      its diagonal minus 1 is indistinguishable from zero, and ``det omega``
+      and the constant term ``det M(0)`` of ``det M`` are determinable.
+      Every term of ``det(omega * M) - 1`` takes one of the zeroish
+      entries, so ``det M = det(omega)^{-1} (1 + E)`` with E zeroish: its
+      constant term is nonzero and its other coefficients are zeroish, so
+      ``det M`` is a nonzero constant to working precision.  (At low
+      precision the unit-lower shape alone does not show this: ``omega * M
+      = [[1 + O(pi^0)]]`` has it.)  This check is sufficient but not
+      necessary: a basis whose ``det M`` is a nonzero constant but whose
+      ``omega * M`` is not unit lower fails it (the solver always builds
+      ``M = omega^{-1} L`` with L unit lower).
+    * The divisor chain ``D_j | D_{j+1}`` holds.
+
+    Scalar determinants come from :func:`_pivoted_det`; a check that cannot
+    be decided to working precision fails, with a note, and nothing raises.
     """
     cfg = inst.cfg
     n = cfg.prec
@@ -604,16 +693,15 @@ def verify_local_equivalence(inst: SheafInstance, basis: GlobalBasis) -> VerifyR
         order = pt.order
         sizes = pt.block_sizes
         ok = True
+        local = PrecMatrix([
+            [poly_to_series(omega_m[i][j], pt.a, order, n) for j in range(d)] for i in range(d)
+        ])
         try:
-            l_inv = lower_triangular_inverse(_local_factor(basis.omega, pt, n).lower)
+            t_mat = _lower_solve(_local_factor(basis.omega, pt, n).lower, local)
         except DvrError as exc:
             notes.append(f"point {idx}: factor recomputation failed: {exc}")
             local_ok.append(False)
             continue
-        local = PrecMatrix([
-            [poly_to_series(omega_m[i][j], pt.a, order, n) for j in range(d)] for i in range(d)
-        ])
-        t_mat = matmul(l_inv, local)
 
         bounds = list(itertools.accumulate(sizes))
         block = [bisect.bisect_right(bounds, k) for k in range(d)]
@@ -629,11 +717,10 @@ def verify_local_equivalence(inst: SheafInstance, basis: GlobalBasis) -> VerifyR
                             ok = False
         lo = 0
         for s in sizes:
-            blk = [
-                [[t_mat[lo + bi, lo + bj].coeffs[0]] for bj in range(s)]
-                for bi in range(s)
-            ]
-            if poly_det(blk)[0].is_zeroish:
+            blk = PrecMatrix([
+                [t_mat[lo + bi, lo + bj].coeffs[0] for bj in range(s)] for bi in range(s)
+            ])
+            if _pivoted_det(blk) is None:
                 notes.append(
                     f"point {idx}: diagonal block at {lo} has "
                     "indeterminate constant-term determinant"
@@ -642,20 +729,29 @@ def verify_local_equivalence(inst: SheafInstance, basis: GlobalBasis) -> VerifyR
             lo += s
         local_ok.append(ok)
 
-    det_poly = poly_det(basis.m)
-    det_ok = not det_poly[0].is_zeroish
+    det_ok = _pivoted_det(basis.omega) is not None
     if not det_ok:
+        notes.append("det omega is indeterminate")
+    if _pivoted_det(PrecMatrix([[f[0] for f in row] for row in basis.m])) is None:
         notes.append("det M has indeterminate constant term")
-    for c in det_poly[1:]:
-        if not require_zeroish(c):
-            notes.append("det M is not constant to working precision")
-            det_ok = False
-            break
+        det_ok = False
+    # omega * M = 1 + E with E zeroish on and above the diagonal
+    bounds = []
+    for i in range(d):
+        bounds.append([])
+        for j in range(d):
+            f = omega_m[i][j]
+            if i == j:
+                f = [f[0] - f[0].like_one(n)] + f[1:]
+            if j >= i and not all(require_zeroish(c) for c in f):
+                notes.append(
+                    f"omega * M is not unit lower triangular: entry ({i},{j}) "
+                    f"is not {'1' if i == j else '0'} to working precision"
+                )
+                det_ok = False
+            bounds[i].append(min(c.val_lower_bound for c in f))
     if det_ok:
-        resid = det_poly[0] * scalar_det(basis.omega) - det_poly[0].like_one(n)
-        if not require_zeroish(resid):
-            notes.append("det M * det omega does not match the unit-lower factor")
-            det_ok = False
+        margins.append(_det_bound(bounds))
 
     div_ok = True
     for j in range(len(basis.d_polys) - 1):

@@ -6,7 +6,9 @@ test — except the element arithmetic written case by case (:func:`elem_add`
 and its siblings), the reference for the precision rules the package writes
 once on element fields, and the loops that run it one element at a time:
 :func:`naive_elimination` and the series and polynomial products and
-quotient, the references for the package's loops on entry fields.  The
+quotient, the references for the package's loops on entry fields, and the
+Laplace-expansion determinants (:func:`poly_det`, :func:`scalar_det`), the
+reference for the sheaf verification's polynomial-time checks.  The
 elimination oracle mirrors the pivoted column elimination over the field of
 fractions, so the package's finite-precision answers can be checked digit
 by digit against ground truth; the determinant and minor helpers give a
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 
@@ -512,6 +515,34 @@ def poly_product(f, g):
             term = elem_mul(fi, gj)
             out[i + j] = term if out[i + j] is None else elem_add(out[i + j], term)
     return out
+
+
+def _poly_sum(f, g):
+    """Sum of two coefficient lists; missing high coefficients are exact zeros."""
+    k = min(len(f), len(g))
+    return [elem_add(a, b) for a, b in zip(f, g)] + f[k:] + g[k:]
+
+
+def poly_det(rows):
+    """Determinant of a small polynomial matrix (coefficient lists, lowest
+    first) by Laplace expansion down the first column, in element
+    arithmetic.  Exponential in the dimension: the reference that
+    ``dvrlu.sheaf.verify_local_equivalence``'s polynomial-time checks are
+    compared with at small d."""
+    d = len(rows)
+    if d == 1:
+        return rows[0][0]
+    terms = []
+    for i in range(d):
+        minor = [[rows[r][c] for c in range(1, d)] for r in range(d) if r != i]
+        term = poly_product(rows[i][0], poly_det(minor))
+        terms.append([elem_neg(c) for c in term] if i % 2 else term)
+    return reduce(_poly_sum, terms)
+
+
+def scalar_det(m):
+    """Laplace-expansion determinant of a small scalar matrix."""
+    return poly_det([[[m[i, j]] for j in range(m.ncols)] for i in range(m.nrows)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -659,6 +659,40 @@ def test_lower_triangular_inverse_roundtrip():
                     assert e.is_zeroish
 
 
+@pytest.mark.parametrize("backend", list(Backend), ids=lambda b: b.value)
+@pytest.mark.parametrize("series", [False, True], ids=["scalar", "series"])
+def test_lower_solve_is_the_inverse_times_b(backend, series):
+    # m X = b by forward substitution, against lower_triangular_inverse(m) * b:
+    # the two agree to their common precision, and m X - b is zeroish
+    cfg = DvrConfig(p=3, prec=12, backend=backend)
+    rng = random.Random(21)
+    for d in (1, 3, 5):
+        def draw():
+            if not series:
+                return random_matrix(cfg, d, rng)
+            cs = [random_matrix(cfg, d, rng) for _ in range(3)]
+            return PrecMatrix([[SeriesElem(cfg, [c[i, j] for c in cs]) for j in range(d)]
+                               for i in range(d)])
+
+        m = block_l_unitlower(draw(), [d]).lower
+        b = draw()
+        x = lu_stable._lower_solve(m, b)
+        want = matmul(lower_triangular_inverse(m), b)
+        for i in range(d):
+            for j in range(d):
+                assert (x[i, j] - want[i, j]).is_zeroish
+        resid = matmul(m, x)
+        for i in range(d):
+            for j in range(d):
+                assert (resid[i, j] - b[i, j]).is_zeroish
+
+
+def test_lower_solve_rejects_zeroish_diagonal():
+    m = flat_from_ints(CFG, [[1, 0], [3, 0]])
+    with pytest.raises(DegenerateInput):
+        lu_stable._lower_solve(m, flat_from_ints(CFG, [[1, 2], [3, 4]]))
+
+
 # ---------------------------------------------------------------------------
 # block variants
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -14,11 +14,12 @@ from dvrlu.element import PrecElem
 from dvrlu.errors import (
     AmbiguousValuation,
     CoincidentPoints,
+    DvrError,
     ExhaustedRetries,
     NotSorted,
 )
-from dvrlu.lu_fast import _capped, _capped_coefficients, get_mul_count, reset_mul_count
-from dvrlu.lu_stable import vij_statistics
+from dvrlu.lu_fast import _capped, _capped_coefficients, get_mul_count, matmul, reset_mul_count
+from dvrlu.lu_stable import lower_triangular_inverse, vij_statistics
 from dvrlu.matrix import PrecMatrix, random_matrix
 from dvrlu.series import SeriesElem
 from dvrlu.sheaf import (
@@ -26,7 +27,10 @@ from dvrlu.sheaf import (
     GlobalBasis,
     SheafInstance,
     SheafPoint,
+    _greedy_det,
+    _local_factor,
     _local_product,
+    _pivoted_det,
     block_type_from_exponents,
     build_divisors,
     poly_divmod,
@@ -36,8 +40,8 @@ from dvrlu.sheaf import (
     poly_sub,
     poly_to_series,
     random_instance,
-    scalar_det,
     scalar_matrix_as_series,
+    scalar_poly_matmul,
     series_matrix_from_json,
     series_matrix_to_json,
     series_to_poly,
@@ -160,16 +164,6 @@ def test_poly_to_series_truncates_high_order():
     a = PrecElem.from_int(CFG, 3, abs_prec=12)
     s = poly_to_series(f, a, 1, 12)
     assert s.coeffs[0] == poly_eval(f, a)
-
-
-def test_scalar_det_2x2():
-    m = flat_from_ints(CFG, [[2, 3], [4, 5]])
-    want = PrecElem.from_int(CFG, 2, abs_prec=12) * PrecElem.from_int(
-        CFG, 5, abs_prec=12
-    ) - PrecElem.from_int(CFG, 3, abs_prec=12) * PrecElem.from_int(
-        CFG, 4, abs_prec=12
-    )
-    assert scalar_det(m) == want
 
 
 # ---------------------------------------------------------------------------
@@ -446,3 +440,246 @@ def test_local_product_is_the_series_product(case, p, n, order, seed):
     got = _local_product(omega, m, n)
     assert got.rows == want.rows
     assert get_mul_count() == want_count == d**3
+
+
+# ---------------------------------------------------------------------------
+# the verification checks against the Laplace reference
+
+
+def test_scalar_det_2x2():
+    m = flat_from_ints(CFG, [[2, 3], [4, 5]])
+    want = PrecElem.from_int(CFG, 2, abs_prec=12) * PrecElem.from_int(
+        CFG, 5, abs_prec=12
+    ) - PrecElem.from_int(CFG, 3, abs_prec=12) * PrecElem.from_int(
+        CFG, 4, abs_prec=12
+    )
+    assert oracles.scalar_det(m) == want
+
+
+def _laplace_flags(inst, basis):
+    """(local_ok, det_ok, div_ok) decided the Laplace way: T_m from the
+    inverse of L_m and a full product, the diagonal blocks' constant-term
+    determinants, det M (constant, with det M * det omega = 1) by Laplace
+    expansion."""
+    n, d = inst.cfg.prec, inst.dim
+    omega_m = scalar_poly_matmul(basis.omega, basis.m)
+    local_ok = []
+    for pt in inst.points:
+        try:
+            l_inv = lower_triangular_inverse(_local_factor(basis.omega, pt, n).lower)
+        except DvrError:
+            local_ok.append(False)
+            continue
+        local = PrecMatrix([
+            [poly_to_series(omega_m[i][j], pt.a, pt.order, n) for j in range(d)]
+            for i in range(d)
+        ])
+        t = matmul(l_inv, local)
+        block = [b for b, s in enumerate(pt.block_sizes) for _ in range(s)]
+        ok = all(
+            c.is_zeroish
+            for i in range(d) for j in range(d) if block[i] > block[j]
+            for c in t[i, j].coeffs
+        )
+        lo = 0
+        for s in pt.block_sizes:
+            const = t.block(lo, lo + s, lo, lo + s).map(lambda e: e.coeffs[0])
+            ok = ok and not oracles.scalar_det(const).is_zeroish
+            lo += s
+        local_ok.append(ok)
+    det_m = oracles.poly_det(basis.m)
+    det_ok = (
+        not det_m[0].is_zeroish
+        and all(c.is_zeroish for c in det_m[1:])
+        and (det_m[0] * oracles.scalar_det(basis.omega) - det_m[0].like_one(n)).is_zeroish
+    )
+    div_ok = all(
+        c.is_zeroish
+        for lo, hi in zip(basis.d_polys, basis.d_polys[1:])
+        for c in poly_divmod(hi, lo)[1]
+    )
+    return local_ok, det_ok, div_ok
+
+
+@pytest.mark.parametrize("backend", list(Backend), ids=lambda b: b.value)
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_verify_flags_match_laplace_oracle(backend, d):
+    for k, (p, n) in enumerate([(2, 12), (3, 16), (5, 12), (7, 20)]):
+        cfg = DvrConfig(p=p, prec=n, backend=backend)
+        inst = random_instance(cfg, random.Random(f"laplace:{d}:{k}"), min(p, 3), d, 3)
+        basis = solve_sheaf(inst, seed=k)
+        for tampered in (False, True):
+            if tampered:  # one basis coefficient off by a unit
+                basis.m[d - 1][0][0] = basis.m[d - 1][0][0] + basis.m[0][0][0].like_one(n)
+            report = verify_local_equivalence(inst, basis)
+            assert report.ok != tampered
+            assert (report.local_ok, report.det_ok, report.div_ok) == _laplace_flags(inst, basis)
+
+
+def _uneven_matrices():
+    """Square matrices of size 1-4 over a random ring with entries of uneven
+    precision: negative valuations and O(pi^k) with k <= 0 included."""
+    return rings.flatmap(lambda cfg: st.integers(1, 4).flatmap(
+        lambda d: st.lists(
+            st.lists(tracked_elements(cfg), min_size=d, max_size=d), min_size=d, max_size=d
+        ).map(PrecMatrix)
+    ))
+
+
+_CFG2 = DvrConfig(p=2, prec=8)
+# flattening this block leaves no digit (its smallest precision is -3), but
+# its determinant is 1 + O(2)
+_UNEVEN_UNIT = PrecMatrix([
+    [PrecElem.unit_form(_CFG2, 0, 1, 1), PrecElem.bigoh(_CFG2, 5)],
+    [PrecElem.bigoh(_CFG2, -3), PrecElem.unit_form(_CFG2, 0, 1, 1)],
+])
+
+
+
+def _elem5(v, u=None, n=None):
+    """u * 5^v + O(5^n), or O(5^v) without u."""
+    cfg = DvrConfig(p=5, prec=8)
+    return PrecElem.bigoh(cfg, v) if u is None else PrecElem.unit_form(cfg, v, u, n - v)
+
+
+# the greedy pivot order (first 191*5^-1) ends on an indeterminate block
+# here, while Laplace gives 2*5 + O(5^2)
+_GREEDY_FAILS = PrecMatrix([
+    [_elem5(-2), _elem5(0, 41, 3), _elem5(-1, 191, 3)],
+    [_elem5(2, 2163, 9), _elem5(9), _elem5(1, 1554, 7)],
+    [_elem5(0, 73, 3), _elem5(3, 19, 5), _elem5(1)],
+])
+
+
+def test_pivoted_det_tries_other_first_pivots():
+    assert _greedy_det([list(r) for r in _GREEDY_FAILS.rows], 0) is None
+    got = _pivoted_det(_GREEDY_FAILS)
+    assert got is not None and got.valuation == 1
+    assert (got - oracles.scalar_det(_GREEDY_FAILS)).is_zeroish
+
+
+@settings(max_examples=400)
+@example(m=_UNEVEN_UNIT)
+@example(m=_GREEDY_FAILS)
+@given(m=_uneven_matrices())
+def test_pivoted_det_is_never_less_decisive_than_laplace(m):
+    want = oracles.scalar_det(m)
+    got = _pivoted_det(m)
+    if not want.is_zeroish:
+        assert got is not None, (m, want)
+    if got is not None and not want.is_zeroish:
+        assert got.valuation == want.valuation
+        assert (got - want).is_zeroish
+
+
+def test_pivoted_det_of_flat_matrices_is_laplace():
+    rng = random.Random(6)
+    for d in range(1, 6):
+        for backend in Backend:
+            m = random_matrix(DvrConfig(p=3, prec=10, backend=backend), d, rng)
+            want = oracles.scalar_det(m)
+            got = _pivoted_det(m)
+            assert (got is None) == want.is_zeroish
+            if got is not None:
+                assert got.valuation == want.valuation and (got - want).is_zeroish
+
+
+@pytest.mark.parametrize("backend", list(Backend), ids=lambda b: b.value)
+def test_verify_returns_a_report_at_low_precision(backend, monkeypatch):
+    # verify_local_equivalence on every basis solve_sheaf returns; among the
+    # blocks whose determinant it takes are some with an entry known only
+    # below precision 1, which no flattened elimination can read
+    precisions = []
+
+    def spy(m):
+        precisions.append(m.min_abs_prec())
+        return _pivoted_det(m)
+
+    monkeypatch.setattr("dvrlu.sheaf._pivoted_det", spy)
+    reports = 0
+    for p, n in [(2, 5), (3, 4), (5, 3)]:
+        cfg = DvrConfig(p=p, prec=n, backend=backend)
+        for d in (2, 3, 4):
+            for k in range(4):
+                inst = random_instance(cfg, random.Random(f"low:{p}:{d}:{k}"), 2, d, 3)
+                try:
+                    basis = solve_sheaf(inst, seed=k)
+                except ExhaustedRetries:
+                    continue
+                report = verify_local_equivalence(inst, basis)
+                assert len(report.local_ok) == 2
+                reports += 1
+    assert reports > 30
+    assert min(precisions) <= 0
+
+
+def _solved(seed=9):
+    cfg = DvrConfig(p=5, prec=20)
+    inst = random_instance(cfg, random.Random(42), n_points=2, d=3, e_max=1)
+    basis = solve_sheaf(inst, eps=0.5, seed=seed)
+    assert verify_local_equivalence(inst, basis).ok
+    return cfg, inst, basis
+
+
+def test_verify_rejects_omega_changed_by_a_unit():
+    cfg, inst, basis = _solved()
+    basis.omega[0, 1] = basis.omega[0, 1] + PrecElem.from_int(cfg, 1, abs_prec=20)
+    report = verify_local_equivalence(inst, basis)
+    assert not report.det_ok and not report.ok
+    assert any("omega * M is not unit lower triangular" in note for note in report.notes)
+
+
+def test_verify_rejects_omega_of_indeterminate_determinant():
+    cfg, inst, basis = _solved()
+    for i in range(inst.dim):
+        basis.omega[i, 2] = PrecElem.bigoh(cfg, cfg.prec)
+    report = verify_local_equivalence(inst, basis)
+    assert not report.det_ok and not report.ok
+    assert "det omega is indeterminate" in report.notes
+
+
+_CFG5 = DvrConfig(p=5, prec=20)
+
+
+def _with_omega_m(m):
+    """A solved Z_5 instance of m's dimension whose basis is replaced by
+    omega = 1 and the constant M = m."""
+    d = len(m)
+    inst = random_instance(_CFG5, random.Random(3), n_points=1, d=d, e_max=1)
+    basis = solve_sheaf(inst, seed=0)
+    basis.omega = PrecMatrix([
+        [PrecElem.from_int(_CFG5, int(i == j), abs_prec=20) for j in range(d)]
+        for i in range(d)
+    ])
+    basis.m = [[[e] for e in row] for row in m]
+    return inst, basis
+
+
+def _unit(v, n):
+    """5^v + O(5^n)."""
+    return PrecElem.unit_form(_CFG5, v, 1, n - v)
+
+
+@pytest.mark.parametrize("m, det_ok", [
+    # omega * M = [[O(5^0)]]: its diagonal minus 1 is zeroish, but det M may be 0
+    ([[PrecElem.bigoh(_CFG5, 0)]], False),
+    # every entry required zero is O(5^3), but 5^-3 below the diagonal
+    # leaves det M = 1 + O(5^0)
+    ([[_unit(0, 3), PrecElem.bigoh(_CFG5, 3)], [_unit(-3, 20), _unit(0, 3)]], False),
+    # the same with 5^-2 below the diagonal: det M = 1 + O(5)
+    ([[_unit(0, 3), PrecElem.bigoh(_CFG5, 3)], [_unit(-2, 20), _unit(0, 3)]], True),
+], ids=["1x1-O(1)", "below-5^-3", "below-5^-2"])
+def test_verify_rejects_det_m_of_indeterminate_constant_term(m, det_ok):
+    inst, basis = _with_omega_m(m)
+    report = verify_local_equivalence(inst, basis)
+    assert report.det_ok == det_ok == _laplace_flags(inst, basis)[1]
+    if not det_ok:
+        assert "det M has indeterminate constant term" in report.notes
+
+
+def test_verify_is_polynomial_at_d8():
+    # Laplace expansion made this verify take seconds; no timing is asserted
+    cfg = DvrConfig(p=7, prec=40)
+    inst = random_instance(cfg, random.Random(8), n_points=3, d=8, e_max=3)
+    report = verify_local_equivalence(inst, solve_sheaf(inst, seed=1))
+    assert report.ok, report.notes
