@@ -76,6 +76,7 @@ def test_lu_run_stable_reports_loss(tmp_path, capsys):
         ["--algo", "profile"],
         ["--algo", "block", "--block-type", "1,2"],
         ["--algo", "block-unit", "--block-type", "3"],
+        ["--algo", "recursive", "--threshold", "1", "--mul", "strassen"],
     ],
 )
 def test_lu_run_all_algos(tmp_path, capsys, extra):
@@ -85,7 +86,14 @@ def test_lu_run_all_algos(tmp_path, capsys, extra):
     rows[0][0] |= 1  # keep the corner a unit so every algorithm proceeds
     path = _matrix_input(tmp_path, cfg, rows)
     assert main(["lu", "run", "--input", path] + extra) == 0
-    json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    json.loads(out)
+    if "strassen" in extra:
+        # Strassen products mod pi^N are exact: the classical run's output,
+        # byte for byte
+        classical = ["classical" if a == "strassen" else a for a in extra]
+        assert main(["lu", "run", "--input", path] + classical) == 0
+        assert capsys.readouterr().out == out
 
 
 def test_lu_run_profile_table_keys(tmp_path, capsys):

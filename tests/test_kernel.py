@@ -76,6 +76,12 @@ def _outcome(fn, m):
     return fields, lu_fast.get_mul_count()
 
 
+def _without_count(outcome):
+    """outcome with its product count set to 0; an exception stays whole."""
+    fields, count = outcome
+    return (fields, 0) if isinstance(count, int) else outcome
+
+
 def _tiling(d):
     """Blocks of 2 then 3, repeated, the last one cut to fit d."""
     sizes = []
@@ -118,14 +124,19 @@ def test_kernel_matches_object_path(name, m):
         on_objects, got = _ran_on_objects(fn, m)
     with object_path():
         want = _outcome(fn, m)
+    if name == "recursive_lv":
+        # refused, it is lv_decomposition, which multiplies no matrices; the
+        # kernel run's products are pinned in test_lu_fast
+        got = _without_count(got)
     assert got == want
     assert on_kernel and not on_objects
 
 
 def test_a_step_that_raises_is_counted():
-    # with Strassen products the bands are cleared on elements
-    strassen = lambda m: lu_fast.recursive_lv(m, threshold=2, algo="strassen")
-    ran, (exc, _) = _ran_on_objects(strassen, BAND_RAISES)
+    # a band known beyond n is cleared by its scalar steps on elements; both
+    # operands of its step (0, 1) are O(5^4)
+    x = y = PrecMatrix([[PrecElem.bigoh(DvrConfig(p=5, prec=4), 4)]])
+    ran, (exc, _) = _ran_on_objects(lambda _: lu_fast.clear_block(x, y, 3), None)
     assert ran and exc is AmbiguousValuation
 
 
@@ -225,7 +236,7 @@ def _schoolbook(e):
 def test_series_products_are_the_schoolbook_product(p, n, shape, seed):
     # the kernel's capped F_p[[t]] product and the public matmul are both
     # the schoolbook classical product, and recursive_lv (leaves, products
-    # and bands on the kernel) equals its all-element run
+    # and bands on the kernel) equals lv_decomposition on elements
     rng = random.Random(seed)
     cfg = DvrConfig(p=p, prec=n, backend=Backend.SERIES)
     r, k, c = shape
@@ -243,19 +254,18 @@ def test_series_products_are_the_schoolbook_product(p, n, shape, seed):
     m = random_matrix(cfg, r + c, rng)
     got = _outcome(lambda x: lu_fast.recursive_lv(x, threshold=2), m)
     with object_path():
-        assert got == _outcome(lambda x: lu_fast.recursive_lv(x, threshold=2), m)
+        assert _without_count(got) == _outcome(lu_stable.lv_decomposition, m)
 
 
-@pytest.mark.parametrize(
-    "backend, algo", [(Backend.PADIC, "strassen"), (Backend.SERIES, "strassen")]
-)
-def test_recursive_lv_bands_stay_on_elements(backend, algo):
-    # Strassen's tracked precision is coarser than the kernel's: it clears
-    # its bands on elements
+@pytest.mark.parametrize("backend", list(Backend))
+def test_recursive_lv_strassen_bands_run_on_kernel(backend):
+    # Strassen products mod pi^N are exact, so a Strassen run clears its
+    # leaves and bands on the kernel, as the classical run does
     m = random_matrix(DvrConfig(p=5, prec=10, backend=backend), 6, random.Random(4))
-    with counting(lu_fast, "_pivot_step") as bands:
-        lu_fast.recursive_lv(m, threshold=2, algo=algo)
-    assert bands
+    strassen = lambda x: lu_fast.recursive_lv(x, threshold=2, algo="strassen")
+    with counting(kernel, "stepper") as on_kernel:
+        on_objects, _ = _ran_on_objects(strassen, m)
+    assert on_kernel and not on_objects
 
 
 def test_clear_block_decides_on_digits_beyond_n():
@@ -271,28 +281,28 @@ def test_clear_block_decides_on_digits_beyond_n():
     assert t == flat_from_ints(cfg, [[1, -5], [0, 1]], 3)
 
 
-def _cleared(r, x, y, n, cut):
-    """lu_fast._clear's (Xf, T) on the row lists x and y in representation
-    r, as elements, or the message of the AmbiguousValuation it raised."""
+def _cleared(clear):
+    """clear()'s (Xf, T), or the message of the AmbiguousValuation it
+    raised."""
     try:
-        xf, t = lu_fast._clear(x, y, n, r, cut)
+        return tuple(clear())
     except AmbiguousValuation as exc:
         return str(exc)
-    return r.elements(xf), r.elements(t)
 
 
 def _assert_cuts_agree(x, y, n):
-    """The band [X | Y], flat and integral at n, cleared by scalar steps
-    from every cut 1, 2 and k on, on residues and on elements, equals its
-    recursion down to one-row bands on residues, field for field."""
-    r, (xr, yr) = lu_fast._representation(n, "classical", x, y)
-    assert isinstance(r, lu_fast._Residues)
-    want = _cleared(r, xr, yr, n, 1)
-    on_elements = lu_fast._Elements(x[0, 0], "classical")
-    for cut in {1, 2, x.nrows}:
-        assert _cleared(r, xr, yr, n, cut) == want
-        with object_path():
-            assert _cleared(on_elements, x.rows, y.rows, n, cut) == want
+    """The band [X | Y], flat and integral at n, cleared on residues by
+    scalar steps from every cut 1, 2 and k on, and by its scalar steps on
+    elements (clear_block when the kernel refuses it), equals its recursion
+    down to one-row bands on residues, field for field."""
+    cfg, (xr, yr) = kernel.exact(n, x.rows, y.rows)
+    r = lu_fast._Residues(cfg, n, "classical")
+    on_residues = lambda cut: _cleared(lambda: map(r.elements, lu_fast._clear(xr, yr, r, cut)))
+    want = on_residues(1)
+    for cut in {2, x.nrows}:
+        assert on_residues(cut) == want
+    with object_path():
+        assert _cleared(lambda: lu_fast.clear_block(x, y, n)) == want
 
 
 @given(
@@ -331,17 +341,15 @@ BAND_RAISES_AT_ROW_1 = tuple(
                                                          BAND_RAISES.block(0, 1, 1, 3))])
 def test_band_raises_the_same_at_every_cut(band):
     x, y = band
-    r, (xr, yr) = lu_fast._representation(1, "classical", x, y)
-    assert "cannot compare" in _cleared(r, xr, yr, 1, 1)
+    assert "cannot compare" in _cleared(lambda: lu_fast.clear_block(x, y, 1))
     _assert_cuts_agree(x, y, 1)
 
 
-def test_inexact_bands_clear_one_row_at_a_time():
-    # on an entry of negative valuation or a SeriesElem the scalar steps
-    # track precision otherwise than the recursion's capped products, so
-    # recursive_lv clears such bands one row at a time; integral bands
-    # (here on elements, under Strassen products) take scalar steps up to
-    # threshold rows
+def test_bands_clear_threshold_rows_and_refused_input_none():
+    # integral input clears its bands by scalar steps on residues, up to
+    # threshold rows, with either product; input the kernel refuses (an
+    # entry of negative valuation, SeriesElem entries) is lv_decomposition
+    # itself and clears no band
     rng = random.Random(5)
     cfg = DvrConfig(p=3, prec=8)
     integral = random_matrix(cfg, 8, rng)
@@ -349,18 +357,21 @@ def test_inexact_bands_clear_one_row_at_a_time():
     negative[5, 6] = PrecElem.unit_form(cfg, -1, 2, 9)  # 2/3 + O(3^8)
     series = PrecMatrix([[SeriesElem(cfg, [PrecElem.random(cfg, rng) for _ in range(2)])
                           for _ in range(8)] for _ in range(8)])
-    band = lu_fast._Elements.band
-    for m, algo, widest in ((integral, "strassen", 4), (negative, "classical", 1),
-                            (series, "classical", 1)):
-        rows = []
+    band = lu_fast._Residues.band
+    for m, widest in ((integral, 4), (negative, None), (series, None)):
+        for algo in ("classical", "strassen"):
+            rows = []
 
-        def spy(self, x, y, n):
-            rows.append(len(x))
-            return band(self, x, y, n)
+            def spy(self, x, y):
+                rows.append(len(x))
+                return band(self, x, y)
 
-        with mock.patch.object(lu_fast._Elements, "band", spy):
-            lu_fast.recursive_lv(m, threshold=4, algo=algo)
-        assert max(rows) == widest
+            with mock.patch.object(lu_fast._Residues, "band", spy):
+                with counting(lu_fast, "_pivot_step") as steps:
+                    got = _outcome(lambda x: lu_fast.recursive_lv(x, threshold=4, algo=algo), m)
+            assert max(rows, default=None) == widest and not steps
+            if widest is None:
+                assert got == _outcome(lu_stable.lv_decomposition, m)
 
 
 @pytest.mark.parametrize("name", ELIMINATIONS)

@@ -17,6 +17,8 @@ from dvrlu import (
     random_matrix,
     recursive_lv,
 )
+from dvrlu import lu_fast
+from dvrlu.config import Backend
 from dvrlu.lu_fast import get_mul_count, reset_mul_count
 from dvrlu.lu_stable import working_precision
 
@@ -48,37 +50,49 @@ def test_matmul_rectangular():
     a = flat_from_ints(CFG, [[1, 2, 3]])
     b = flat_from_ints(CFG, [[1], [1], [1]])
     assert matmul(a, b)[0, 0].representative() == 6
-    # strassen silently falls back to classical off the square case
-    assert matmul(a, b, algo="strassen")[0, 0].representative() == 6
+
+
+# residues of both rings: Z_2 mod 2^24 and F_3[[t]] mod t^8
+RINGS = (CFG2, DvrConfig(p=3, prec=8, backend=Backend.SERIES))
+
+
+def _residues(cfg, rng, h, w):
+    """An h x w row list of random stored ints mod pi^N of ring cfg."""
+    return [[cfg.ops.encode(rng.randrange(cfg.p**cfg.prec)) for _ in range(w)]
+            for _ in range(h)]
 
 
 def test_strassen_value_equal_with_odd_padding():
+    # Strassen's recursion on residues mod pi^N, odd sizes padded with an
+    # identity row and column, is the classical product digit for digit; a
+    # product that is not square stays classical
     rng = random.Random(2)
-    for d in (4, 5, 9):
-        a = random_matrix(CFG2, d, rng)
-        b = random_matrix(CFG2, d, rng)
-        c1 = matmul(a, b)
-        c2 = matmul(a, b, algo="strassen", cutoff=2)
-        for i in range(d):
-            for j in range(d):
-                x, y = c1[i, j], c2[i, j]
-                k = min(x.abs_prec if not x.is_zeroish else x.val_lower_bound,
-                        y.abs_prec if not y.is_zeroish else y.val_lower_bound)
-                assert x.cap_abs(k) == y.cap_abs(k), (d, i, j)
+    for cfg in RINGS:
+        ops, n = cfg.ops, cfg.prec
+        for d in range(1, 18):
+            a, b = _residues(cfg, rng, d, d), _residues(cfg, rng, d, d)
+            want = ops.product(a, list(zip(*b)), n)
+            for cutoff in (1, 2, 8):
+                assert lu_fast._strassen(ops, a, b, n, cutoff) == want, (cfg, d, cutoff)
+        a, b = _residues(cfg, rng, 1, 3), _residues(cfg, rng, 3, 1)
+        reset_mul_count()
+        strassen = lu_fast._Residues(cfg, n, "strassen")
+        assert strassen.product(a, b) == ops.product(a, list(zip(*b)), n)
+        assert get_mul_count() == 3
 
 
 def test_strassen_multiplication_count_is_seven_to_the_k():
     rng = random.Random(3)
-    for k in (2, 3):
-        d = 2**k
-        a = random_matrix(CFG, d, rng)
-        b = random_matrix(CFG, d, rng)
-        reset_mul_count()
-        matmul(a, b, algo="strassen", cutoff=1)
-        assert get_mul_count() == 7**k
-        reset_mul_count()
-        matmul(a, b)
-        assert get_mul_count() == d**3
+    for cfg in RINGS:
+        for k in (2, 3):
+            d = 2**k
+            a, b = _residues(cfg, rng, d, d), _residues(cfg, rng, d, d)
+            reset_mul_count()
+            lu_fast._strassen(cfg.ops, a, b, cfg.prec, 1)
+            assert get_mul_count() == 7**k
+            reset_mul_count()
+            lu_fast._Residues(cfg, cfg.prec, "classical").product(a, b)
+            assert get_mul_count() == d**3
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +165,20 @@ def test_recursive_is_bit_identical_to_scalar():
                 for threshold in (2, 3):
                     got = recursive_lv(m, threshold=threshold)
                     assert_same_output(want, got)
+    # F_5[[t]], N = 5, d = 8, entries of valuation -2..1: no residues, so
+    # recursive_lv is lv_decomposition at every threshold, never a refusal
+    # of a working precision N <= 0
+    m = _negative_valuation_matrix(DvrConfig(p=5, prec=5, backend=Backend.SERIES), 8)
+    for threshold in (1, 2, 3):
+        assert_same_output(lv_decomposition(m), recursive_lv(m, threshold=threshold))
+
+
+def _negative_valuation_matrix(cfg, d):
+    """A d x d matrix flat at cfg.prec whose entries have valuations -2..1."""
+    rng, n, p = random.Random(0), cfg.prec, cfg.p
+    unit = lambda rel: p * rng.randrange(p ** (rel - 1)) + rng.randrange(1, p)
+    draw = lambda v: PrecElem.unit_form(cfg, v, unit(n - v), n - v)
+    return PrecMatrix([[draw(rng.randint(-2, 1)) for _ in range(d)] for _ in range(d)])
 
 
 def test_recursive_above_threshold_delegates():
@@ -232,45 +260,43 @@ def test_recursive_propagates_degeneracy():
     assert_same_output(want, got)
 
 
-def _assert_strassen_value_equal(d, cases, threshold=2):
+def _assert_strassen_bit_identical(d, cases, threshold=2):
+    # Strassen products mod pi^N are exact, so the recursion with them is
+    # the scalar elimination bit for bit, on both rings; past the cutoff
+    # they ran, as their count shows
     rng = random.Random(7)
-    hits = 0
-    while hits < cases:
-        m = random_matrix(CFG2, d, rng)
-        try:
-            want = lv_decomposition(m)
-        except AmbiguousValuation:
-            continue
-        try:
-            got = recursive_lv(m, threshold=threshold, algo="strassen")
-        except AmbiguousValuation:
-            continue  # coarser intermediate precision may block a swap test
-        hits += 1
-        for name in ("lp", "vp", "hp", "wp"):
-            a, b = getattr(want, name), getattr(got, name)
-            for i in range(d):
-                for j in range(d):
-                    x, y = a[i, j], b[i, j]
-                    k = min(
-                        x.abs_prec if not x.is_zeroish else x.val_lower_bound,
-                        y.abs_prec if not y.is_zeroish else y.val_lower_bound,
-                    )
-                    assert x.cap_abs(k) == y.cap_abs(k)
+    for cfg in RINGS:
+        hits = 0
+        while hits < cases:
+            m = random_matrix(cfg, d, rng)
+            try:
+                want = lv_decomposition(m)
+            except AmbiguousValuation:
+                continue
+            hits += 1
+            counts = []
+            for algo in ("classical", "strassen"):
+                reset_mul_count()
+                assert_same_output(want, recursive_lv(m, threshold=threshold, algo=algo))
+                counts.append(get_mul_count())
+            assert (counts[1] != counts[0]) == (d >= 16)
 
 
 def test_recursive_with_strassen_is_value_equal():
-    _assert_strassen_value_equal(6, 4)
+    _assert_strassen_bit_identical(6, 4)
 
 
 def test_recursive_with_strassen_is_value_equal_past_the_cutoff():
-    # at d = 16 the 8 x 8 products reach matmul's Strassen cutoff of 8
-    _assert_strassen_value_equal(16, 2)
+    # at d = 16 the 8 x 8 products reach the Strassen cutoff of 8; at d = 17
+    # the 9 x 9 ones are padded to 10 x 10
+    _assert_strassen_bit_identical(16, 2)
+    _assert_strassen_bit_identical(17, 2)
 
 
 def test_recursive_with_strassen_and_scalar_bands_is_value_equal():
-    # at threshold 8 the 8-row band is cleared by scalar steps on elements,
-    # and the 8 x 8 products still reach matmul's Strassen cutoff
-    _assert_strassen_value_equal(16, 2, threshold=8)
+    # at threshold 8 the 8-row band is cleared by scalar steps on residues,
+    # and the 8 x 8 products still reach the Strassen cutoff
+    _assert_strassen_bit_identical(16, 2, threshold=8)
 
 
 def test_recursive_multiply_back():
