@@ -19,7 +19,7 @@ from .errors import (
     InsufficientLift,
     NotSorted,
 )
-from .lu_fast import clear_block, matmul, recursive_lv
+from .lu_fast import matmul, recursive_lv
 from .lu_stable import (
     BlockL,
     LvOutput,
@@ -87,7 +87,6 @@ __all__ = [
     "attempt_simultaneous",
     "block_l",
     "block_l_unitlower",
-    "clear_block",
     "hermite_from_lv",
     "invert_via_lv",
     "lift_recompute_l",

@@ -122,7 +122,7 @@ class DvrConfig:
             field cardinality q and (for the padic backend) the uniformizer.
         prec: default relative precision for exact ring elements, i.e. the
             number of significant base-p digits carried by a freshly created
-            unit.  Must be positive.
+            unit.  Must be a positive int.
         backend: ``Backend.PADIC`` for Z_p, ``Backend.SERIES`` for F_p[[t]].
 
     The digit-ops object ``ops`` is derived from ``p`` and ``backend``; it
@@ -138,7 +138,7 @@ class DvrConfig:
 
     def __post_init__(self) -> None:
         require_prime(self.p)
-        if not isinstance(self.prec, int) or self.prec < 1:
+        if type(self.prec) is not int or self.prec < 1:  # a bool is not a precision
             raise ValueError(f"prec must be a positive integer, got {self.prec!r}")
         if not isinstance(self.backend, Backend):
             raise ValueError(f"backend must be a Backend, got {self.backend!r}")

@@ -84,7 +84,7 @@ class PrecElem:
 
     Instances are immutable; all operators return fresh elements.  Do not call
     the constructor directly: use :meth:`from_int`, :meth:`unit_form`,
-    :meth:`bigoh`, :meth:`one`, :meth:`zero` or :meth:`random`.
+    :meth:`bigoh`, :meth:`one` or :meth:`random`.
     """
 
     __slots__ = ("cfg", "_f")
@@ -147,10 +147,6 @@ class PrecElem:
     @classmethod
     def one(cls, cfg: DvrConfig, rel_prec: Optional[int] = None) -> "PrecElem":
         return cls.unit_form(cfg, 0, 1, cfg.prec if rel_prec is None else rel_prec)
-
-    @classmethod
-    def zero(cls, cfg: DvrConfig, abs_prec: Optional[int] = None) -> "PrecElem":
-        return cls.bigoh(cfg, abs_prec if abs_prec is not None else cfg.prec)
 
     @classmethod
     def random(cls, cfg: DvrConfig, rng, abs_prec: Optional[int] = None) -> "PrecElem":

@@ -56,11 +56,11 @@ The module's functions:
   one coefficient matrix ``M^(l)`` of the series matrix M_m per operand,
   reading omega once.
 
-The recursion of :func:`dvrlu.lu_fast.recursive_lv` and
-:func:`~dvrlu.lu_fast.clear_block` runs only on residues of either ring,
-from one read of its input (:func:`exact`) to the output's elements: its
-leaves and its band steps run on :func:`stepper`, and its products on the
-digit-ops object's ``product`` and ``add``/``neg`` (Strassen's recursion).
+The recursion of :func:`dvrlu.lu_fast.recursive_lv` runs only on residues
+of either ring, from one read of its input (:func:`exact`) to the output's
+elements: its leaves and its band steps run on :func:`stepper`, and its
+products on the digit-ops object's ``product`` and ``add``/``neg``
+(Strassen's recursion).
 An input :func:`exact` refuses takes the object path's scalar elimination
 instead.
 

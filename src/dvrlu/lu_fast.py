@@ -15,22 +15,18 @@ matrix products.  Two facts make that possible:
   used as a pivot column), and all nice orders produce the same output, so
   clearing whole bands at a time is just a reordering.  So is clearing a
   band of k rows by its scalar steps (i, c), i < k <= c, in row-major
-  order, which :func:`recursive_lv` does for the bands of at most
-  ``threshold`` rows, as for its leaves, and :func:`clear_block` for
-  one-row bands.
+  order, which :func:`recursive_lv` does for its leaves and for the bands
+  of at most ``threshold`` rows.
 
-:func:`recursive_lv` and :func:`clear_block` run on residues
-(:class:`_Residues`): the input is read once as stored ints mod pi^N
-(:func:`dvrlu.kernel.exact`), the leaves' rounds and the band steps run on
-:func:`dvrlu.kernel.stepper`, the products on the ring's digit-ops
-``product`` (or :func:`_strassen`) counted as the element products they
-stand for, and elements are built once, for the output.  Strassen's
-recursion is exact mod pi^N too, so it changes the count, never the output.
-Input the kernel refuses (``SeriesElem`` entries, an entry of negative
-valuation, and in a :func:`clear_block` band an entry known beyond n) takes
-the scalar elimination the recursion reproduces:
-:func:`~dvrlu.lu_stable.lv_decomposition`, or the band's scalar steps
-:func:`~dvrlu.lu_stable._pivot_step`.
+:func:`recursive_lv` runs on residues (:class:`_Residues`): the input is
+read once as stored ints mod pi^N (:func:`dvrlu.kernel.exact`), the leaves'
+rounds and the band steps run on :func:`dvrlu.kernel.stepper`, the products
+on the ring's digit-ops ``product`` (or :func:`_strassen`) counted as the
+element products they stand for, and elements are built once, for the
+output.  Strassen's recursion is exact mod pi^N too, so it changes the
+count, never the output.  Input the kernel refuses (``SeriesElem`` entries,
+an entry of negative valuation) takes the scalar elimination the recursion
+reproduces, :func:`~dvrlu.lu_stable.lv_decomposition`.
 
 The public :func:`matmul` is the classical product of elements; it counts
 scalar multiplications in a module-level counter (used by the complexity
@@ -51,7 +47,7 @@ from typing import Sequence
 
 from . import kernel
 from .lu_stable import LvOutput, lv_decomposition
-from .lu_stable import _flattened, _pivot_step, _require_digits, _square_dim, _val_or_none
+from .lu_stable import _flattened, _square_dim, _val_or_none
 from .matrix import PrecMatrix
 
 _MUL_COUNT = 0
@@ -113,11 +109,6 @@ def _capped_coefficients(
     if out is not None:
         _MUL_COUNT += a.nrows * a.ncols * bs[0].ncols
     return out
-
-
-def _require_algo(algo: str) -> None:
-    if algo not in ("classical", "strassen"):
-        raise ValueError(f"unknown multiplication algorithm {algo!r}")
 
 
 def _product(ops, a: list[list[int]], b: list[list[int]], n: int) -> list[list[int]]:
@@ -238,8 +229,19 @@ def _joined(grid: Sequence[Sequence[list[list]]]) -> list[list]:
 def _clear(
     x: list[list[int]], y: list[list[int]], r: _Residues, cut: int
 ) -> tuple[list[list[int]], list[list[int]]]:
-    """:func:`clear_block` on row lists of residues, by scalar steps once X
-    has at most cut rows."""
+    """Clear the band [X | Y] of residues to [Xf | 0]: return (Xf, T) with
+    [X | Y] * T = [Xf | 0] mod pi^n.
+
+    X is k x k and already eliminated (zeros above its diagonal); Y is the
+    k x w band to its right.  T encodes the pivoting swaps, so rows outside
+    the band are updated by multiplying with T afterwards.  A band of at
+    most cut rows is cleared by its scalar steps, a wider one by a
+    recursion that halves both the rows of X and the columns of Y.  The
+    sub-steps on X's lower-right quadrant skip the top rows of the columns
+    they touch: those are zeros (cleared by earlier sub-steps, or X's zero
+    block) and column operations keep them so.  T is the product of the
+    four sub-steps' transforms, each the identity outside the columns its
+    sub-step touches."""
     k, w = len(x), len(y[0])
     if w == 0:
         return x, _identity(k)
@@ -293,52 +295,6 @@ def _clear(
     return _joined([[x1, x2], [x3, x4]]), t
 
 
-def clear_block(
-    x: PrecMatrix, y: PrecMatrix, n: int, algo: str = "classical"
-) -> tuple[PrecMatrix, PrecMatrix]:
-    """Clear the band [X | Y] to [Xf | 0] by an invertible column transform.
-
-    X is k x k, already eliminated (lower triangular with pivoting applied,
-    exact zeros above the diagonal at precision n); Y is the k x w band to
-    its right.  Returns (Xf, T) with T square of size k + w such that
-    [X | Y] * T agrees with [Xf | 0] at precision n — bit for bit when the
-    band is integral at flat precision n.  T encodes the pivoting swaps, so
-    rows outside the band are updated by multiplying with T afterwards.
-
-    A band of integral entries of either ring all at precision exactly n
-    runs on ints mod pi^n, by a recursion that halves both the rows of X
-    and the columns of Y.  When a sub-step operates on X's lower-right
-    quadrant, the corresponding top rows of the touched columns are exact
-    zeros O(pi^n) (cleared by the earlier sub-steps or the zero block of
-    X), and column operations keep them exact zeros, so the transform is not
-    applied to them at all.  T is the product of the four sub-steps'
-    transforms, each the identity outside the columns its sub-step touches,
-    and only the rows of T that an earlier sub-step wrote on those columns
-    are multiplied, classically or (algo "strassen") by Strassen's
-    recursion, with the same output.  The recursion ends at one-row bands,
-    cleared by scalar steps.  Any other band is cleared by its scalar steps
-    (i, c), i < k <= c, in row-major order, on elements: an entry known
-    beyond n is compared on its further digits, which the kernel, reading
-    it mod pi^n, would not see.  Raises ValueError for n < 1.
-    """
-    _require_algo(algo)
-    if y.nrows != x.nrows or x.ncols != x.nrows:
-        raise ValueError("band shapes disagree")
-    _require_digits(n)
-    read = kernel.exact(n, x.rows, y.rows)
-    if read is None:
-        k, band = x.nrows, PrecMatrix([rx + ry for rx, ry in zip(x.rows, y.rows)])
-        t = PrecMatrix.identity_like(x, band.ncols, n)
-        for i in range(k):
-            for c in range(k, band.ncols):
-                _pivot_step(band, i, c, n, t)
-        return band.block(0, k, 0, k), t
-    cfg, (xr, yr) = read
-    r = _Residues(cfg, n, algo)
-    xf, t = _clear(xr, yr, r, 1)
-    return r.elements(xf), r.elements(t)
-
-
 # ---------------------------------------------------------------------------
 # recursive split decomposition
 # ---------------------------------------------------------------------------
@@ -382,7 +338,7 @@ def recursive_lv(
     """Divide-and-conquer form of :func:`~dvrlu.lu_stable.lv_decomposition`.
 
     Splits the columns at d' = floor(d/2): recurses on the top-left block,
-    clears the top band against it as :func:`clear_block` does, pushes the
+    clears the top band against it (:func:`_clear`), pushes the
     accumulated transforms into the bottom rows with matrix products mod
     pi^N, and recurses on the remaining bottom-right block.  An integral
     input of either ring runs the whole recursion on ints mod pi^N, N its
@@ -400,7 +356,8 @@ def recursive_lv(
             (Strassen's recursion, classical below 8 rows); it changes the
             product count, not the output.
     """
-    _require_algo(algo)
+    if algo not in ("classical", "strassen"):
+        raise ValueError(f"unknown multiplication algorithm {algo!r}")
     if threshold < 1:
         raise ValueError(f"threshold must be at least 1, got {threshold}")
     d = _square_dim(m)

@@ -17,10 +17,8 @@ precision of its row.
 
 That step — swap test, pivot guard, re-lifted scalar, column update — is
 :func:`_pivot_step`, the only code that swaps or updates columns of
-elements.  :func:`_eliminate` is the one round loop: every elimination
-here reads its yields, and only the band that
-:func:`dvrlu.lu_fast.clear_block` clears on elements, by its scalar steps,
-calls the step directly.
+elements, and :func:`_eliminate`, its only caller, is the one round loop:
+every elimination here reads its yields.
 
 Flat integral input makes the elimination plain arithmetic in ``Z/p^N``
 (``F_p[t]/(t^N)`` over ``F_p[[t]]``), so :func:`_eliminate` runs its steps

@@ -70,9 +70,6 @@ class PrecMatrix:
     def min_abs_prec(self) -> int:
         return min(e.abs_prec for r in self.rows for e in r)
 
-    def all_zeroish(self) -> bool:
-        return all(e.is_zeroish for r in self.rows for e in r)
-
     # -- mutating column operations (the elimination primitives) ------------
 
     def swap_cols(self, i: int, j: int) -> None:
@@ -88,20 +85,6 @@ class PrecMatrix:
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "PrecMatrix":
         return PrecMatrix([row[c0:c1] for row in self.rows[r0:r1]])
-
-    @staticmethod
-    def from_blocks(grid: Sequence[Sequence["PrecMatrix"]]) -> "PrecMatrix":
-        rows: list[list] = []
-        for band in grid:
-            h = band[0].nrows
-            if any(b.nrows != h for b in band):
-                raise ValueError("block heights disagree within a band")
-            for i in range(h):
-                row: list = []
-                for b in band:
-                    row.extend(b.rows[i])
-                rows.append(row)
-        return PrecMatrix(rows)
 
     @staticmethod
     def identity_like(proto: "PrecMatrix", d: int, abs_prec: int) -> "PrecMatrix":

@@ -1,10 +1,8 @@
 """Valuation statistics: closed-form laws and the Monte-Carlo engine."""
 
 from .formulas import (
-    block_det_cdf,
     det_val_cdf,
     det_val_mean,
-    expected_vl,
     expected_vl_alternating,
     expected_vl_series,
     expected_vl_log_gap_bound,
@@ -27,10 +25,8 @@ from .montecarlo import (
 )
 
 __all__ = [
-    "block_det_cdf",
     "det_val_cdf",
     "det_val_mean",
-    "expected_vl",
     "expected_vl_alternating",
     "expected_vl_series",
     "expected_vl_log_gap_bound",

@@ -59,15 +59,10 @@ def expected_vl_alternating(q: int, d: int) -> float:
     return total / (1 << b)
 
 
-def expected_vl(q: int, d: int) -> float:
-    """Expected max-pivot valuation E(q, d) (series evaluation)."""
-    return expected_vl_series(q, d)
-
-
 def vl_expectation_interval(q: int, d: int) -> tuple[float, float]:
     """The half-open interval (E - 1/(q-1), E] that contains the true
     expectation of the factor's max denominator exponent V_L."""
-    e = expected_vl(q, d)
+    e = expected_vl_series(q, d)
     return (e - 1.0 / (q - 1), e)
 
 
@@ -100,12 +95,6 @@ def det_val_cdf(q: int, d: int, v: int) -> float:
 def det_val_mean(q: int, d: int) -> float:
     """E[v(det M)] = sum_{i=1}^{d} 1 / (q^i - 1)."""
     return math.fsum(1.0 / (q**i - 1) for i in range(1, d + 1))
-
-
-def block_det_cdf(q: int, d_s: int, v: int) -> float:
-    """CDF of the valuation of one diagonal block determinant: the same
-    product law with the block size in place of the dimension."""
-    return det_val_cdf(q, d_s, v)
 
 
 def vl_upper_tail(q: int, d: int, x: float) -> float:

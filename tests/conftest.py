@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings, strategies as st
 
-from dvrlu import Backend, DvrConfig, PrecElem, PrecMatrix
+from dvrlu import Backend, DvrConfig, PrecElem, PrecMatrix, kernel, lu_fast
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -16,6 +16,15 @@ def flat_from_ints(cfg: DvrConfig, rows, n=None) -> PrecMatrix:
     return PrecMatrix(
         [[PrecElem.from_int(cfg, x, abs_prec=n) for x in row] for row in rows]
     )
+
+
+def clear_band(x: PrecMatrix, y: PrecMatrix, n: int, cut: int = 1) -> tuple[PrecMatrix, ...]:
+    """(Xf, T) of the band [X | Y], flat and integral at n, cleared on its
+    residues by recursive_lv's band step, recursing down to bands of cut
+    rows."""
+    cfg, (xr, yr) = kernel.exact(n, x.rows, y.rows)
+    r = lu_fast._Residues(cfg, n, "classical")
+    return tuple(map(r.elements, lu_fast._clear(xr, yr, r, cut)))
 
 
 PRIMES = [2, 3, 5, 2**31 - 1]

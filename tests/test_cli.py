@@ -226,6 +226,16 @@ def test_empty_matrix_is_input_error(tmp_path, capsys):
     assert "no rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("prec", [True, 0, 2.0])
+def test_config_prec_must_be_a_positive_int(tmp_path, capsys, prec):
+    # JSON true is a Python bool, an int subclass: refused, not read as 1
+    matrix = flat_from_ints(DvrConfig(p=5, prec=1), [[1]]).to_json()
+    path = _write(tmp_path, "m.json", {"config": {"p": 5, "prec": prec}, "matrix": matrix})
+    assert main(["lu", "run", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert f"prec must be a positive integer, got {prec!r}" in err
+
+
 # ---------------------------------------------------------------------------
 # stats
 
@@ -659,6 +669,18 @@ def _readme_commands():
 
 
 README_COMMANDS = list(_readme_commands())
+
+
+def test_readme_python_quick_start_prints_its_comments(capsys):
+    # the library example runs as written, and its first two prints (the
+    # precision losses of stable_l and naive_gauss_l at seed 1) are the
+    # values its comments state
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+    commented = re.findall(r"^print\(.*#\s*(\d+)\s", block, re.M)
+    assert commented == ["4", "12"]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[:2] == commented
 
 
 def test_readme_has_the_experiment_recipes():

@@ -19,7 +19,7 @@ import oracles
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import PRIMES, flat_from_ints, residue_matrices
+from conftest import PRIMES, clear_band, flat_from_ints, residue_matrices
 from dvrlu import kernel, lu_fast, lu_stable
 from dvrlu.config import Backend, DvrConfig
 from dvrlu.element import PrecElem
@@ -102,12 +102,11 @@ RAISE_DEGENERATE = {"stable_l", "block_l", "block_l_unitlower"}
 
 
 def _ran_on_objects(fn, m):
-    """Run fn(m); return whether an object elimination step ran, in
-    lu_stable or in a band of lu_fast's recursion, and fn's outcome."""
+    """Run fn(m); return whether an object elimination step ran, and fn's
+    outcome."""
     with counting(lu_stable, "_pivot_step") as steps:
-        with counting(lu_fast, "_pivot_step") as bands:
-            out = _outcome(fn, m)
-    return bool(steps or bands), out
+        out = _outcome(fn, m)
+    return bool(steps), out
 
 
 # row 0 is 0 mod t, so recursive_lv's first band step raises AmbiguousValuation
@@ -133,10 +132,12 @@ def test_kernel_matches_object_path(name, m):
 
 
 def test_a_step_that_raises_is_counted():
-    # a band known beyond n is cleared by its scalar steps on elements; both
-    # operands of its step (0, 1) are O(5^4)
-    x = y = PrecMatrix([[PrecElem.bigoh(DvrConfig(p=5, prec=4), 4)]])
-    ran, (exc, _) = _ran_on_objects(lambda _: lu_fast.clear_block(x, y, 3), None)
+    # vij_statistics reads row 1 to 5^10, beyond N = 4, so it stays on
+    # elements; both operands of its step (0, 1) are O(5^4)
+    cfg = DvrConfig(p=5, prec=10)
+    m = PrecMatrix([[PrecElem.bigoh(cfg, 4)] * 2, [PrecElem.from_int(cfg, 1, abs_prec=10)] * 2])
+    assert kernel.exact(4, m.rows) is None
+    ran, (exc, _) = _ran_on_objects(lu_stable.vij_statistics, m)
     assert ran and exc is AmbiguousValuation
 
 
@@ -268,19 +269,6 @@ def test_recursive_lv_strassen_bands_run_on_kernel(backend):
     assert on_kernel and not on_objects
 
 
-def test_clear_block_decides_on_digits_beyond_n():
-    # both band entries are 0 mod 5^3, so read mod 5^3 their comparison is
-    # undecided; known to 5^6 they compare v(5^5) >= v(5^4), and the band
-    # is cleared on elements without a swap
-    cfg = DvrConfig(p=5, prec=6)
-    x, y = (flat_from_ints(cfg, [[5**k]], 6) for k in (4, 5))
-    with counting(lu_fast, "_pivot_step") as bands:
-        xf, t = lu_fast.clear_block(x, y, 3)
-    assert bands
-    assert xf == x
-    assert t == flat_from_ints(cfg, [[1, -5], [0, 1]], 3)
-
-
 def _cleared(clear):
     """clear()'s (Xf, T), or the message of the AmbiguousValuation it
     raised."""
@@ -292,17 +280,12 @@ def _cleared(clear):
 
 def _assert_cuts_agree(x, y, n):
     """The band [X | Y], flat and integral at n, cleared on residues by
-    scalar steps from every cut 1, 2 and k on, and by its scalar steps on
-    elements (clear_block when the kernel refuses it), equals its recursion
-    down to one-row bands on residues, field for field."""
-    cfg, (xr, yr) = kernel.exact(n, x.rows, y.rows)
-    r = lu_fast._Residues(cfg, n, "classical")
-    on_residues = lambda cut: _cleared(lambda: map(r.elements, lu_fast._clear(xr, yr, r, cut)))
-    want = on_residues(1)
+    scalar steps from cut 2 and from cut k on, equals its recursion down to
+    one-row bands, field for field; return that outcome."""
+    want = _cleared(lambda: clear_band(x, y, n))
     for cut in {2, x.nrows}:
-        assert on_residues(cut) == want
-    with object_path():
-        assert _cleared(lambda: lu_fast.clear_block(x, y, n)) == want
+        assert _cleared(lambda: clear_band(x, y, n, cut)) == want
+    return want
 
 
 @given(
@@ -340,16 +323,14 @@ BAND_RAISES_AT_ROW_1 = tuple(
 @pytest.mark.parametrize("band", [BAND_RAISES_AT_ROW_1, (BAND_RAISES.block(0, 1, 0, 1),
                                                          BAND_RAISES.block(0, 1, 1, 3))])
 def test_band_raises_the_same_at_every_cut(band):
-    x, y = band
-    assert "cannot compare" in _cleared(lambda: lu_fast.clear_block(x, y, 1))
-    _assert_cuts_agree(x, y, 1)
+    assert "cannot compare" in _assert_cuts_agree(*band, 1)
 
 
 def test_bands_clear_threshold_rows_and_refused_input_none():
     # integral input clears its bands by scalar steps on residues, up to
-    # threshold rows, with either product; input the kernel refuses (an
-    # entry of negative valuation, SeriesElem entries) is lv_decomposition
-    # itself and clears no band
+    # threshold rows, with either product, and runs no object step; input
+    # the kernel refuses (an entry of negative valuation, SeriesElem
+    # entries) is lv_decomposition itself and clears no band
     rng = random.Random(5)
     cfg = DvrConfig(p=3, prec=8)
     integral = random_matrix(cfg, 8, rng)
@@ -367,9 +348,9 @@ def test_bands_clear_threshold_rows_and_refused_input_none():
                 return band(self, x, y)
 
             with mock.patch.object(lu_fast._Residues, "band", spy):
-                with counting(lu_fast, "_pivot_step") as steps:
+                with counting(lu_stable, "_pivot_step") as steps:
                     got = _outcome(lambda x: lu_fast.recursive_lv(x, threshold=4, algo=algo), m)
-            assert max(rows, default=None) == widest and not steps
+            assert max(rows, default=None) == widest and bool(steps) == (widest is None)
             if widest is None:
                 assert got == _outcome(lu_stable.lv_decomposition, m)
 

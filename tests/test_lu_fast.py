@@ -4,14 +4,13 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from conftest import elem_matches_fraction, flat_from_ints, random_int_rows
+from conftest import clear_band, elem_matches_fraction, flat_from_ints, random_int_rows
 from oracles import elimination_order, is_nice_order
 from dvrlu import (
     AmbiguousValuation,
     DvrConfig,
     PrecElem,
     PrecMatrix,
-    clear_block,
     lv_decomposition,
     matmul,
     random_matrix,
@@ -112,6 +111,7 @@ def eliminated_block(cfg, k, rng):
 
 
 def test_clear_block_multiply_back_bit_identical():
+    # recursive_lv's band step, recursing down to one-row bands
     rng = random.Random(4)
     for cfg in (CFG, CFG2):
         for k, w in ((1, 3), (2, 2), (3, 4), (4, 1)):
@@ -122,7 +122,7 @@ def test_clear_block_multiply_back_bit_identical():
                  for _ in range(k)]
             )
             try:
-                xf, t = clear_block(x, y, n)
+                xf, t = clear_band(x, y, n)
             except AmbiguousValuation:
                 continue
             band = PrecMatrix([list(xr) + list(yr) for xr, yr in zip(x.rows, y.rows)])
@@ -194,16 +194,9 @@ def test_recursive_rejects_threshold_below_one(threshold):
         recursive_lv(m, threshold=threshold)
 
 
-# none of these calls reaches a product: a 3x3 input below the threshold, a
-# one-row band and a band with no columns
+# the call reaches no product: a 3x3 input below the threshold
 @pytest.mark.parametrize(
-    "call",
-    [
-        lambda m: recursive_lv(m, threshold=32, algo="bogus"),
-        lambda m: clear_block(m.block(0, 1, 0, 1), m.block(0, 1, 1, 3), CFG.prec, algo="bogus"),
-        lambda m: clear_block(m, m.block(0, 3, 0, 0), CFG.prec, algo="bogus"),
-    ],
-    ids=["recursive_lv", "one-row band", "kx0 band"],
+    "call", [lambda m: recursive_lv(m, threshold=32, algo="bogus")], ids=["recursive_lv"]
 )
 def test_unknown_algo_is_refused(call):
     m = lv_decomposition(random_matrix(CFG, 3, random.Random(6))).hp
@@ -211,10 +204,11 @@ def test_unknown_algo_is_refused(call):
         call(m)
 
 
-# the products left once the blocks and bands of at most threshold rows
-# (one row in clear_block) are cleared by scalar steps and T's identity rows
-# are copied, not multiplied, counted as element-by-element products; the
-# integer kernel, which runs these capped products, must count the same.
+# the products left once the blocks and bands of at most threshold rows (one
+# row for a band cleared on its own, at cut 1) are cleared by scalar steps
+# and T's identity rows are copied, not multiplied, counted as
+# element-by-element products; the integer kernel, which runs these capped
+# products, must count the same.
 # Each case is parametrized by the count from before those savings (every
 # band recursed to one row, every row of T multiplied), which the pinned
 # count must stay under.
@@ -244,7 +238,7 @@ def test_clear_block_mul_count_is_pinned(seed, k, w, before):
     x = lv_decomposition(random_matrix(CFG, k, rng)).hp
     y = PrecMatrix([[PrecElem.random(CFG, rng) for _ in range(w)] for _ in range(k)])
     reset_mul_count()
-    clear_block(x, y, CFG.prec)
+    clear_band(x, y, CFG.prec)
     assert get_mul_count() == CLEAR_BLOCK_MUL_COUNTS[seed, k, w] < before
 
 

@@ -22,7 +22,6 @@ from dvrlu import (
     PrecMatrix,
     block_l,
     block_l_unitlower,
-    clear_block,
     hermite_from_lv,
     lift_recompute_l,
     lower_triangular_inverse,
@@ -172,15 +171,6 @@ def test_working_precision_below_one_is_refused(name):
     # failure (exit 3)
     with pytest.raises(ValueError, match=r"^working precision N = 0: an elimination needs N >= 1$"):
         BELOW_ONE_ELIMINATIONS[name](BELOW_ONE)
-
-
-@pytest.mark.parametrize("n", [0, -2])
-def test_clear_block_below_one_digit_is_refused(n):
-    # the band is cleared at the precision it is given, which must leave a
-    # digit: refused up front as the eliminations refuse N < 1
-    x, y = flat_from_ints(CFG, [[1]]), flat_from_ints(CFG, [[5]])
-    with pytest.raises(ValueError, match=rf"^working precision N = {n}: an elimination needs N >= 1$"):
-        clear_block(x, y, n)
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +516,39 @@ def test_claimed_digits_survive_random_lifts(name, backend, p, d, spread, seed):
         exact = elim(lift)
         for i in range(d):
             for j in range(d):
+                assert (claimed[i, j] - exact[i, j]).is_zeroish, (i, j)
+
+
+# On flat input with entries of negative valuation, stable_l and
+# lv_decomposition claim digits that a lift of the input flips: their caps
+# assume minors of valuation >= 0.  Eliminating pi^s M, s the most negative
+# entry valuation, is integral again and would mend both.
+_NEGATIVE_OVERCLAIMS = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="claimed digits on input with negative valuations are not all sound")
+
+
+@_NEGATIVE_OVERCLAIMS
+@pytest.mark.parametrize("seed", [9, 27, 41])
+@pytest.mark.parametrize("backend", list(Backend))
+@pytest.mark.parametrize("name", ["stable_l", "lv_decomposition"])
+def test_claimed_digits_survive_lifts_of_negative_valuations(name, backend, seed):
+    # every entry is known to exactly LIFT_N, at a valuation of at least -2..1
+    rng = random.Random(seed)
+    cfg = DvrConfig(p=2, prec=LIFT_N, backend=backend)
+
+    def entry():
+        v = rng.randint(-2, 1)
+        return PrecElem.random(cfg, rng, LIFT_N - v) * PrecElem.unit_form(cfg, v, 1, 200)
+
+    m = PrecMatrix([[entry() for _ in range(3)] for _ in range(3)])
+    elim = LIFT_ELIMINATIONS[name]
+    claimed = elim(m)
+    lifts = random.Random(seed + 1000)
+    for _ in range(LIFTS):
+        exact = elim(m.map(lambda e: _random_lift(e, LIFT_N + 8, lifts)))
+        for i in range(3):
+            for j in range(3):
                 assert (claimed[i, j] - exact[i, j]).is_zeroish, (i, j)
 
 

@@ -29,10 +29,8 @@ from dvrlu.stats import montecarlo
 from dvrlu.stats import (
     Engine,
     McSummary,
-    block_det_cdf,
     det_val_cdf,
     det_val_mean,
-    expected_vl,
     expected_vl_alternating,
     expected_vl_log_gap_bound,
     expected_vl_series,
@@ -57,11 +55,11 @@ from dvrlu.stats import (
 
 def test_expected_vl_frozen_small_cases():
     # d = 1: E = sum_{v>=1} P[v(u) >= v] = sum q^{-v} = 1/(q-1).
-    assert expected_vl(2, 1) == pytest.approx(1.0, abs=1e-12)
-    assert expected_vl(3, 1) == pytest.approx(0.5, abs=1e-12)
+    assert expected_vl_series(2, 1) == pytest.approx(1.0, abs=1e-12)
+    assert expected_vl_series(3, 1) == pytest.approx(0.5, abs=1e-12)
     # q = 2, d = 4 by exact inclusion-exclusion:
     # sum_k (-1)^(k-1) C(4,k)/(2^k - 1) = 4 - 2 + 4/7 - 1/15 = 263/105.
-    assert expected_vl(2, 4) == pytest.approx(float(Fraction(263, 105)), abs=1e-12)
+    assert expected_vl_series(2, 4) == pytest.approx(float(Fraction(263, 105)), abs=1e-12)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -75,7 +73,7 @@ def test_expected_vl_routes_agree(q, d):
 def test_expectation_interval_width_and_anchor():
     for q in (2, 3, 5):
         lo, hi = vl_expectation_interval(q, 8)
-        assert hi == pytest.approx(expected_vl(q, 8), abs=1e-12)
+        assert hi == pytest.approx(expected_vl_series(q, 8), abs=1e-12)
         assert hi - lo == pytest.approx(1.0 / (q - 1), abs=1e-12)
 
 
@@ -133,7 +131,6 @@ def test_det_val_cdf_monotone_to_one():
     vals = [det_val_cdf(2, 4, v) for v in range(0, 40)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert vals[-1] == pytest.approx(1.0, abs=1e-9)
-    assert block_det_cdf(2, 4, 7) == det_val_cdf(2, 4, 7)
 
 
 def test_vij_mass_is_a_probability_law():
