@@ -84,7 +84,7 @@ class PrecElem:
 
     Instances are immutable; all operators return fresh elements.  Do not call
     the constructor directly: use :meth:`from_int`, :meth:`unit_form`,
-    :meth:`bigoh`, :meth:`one` or :meth:`random`.
+    :meth:`bigoh`, :meth:`random` or :meth:`from_json`.
     """
 
     __slots__ = ("cfg", "_f")
@@ -113,46 +113,33 @@ class PrecElem:
 
     @classmethod
     def from_int(
-        cls,
-        cfg: DvrConfig,
-        value: int,
-        rel_prec: Optional[int] = None,
-        abs_prec: Optional[int] = None,
+        cls, cfg: DvrConfig, value: int, abs_prec: Optional[int] = None
     ) -> "PrecElem":
         """Element from a packed-digit integer.
 
         For the padic backend ``value`` is the ordinary integer it represents
         (negative values are reduced); for the series backend it is the
-        base-p packing of the coefficients and must be nonnegative.  A zero
-        value gives O(pi^n) with n = ``abs_prec`` or ``rel_prec`` or the
-        config default.  Otherwise the element is exact up to ``rel_prec``
-        significant digits (default ``cfg.prec``), or up to absolute
-        precision ``abs_prec`` if that is given instead.
+        base-p packing of the coefficients and must be nonnegative.  The
+        element is exact up to absolute precision ``abs_prec`` when that is
+        given (O(pi^abs_prec) when the value vanishes there), and otherwise
+        up to ``cfg.prec`` significant digits (a zero value gives
+        O(pi^cfg.prec)).
         """
-        rel_prec = cfg.prec if rel_prec is None else rel_prec
         if value == 0:
-            return cls.bigoh(cfg, rel_prec if abs_prec is None else abs_prec)
+            return cls.bigoh(cfg, cfg.prec if abs_prec is None else abs_prec)
         ops = cfg.ops
         v, stripped = ops.strip(ops.encode(value))
-        if abs_prec is not None:
-            rel = abs_prec - v
-            if rel < 1:
-                return cls.bigoh(cfg, abs_prec)
-        else:
-            rel = rel_prec
+        rel = cfg.prec if abs_prec is None else abs_prec - v
         if rel < 1:
-            raise ValueError("unit form needs at least one significant digit")
+            return cls.bigoh(cfg, abs_prec)
         return cls(cfg, (v, ops.trunc(stripped, rel), rel))
 
     @classmethod
-    def one(cls, cfg: DvrConfig, rel_prec: Optional[int] = None) -> "PrecElem":
-        return cls.unit_form(cfg, 0, 1, cfg.prec if rel_prec is None else rel_prec)
-
-    @classmethod
-    def random(cls, cfg: DvrConfig, rng, abs_prec: Optional[int] = None) -> "PrecElem":
-        """Haar-random ring element truncated at absolute precision N:
-        uniform over the p^N residues, so exact zero comes out as O(pi^N)."""
-        n = abs_prec if abs_prec is not None else cfg.prec
+    def random(cls, cfg: DvrConfig, rng) -> "PrecElem":
+        """Haar-random ring element truncated at absolute precision N =
+        ``cfg.prec``: uniform over the p^N residues, so exact zero comes out
+        as O(pi^N)."""
+        n = cfg.prec
         packed = rng.randrange(pw(cfg.p, n))
         if packed == 0:
             return cls.bigoh(cfg, n)
@@ -320,12 +307,29 @@ class PrecElem:
 
     @classmethod
     def from_json(cls, cfg: DvrConfig, obj: dict) -> "PrecElem":
+        """Inverse of :meth:`to_json`: ``{"bigoh": n}`` or ``{"v", "digits",
+        "rel"}``, with ints for n, v and rel and an int or a decimal string
+        for digits; anything else raises ValueError."""
         try:
             if "bigoh" in obj:
-                return cls.bigoh(cfg, int(obj["bigoh"]))
-            return cls.unit_form(cfg, int(obj["v"]), int(obj["digits"]), int(obj["rel"]))
+                return cls.bigoh(cfg, _json_int(obj["bigoh"], "bigoh"))
+            digits = obj["digits"]
+            if type(digits) not in (int, str):
+                raise ValueError(f"digits must be an integer or a decimal string, got {digits!r}")
+            return cls.unit_form(
+                cfg, _json_int(obj["v"], "v"), int(digits), _json_int(obj["rel"], "rel")
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed element {obj!r}: {exc}") from exc
+
+
+def _json_int(x, what: str) -> int:
+    """x when it is an int; ValueError naming ``what`` for anything else (a
+    float, a bool or a string), which would otherwise be truncated or
+    converted silently."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
 
 
 def valuation_less(a: PrecElem, b: PrecElem) -> bool:

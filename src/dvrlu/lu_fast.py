@@ -29,16 +29,16 @@ an entry of negative valuation) takes the scalar elimination the recursion
 reproduces, :func:`~dvrlu.lu_stable.lv_decomposition`.
 
 The public :func:`matmul` is the classical product of elements; it counts
-scalar multiplications in a module-level counter (used by the complexity
-tests), as do the products above.  Every product truncated back to N of
-elements (in simul and sheaf) goes through :func:`_capped_coefficients`,
-which runs one of integral operands of either ring known to precision N on
-:func:`dvrlu.kernel.capped_products`: same entries, same count; any other
-stays on :func:`matmul` (:func:`_capped`).  The sheaf's ``omega * M_m``, a
-scalar matrix times a series matrix, passes the kernel one coefficient
-matrix ``M^(l)`` of M_m per operand and counts them as the one product they
-stand for; only when the kernel refuses one does the ``SeriesElem`` product
-run on :func:`matmul`.
+scalar multiplications in a module-level counter (read by
+:func:`get_mul_count`), as do the products above.  Every product truncated
+back to N of elements (in simul and sheaf) goes through
+:func:`_capped_coefficients`, which runs one of integral operands of either
+ring known to precision N on :func:`dvrlu.kernel.capped_products`: same
+entries, same count; any other stays on :func:`matmul` (:func:`_capped`).
+The sheaf's ``omega * M_m``, a scalar matrix times a series matrix, passes
+the kernel one coefficient matrix ``M^(l)`` of M_m per operand and counts
+them as the one product they stand for; only when the kernel refuses one
+does the ``SeriesElem`` product run on :func:`matmul`.
 """
 
 from __future__ import annotations
@@ -54,12 +54,9 @@ _MUL_COUNT = 0
 _STRASSEN_CUTOFF = 8  # square products of fewer rows are classical
 
 
-def reset_mul_count() -> None:
-    global _MUL_COUNT
-    _MUL_COUNT = 0
-
-
 def get_mul_count() -> int:
+    """Scalar multiplications counted so far in this process; callers take
+    differences around the work they measure."""
     return _MUL_COUNT
 
 
@@ -342,10 +339,11 @@ def recursive_lv(
     accumulated transforms into the bottom rows with matrix products mod
     pi^N, and recurses on the remaining bottom-right block.  An integral
     input of either ring runs the whole recursion on ints mod pi^N, N its
-    smallest entry precision, and builds elements only for the output,
-    which equals the scalar elimination's *bit for bit* (same values, same
-    tracked precision), with either algo.  Any other input (``SeriesElem``
-    entries, an entry of negative valuation) is that scalar elimination,
+    smallest entry precision (one leaf of scalar steps when d <= threshold),
+    and builds elements only for the output, which equals the scalar
+    elimination's *bit for bit* (same values, same tracked precision), with
+    either algo.  Any other input (``SeriesElem`` entries, an entry of
+    negative valuation) is that scalar elimination,
     :func:`~dvrlu.lu_stable.lv_decomposition`.
 
     Args:
@@ -361,8 +359,6 @@ def recursive_lv(
     if threshold < 1:
         raise ValueError(f"threshold must be at least 1, got {threshold}")
     d = _square_dim(m)
-    if d <= threshold:
-        return lv_decomposition(m)
     flat, n = _flattened(m)
     read = kernel.exact(n, flat.rows)
     if read is None:

@@ -160,7 +160,8 @@ class VijProfile:
             indistinguishable from zero (only its precision bound is known).
         boundary_sums: partial sums sum(v(omega[k, k]) for k <= j) re-read at
             the end of round j (later swaps can change earlier diagonal
-            entries, so these are genuine re-reads, not a running total).
+            entries, so these are genuine re-reads, not a running total;
+            :func:`_minor_val`).
             These equal the valuations of the leading principal minors.
         det_val: valuation of det(M) = last boundary sum (None if any final
             diagonal entry was indistinguishable from zero).
@@ -183,6 +184,16 @@ class VijProfile:
 def _val_or_none(e) -> Optional[int]:
     s = e.pivot_scalar()
     return None if s.is_zeroish else s.valuation
+
+
+def _minor_val(at, j: int) -> Optional[int]:
+    """S_j, the valuation of the leading principal minor of order j + 1
+    at the end of round j: the sum of the diagonal valuations (of
+    ``pivot_scalar``) through entry (j, j), read through ``at`` as
+    :func:`_eliminate` yields it, or None when one of them is
+    indistinguishable from zero.  S_(-1) = 0."""
+    vals = [_val_or_none(at(0, k, k)) for k in range(j + 1)]
+    return None if None in vals else sum(vals)
 
 
 def vij_statistics(m: PrecMatrix) -> VijProfile:
@@ -210,8 +221,7 @@ def vij_statistics(m: PrecMatrix) -> VijProfile:
         if i < j:
             pivot = at(0, i, i)
             continue
-        vals = [_val_or_none(at(0, k, k)) for k in range(j + 1)]
-        prof.boundary_sums.append(None if None in vals else sum(vals))
+        prof.boundary_sums.append(_minor_val(at, j))
         if j < d - 1:
             piv = at(0, j, j)
             vl_defined = vl_defined and not piv.is_zeroish
@@ -419,8 +429,9 @@ class StableL:
             strictly-lower entries carry the guaranteed precision
             O(pi^(N - v_j + min(0, w))) where v_j is the j-th principal
             minor valuation and w the quotient's valuation offset.
-        col_vals: v_j = sum(v(omega[k, k]) for k <= j) read at the end of
-            round j (the leading principal minor valuations of the input).
+        col_vals: v_j = S_j = sum(v(omega[k, k]) for k <= j) read at the
+            end of round j (:func:`_minor_val`; the leading principal minor
+            valuations of the input).
         n: the working absolute precision N.
     """
 
@@ -481,14 +492,13 @@ def stable_l(m: PrecMatrix) -> StableL:
     for i, j, at in _eliminate(omega, n):
         if i < j:
             continue
-        diag = [at(0, k, k) for k in range(j + 1)]
-        v = n if any(e.is_zeroish for e in diag) else sum(e.valuation for e in diag)
-        if v >= n:
+        v = _minor_val(at, j)
+        if v is None or v >= n:
             raise DegenerateInput(
                 f"leading minor indistinguishable from zero after round {j}"
             )
         col_vals.append(v)
-        _quotient_column(lower, j, lambda i: at(0, i, j), diag[j], v, n)
+        _quotient_column(lower, j, lambda i: at(0, i, j), at(0, j, j), v, n)
     return StableL(lower=lower, col_vals=col_vals, n=n)
 
 
@@ -742,7 +752,8 @@ class BlockL:
             identities for :func:`block_l`; unit lower triangular ones for
             :func:`block_l_unitlower`).
         block_vals: the precision-budget valuations v used at each block
-            boundary (sum of diagonal valuations strictly above the block).
+            boundary: S_(j0-1) (:func:`_minor_val`), the sum of diagonal
+            valuations strictly above the block starting at column j0.
         n: working absolute precision.
     """
 
@@ -784,12 +795,11 @@ def _block_elimination(m: PrecMatrix, block_sizes: Sequence[int], clear: bool) -
                         for r in range(d):
                             lower[r, jp] = lower[r, jp] - s * lower[r, ip]
             # precision budget: diagonal valuations strictly above the block
-            vparts = [at(0, k, k).pivot_scalar() for k in range(j0)]
-            if any(e.is_zeroish for e in vparts):
+            v = _minor_val(at, j0 - 1)
+            if v is None:
                 raise DegenerateInput(
                     "diagonal entry above block indistinguishable from zero"
                 )
-            v = sum(e.valuation for e in vparts)
             block_vals.append(v)
             for jp in range(j0, hi):
                 for ip in range(j0, d):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .config import DvrConfig
-from .element import PrecElem
+from .element import PrecElem, _json_int
 
 
 class PrecMatrix:
@@ -109,7 +109,7 @@ class PrecMatrix:
     @staticmethod
     def from_json(cfg: DvrConfig, obj: dict) -> "PrecMatrix":
         try:
-            d = int(obj["d"])
+            d = _json_int(obj["d"], "d")
             rows = obj["rows"]
             if len(rows) != d or any(len(r) != d for r in rows):
                 raise ValueError(f"expected {d}x{d} rows array")
@@ -120,9 +120,7 @@ class PrecMatrix:
             raise ValueError(f"malformed matrix: {exc}") from exc
 
 
-def random_matrix(cfg: DvrConfig, d: int, rng, abs_prec: int | None = None) -> PrecMatrix:
-    """d x d matrix with iid Haar-random entries at flat absolute precision."""
-    n = abs_prec if abs_prec is not None else cfg.prec
-    return PrecMatrix(
-        [[PrecElem.random(cfg, rng, n) for _ in range(d)] for _ in range(d)]
-    )
+def random_matrix(cfg: DvrConfig, d: int, rng) -> PrecMatrix:
+    """d x d matrix with iid Haar-random entries at flat absolute precision
+    N = ``cfg.prec`` (:meth:`PrecElem.random`)."""
+    return PrecMatrix([[PrecElem.random(cfg, rng) for _ in range(d)] for _ in range(d)])

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 
 from .config import Backend, DvrConfig
-from .element import PrecElem
+from .element import PrecElem, _json_int
 from .errors import AmbiguousValuation, CoincidentPoints, DvrError, NotSorted
 from .lu_fast import _capped, _capped_coefficients
 from .lu_stable import _lower_solve, block_l_unitlower
@@ -100,16 +100,16 @@ def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     return quot, rem[: len(g) - 1]
 
 
-def taylor_coeffs(f: Poly, a: PrecElem, count: int | None = None) -> Poly:
-    """The first ``count`` (default all ``len(f)``) coefficients of ``f``
-    expanded around ``a``.
+def taylor_coeffs(f: Poly, a: PrecElem, count: int) -> Poly:
+    """The first ``count`` coefficients of ``f`` expanded around ``a`` (all
+    ``len(f)`` of them when count is larger).
 
     Uses repeated synthetic division by ``X - a``: each pass peels off the
     next Taylor coefficient as the remainder.
     """
     out = []
     cur = list(f)
-    while cur and len(out) != count:
+    while cur and len(out) < count:
         # divide cur by (X - a): quotient top-down, remainder = cur(a)
         quot = [None] * (len(cur) - 1)
         acc = cur[-1]
@@ -213,7 +213,6 @@ class CrtBasis:
         self.cfg = cfg
         n = cfg.prec
         one = pts[0].like_one(n)
-        self.one = one
         q_polys = [poly_pow([-a, one], o, one) for a, o in zip(pts, orders)]
         self.modulus = reduce(poly_mul, q_polys, [one])
         self.cofactors = []
@@ -313,7 +312,7 @@ class SheafInstance:
             pts = []
             for ent in obj["points"]:
                 a = PrecElem.from_json(cfg, ent["a"])
-                exps = [int(e) for e in ent["exponents"]]
+                exps = [_json_int(e, "exponents") for e in ent["exponents"]]
                 mat = series_matrix_from_json(cfg, ent["matrix"])
                 pts.append(SheafPoint(a, exps, mat))
         except (KeyError, TypeError) as exc:
@@ -326,7 +325,7 @@ def series_matrix_to_json(m: PrecMatrix) -> dict:
 
 
 def series_matrix_from_json(cfg: DvrConfig, obj: dict) -> PrecMatrix:
-    d, order, rows = obj["d"], obj["order"], obj["rows"]
+    d, order, rows = _json_int(obj["d"], "d"), _json_int(obj["order"], "order"), obj["rows"]
     if len(rows) != d or any(len(r) != d for r in rows):
         raise ValueError(f"series matrix: expected {d}x{d} rows array")
     return PrecMatrix([[SeriesElem.from_json(cfg, e, order) for e in r] for r in rows])
@@ -385,7 +384,6 @@ class GlobalBasis:
     d_polys: list[Poly]
     block_types: list[list[int]]
     omega: PrecMatrix
-    omega_inv: PrecMatrix
     v: int
     n: int
     tries: int = 1
@@ -490,7 +488,6 @@ def solve_with_omega(
         d_polys=d_polys,
         block_types=[pt.block_sizes for pt in inst.points],
         omega=omega,
-        omega_inv=omega_inv,
         v=v,
         n=n,
     )
@@ -501,17 +498,15 @@ def solve_sheaf(
     eps: float = 0.5,
     variant: str = "pi",
     seed: int | None = None,
-    rng: random.Random | None = None,
     max_tries: int = 200,
 ) -> GlobalBasis:
     """Compute a global basis by randomised scalar change of coordinates.
 
     Each point contributes its block count as a failure weight when sizing
     the valuation budget ``v``; each try is :func:`solve_with_omega` on a
-    fresh Haar-random omega.
+    fresh Haar-random omega drawn from ``random.Random(seed)``.
     """
-    if rng is None:
-        rng = random.Random(seed)
+    rng = random.Random(seed)
     v = required_v(inst.cfg.q, [len(pt.block_sizes) for pt in inst.points], eps, variant)
     return _retry(
         lambda: solve_with_omega(inst, v, random_matrix(inst.cfg, inst.dim, rng)),

@@ -19,7 +19,6 @@ over truncated series.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +35,7 @@ from .lu_stable import (
     lv_decomposition,
     vij_statistics,
 )
+from .element import _json_int
 from .matrix import PrecMatrix, random_matrix
 from .stats.formulas import pi_q
 
@@ -45,11 +45,10 @@ def required_v(
 ) -> int:
     """Precision budget v for the simultaneous factorization.
 
-    variant "base": the minimal integer v >= 0 with
-    q^v >= S / ((q - 1) * eps), S = sum(r_list), evaluated exactly in
-    rational arithmetic (eps is taken at its decimal face value).
-    variant "pi": same with the sharper constant Pi(q) in place of q - 1
-    (float evaluation with an integer adjustment loop).  The "pi" budget is
+    The least integer v >= 0 with q^v >= S / (c * eps), S = sum(r_list).
+    Variant "base" takes c = q - 1 and evaluates the bound exactly in
+    rational arithmetic (eps at its decimal face value); variant "pi" takes
+    the sharper constant c = Pi(q) and a float bound.  The "pi" budget is
     never smaller than the "base" one.
     """
     if not r_list or any(r < 1 for r in r_list):
@@ -58,20 +57,15 @@ def required_v(
         raise ValueError("eps must be in (0, 1)")
     s = sum(r_list)
     if variant == "base":
-        bound = Fraction(s, 1) / ((q - 1) * Fraction(str(eps)))
-        v = 0
-        while Fraction(q) ** v < bound:
-            v += 1
-        return v
-    if variant == "pi":
+        bound = Fraction(s) / ((q - 1) * Fraction(str(eps)))
+    elif variant == "pi":
         bound = s / (pi_q(q) * eps)
-        v = max(0, math.ceil(math.log(bound) / math.log(q)))
-        while q**v < bound:
-            v += 1
-        while v > 0 and q ** (v - 1) >= bound:
-            v -= 1
-        return v
-    raise ValueError(f"unknown variant {variant!r}")
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    v = 0
+    while q**v < bound:  # int against Fraction or float: compared exactly
+        v += 1
+    return v
 
 
 @dataclass
@@ -208,7 +202,7 @@ def attempt_simultaneous(
     Returns a SimulResult on success, a SimulFailure otherwise.
     """
     n = cfg.prec
-    omega = random_matrix(cfg, _family_dim(family), rng, n)
+    omega = random_matrix(cfg, _family_dim(family), rng)
     got = _certify(omega, v, n, [
         (lambda w, mat=mat, sizes=sizes: block_l(_capped(w, mat, n), sizes), mat)
         for mat, sizes in family
@@ -225,17 +219,16 @@ def simultaneous_block_lu(
     eps: float,
     variant: str = "base",
     seed: Optional[int] = None,
-    rng: Optional[random.Random] = None,
     max_tries: int = 200,
 ) -> SimulResult:
-    """Retry :func:`attempt_simultaneous` with fresh draws until success.
+    """Retry :func:`attempt_simultaneous` with fresh draws from
+    ``random.Random(seed)`` until success.
 
     The per-matrix failure weights are the block counts len(d_m); the budget
     is v = required_v(q, [len(d_m)], eps, variant).  Raises ExhaustedRetries
     (carrying the last failure) after max_tries rejected draws.
     """
-    if rng is None:
-        rng = random.Random(seed)
+    rng = random.Random(seed)
     v = required_v(cfg.q, [len(sizes) for _, sizes in family], eps, variant)
     return _retry(
         lambda: attempt_simultaneous(cfg, family, v, rng), max_tries, "successful draw"
@@ -257,7 +250,7 @@ def family_from_json(obj: dict):
         fam = []
         for ent in obj["family"]:
             mat = PrecMatrix.from_json(cfg, ent["matrix"])
-            sizes = [int(x) for x in ent["block_type"]]
+            sizes = [_json_int(x, "block_type") for x in ent["block_type"]]
             fam.append((mat, sizes))
         if not fam:
             raise ValueError("family is empty")

@@ -114,7 +114,8 @@ def vl_tail_bound(q: int, ell: int) -> float:
 def vl_centerings(q: int, d: int) -> tuple[float, float]:
     """The two natural centerings for the V_L concentration statement:
     log_q d + 1/2 (as asserted) and log_q d - 1/2 (as used in its proof).
-    Both are reported by the tail experiment."""
+    The tail experiment (:func:`~dvrlu.stats.montecarlo.tail_frequency`)
+    centers at the first."""
     c = math.log(d) / math.log(q)
     return (c + 0.5, c - 0.5)
 

@@ -471,11 +471,10 @@ def monte_carlo_det(p: int, d: int, trials: int, seed: int = 0, jobs: int = 1) -
     return _summary(p, d, trials, sim["det_val"], sim["retried"], sim["dropped"])
 
 
-def tail_frequency(vl: np.ndarray, q: int, d: int, ell: int, centering: str = "statement") -> float:
-    """Empirical P[|V_L - c| > ell + 1/2] with c = log_q d +- 1/2 (the
-    asserted centering or the one its proof uses)."""
-    statement, proof = vl_centerings(q, d)
-    c = statement if centering == "statement" else proof
+def tail_frequency(vl: np.ndarray, q: int, d: int, ell: int) -> float:
+    """Empirical P[|V_L - c| > ell + 1/2] with c = log_q d + 1/2, the
+    asserted centering (the first of :func:`vl_centerings`)."""
+    c, _ = vl_centerings(q, d)
     return float(np.mean(np.abs(vl.astype(np.float64) - c) > ell + 0.5))
 
 

@@ -236,6 +236,49 @@ def test_config_prec_must_be_a_positive_int(tmp_path, capsys, prec):
     assert f"prec must be a positive integer, got {prec!r}" in err
 
 
+def _json_input(command):
+    """A valid input of `command` run (or `sheaf solve`) to break one field of."""
+    cfg = DvrConfig(p=5, prec=10)
+    matrix = flat_from_ints(cfg, [[5, 1], [1, 1]]).to_json()
+    if command == "lu":
+        return {"config": cfg.to_json(), "matrix": matrix}
+    if command == "simul":
+        return {"config": cfg.to_json(), "eps": 0.5,
+                "family": [{"matrix": matrix, "block_type": [1, 1]}]}
+    return random_instance(cfg, random.Random(1), n_points=2, d=2, e_max=1).to_json()
+
+
+def _halves(point):
+    point["exponents"] = [e + 0.5 for e in point["exponents"]]
+
+
+# each of these was read by truncation before (int(0.9) == 0, int(True) == 1)
+@pytest.mark.parametrize("command, mutate, field, value", [
+    ("lu", lambda o: o["matrix"]["rows"][1][1].update(v=0.9), "v", 0.9),
+    ("lu", lambda o: o["matrix"]["rows"][0][0].update(rel=9.7), "rel", 9.7),
+    ("lu", lambda o: o["matrix"]["rows"][0][0].update(v=True), "v", True),
+    ("lu", lambda o: o["matrix"]["rows"][0][0].update(digits=1.5), "digits", 1.5),
+    ("lu", lambda o: o["matrix"]["rows"][0].__setitem__(1, {"bigoh": 10.0}), "bigoh", 10.0),
+    ("lu", lambda o: o["matrix"].update(d=2.0), "d", 2.0),
+    ("simul", lambda o: o["family"][0]["matrix"].update(d=2.0), "d", 2.0),
+    ("simul", lambda o: o["family"][0].update(block_type=[True, 1]), "block_type", True),
+    ("sheaf", lambda o: _halves(o["points"][0]), "exponents", 0.5),
+    ("sheaf", lambda o: o["points"][0]["matrix"].update(d=2.0), "d", 2.0),
+    ("sheaf", lambda o: o["points"][1]["matrix"].update(order=2.0), "order", 2.0),
+], ids=["lu-v", "lu-rel", "lu-v-bool", "lu-digits", "lu-bigoh", "lu-d", "simul-d",
+        "simul-block-type", "sheaf-exponents", "sheaf-d", "sheaf-order"])
+def test_json_integer_fields_refuse_other_types(tmp_path, capsys, command, mutate, field, value):
+    obj = _json_input(command)
+    mutate(obj)
+    path = _write(tmp_path, "in.json", obj)
+    argv = {"lu": ["lu", "run"], "simul": ["simul", "run", "--seed", "1"],
+            "sheaf": ["sheaf", "solve", "--seed", "1"]}[command]
+    assert main(argv + ["--input", path]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"{field} must be an integer" in out.err and f"got {value!r}" in out.err
+
+
 # ---------------------------------------------------------------------------
 # stats
 

@@ -60,15 +60,14 @@ def test_unit_form_rejects_non_units():
 
 
 def test_zero_precision_is_not_the_default():
-    # 0 is a precision, not "unset": one digit-less unit is refused, and a
-    # zero at relative precision 0 is O(pi^0)
+    # 0 is a precision, not "unset": a digit-less unit is refused, and a
+    # value at absolute precision 0 is O(pi^0)
     for cfg in (CFG, SER):
         with pytest.raises(ValueError, match="unit form needs"):
-            PrecElem.one(cfg, 0)
-        with pytest.raises(ValueError, match="unit form needs"):
-            PrecElem.from_int(cfg, 3, rel_prec=0)
-        assert PrecElem.from_int(cfg, 0, rel_prec=0) == PrecElem.bigoh(cfg, 0)
-        assert PrecElem.one(cfg) == PrecElem.unit_form(cfg, 0, 1, 10)
+            PrecElem.unit_form(cfg, 0, 1, 0)
+        assert PrecElem.from_int(cfg, 3, abs_prec=0) == PrecElem.bigoh(cfg, 0)
+        assert PrecElem.from_int(cfg, 0, abs_prec=0) == PrecElem.bigoh(cfg, 0)
+        assert PrecElem.from_int(cfg, 1) == PrecElem.unit_form(cfg, 0, 1, 10)
 
 
 def test_series_backend_rejects_negative():
@@ -416,9 +415,10 @@ def test_series_beyond_cap_is_exact():
     cfg = DvrConfig(p=p, prec=n, backend=Backend.SERIES)
     u = PrecElem.from_int(cfg, packed(p, [p - 1] * n), abs_prec=n)
     assert (u * u).unit_digits == packed(p, [(k + 1) % p for k in range(n)])
-    inv = PrecElem.one(cfg) / u
+    one = PrecElem.from_int(cfg, 1)
+    inv = one / u
     assert inv.unit_digits == p - 1 + p
-    assert u * inv == PrecElem.one(cfg)
+    assert u * inv == one
 
 
 def test_series_beyond_cap_structured_product_and_inverse():
@@ -433,9 +433,10 @@ def test_series_beyond_cap_structured_product_and_inverse():
     fb = PrecElem.from_int(cfg, 1 + p**b, abs_prec=n)
     u = fa * fb
     assert u.unit_digits == 1 + p**a + p**b + p ** (a + b)
-    assert u * (PrecElem.one(cfg) / u) == PrecElem.one(cfg)
+    one = PrecElem.from_int(cfg, 1)
+    assert u * (one / u) == one
     # 1 / (1 + t^a) = sum (-t^a)^k
-    inv = (PrecElem.one(cfg) / fa).unit_digits
+    inv = (one / fa).unit_digits
     assert inv == sum((1 if k % 2 == 0 else p - 1) * p ** (k * a) for k in range(n // a + 1) if k * a < n)
 
 

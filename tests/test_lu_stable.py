@@ -539,7 +539,10 @@ def test_claimed_digits_survive_lifts_of_negative_valuations(name, backend, seed
 
     def entry():
         v = rng.randint(-2, 1)
-        return PrecElem.random(cfg, rng, LIFT_N - v) * PrecElem.unit_form(cfg, v, 1, 200)
+        k = LIFT_N - v
+        return PrecElem.from_int(cfg, rng.randrange(cfg.p**k), abs_prec=k) * PrecElem.unit_form(
+            cfg, v, 1, 200
+        )
 
     m = PrecMatrix([[entry() for _ in range(3)] for _ in range(3)])
     elim = LIFT_ELIMINATIONS[name]

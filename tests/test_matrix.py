@@ -9,7 +9,7 @@ CFG = DvrConfig(p=5, prec=6)
 
 
 def test_rejects_ragged_rows():
-    e = PrecElem.one(CFG)
+    e = PrecElem.from_int(CFG, 1)
     with pytest.raises(ValueError):
         PrecMatrix([[e, e], [e]])
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -24,6 +25,8 @@ from dvrlu.simul import (
     result_to_json,
     simultaneous_block_lu,
 )
+
+from dvrlu.stats.formulas import pi_q
 
 from conftest import flat_from_ints
 
@@ -51,6 +54,22 @@ def test_required_v_pi_never_below_base(q, eps):
         assert q**base >= s / ((q - 1) * eps) - 1e-9
         if base > 0:
             assert q ** (base - 1) < s / ((q - 1) * eps) + 1e-9
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
+def test_required_v_is_least_v_meeting_its_bound(q):
+    # the least v >= 0 with q^v >= S / (c * eps): c = q - 1 exactly, with
+    # eps at its decimal face value, for "base"; c = Pi(q) in floats for "pi"
+    for s in range(1, 21):
+        for k in range(1, 100):
+            eps = k / 100
+            for variant, bound in (
+                ("base", Fraction(s) / ((q - 1) * Fraction(k, 100))),
+                ("pi", s / (pi_q(q) * eps)),
+            ):
+                v = required_v(q, [s], eps, variant)
+                assert v >= 0 and q**v >= bound, (s, eps, variant)
+                assert v == 0 or q ** (v - 1) < bound, (s, eps, variant)
 
 
 def test_required_v_monotone_in_eps_and_size():
@@ -152,11 +171,15 @@ def test_attempt_rejects_wrong_shape():
         attempt_simultaneous(cfg, fam, 1, random.Random(1))
 
 
+def _no_draw(*args, **kwargs):
+    raise AssertionError("omega was drawn")
+
+
 @pytest.mark.parametrize("later", [
     lambda cfg: (flat_from_ints(cfg, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), [3]),
     lambda cfg: (flat_from_ints(cfg, [[1, 0], [0, 1]]), [1, 2]),
 ], ids=["shape", "tiling"])
-def test_family_checked_before_omega_is_drawn(later):
+def test_family_checked_before_omega_is_drawn(later, monkeypatch):
     # member 0 fails the factor check on every draw, so a check made only
     # when member 1 is reached would never run
     cfg = DvrConfig(p=5, prec=10)
@@ -167,15 +190,15 @@ def test_family_checked_before_omega_is_drawn(later):
     with pytest.raises(ValueError, match="family matrix 1"):
         attempt_simultaneous(cfg, fam, 1, rng)
     assert rng.getstate() == state
+    monkeypatch.setattr("dvrlu.simul.random_matrix", _no_draw)
     with pytest.raises(ValueError, match="family matrix 1"):
-        simultaneous_block_lu(cfg, fam, eps=0.5, rng=rng)
-    assert rng.getstate() == state
+        simultaneous_block_lu(cfg, fam, eps=0.5, seed=4)
 
 
 def test_member_without_digits_refused_before_omega_is_drawn():
     # 3^-1 + O(3^0) is known to precision 0, so no draw can factor the member
     cfg = DvrConfig(p=3, prec=10)
-    low, one = PrecElem.unit_form(cfg, -1, 1, 1), PrecElem.one(cfg)
+    low, one = PrecElem.unit_form(cfg, -1, 1, 1), PrecElem.from_int(cfg, 1)
     fam = [(PrecMatrix([[low, one], [one, one]]), [1, 1])]
     rng = random.Random(0)
     state = rng.getstate()
@@ -267,21 +290,20 @@ def test_simultaneous_block_lu_exhausts_on_hopeless_draws(monkeypatch):
 
 
 @pytest.mark.parametrize("max_tries", [0, -3])
-def test_retry_budget_below_one_is_refused_before_drawing(max_tries):
+def test_retry_budget_below_one_is_refused_before_drawing(max_tries, monkeypatch):
     # both solvers retry through one loop: no tries at all is bad input,
     # refused before omega is drawn, not retries exhausted
     cfg = DvrConfig(p=5, prec=12)
     fam = [(flat_from_ints(cfg, [[1, 0], [0, 1]]), [1, 1])]
     inst = random_instance(cfg, random.Random(2), n_points=2, d=2, e_max=1)
+    monkeypatch.setattr("dvrlu.simul.random_matrix", _no_draw)
+    monkeypatch.setattr("dvrlu.sheaf.random_matrix", _no_draw)
     for solve in (
-        lambda rng: simultaneous_block_lu(cfg, fam, eps=0.5, rng=rng, max_tries=max_tries),
-        lambda rng: solve_sheaf(inst, rng=rng, max_tries=max_tries),
+        lambda: simultaneous_block_lu(cfg, fam, eps=0.5, seed=4, max_tries=max_tries),
+        lambda: solve_sheaf(inst, seed=4, max_tries=max_tries),
     ):
-        rng = random.Random(4)
-        state = rng.getstate()
         with pytest.raises(ValueError, match=f"max_tries must be at least 1, got {max_tries}"):
-            solve(rng)
-        assert rng.getstate() == state
+            solve()
 
 
 # ---------------------------------------------------------------------------

@@ -552,8 +552,6 @@ def test_tail_frequency_definition():
     vl = np.array([0, 1, 2, 3, 8])
     # c = log2(4) + 0.5 = 2.5; |vl - c| > 1.5 keeps 0 and 8 -> 2/5
     assert tail_frequency(vl, 2, 4, 1) == pytest.approx(0.4)
-    # proof centering shifts c to 1.5; |vl - c| > 1.5 keeps 8 only
-    assert tail_frequency(vl, 2, 4, 1, centering="proof") == pytest.approx(0.2)
 
 
 def test_wi_2x2_profile_law():
