@@ -7,7 +7,8 @@ cardinality ``p`` and an element keeps finitely many base-``p`` digits.  The
 digit arithmetic is the one thing the backends do differently: the config
 picks its digit-ops object once (:class:`~dvrlu.digits.PadicDigits`, integer
 arithmetic mod p^n, or :class:`~dvrlu.digits.SeriesDigits`, carry-free
-digits in bit slots) and every element calls it through ``cfg.ops``.
+digits in bit slots sized for the config's precision) and every element
+calls it through ``cfg.ops``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cache
 
-from .digits import PadicDigits, SeriesDigits
+from .digits import PadicDigits, SeriesDigits, slot_bits
 
 
 class Backend(enum.Enum):
@@ -108,9 +109,17 @@ def require_prime(p) -> None:
         raise ValueError(f"p must be prime, got {p}")
 
 
+def _digit_ops(backend: "Backend", p: int, prec: int) -> PadicDigits | SeriesDigits:
+    """The digit-ops object of a ring: one per p for ``Z_p``, one per (p, b)
+    for ``F_p[[t]]``, b the slot bits for prec (:func:`~dvrlu.digits.slot_bits`)."""
+    if backend is Backend.PADIC:
+        return _shared(PadicDigits, p)
+    return _shared(SeriesDigits, p, slot_bits(p, prec))
+
+
 @cache
-def _digit_ops(backend: "Backend", p: int):
-    return (PadicDigits if backend is Backend.PADIC else SeriesDigits)(p)
+def _shared(kind: type, *args: int) -> PadicDigits | SeriesDigits:
+    return kind(*args)
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,8 +134,11 @@ class DvrConfig:
             unit.  Must be a positive int.
         backend: ``Backend.PADIC`` for Z_p, ``Backend.SERIES`` for F_p[[t]].
 
-    The digit-ops object ``ops`` is derived from ``p`` and ``backend``; it
-    takes no part in equality, hashing, ``repr``, JSON or pickling.
+    The digit-ops object ``ops`` is derived from ``p``, ``backend`` and,
+    for ``F_p[[t]]``, ``prec``, which sizes its bit slots; it takes no part
+    in equality, hashing, ``repr``, JSON or pickling.  Elements combine only
+    when their configs share ``ops``: every ``Z_p`` config of one p does,
+    an ``F_p[[t]]`` config only with the configs of its slot layout.
     """
 
     p: int
@@ -142,7 +154,7 @@ class DvrConfig:
             raise ValueError(f"prec must be a positive integer, got {self.prec!r}")
         if not isinstance(self.backend, Backend):
             raise ValueError(f"backend must be a Backend, got {self.backend!r}")
-        object.__setattr__(self, "ops", _digit_ops(self.backend, self.p))
+        object.__setattr__(self, "ops", _digit_ops(self.backend, self.p, self.prec))
 
     def __reduce__(self):
         return DvrConfig, (self.p, self.prec, self.backend)

@@ -9,6 +9,9 @@ digits.  The backend decides the layout and therefore the arithmetic:
   ``[i*w, (i+1)*w)``.  Slots never borrow or carry into lower slots, so a
   series sum or product is one big-int operation followed by a slot-wise
   reduction mod p (Kronecker substitution; Harvey, J. Symb. Comput. 2009).
+  The width w grows with the ring's precision (:func:`slot_bits`): every
+  op costs in proportion to it, so the config picks the narrowest slots
+  that hold a product of two operands of twice its precision.
 
 Both expose the same methods, all taking and returning stored ints:
 ``add``, ``neg``, ``mul`` and ``inv`` keep n digits, ``shift`` multiplies by
@@ -18,13 +21,16 @@ is the column update ``[x - s*y mod pi^n]`` of the flat elimination and
 ``product`` the matrix product mod pi^n of the integer kernel
 (:mod:`dvrlu.kernel`), and ``encode``/``decode`` convert from/to the public
 base-p packing.  :class:`~dvrlu.config.DvrConfig` picks the object once per
-ring.
+ring: one per p for ``Z_p``, one per slot layout for ``F_p[[t]]``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
 from operator import mul as _times
+
+
+_POW_BITS = 32  # PadicDigits.inv: pow below 2^32, Newton lifting above
 
 
 @lru_cache(maxsize=1024)
@@ -52,7 +58,21 @@ class PadicDigits:
         return (x * y) % pw(self.p, n) if n > 0 else 0
 
     def inv(self, u: int, n: int) -> int:
-        return pow(u, -1, pw(self.p, n)) if n > 0 else 0
+        # pow below a modulus of 2^_POW_BITS; above, Newton's
+        # g <- g*(2 - u*g) mod p^n from the inverse mod p^ceil(n/2), about
+        # a quarter of pow's time at 5^100 and two thirds at 3^30
+        if n <= 0:
+            return 0
+        p, mods = self.p, []
+        pn = pw(p, n)
+        while n > 1 and pn >> _POW_BITS:
+            mods.append(pn)
+            n = (n + 1) // 2
+            pn = pw(p, n)
+        g = pow(u, -1, pn)
+        for pn in reversed(mods):
+            g = g * (2 - u * g) % pn
+        return g
 
     def shift(self, x: int, k: int) -> int:
         return x * pw(self.p, k)
@@ -90,26 +110,37 @@ class PadicDigits:
 class SeriesDigits:
     """F_p[[t]]: digit i of a stored int lives in bits [i*w, (i+1)*w).
 
-    The slot sizes are fixed per p so that a product of two operands of at
-    most CAP digits never overflows a slot: b = bit_length(CAP*(p-1)^2)
-    bits hold any slot of such a product, k = b + bit_length(p-1), and the
-    slot width is w = b + k.  With m = ceil(2^k / p) the quotient of a slot
-    s < 2^b by p is exactly (s*m) >> k, and (s*m) < 2^w stays inside its
-    slot, so one multiply, shift, mask and multiply-subtract reduce every
-    slot mod p at once.  Longer multipliers are split into CAP-digit chunks
-    whose partial products are reduced before they are summed.
+    The layout follows from b, the bits that hold a slot sum: CAP =
+    floor((2^b - 1) / (p-1)^2) is the longest product of two operands whose
+    slots never overflow, since each slot of it sums at most CAP products of
+    digits below p.  k = b + bit_length(p-1) and the slot width is w = b + k.
+    With m = ceil(2^k / p) the quotient of a slot s < 2^b by p is exactly
+    (s*m) >> k, and (s*m) < 2^w stays inside its slot, so one multiply,
+    shift, mask and multiply-subtract reduce every slot mod p at once.
+    Longer multipliers are split into CAP-digit chunks whose partial
+    products are reduced before they are summed, so any digit count is
+    exact.
+
+    Every big-int op costs in proportion to w, so b is sized for the ring's
+    precision rather than for the longest operand:
+    :class:`~dvrlu.config.DvrConfig` passes b = bit_length(2*prec*(p-1)^2)
+    (:func:`slot_bits`), which makes CAP >= 2*prec.  A prec-digit
+    ``sub_scaled`` then takes its one-reduction route and ``product`` sums
+    at least two slot products per reduction.  Configs with the same p and
+    b share one object; since the layout depends on prec, it lives in the
+    config, and elements of two layouts refuse to combine
+    (:mod:`dvrlu.element`).
     """
 
-    CAP = 1 << 12
+    __slots__ = ("p", "symbol", "b", "CAP", "k", "w", "m", "slot", "_tabs")
 
-    __slots__ = ("p", "symbol", "b", "k", "w", "m", "slot", "_tabs")
-
-    def __init__(self, p: int):
+    def __init__(self, p: int, b: int):
         self.p = p
         self.symbol = "t"
-        self.b = (self.CAP * (p - 1) ** 2).bit_length()
-        self.k = self.b + (p - 1).bit_length()
-        self.w = self.b + self.k
+        self.b = b
+        self.CAP = ((1 << b) - 1) // (p - 1) ** 2
+        self.k = b + (p - 1).bit_length()
+        self.w = b + self.k
         self.m = -(-(1 << self.k) // p)
         self.slot = (1 << self.w) - 1
         self._tabs = _SlotMasks(self)
@@ -232,6 +263,13 @@ class SeriesDigits:
         for i in range((x.bit_length() + self.w - 1) // self.w - 1, -1, -1):
             out = out * self.p + ((x >> (i * self.w)) & self.slot)
         return out
+
+
+def slot_bits(p: int, prec: int) -> int:
+    """The b of the F_p[[t]] layout for precision prec: the bits of
+    2*prec*(p-1)^2, the largest slot of a product of two 2*prec-digit
+    operands."""
+    return (2 * prec * (p - 1) ** 2).bit_length()
 
 
 class _SlotMasks(dict):

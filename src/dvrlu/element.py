@@ -12,10 +12,13 @@ of two shapes:
 Either way the absolute precision is ``v + rel``.  The unit ``u`` is one
 Python int in the storage layout of the ring's digit-ops object ``cfg.ops``
 (:mod:`dvrlu.digits`): the integer itself for ``Z_p``, one bit slot per
-coefficient for ``F_p[[t]]``.  All digit arithmetic goes through
-``cfg.ops``; the public face of a unit (constructors, ``unit_digits``,
-``representative``, JSON and ``repr``) is always the base-p packing
-``sum(c_i * p**i)``.
+coefficient for ``F_p[[t]]``, whose slot width the config sizes for its
+precision.  All digit arithmetic goes through ``cfg.ops``, and an operator
+whose operands have different ``cfg.ops`` objects (another p or backend, or
+another slot layout) raises ValueError, as does :func:`_fields` for the
+loops that read fields.  The public face of a unit
+(constructors, ``unit_digits``, ``representative``, JSON and ``repr``) is
+always the base-p packing ``sum(c_i * p**i)``.
 
 Valuations may be negative (elements of the fraction field use the same
 representation), and all arithmetic follows the ultrametric precision rules
@@ -32,9 +35,9 @@ elimination (:mod:`dvrlu.lu_stable`) — call them on fields too.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NoReturn, Optional
 
-from .config import DvrConfig
+from .config import Backend, DvrConfig
 from .digits import pw
 from .errors import AmbiguousValuation, DivisionByUnknownZero
 
@@ -254,24 +257,34 @@ class PrecElem:
         return PrecElem(self.cfg, _neg(self.cfg.ops, self._f))
 
     def __add__(self, other: "PrecElem") -> "PrecElem":
-        return PrecElem(self.cfg, _plus(self.cfg.ops, self._f, other._f))
+        ops = self.cfg.ops
+        if other.cfg.ops is not ops:
+            _refuse_mixed(self.cfg, other.cfg)
+        return PrecElem(self.cfg, _plus(ops, self._f, other._f))
 
     def __sub__(self, other: "PrecElem") -> "PrecElem":
         ops = self.cfg.ops
+        if other.cfg.ops is not ops:
+            _refuse_mixed(self.cfg, other.cfg)
         return PrecElem(self.cfg, _plus(ops, self._f, _neg(ops, other._f)))
 
     def __mul__(self, other: "PrecElem") -> "PrecElem":
-        return PrecElem(self.cfg, _times(self.cfg.ops, self._f, other._f))
+        ops = self.cfg.ops
+        if other.cfg.ops is not ops:
+            _refuse_mixed(self.cfg, other.cfg)
+        return PrecElem(self.cfg, _times(ops, self._f, other._f))
 
     def __truediv__(self, other: "PrecElem") -> "PrecElem":
         """self times the inverse of other, known to the smaller relative
         precision; other must be in unit form."""
+        ops = self.cfg.ops
+        if other.cfg.ops is not ops:
+            _refuse_mixed(self.cfg, other.cfg)
         v, u, rel = other._f
         if not rel:
             raise DivisionByUnknownZero(
                 f"division by {other!r}, indistinguishable from zero"
             )
-        ops = self.cfg.ops
         r = self._f[2] if self._f[2] < rel else rel
         return PrecElem(self.cfg, _times(ops, self._f, (-v, ops.inv(u, r), r)))
 
@@ -330,6 +343,30 @@ def _json_int(x, what: str) -> int:
     if type(x) is not int:
         raise ValueError(f"{what} must be an integer, got {x!r}")
     return x
+
+
+def _fields(cfg: DvrConfig, elems) -> list[Fields]:
+    """The fields of elems, for a loop that runs the precision rules on
+    fields in ring cfg's layout; ValueError, as from the operators, when an
+    element's digit-ops object is not cfg's."""
+    ops = cfg.ops
+    for e in elems:
+        if e.cfg.ops is not ops:
+            _refuse_mixed(cfg, e.cfg)
+    return [e._f for e in elems]
+
+
+def _refuse_mixed(a: DvrConfig, b: DvrConfig) -> NoReturn:
+    """Raise ValueError naming rings a and b, whose digit-ops objects differ:
+    different p or backend, or ``F_p[[t]]`` slot layouts sized for different
+    precisions, whose stored ints do not mean the same digits."""
+    def name(cfg: DvrConfig) -> str:
+        ring = f"Z_{cfg.p}" if cfg.backend is Backend.PADIC else f"F_{cfg.p}[[t]]"
+        return f"{ring} at prec {cfg.prec}"
+
+    same = a.p == b.p and a.backend is b.backend
+    raise ValueError(f"cannot combine elements of {name(a)} and {name(b)}: "
+                     + ("their slot layouts differ" if same else "different rings"))
 
 
 def valuation_less(a: PrecElem, b: PrecElem) -> bool:

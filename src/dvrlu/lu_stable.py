@@ -64,7 +64,7 @@ from typing import Optional, Sequence
 
 from . import kernel
 from .digits import PadicDigits
-from .element import PrecElem, _neg, _plus, _times, valuation_less
+from .element import PrecElem, _fields, _neg, _plus, _times, valuation_less
 from .errors import (
     DegenerateDecomposition,
     DegenerateInput,
@@ -286,7 +286,7 @@ def _naive_elimination(m: PrecMatrix) -> tuple[PrecMatrix, list[int]]:
     cfg = m.rows[0][0].cfg
     ops = cfg.ops
     p, padic = ops.p, isinstance(ops, PadicDigits)
-    rows = [[e._f for e in row] for row in m.rows]
+    rows = [_fields(cfg, row) for row in m.rows]
     lo = min(e[0] for row in rows for e in row)  # no valuation (bound) goes lower
     pows = [1]  # powers of p, grown per column as far as its exponents reach
     lower = PrecMatrix.identity_like(m, d, n)

@@ -21,12 +21,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from .config import DvrConfig
-from .element import Fields, PrecElem, _neg, _plus, _times
+from .element import Fields, PrecElem, _fields, _neg, _plus, _times
 from .errors import DivisionByUnknownZero
-
-
-def _fields(coeffs: Sequence[PrecElem]) -> list[Fields]:
-    return [c._f for c in coeffs]
 
 
 def _elements(cfg: DvrConfig, fields: Sequence[Fields]) -> list[PrecElem]:
@@ -141,7 +137,7 @@ class SeriesElem:
     def __mul__(self, other: "SeriesElem") -> "SeriesElem":
         self._check(other)
         cfg = self.cfg
-        prod = _convolve(cfg.ops, _fields(self.coeffs), _fields(other.coeffs), self.order)
+        prod = _convolve(cfg.ops, _fields(cfg, self.coeffs), _fields(cfg, other.coeffs), self.order)
         return SeriesElem(cfg, _elements(cfg, prod))
 
     def __truediv__(self, other: "SeriesElem") -> "SeriesElem":
@@ -154,7 +150,7 @@ class SeriesElem:
                 "series division by element with zeroish constant coefficient"
             )
         cfg = self.cfg
-        q = _quotient(cfg.ops, _fields(self.coeffs), _fields(other.coeffs))
+        q = _quotient(cfg.ops, _fields(cfg, self.coeffs), _fields(cfg, other.coeffs))
         return SeriesElem(cfg, _elements(cfg, q))
 
     # -- comparison / io --------------------------------------------------------

@@ -25,12 +25,12 @@ from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 
 from .config import Backend, DvrConfig
-from .element import PrecElem, _json_int
+from .element import PrecElem, _fields, _json_int
 from .errors import AmbiguousValuation, CoincidentPoints, DvrError, NotSorted
 from .lu_fast import _capped, _capped_coefficients
 from .lu_stable import _lower_solve, block_l_unitlower
 from .matrix import PrecMatrix, random_matrix
-from .series import SeriesElem, _convolve, _elements, _fields
+from .series import SeriesElem, _convolve, _elements
 from .simul import SimulFailure, _certify, _det_unit_detectable, _retry, required_v
 
 Poly = list  # list[PrecElem], coefficients lowest-first
@@ -63,7 +63,7 @@ def poly_mul(f: Poly, g: Poly) -> Poly:
     """Full (untruncated) product of two coefficient lists, on their fields
     (:func:`dvrlu.series._convolve`)."""
     cfg = f[0].cfg
-    prod = _convolve(cfg.ops, _fields(f), _fields(g), len(f) + len(g) - 1)
+    prod = _convolve(cfg.ops, _fields(cfg, f), _fields(cfg, g), len(f) + len(g) - 1)
     return _elements(cfg, prod)
 
 

@@ -245,8 +245,12 @@ def family_from_json(obj: dict):
     "block_type"}]} into (cfg, eps, variant, family)."""
     try:
         cfg = DvrConfig.from_json(obj["config"])
-        eps = float(obj["eps"])
+        eps = obj["eps"]
+        if type(eps) not in (int, float):  # a bool or a string is no number
+            raise ValueError(f"eps must be a number, got {eps!r}")
         variant = obj.get("variant", "base")
+        if type(variant) is not str:
+            raise ValueError(f"variant must be a string, got {variant!r}")
         fam = []
         for ent in obj["family"]:
             mat = PrecMatrix.from_json(cfg, ent["matrix"])
@@ -256,7 +260,7 @@ def family_from_json(obj: dict):
             raise ValueError("family is empty")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed instance: {exc}") from exc
-    return cfg, eps, variant, fam
+    return cfg, float(eps), variant, fam
 
 
 def result_to_json(res: SimulResult) -> dict:

@@ -279,6 +279,21 @@ def test_json_integer_fields_refuse_other_types(tmp_path, capsys, command, mutat
     assert f"{field} must be an integer" in out.err and f"got {value!r}" in out.err
 
 
+@pytest.mark.parametrize("field, value, what", [
+    ("eps", "0.5", "a number"), ("eps", True, "a number"), ("eps", None, "a number"),
+    ("eps", [0.5], "a number"), ("variant", 3, "a string"), ("variant", None, "a string"),
+])
+def test_simul_family_refuses_mistyped_eps_and_variant(tmp_path, capsys, field, value, what):
+    # "eps": "0.5" was read as 0.5 and "eps": true as 1.0 by float()
+    obj = _json_input("simul")
+    obj[field] = value
+    path = _write(tmp_path, "in.json", obj)
+    assert main(["simul", "run", "--seed", "1", "--input", path]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"{field} must be {what}, got {value!r}" in out.err
+
+
 # ---------------------------------------------------------------------------
 # stats
 

@@ -18,6 +18,10 @@ from dvrlu import (
     PrecElem,
 )
 from dvrlu.element import valuation_less
+from dvrlu.lu_stable import naive_gauss_l
+from dvrlu.matrix import PrecMatrix
+from dvrlu.series import SeriesElem
+from dvrlu.sheaf import poly_mul
 
 CFG = DvrConfig(p=5, prec=10)
 CFG2 = DvrConfig(p=2, prec=16)
@@ -153,6 +157,19 @@ def test_sub_of_self_cancels(a, b):
     assert elem_matches_fraction(s, Fraction(a))
     z = ea - ea
     assert z.is_zeroish
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 65537, 2**127 - 1])
+def test_padic_inverse_is_the_one_inverse_mod_p_n(p):
+    """pow below a 2^32 modulus and Newton lifting above give the inverse
+    mod p^n, also of a unit carrying more than n digits."""
+    ops = DvrConfig(p=p, prec=1).ops
+    rng = random.Random(p)
+    for n in range(1, 251 if p < 2**64 else 12):
+        for extra in (0, 3):
+            u = rng.randrange(p ** (n + extra))
+            u += u % p == 0
+            assert ops.inv(u, n) == pow(u, -1, p**n)
 
 
 # ---------------------------------------------------------------------------
@@ -390,50 +407,106 @@ def test_series_digit_ops_match_schoolbook(p, data):
     ]
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("prec", [1, 8, 30, 100, 1000])
+def test_series_slots_are_sized_for_the_precision(p, prec):
+    """A prec-digit update takes sub_scaled's one-reduction route and a
+    prec-digit product sums at least two slot products per reduction."""
+    ops = DvrConfig(p=p, prec=prec, backend=Backend.SERIES).ops
+    assert prec <= ops.CAP - 2
+    assert ops.CAP // prec >= 2
+    assert ops.b == (2 * prec * (p - 1) ** 2).bit_length()
+    assert ops.CAP * (p - 1) ** 2 < 1 << ops.b
+
+
+def test_series_configs_share_ops_by_layout():
+    # w = 23 at p = 5, N = 30 (the lu_series benchmark) against 37 for
+    # products of 4096-digit operands
+    at = lambda p, prec: DvrConfig(p=p, prec=prec, backend=Backend.SERIES).ops
+    assert (at(5, 30).w, at(5, 100).w) == (23, 27)
+    assert at(5, 30) is at(5, 31) and at(5, 30) is not at(5, 100)
+    assert DvrConfig(p=5, prec=10).ops is DvrConfig(p=5, prec=1000).ops
+
+
+def test_elements_of_two_layouts_refuse_to_combine():
+    ser = lambda prec: DvrConfig(p=5, prec=prec, backend=Backend.SERIES)
+    a, b = PrecElem.from_int(ser(10), 7), PrecElem.from_int(ser(100), 7)
+    ops = (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y, lambda x, y: x / y)
+    for op in ops:
+        with pytest.raises(ValueError, match=r"F_5\[\[t\]\] at prec 10 and F_5\[\[t\]\] at prec 100"):
+            op(a, b)
+    sa, sb = (SeriesElem(x.cfg, [x, x]) for x in (a, b))
+    for op in ops:
+        with pytest.raises(ValueError, match="slot layouts differ"):
+            op(sa, sb)
+    z5, z7 = PrecElem.from_int(DvrConfig(p=5, prec=10), 3), PrecElem.from_int(DvrConfig(p=7, prec=10), 4)
+    for op in ops:
+        with pytest.raises(ValueError, match="Z_5 at prec 10 and Z_7 at prec 10: different rings"):
+            op(z5, z7)
+    # the loops on fields refuse a matrix or a polynomial of two layouts
+    mixed = PrecMatrix([[PrecElem.from_int(ser(10 if (i + j) % 2 else 100), x, abs_prec=10)
+                         for j, x in enumerate(row)] for i, row in enumerate([[11, 17], [28, 9]])])
+    with pytest.raises(ValueError, match="slot layouts differ"):
+        naive_gauss_l(mixed)
+    with pytest.raises(ValueError, match="slot layouts differ"):
+        poly_mul([a, a], [b])
+    # one Z_p layout serves every precision
+    assert repr(z5 + PrecElem.from_int(DvrConfig(p=5, prec=20), 4)) == "7 + O(5^10)"
+
+
 @pytest.mark.parametrize("p", SERIES_PRIMES)
 def test_series_sub_scaled_at_the_slot_limit(p):
     """All digits p - 1 make every slot of x, and of s*y, as large as n
     digits allow; up to CAP - 2 digits one reduction handles both, beyond
-    that the update goes through add, neg and mul."""
-    ops = SER_CFGS[p].ops
+    that the update goes through add, neg and mul.  The ops object is the
+    one of a 20-digit ring, whose CAP these n reach past."""
+    cfg = SER_CFGS[p]
+    ops = cfg.ops
+    assert cfg.prec <= ops.CAP - 2
     for n in (ops.CAP - 2, ops.CAP - 1, ops.CAP + 3):
         top = sum(ops.shift(p - 1, i) for i in range(n))
         xs, ys = [top, top, 0, ops.encode(1)], [top, 0, top, top]
         want = [ops.add(a, ops.neg(ops.mul(top, b, n), n), n) for a, b in zip(xs, ys)]
         assert ops.sub_scaled(xs, ys, top, n) == want
+        assert [ops.decode(z) for z in want] == [
+            series_add(ops.decode(a), series_neg(series_mul(ops.decode(top), ops.decode(b), p, n), p, n), p, n)
+            for a, b in zip(xs, ys)
+        ]
 
 
 def test_series_beyond_cap_is_exact():
     """Past CAP digits the products are chunked.  The all-ones series
     u = 1/(1-t) over F_2 has u^2 = sum (k+1) t^k and u^-1 = 1 + t; at this
     length an unchunked square would reach slot sums whose quotient by p
-    no longer fits in b bits."""
+    no longer fits in b bits.  The elements carry 5 CAP digits in a ring
+    of 20."""
     p = 2
-    ops = SER_CFGS[p].ops
+    cfg = SER_CFGS[p]
+    ops = cfg.ops
     n = 5 * ops.CAP
-    assert n * (p - 1) ** 2 // p >= 1 << ops.b
-    cfg = DvrConfig(p=p, prec=n, backend=Backend.SERIES)
+    assert n > ops.CAP and n * (p - 1) ** 2 // p >= 1 << ops.b
     u = PrecElem.from_int(cfg, packed(p, [p - 1] * n), abs_prec=n)
     assert (u * u).unit_digits == packed(p, [(k + 1) % p for k in range(n)])
-    one = PrecElem.from_int(cfg, 1)
+    one = PrecElem.from_int(cfg, 1, abs_prec=n)
     inv = one / u
-    assert inv.unit_digits == p - 1 + p
+    assert inv.unit_digits == p - 1 + p and inv.rel_prec == n
     assert u * inv == one
 
 
 def test_series_beyond_cap_structured_product_and_inverse():
     """(1 + t^a)(1 + t^b) with a + b beyond CAP: the product has four
-    digits, and u * u^-1 = 1 to the full precision."""
+    digits, and u * u^-1 = 1 to the full precision, in a ring of 20 digits."""
     p = 3
-    ops = SER_CFGS[p].ops
+    cfg = SER_CFGS[p]
+    ops = cfg.ops
     a, b = ops.CAP - 5, ops.CAP + 700
     n = a + b + 11
-    cfg = DvrConfig(p=p, prec=n, backend=Backend.SERIES)
+    assert n > ops.CAP
     fa = PrecElem.from_int(cfg, 1 + p**a, abs_prec=n)
     fb = PrecElem.from_int(cfg, 1 + p**b, abs_prec=n)
     u = fa * fb
-    assert u.unit_digits == 1 + p**a + p**b + p ** (a + b)
-    one = PrecElem.from_int(cfg, 1)
+    assert u.unit_digits == 1 + p**a + p**b + p ** (a + b) and u.rel_prec == n
+    one = PrecElem.from_int(cfg, 1, abs_prec=n)
     assert u * (one / u) == one
     # 1 / (1 + t^a) = sum (-t^a)^k
     inv = (one / fa).unit_digits

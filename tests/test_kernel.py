@@ -166,13 +166,19 @@ def test_capped_product_matches_matmul(backend, p, n, shape, extra, seed):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-@pytest.mark.parametrize("n, inner", [(1024, 64), (4096, 8), (4097, 2)])
-def test_series_product_at_its_edges(p, n, inner):
+@pytest.mark.parametrize("n, inner, prec, groups", [
+    (1024, 64, 1024, 2), (4096, 8, 2048, 1), (4097, 2, 1024, 0),
+], ids=["1024-64", "4096-8", "4097-2"])
+def test_series_product_at_its_edges(p, n, inner, prec, groups):
     # a row and a column whose every digit is p - 1 give the largest slot
-    # sums (n * inner > CAP overflows one unreduced sum of slot products);
-    # n = CAP + 1 takes the one product per term route
-    cfg = DvrConfig(p=p, prec=n, backend=Backend.SERIES)
-    ops, rng = cfg.ops, random.Random(p * n)
+    # sums (n * inner > CAP overflows one unreduced sum of slot products).
+    # The operands carry n digits in a ring of prec digits, whose CAP puts
+    # n = 1024 on sums of CAP // n >= 2 slot products, n = 4096 on sums of
+    # one and n = 4097 past CAP, on the one product per term route.
+    cfg = DvrConfig(p=p, prec=prec, backend=Backend.SERIES)
+    ops = cfg.ops
+    assert n * inner > ops.CAP and min(ops.CAP // n, 2) == groups
+    rng = random.Random(p * n)
     a = [[p**n - 1] * inner, [rng.randrange(p**n) for _ in range(inner)]]
     b = [[p**n - 1, rng.randrange(p**n)] for _ in range(inner)]
     rows = [[ops.encode(x) for x in row] for row in a]
@@ -189,6 +195,34 @@ def test_series_product_at_its_edges(p, n, inner):
     elem = kernel.elements(cfg, n)
     ea, eb = (PrecMatrix([[elem(x) for x in line] for line in m]) for m in (rows, zip(*cols)))
     assert kernel.capped_products(ea, [eb], n) == [lu_fast.matmul(ea, eb).cap_abs(n)]
+
+
+def _json(x):
+    """x with every matrix in it as its JSON form."""
+    if isinstance(x, PrecMatrix):
+        return x.to_json()
+    return [_json(y) for y in x] if isinstance(x, (list, tuple)) else x
+
+
+@pytest.mark.parametrize("p", [2, 5])
+@pytest.mark.parametrize("name", ["stable_l", "lv_decomposition", "block_l_unitlower", "recursive_lv"])
+def test_slot_layout_does_not_change_outputs(p, name):
+    # one integer matrix read at N under F_p[[t]] configs of prec N and 8N,
+    # two slot layouts: the kernel takes both and the outputs agree
+    n, d = 12, 7
+    rng = random.Random(p)
+    ints = [[rng.randrange(p**n) for _ in range(d)] for _ in range(d)]
+    cfgs = [DvrConfig(p=p, prec=prec, backend=Backend.SERIES) for prec in (n, 8 * n)]
+    assert cfgs[0].ops.w < cfgs[1].ops.w
+    outs = []
+    for cfg in cfgs:
+        m = flat_from_ints(cfg, ints, n)
+        assert kernel.exact(n, m.rows) is not None
+        with counting(kernel, "stepper") as on_kernel:
+            on_objects, out = _ran_on_objects(ELIMINATIONS[name], m)
+        assert on_kernel and not on_objects
+        outs.append(_json(out))
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("name", ELIMINATIONS)
