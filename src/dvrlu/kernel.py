@@ -50,19 +50,12 @@ The module's functions:
   The two pieces that differ by ring, dividing out pi^v and the column
   update, are the digit-ops object's ``unshift`` and ``sub_scaled``.
 * :func:`capped_products` is ``matmul(a, b).cap_abs(N)`` on the digit-ops
-  object's ``product``, for one or more right operands b.  It serves
-  :func:`dvrlu.lu_fast._capped_coefficients`, which every product
-  truncated back to N goes through; the sheaf's ``omega * M_m`` passes it
-  one coefficient matrix ``M^(l)`` of the series matrix M_m per operand,
-  reading omega once.
+  object's ``product``, for one or more right operands b, reading a once.
+  :func:`dvrlu.lu_fast._capped` is its one caller and says which products
+  take it and how they are counted.
 
-The recursion of :func:`dvrlu.lu_fast.recursive_lv` runs only on residues
-of either ring, from one read of its input (:func:`exact`) to the output's
-elements: its leaves and its band steps run on :func:`stepper`, and its
-products on the digit-ops object's ``product`` and ``add``/``neg``
-(Strassen's recursion).
-An input :func:`exact` refuses takes the object path's scalar elimination
-instead.
+The recursion of :func:`dvrlu.lu_fast.recursive_lv` runs on residues too;
+:mod:`dvrlu.lu_fast` describes it.
 
 Every output equals the object path's, value and tracked precision alike.
 """

@@ -31,14 +31,11 @@ reproduces, :func:`~dvrlu.lu_stable.lv_decomposition`.
 The public :func:`matmul` is the classical product of elements; it counts
 scalar multiplications in a module-level counter (read by
 :func:`get_mul_count`), as do the products above.  Every product truncated
-back to N of elements (in simul and sheaf) goes through
-:func:`_capped_coefficients`, which runs one of integral operands of either
-ring known to precision N on :func:`dvrlu.kernel.capped_products`: same
-entries, same count; any other stays on :func:`matmul` (:func:`_capped`).
-The sheaf's ``omega * M_m``, a scalar matrix times a series matrix, passes
-the kernel one coefficient matrix ``M^(l)`` of M_m per operand and counts
-them as the one product they stand for; only when the kernel refuses one
-does the ``SeriesElem`` product run on :func:`matmul`.
+back to N goes through :func:`_capped`: simul's ``omega * M`` and the
+sheaf's ``omega * M_m``, a scalar matrix times the coefficient matrices
+``M^(l)`` of the series matrix M_m.  It runs on
+:func:`dvrlu.kernel.capped_products` when the kernel takes every operand,
+and on :func:`matmul` otherwise.
 """
 
 from __future__ import annotations
@@ -86,25 +83,16 @@ def matmul(a: PrecMatrix, b: PrecMatrix) -> PrecMatrix:
     return PrecMatrix(out)
 
 
-def _capped(a: PrecMatrix, b: PrecMatrix, n: int) -> PrecMatrix:
-    """``matmul(a, b).cap_abs(n)``, on the integer kernel when it takes the
-    operands."""
-    out = _capped_coefficients(a, [b], n)
-    return matmul(a, b).cap_abs(n) if out is None else out[0]
-
-
-def _capped_coefficients(
-    a: PrecMatrix, bs: Sequence[PrecMatrix], n: int
-) -> list[PrecMatrix] | None:
-    """``[_capped(a, b, n) for b in bs]`` on the integer kernel, counted as
-    the one product it stands for (bs are the coefficient matrices of one
-    series matrix), or None when the kernel refuses any of them."""
+def _capped(a: PrecMatrix, bs: Sequence[PrecMatrix], n: int) -> list[PrecMatrix]:
+    """``[matmul(a, b).cap_abs(n) for b in bs]``.  On the integer kernel
+    when it takes every operand, counted as the one product ``a * bs[0]``
+    (the bs are one matrix, or the coefficient matrices of one series
+    matrix); otherwise one :func:`matmul` per b, each counted."""
     global _MUL_COUNT
-    if any(a.ncols != b.nrows for b in bs):
-        return None
-    out = kernel.capped_products(a, bs, n)
-    if out is not None:
-        _MUL_COUNT += a.nrows * a.ncols * bs[0].ncols
+    out = kernel.capped_products(a, bs, n) if all(a.ncols == b.nrows for b in bs) else None
+    if out is None:
+        return [matmul(a, b).cap_abs(n) for b in bs]
+    _MUL_COUNT += a.nrows * a.ncols * bs[0].ncols
     return out
 
 

@@ -123,8 +123,10 @@ def _pivot_step(omega: PrecMatrix, i: int, j: int, n: int, *extras: PrecMatrix) 
     """One elimination step: clear (i, j) using pivot (i, i).
 
     Columns i and j are swapped first when v(omega[i, j]) < v(omega[i, i])
-    (compared through ``pivot_scalar``); a pivot then indistinguishable from
-    zero raises DegenerateInput.  The scalar is lifted to absolute precision n
+    (compared through ``pivot_scalar``).  The pivot is then of known
+    valuation: :func:`~dvrlu.element.valuation_less` swaps in an entry of
+    known valuation or raises AmbiguousValuation, so the division below never
+    meets a zeroish pivot.  The scalar is lifted to absolute precision n
     before the column update (choosing a representative; the transform
     identity is exact for any representative, and for flat inputs this is
     what keeps precision flat).  Swap and update are applied to every extra
@@ -134,10 +136,6 @@ def _pivot_step(omega: PrecMatrix, i: int, j: int, n: int, *extras: PrecMatrix) 
     if valuation_less(omega[i, j].pivot_scalar(), omega[i, i].pivot_scalar()):
         for x in mats:
             x.swap_cols(i, j)
-    if omega[i, i].is_zeroish:
-        raise DegenerateInput(
-            f"pivot {omega[i, i]!r} indistinguishable from zero after pivoting"
-        )
     s = (omega[i, j] / omega[i, i]).lift_to_precision(n)
     for x in mats:
         x.sub_scaled_col(s, i, j)
@@ -204,8 +202,8 @@ def vij_statistics(m: PrecMatrix) -> VijProfile:
     so a value read before any update keeps every digit its entry carries.
 
     Raises AmbiguousValuation when a swap decision is not forced by the
-    known precision, DegenerateInput when a pivot degenerates, ValueError
-    for an entry that is not a PrecElem or when N is below 1.
+    known precision, ValueError for an entry that is not a PrecElem or when
+    N is below 1.
     """
     d = _scalar_dim(m, "vij_statistics")
     n = _require_digits(m.min_abs_prec())
@@ -794,12 +792,10 @@ def _block_elimination(m: PrecMatrix, block_sizes: Sequence[int], clear: bool) -
                         s = lower[ip, jp]
                         for r in range(d):
                             lower[r, jp] = lower[r, jp] - s * lower[r, ip]
-            # precision budget: diagonal valuations strictly above the block
+            # precision budget: diagonal valuations strictly above the block,
+            # each checked non-zeroish when its own block was normalized (a
+            # later swap only brings in an entry of known valuation)
             v = _minor_val(at, j0 - 1)
-            if v is None:
-                raise DegenerateInput(
-                    "diagonal entry above block indistinguishable from zero"
-                )
             block_vals.append(v)
             for jp in range(j0, hi):
                 for ip in range(j0, d):

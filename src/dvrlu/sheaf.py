@@ -27,7 +27,7 @@ from functools import cached_property, partial, reduce
 from .config import Backend, DvrConfig
 from .element import PrecElem, _fields, _json_int
 from .errors import AmbiguousValuation, CoincidentPoints, DvrError, NotSorted
-from .lu_fast import _capped, _capped_coefficients
+from .lu_fast import _capped
 from .lu_stable import _lower_solve, block_l_unitlower
 from .matrix import PrecMatrix, random_matrix
 from .series import SeriesElem, _convolve, _elements
@@ -407,15 +407,6 @@ def poly_matrix_to_json(pm: list[list[Poly]]) -> dict:
     }
 
 
-def scalar_matrix_as_series(m: PrecMatrix, order: int, n: int) -> PrecMatrix:
-    """Embed a scalar matrix as constant series of the given order."""
-    rows = [
-        [SeriesElem.constant(m[i, j], order, n) for j in range(m.ncols)]
-        for i in range(m.nrows)
-    ]
-    return PrecMatrix(rows)
-
-
 def scalar_poly_matmul(s: PrecMatrix, pm: list[list[Poly]]) -> list[list[Poly]]:
     """Product of a scalar matrix with a polynomial matrix (no truncation)."""
     d = len(pm)
@@ -426,17 +417,12 @@ def scalar_poly_matmul(s: PrecMatrix, pm: list[list[Poly]]) -> list[list[Poly]]:
 
 
 def _local_product(omega: PrecMatrix, m: PrecMatrix, n: int) -> PrecMatrix:
-    """``_capped(scalar_matrix_as_series(omega), m, n)``: omega * M_m capped
-    at n, as the products ``omega * M^(l)`` of the coefficient matrices when
-    the integer kernel takes them all.  The series product's padding terms
-    ``O(pi^n) * b`` have absolute precision >= n, so either way each capped
-    entry is the residue of the exact sum mod pi^n at precision n.
+    """omega * M_m capped at n.  omega is scalar, so coefficient l of the
+    product is ``matmul(omega, M^(l)).cap_abs(n)`` for the coefficient
+    matrix ``M^(l)`` of M_m, with no padding of omega to a series.
     """
-    order = m[0, 0].order
-    coeffs = [m.map(lambda e, l=l: e.coeffs[l]) for l in range(order)]
-    prods = _capped_coefficients(omega, coeffs, n)
-    if prods is None:
-        return _capped(scalar_matrix_as_series(omega, order, n), m, n)
+    coeffs = [m.map(lambda e, l=l: e.coeffs[l]) for l in range(m[0, 0].order)]
+    prods = _capped(omega, coeffs, n)
     cfg = omega[0, 0].cfg
     rows = zip(*(p.rows for p in prods))  # row i of every coefficient's product
     return PrecMatrix([[SeriesElem(cfg, c) for c in zip(*r)] for r in rows])

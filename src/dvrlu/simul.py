@@ -204,7 +204,7 @@ def attempt_simultaneous(
     n = cfg.prec
     omega = random_matrix(cfg, _family_dim(family), rng)
     got = _certify(omega, v, n, [
-        (lambda w, mat=mat, sizes=sizes: block_l(_capped(w, mat, n), sizes), mat)
+        (lambda w, mat=mat, sizes=sizes: block_l(_capped(w, [mat], n)[0], sizes), mat)
         for mat, sizes in family
     ])
     if isinstance(got, SimulFailure):

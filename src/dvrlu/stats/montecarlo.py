@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from ..config import require_prime
-from .formulas import vl_centerings
+from .formulas import _require_q, vl_centerings
 
 _CHUNK_TARGET = 1 << 22  # entries per chunk's matrix block
 
@@ -474,6 +474,7 @@ def monte_carlo_det(p: int, d: int, trials: int, seed: int = 0, jobs: int = 1) -
 def tail_frequency(vl: np.ndarray, q: int, d: int, ell: int) -> float:
     """Empirical P[|V_L - c| > ell + 1/2] with c = log_q d + 1/2, the
     asserted centering (the first of :func:`vl_centerings`)."""
+    _require_q(q, d)
     c, _ = vl_centerings(q, d)
     return float(np.mean(np.abs(vl.astype(np.float64) - c) > ell + 0.5))
 

@@ -27,7 +27,7 @@ from dvrlu import errors
 from dvrlu.cli import build_parser, main
 from dvrlu.config import DvrConfig
 from dvrlu.element import PrecElem
-from dvrlu.lu_stable import naive_gauss_l, precision_loss, stable_l
+from dvrlu.lu_stable import lift_recompute_l, naive_gauss_l, precision_loss, stable_l
 from dvrlu.matrix import PrecMatrix, random_matrix
 from dvrlu.sheaf import random_instance
 from dvrlu.simul import SimulResult, attempt_simultaneous, required_v
@@ -159,22 +159,44 @@ def test_lu_bench_summary(capsys):
     assert "loss_mean" in out and out["failures"] == 0
 
 
+def _bench_losses(factor, p, prec, dim, count, seed):
+    """The precision losses `lu bench` reports for one seed, and the number
+    of matrices whose elimination failed."""
+    cfg, rng = DvrConfig(p=p, prec=prec), random.Random(seed)
+    losses = []
+    for _ in range(count):
+        try:
+            losses.append(precision_loss(factor(random_matrix(cfg, dim, rng)), prec))
+        except errors.DvrError:
+            pass
+    return losses, count - len(losses)
+
+
 @pytest.mark.parametrize("algo, factor", [
     ("naive", naive_gauss_l),
     ("stable", lambda m: stable_l(m).lower),
+    ("lift", lift_recompute_l),
 ])
 def test_lu_bench_reports_loss_spread(capsys, algo, factor):
-    # the naive-against-stable precision-loss experiment: both algorithms
-    # see the same matrices for one seed
+    # the naive-against-stable precision-loss experiment: every algorithm
+    # sees the same matrices for one seed
     argv = "lu bench --p 2 --prec 30 --dim 6 --count 9 --seed 5 --algo " + algo
     assert main(argv.split()) == 0
     out = json.loads(capsys.readouterr().out)
-    cfg = DvrConfig(p=2, prec=30)
-    rng = random.Random(5)
-    losses = [precision_loss(factor(random_matrix(cfg, 6, rng)), 30) for _ in range(9)]
+    losses, failures = _bench_losses(factor, 2, 30, 6, 9, 5)
+    assert out["failures"] == failures == 0
     assert out["loss_mean"] == statistics.mean(losses)
     assert out["loss_sd"] == statistics.stdev(losses)
     assert out["two_log_q_d"] == 2 * math.log(6, 2)
+
+
+def test_lu_bench_counts_failures(capsys):
+    # three digits of Z_2 leave no room for the pivots of most 6x6 matrices
+    assert main("lu bench --p 2 --prec 3 --dim 6 --count 20 --seed 1".split()) == 0
+    out = json.loads(capsys.readouterr().out)
+    losses, failures = _bench_losses(lambda m: stable_l(m).lower, 2, 3, 6, 20, 1)
+    assert out["failures"] == failures == 11
+    assert (out["loss_min"], out["loss_max"]) == (min(losses), max(losses))
 
 
 def test_lu_bench_loss_sd_of_one_sample_is_zero(capsys):

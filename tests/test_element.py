@@ -576,6 +576,9 @@ def test_config_ops_field_is_invisible(backend):
     assert PrecElem.from_int(back, 7, abs_prec=4) == PrecElem.from_int(cfg, 7, abs_prec=4)
     shown = [f.name for f in dataclasses.fields(cfg) if f.init or f.compare or f.hash or f.repr]
     assert shown == ["p", "prec", "backend"]
+    # the backend is the enum member, not its JSON name
+    with pytest.raises(ValueError, match=f"^backend must be a Backend, got {backend.value!r}$"):
+        DvrConfig(p=5, prec=10, backend=backend.value)
     with pytest.raises(TypeError):
         DvrConfig(p=5, prec=10, backend=backend, ops=cfg.ops)
 

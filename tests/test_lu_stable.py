@@ -173,6 +173,13 @@ def test_working_precision_below_one_is_refused(name):
         BELOW_ONE_ELIMINATIONS[name](BELOW_ONE)
 
 
+@pytest.mark.parametrize("name", BELOW_ONE_ELIMINATIONS)
+def test_non_square_input_is_refused(name):
+    fn = naive_gauss_l if name == "naive_gauss_l" else BELOW_ONE_ELIMINATIONS[name]
+    with pytest.raises(ValueError, match="^square matrix required$"):
+        fn(random_matrix(CFG3, 2, random.Random(0)).block(0, 2, 0, 1))
+
+
 # ---------------------------------------------------------------------------
 # lift and recompute
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from dvrlu.errors import (
     ExhaustedRetries,
     NotSorted,
 )
-from dvrlu.lu_fast import _capped, _capped_coefficients, get_mul_count, matmul
+from dvrlu.lu_fast import get_mul_count, matmul
 from dvrlu.lu_stable import lower_triangular_inverse, vij_statistics
 from dvrlu.matrix import PrecMatrix, random_matrix
 from dvrlu.series import SeriesElem
@@ -40,7 +41,6 @@ from dvrlu.sheaf import (
     poly_sub,
     poly_to_series,
     random_instance,
-    scalar_matrix_as_series,
     scalar_poly_matmul,
     series_matrix_from_json,
     series_matrix_to_json,
@@ -271,11 +271,13 @@ def test_sheaf_instance_validation():
 
 
 def test_sheaf_instance_json_roundtrip():
-    cfg = DvrConfig(p=5, prec=10)
-    inst = random_instance(cfg, random.Random(5), n_points=2, d=2, e_max=2)
-    obj = inst.to_json()
-    back = SheafInstance.from_json(obj)
-    assert back.to_json() == obj
+    for backend in Backend:
+        cfg = DvrConfig(p=5, prec=10, backend=backend)
+        inst = random_instance(cfg, random.Random(5), n_points=2, d=2, e_max=2)
+        obj = inst.to_json()
+        assert obj.get("backend", "padic") == backend.value
+        back = SheafInstance.from_json(obj)
+        assert back.to_json() == obj
     obj_bad = inst.to_json()
     del obj_bad["points"][0]["a"]
     with pytest.raises(ValueError, match="malformed"):
@@ -394,6 +396,13 @@ def test_verify_flags_tampered_basis():
     report = verify_local_equivalence(inst, basis)
     assert not report.ok
     assert report.notes
+    # break the divisor chain D_0 | D_1 of an instance with D_0 = 1 != D_1
+    inst = random_instance(cfg, random.Random(42), n_points=2, d=2, e_max=2)
+    basis = solve_sheaf(inst, eps=0.5, seed=9)
+    basis.d_polys.reverse()
+    report = verify_local_equivalence(inst, basis)
+    assert not report.div_ok
+    assert "divisor 0 does not divide divisor 1" in report.notes
 
 
 def test_solve_sheaf_exhausts_retries(monkeypatch):
@@ -413,6 +422,13 @@ def test_solve_sheaf_exhausts_retries(monkeypatch):
 # the local product omega * M_m
 
 
+def _padded_series_product(omega, m, n):
+    """omega * M_m as a product of series matrices, omega padded to
+    constant series with O(pi^n), a padding that is not an exact zero."""
+    order = m[0, 0].order
+    return matmul(omega.map(lambda e: SeriesElem.constant(e, order, n)), m).cap_abs(n)
+
+
 @pytest.mark.parametrize("case", ["kernel", "negative-valuation", "short-coefficient", "series-ring"])
 @settings(max_examples=30)
 @given(p=st.sampled_from([2, 3, 5, 7]), n=st.sampled_from([5, 12, 40]),
@@ -423,8 +439,8 @@ def test_local_product_is_the_series_product(case, p, n, order, seed):
     rng = random.Random(seed)
     d = 3
     coeffs = [random_matrix(cfg, d, rng) for _ in range(order)]
-    # the refused coefficient is the constant one, which the series product
-    # multiplies by the padding O(pi^n) of omega's higher coefficients
+    # the refused coefficient is the constant one, which the padded series
+    # product multiplies by the padding O(pi^n) of omega's higher coefficients
     if case == "negative-valuation":
         coeffs[0][0, 1] = PrecElem.unit_form(cfg, -1, 1, n + 1)
     elif case == "short-coefficient":
@@ -432,14 +448,20 @@ def test_local_product_is_the_series_product(case, p, n, order, seed):
     m = PrecMatrix([[SeriesElem(cfg, [c[i, j] for c in coeffs]) for j in range(d)] for i in range(d)])
     omega = random_matrix(cfg, d, rng)
     refused = case in ("negative-valuation", "short-coefficient")  # either ring's are taken
-    assert (_capped_coefficients(omega, coeffs, n) is None) == refused
-    start = get_mul_count()
-    want = _capped(scalar_matrix_as_series(omega, order, n), m, n)
-    want_count = get_mul_count() - start
     start = get_mul_count()
     got = _local_product(omega, m, n)
-    assert got.rows == want.rows
-    assert get_mul_count() - start == want_count == d**3
+    # one product on the kernel route, one matmul per coefficient otherwise
+    assert get_mul_count() - start == (order if refused else 1) * d**3
+    for l, c in enumerate(coeffs):
+        assert got.map(lambda e: e.coeffs[l]).rows == matmul(omega, c).cap_abs(n).rows
+    old = _padded_series_product(omega, m, n)
+    if case != "negative-valuation":  # the padding terms O(pi^n) * b reach n
+        assert old.rows == got.rows
+        return
+    # O(pi^n) * pi^-1 costs the padded product a digit from coefficient 1 on
+    for o, g in zip(itertools.chain(*old.rows), itertools.chain(*got.rows)):
+        for oc, gc in zip(o.coeffs, g.coeffs):
+            assert oc.abs_prec <= gc.abs_prec and (oc - gc).is_zeroish
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,15 @@ def test_attempt_factor_stage_failure(monkeypatch):
     assert got.stage == "factor"
 
 
+@pytest.mark.parametrize("rows, detectable", [
+    ([[1, 0], [0, 1]], True),
+    ([[5, 0], [0, 1]], False),  # v(det) = 1
+    ([[0, 0], [1, 1]], False),  # row 0 is O(5^10): the elimination's swap test raises
+])
+def test_det_unit_gate(rows, detectable):
+    assert simul._det_unit_detectable(flat_from_ints(DvrConfig(p=5, prec=10), rows)) is detectable
+
+
 @pytest.mark.parametrize("member_prec, stage, gate_reads", [
     (10, None, 0),  # every factor meets N - 2v: the gate is never read
     (5, "factor-precision", 1),  # below N - 2v with a unit determinant

@@ -14,6 +14,7 @@ import hashlib
 import math
 import random
 import re
+import signal
 from fractions import Fraction
 
 import numpy as np
@@ -162,6 +163,54 @@ def test_vl_centerings_and_gap_bound():
     # and it shrinks as d moves toward the midpoint between powers
     mid = expected_vl_log_gap_bound(2, 3)
     assert mid < expected_vl_log_gap_bound(2, 2)
+
+
+def _formula_calls(q, d):
+    """Every public formula, and tail_frequency, at residue cardinality q
+    and dimension d."""
+    return {
+        "vij_mass": lambda: vij_mass(q, 0),
+        "expected_vl_series": lambda: expected_vl_series(q, d),
+        "expected_vl_alternating": lambda: expected_vl_alternating(q, d),
+        "vl_expectation_interval": lambda: vl_expectation_interval(q, d),
+        "pi_q": lambda: pi_q(q),
+        "det_val_cdf": lambda: det_val_cdf(q, d, 0),
+        "det_val_mean": lambda: det_val_mean(q, d),
+        "vl_upper_tail": lambda: vl_upper_tail(q, d, 1.0),
+        "vl_tail_bound": lambda: vl_tail_bound(q, 1),
+        "vl_centerings": lambda: vl_centerings(q, d),
+        "expected_vl_log_gap_bound": lambda: expected_vl_log_gap_bound(q, d),
+        "tail_frequency": lambda: tail_frequency(np.array([0, 1, 2]), q, d, 1),
+    }
+
+
+WITHOUT_D = {"vij_mass", "pi_q", "vl_tail_bound"}
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError("formula did not return within 5 s")
+
+
+@pytest.mark.parametrize("q", [1, 0, -2, True], ids=repr)
+@pytest.mark.parametrize("name", _formula_calls(2, 3))
+def test_formulas_refuse_q_below_two(name, q):
+    # pi_q(1) used to loop forever and q = 1 to divide by q - 1 = 0; the
+    # alarm turns a hang brought back into a failure within seconds
+    previous = signal.signal(signal.SIGALRM, _timed_out)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match=f"^q must be an integer >= 2, got {q!r}$"):
+            _formula_calls(q, 3)[name]()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("name", sorted(set(_formula_calls(2, 3)) - WITHOUT_D))
+@pytest.mark.parametrize("d", [0, -1])
+def test_formulas_refuse_d_below_one(name, d):
+    with pytest.raises(ValueError, match="^d must be positive$"):
+        _formula_calls(2, d)[name]()
 
 
 # ---------------------------------------------------------------------------
