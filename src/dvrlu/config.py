@@ -7,8 +7,8 @@ cardinality ``p`` and an element keeps finitely many base-``p`` digits.  The
 digit arithmetic is the one thing the backends do differently: the config
 picks its digit-ops object once (:class:`~dvrlu.digits.PadicDigits`, integer
 arithmetic mod p^n, or :class:`~dvrlu.digits.SeriesDigits`, carry-free
-digits in bit slots sized for the config's precision) and every element
-calls it through ``cfg.ops``.
+digits in bit slots whose width that class's rule sizes for the config's
+precision) and every element calls it through ``cfg.ops``.
 """
 
 from __future__ import annotations
@@ -135,7 +135,8 @@ class DvrConfig:
         backend: ``Backend.PADIC`` for Z_p, ``Backend.SERIES`` for F_p[[t]].
 
     The digit-ops object ``ops`` is derived from ``p``, ``backend`` and,
-    for ``F_p[[t]]``, ``prec``, which sizes its bit slots; it takes no part
+    for ``F_p[[t]]``, ``prec``, which sizes its bit slots
+    (:class:`~dvrlu.digits.SeriesDigits` states the rule); it takes no part
     in equality, hashing, ``repr``, JSON or pickling.  Elements combine only
     when their configs share ``ops``: every ``Z_p`` config of one p does,
     an ``F_p[[t]]`` config only with the configs of its slot layout.

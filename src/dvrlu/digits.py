@@ -9,9 +9,8 @@ digits.  The backend decides the layout and therefore the arithmetic:
   ``[i*w, (i+1)*w)``.  Slots never borrow or carry into lower slots, so a
   series sum or product is one big-int operation followed by a slot-wise
   reduction mod p (Kronecker substitution; Harvey, J. Symb. Comput. 2009).
-  The width w grows with the ring's precision (:func:`slot_bits`): every
-  op costs in proportion to it, so the config picks the narrowest slots
-  that hold a product of two operands of twice its precision.
+  The slot width depends on the ring's precision, by the rule that
+  :class:`SeriesDigits` states.
 
 Both expose the same methods, all taking and returning stored ints:
 ``add``, ``neg``, ``mul`` and ``inv`` keep n digits, ``shift`` multiplies by
@@ -124,7 +123,8 @@ class SeriesDigits:
     Every big-int op costs in proportion to w, so b is sized for the ring's
     precision rather than for the longest operand:
     :class:`~dvrlu.config.DvrConfig` passes b = bit_length(2*prec*(p-1)^2)
-    (:func:`slot_bits`), which makes CAP >= 2*prec.  A prec-digit
+    (:func:`slot_bits`), the bits of the largest slot of a product of two
+    2*prec-digit operands, which makes CAP >= 2*prec.  A prec-digit
     ``sub_scaled`` then takes its one-reduction route and ``product`` sums
     at least two slot products per reduction.  Configs with the same p and
     b share one object; since the layout depends on prec, it lives in the
@@ -266,9 +266,8 @@ class SeriesDigits:
 
 
 def slot_bits(p: int, prec: int) -> int:
-    """The b of the F_p[[t]] layout for precision prec: the bits of
-    2*prec*(p-1)^2, the largest slot of a product of two 2*prec-digit
-    operands."""
+    """The b of the F_p[[t]] layout for precision prec, by the rule of
+    :class:`SeriesDigits`."""
     return (2 * prec * (p - 1) ** 2).bit_length()
 
 

@@ -13,12 +13,13 @@ Either way the absolute precision is ``v + rel``.  The unit ``u`` is one
 Python int in the storage layout of the ring's digit-ops object ``cfg.ops``
 (:mod:`dvrlu.digits`): the integer itself for ``Z_p``, one bit slot per
 coefficient for ``F_p[[t]]``, whose slot width the config sizes for its
-precision.  All digit arithmetic goes through ``cfg.ops``, and an operator
-whose operands have different ``cfg.ops`` objects (another p or backend, or
-another slot layout) raises ValueError, as does :func:`_fields` for the
-loops that read fields.  The public face of a unit
-(constructors, ``unit_digits``, ``representative``, JSON and ``repr``) is
-always the base-p packing ``sum(c_i * p**i)``.
+precision (the rule is :class:`~dvrlu.digits.SeriesDigits`'s).  All digit
+arithmetic goes through ``cfg.ops``, and an operator whose operands have
+different ``cfg.ops`` objects (another p or backend, or another slot
+layout) raises ValueError, as does :func:`_fields` for the loops that read
+fields.  The public face of a unit (constructors, ``unit_digits``,
+``representative``, JSON and ``repr``) is always the base-p packing
+``sum(c_i * p**i)``.
 
 Valuations may be negative (elements of the fraction field use the same
 representation), and all arithmetic follows the ultrametric precision rules

@@ -20,20 +20,10 @@ That step — swap test, pivot guard, re-lifted scalar, column update — is
 elements, and :func:`_eliminate`, its only caller, is the one round loop:
 every elimination here reads its yields.
 
-Flat integral input makes the elimination plain arithmetic in ``Z/p^N``
-(``F_p[t]/(t^N)`` over ``F_p[[t]]``), so :func:`_eliminate` runs its steps
-on the integer kernel :mod:`dvrlu.kernel` when every entry is an integral
-:class:`~dvrlu.element.PrecElem` of either backend known to exactly N (a
-flattened input, or flat input to :func:`vij_statistics`), and the callers
-build elements only for what they read, which equals the object path's;
-the kernel raises the object path's errors itself.
-:class:`~dvrlu.series.SeriesElem` entries, an entry of negative valuation
-and an entry known beyond N stay on the object path.  The naive
-elimination under :func:`naive_gauss_l` and
-:func:`lift_recompute_l` is not flat, so it has no kernel; it runs the
-element's precision rules on each entry's fields ``(v, u, rel)`` (the
-format of :mod:`dvrlu.element`; :func:`_naive_elimination`) and builds
-elements only for L.
+On flat integral input :func:`_eliminate` runs its steps on the integer
+kernel; :mod:`dvrlu.kernel` says which input takes it.  The naive
+elimination under :func:`naive_gauss_l` and :func:`lift_recompute_l` is not
+flat; it runs on entry fields (:func:`_naive_elimination`).
 
 Provided algorithms:
 
@@ -541,17 +531,6 @@ def precision_loss(lower: PrecMatrix, n: int) -> int:
     return n - worst
 
 
-def vl_of_lower(lower: PrecMatrix):
-    """max(0, -min valuation) over strictly-lower entries of L.
-
-    Returns an int when every strictly-lower entry either has known
-    valuation or is zero at a precision that cannot hide anything smaller
-    than the known minimum; otherwise returns the interval (lo, hi) of
-    possible values as a tuple.
-    """
-    return _vl_bound((lower[i, j], 0) for i in range(lower.nrows) for j in range(i))
-
-
 # ---------------------------------------------------------------------------
 # the split (LV) decomposition
 # ---------------------------------------------------------------------------
@@ -630,9 +609,10 @@ def lv_to_l(out: LvOutput) -> PrecMatrix:
     and precision for precision.
 
     Raises DegenerateDecomposition if a needed diagonal entry of L' or V'
-    is indistinguishable from zero, or a minor valuation v_j reaches N.
+    is indistinguishable from zero, or a minor valuation v_j reaches N, and
+    ValueError if an entry of L' is not a PrecElem.
     """
-    d = out.lp.nrows
+    d = _scalar_dim(out.lp, "lv_to_l")
     n = working_precision(out.lp)
     lower = PrecMatrix.identity_like(out.lp, d, n)
     v = 0
@@ -656,9 +636,10 @@ def hermite_from_lv(out: LvOutput) -> PrecMatrix:
     everything above the diagonal is an exact zero O(pi^N).
 
     Raises DegenerateDecomposition when a diagonal entry of H' is
-    indistinguishable from zero (the form requires unit-detectable pivots).
+    indistinguishable from zero (the form requires unit-detectable pivots),
+    and ValueError if an entry of H' is not a PrecElem.
     """
-    d = out.hp.nrows
+    d = _scalar_dim(out.hp, "hermite_from_lv")
     n = working_precision(out.hp)
     proto = out.hp.rows[0][0]
     h = PrecMatrix.zero_like(out.hp, d, d, n)

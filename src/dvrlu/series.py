@@ -74,11 +74,6 @@ class SeriesElem:
     def order(self) -> int:
         return len(self.coeffs)
 
-    @classmethod
-    def constant(cls, scalar: PrecElem, order: int, pad_abs: int) -> "SeriesElem":
-        pad = [PrecElem.bigoh(scalar.cfg, pad_abs) for _ in range(order - 1)]
-        return cls(scalar.cfg, [scalar] + pad)
-
     # -- element protocol ----------------------------------------------------
 
     @property
@@ -100,8 +95,8 @@ class SeriesElem:
         return self.coeffs[0]
 
     def like_one(self, abs_prec: int) -> "SeriesElem":
-        one = self.coeffs[0].like_one(abs_prec)
-        return SeriesElem.constant(one, self.order, abs_prec)
+        one, pad = self.coeffs[0].like_one(abs_prec), PrecElem.bigoh(self.cfg, abs_prec)
+        return SeriesElem(self.cfg, [one] + [pad] * (self.order - 1))
 
     def like_zero(self, abs_prec: int) -> "SeriesElem":
         z = self.coeffs[0].like_zero(abs_prec)

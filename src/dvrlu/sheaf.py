@@ -11,8 +11,9 @@ unit-lower factors with an explicit Chinese-remainder basis.
 
 Polynomials are plain lists of :class:`~dvrlu.element.PrecElem`
 coefficients, lowest degree first.  Only linear primes ``X - a`` appear, so
-Taylor shifts (synthetic division) move between the global and local
-pictures without any polynomial factoring.
+one Taylor shift, :func:`taylor_coeffs` (repeated synthetic division by
+``X - a``), moves between the global and local pictures both ways, without
+any polynomial factoring.
 """
 
 from __future__ import annotations
@@ -47,14 +48,6 @@ def poly_add(f: Poly, g: Poly) -> Poly:
     return [a + b for a, b in zip(f, g)] + f[k:] + g[k:]
 
 
-def poly_neg(f: Poly) -> Poly:
-    return [-c for c in f]
-
-
-def poly_sub(f: Poly, g: Poly) -> Poly:
-    return poly_add(f, poly_neg(g))
-
-
 def poly_scale(c: PrecElem, f: Poly) -> Poly:
     return [c * x for x in f]
 
@@ -69,13 +62,6 @@ def poly_mul(f: Poly, g: Poly) -> Poly:
 
 def poly_pow(f: Poly, k: int, one: PrecElem) -> Poly:
     return reduce(poly_mul, [f] * k, [one])
-
-
-def poly_eval(f: Poly, x: PrecElem) -> PrecElem:
-    acc = f[-1]
-    for c in reversed(f[:-1]):
-        acc = acc * x + c
-    return acc
 
 
 def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
@@ -121,24 +107,16 @@ def taylor_coeffs(f: Poly, a: PrecElem, count: int) -> Poly:
     return out
 
 
-def taylor_unshift(c: Poly, a: PrecElem, one: PrecElem) -> Poly:
-    """Inverse of :func:`taylor_coeffs`: rebuild ``sum c_k (X-a)^k`` by Horner."""
-    shift = [-a, one]
-    acc = [c[-1]]
-    for k in range(len(c) - 2, -1, -1):
-        acc = poly_add(poly_mul(acc, shift), [c[k]])
-    return acc
-
-
 def poly_to_series(f: Poly, a: PrecElem, order: int, n: int) -> SeriesElem:
     """Reduce a polynomial modulo ``(X - a)^order`` into the local series ring."""
     c = taylor_coeffs(f, a, order)
     return SeriesElem(a.cfg, c + [a.like_zero(n)] * (order - len(c)))
 
 
-def series_to_poly(s: SeriesElem, a: PrecElem, one: PrecElem) -> Poly:
-    """Polynomial of degree < order representing ``s`` around ``a``."""
-    return taylor_unshift(list(s.coeffs), a, one)
+def series_to_poly(s: SeriesElem, a: PrecElem) -> Poly:
+    """Polynomial of degree < order representing ``s`` around ``a``:
+    ``sum s_k (X-a)^k``, the Taylor shift of ``sum s_k X^k`` to ``-a``."""
+    return taylor_coeffs(list(s.coeffs), -a, s.order)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +203,7 @@ class CrtBasis:
                     "indistinguishable from zero"
                 )
             inv = local.like_one(n) / local
-            i_poly = series_to_poly(inv, a, one)
+            i_poly = series_to_poly(inv, a)
             self.cofactors.append(poly_mul(qhat, i_poly))
 
     def combine(self, residues: list[Poly]) -> Poly:
@@ -461,7 +439,7 @@ def solve_with_omega(
         if i <= j:
             return [one if i == j else zero]
         return crt.combine([
-            series_to_poly(fact.lower[i, j], pt.a, one)
+            series_to_poly(fact.lower[i, j], pt.a)
             for fact, pt in zip(factors, inst.points)
         ])
 

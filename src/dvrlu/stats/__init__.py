@@ -7,7 +7,6 @@ from .formulas import (
     expected_vl_series,
     expected_vl_log_gap_bound,
     pi_q,
-    vij_mass,
     vl_centerings,
     vl_expectation_interval,
     vl_tail_bound,
@@ -20,7 +19,6 @@ from .montecarlo import (
     monte_carlo_vl,
     simulate,
     simulate_matrices,
-    simulate_wi_2x2,
     tail_frequency,
 )
 
@@ -31,7 +29,6 @@ __all__ = [
     "expected_vl_series",
     "expected_vl_log_gap_bound",
     "pi_q",
-    "vij_mass",
     "vl_centerings",
     "vl_expectation_interval",
     "vl_tail_bound",
@@ -42,6 +39,5 @@ __all__ = [
     "monte_carlo_vl",
     "simulate",
     "simulate_matrices",
-    "simulate_wi_2x2",
     "tail_frequency",
 ]

@@ -21,15 +21,6 @@ def _require_q(q: int, d: int | None = None) -> None:
         raise ValueError("d must be positive")
 
 
-def vij_mass(q: int, v: int) -> float:
-    """P[V = v] for the valuation of a Haar-random ring element restricted
-    to being finite: geometric with ratio 1/q, mass (1 - 1/q) * q^-v."""
-    _require_q(q)
-    if v < 0:
-        return 0.0
-    return (1.0 - 1.0 / q) * q ** (-float(v))
-
-
 def expected_vl_series(q: int, d: int) -> float:
     """Expected max-pivot valuation E(q, d) as the series
     sum_{v>=1} (1 - (1 - q^-v)^d), evaluated in float arithmetic with the

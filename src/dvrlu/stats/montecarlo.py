@@ -477,19 +477,3 @@ def tail_frequency(vl: np.ndarray, q: int, d: int, ell: int) -> float:
     _require_q(q, d)
     c, _ = vl_centerings(q, d)
     return float(np.mean(np.abs(vl.astype(np.float64) - c) > ell + 0.5))
-
-
-def simulate_wi_2x2(p: int, trials: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Row-pivot profile (W_1, W_2) for random 2x2 matrices: W_1 is the
-    minimal valuation in row 1, and W_1 + W_2 = v(det).  Trials where the
-    determinant's valuation is undeterminable at precision K are dropped."""
-    eng = Engine(p)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    m = eng.random(rng, (trials, 2, 2))
-    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-    if eng.modulus is not None:
-        det %= eng.modulus
-    w1 = np.minimum(eng.vals(m[:, 0, 0]), eng.vals(m[:, 0, 1]))
-    vdet = eng.vals(det)
-    keep = (vdet < eng.K) & (w1 < eng.K)
-    return w1[keep], (vdet - w1)[keep]

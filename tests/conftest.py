@@ -1,10 +1,15 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 
-from dvrlu import Backend, DvrConfig, PrecElem, PrecMatrix, kernel, lu_fast
+from dvrlu import Backend, DvrConfig, PrecElem, PrecMatrix, SeriesElem, kernel, lu_fast
+from dvrlu.lu_stable import _vl_bound
+from dvrlu.sheaf import poly_add
+from dvrlu.stats import Engine
+from dvrlu.stats.formulas import _require_q
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -25,6 +30,60 @@ def clear_band(x: PrecMatrix, y: PrecMatrix, n: int, cut: int = 1) -> tuple[Prec
     cfg, (xr, yr) = kernel.exact(n, x.rows, y.rows)
     r = lu_fast._Residues(cfg, n, "classical")
     return tuple(map(r.elements, lu_fast._clear(xr, yr, r, cut)))
+
+
+def series_constant(scalar: PrecElem, order: int, pad_abs: int) -> SeriesElem:
+    """The series of the given order with constant coefficient scalar and
+    every higher coefficient O(pi^pad_abs)."""
+    pad = [PrecElem.bigoh(scalar.cfg, pad_abs) for _ in range(order - 1)]
+    return SeriesElem(scalar.cfg, [scalar] + pad)
+
+
+def vl_of_lower(lower: PrecMatrix):
+    """max(0, -min valuation) over strictly-lower entries of L.
+
+    Returns an int when every strictly-lower entry either has known
+    valuation or is zero at a precision that cannot hide anything smaller
+    than the known minimum; otherwise returns the interval (lo, hi) of
+    possible values as a tuple.
+    """
+    return _vl_bound((lower[i, j], 0) for i in range(lower.nrows) for j in range(i))
+
+
+def poly_sub(f, g):
+    return poly_add(f, [-c for c in g])
+
+
+def poly_eval(f, x):
+    acc = f[-1]
+    for c in reversed(f[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+def vij_mass(q: int, v: int) -> float:
+    """P[V = v] for the valuation of a Haar-random ring element restricted
+    to being finite: geometric with ratio 1/q, mass (1 - 1/q) * q^-v."""
+    _require_q(q)
+    if v < 0:
+        return 0.0
+    return (1.0 - 1.0 / q) * q ** (-float(v))
+
+
+def simulate_wi_2x2(p: int, trials: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Row-pivot profile (W_1, W_2) for random 2x2 matrices: W_1 is the
+    minimal valuation in row 1, and W_1 + W_2 = v(det).  Trials where the
+    determinant's valuation is undeterminable at precision K are dropped."""
+    eng = Engine(p)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    m = eng.random(rng, (trials, 2, 2))
+    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    if eng.modulus is not None:
+        det %= eng.modulus
+    w1 = np.minimum(eng.vals(m[:, 0, 0]), eng.vals(m[:, 0, 1]))
+    vdet = eng.vals(det)
+    keep = (vdet < eng.K) & (w1 < eng.K)
+    return w1[keep], (vdet - w1)[keep]
 
 
 PRIMES = [2, 3, 5, 2**31 - 1]

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import stats as scistats
 
 import oracles
-from conftest import elem_matches_fraction, flat_from_ints, random_int_rows
+from conftest import elem_matches_fraction, flat_from_ints, random_int_rows, simulate_wi_2x2, vij_mass
 from dvrlu.config import DvrConfig
 from dvrlu.element import PrecElem
 from dvrlu.errors import AmbiguousValuation, DegenerateInput, DvrError
@@ -42,9 +42,7 @@ from dvrlu.stats import (
     det_val_mean,
     expected_vl_alternating,
     expected_vl_series,
-    simulate_wi_2x2,
     tail_frequency,
-    vij_mass,
     vl_expectation_interval,
     vl_tail_bound,
     vl_upper_tail,

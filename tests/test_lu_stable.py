@@ -8,7 +8,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from conftest import elem_matches_fraction, flat_from_ints, random_int_rows, residue_matrices
+from conftest import (
+    elem_matches_fraction,
+    flat_from_ints,
+    random_int_rows,
+    residue_matrices,
+    vl_of_lower,
+)
 from dvrlu import (
     AmbiguousValuation,
     Backend,
@@ -36,7 +42,7 @@ from dvrlu import (
     vij_statistics,
 )
 from dvrlu import lu_stable
-from dvrlu.lu_stable import vl_of_lower, working_precision
+from dvrlu.lu_stable import working_precision
 from dvrlu.series import SeriesElem
 
 CFG = DvrConfig(p=5, prec=10)
@@ -427,6 +433,23 @@ def test_scalar_eliminations_refuse_series_entries(fn):
                      for _ in range(4)] for _ in range(4)])
     with pytest.raises(ValueError, match=f"^{fn.__name__} needs PrecElem entries, got SeriesElem$"):
         fn(m)
+
+
+@pytest.mark.parametrize("conv", [lv_to_l, hermite_from_lv], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "split", [lv_decomposition, lambda m: recursive_lv(m, threshold=1)],
+    ids=["lv_decomposition", "recursive_lv"],
+)
+def test_lv_conversions_refuse_series_entries(split, conv):
+    # both splits run on series entries; the conversions read scalar
+    # valuations of L' and H', and refuse as stable_l does
+    cfg = DvrConfig(p=5, prec=6)
+    rng = random.Random(3)
+    m = PrecMatrix([[SeriesElem(cfg, [PrecElem.random(cfg, rng) for _ in range(2)])
+                     for _ in range(3)] for _ in range(3)])
+    out = split(m)
+    with pytest.raises(ValueError, match=f"^{conv.__name__} needs PrecElem entries, got SeriesElem$"):
+        conv(out)
 
 
 def test_unit_minor_input_has_zero_col_vals():

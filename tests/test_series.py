@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from conftest import rings, tracked_elements
+from conftest import rings, series_constant, tracked_elements
 from dvrlu import DivisionByUnknownZero, DvrConfig, PrecElem
 from dvrlu.series import SeriesElem
 
@@ -20,7 +20,7 @@ def ser(*vals, order=None):
 
 
 def test_constant_embeds_scalar():
-    c = SeriesElem.constant(PrecElem.from_int(CFG, 3, abs_prec=8), 4, 8)
+    c = series_constant(PrecElem.from_int(CFG, 3, abs_prec=8), 4, 8)
     assert c.order == 4
     assert c.coeffs[0].representative() == 3
     assert all(x.is_zeroish for x in c.coeffs[1:])

@@ -35,10 +35,8 @@ from dvrlu.sheaf import (
     block_type_from_exponents,
     build_divisors,
     poly_divmod,
-    poly_eval,
     poly_mul,
     poly_pow,
-    poly_sub,
     poly_to_series,
     random_instance,
     scalar_poly_matmul,
@@ -48,12 +46,18 @@ from dvrlu.sheaf import (
     solve_sheaf,
     solve_with_omega,
     taylor_coeffs,
-    taylor_unshift,
     verify_local_equivalence,
 )
 from dvrlu.simul import SimulFailure, required_v
 
-from conftest import flat_from_ints, rings, tracked_elements
+from conftest import (
+    flat_from_ints,
+    poly_eval,
+    poly_sub,
+    rings,
+    series_constant,
+    tracked_elements,
+)
 
 CFG = DvrConfig(p=5, prec=12)
 
@@ -137,7 +141,7 @@ def test_taylor_shift_roundtrip(coeffs, a):
     assert len(shifted) == len(f)
     # constant term of the shift is evaluation at the point
     assert shifted[0] == poly_eval(f, pt)
-    back = taylor_unshift(shifted, pt, _one())
+    back = series_to_poly(SeriesElem(CFG, shifted), pt)
     _assert_poly_zeroish(poly_sub(back, f))
 
 
@@ -154,8 +158,20 @@ def test_poly_series_roundtrip():
     a = PrecElem.from_int(CFG, 3, abs_prec=12)
     s = poly_to_series(f, a, 4, 12)
     assert isinstance(s, SeriesElem) and s.order == 4
-    back = series_to_poly(s, a, _one())
+    back = series_to_poly(s, a)
     _assert_poly_zeroish(poly_sub(back, f))
+
+
+def test_series_to_poly_keeps_digits_beyond_prec():
+    # X - a has an exact leading 1, so the shift keeps every digit of a
+    # coefficient known beyond N: 11*2^-1 + O(2^7) stays as it is, where a
+    # product with 1 + O(2^N) would cut it to 11*2^-1 + O(2^4)
+    cfg = DvrConfig(p=2, prec=5)
+    c = [PrecElem.unit_form(cfg, 0, 1, 1), PrecElem.unit_form(cfg, -1, 11, 8), PrecElem.bigoh(cfg, 8)]
+    a = PrecElem.from_int(cfg, 10, abs_prec=5)
+    got = series_to_poly(SeriesElem(cfg, c), a)
+    assert repr(got[1]) == "11*2^-1 + O(2^7)"
+    assert got[1] == c[1]
 
 
 def test_poly_to_series_truncates_high_order():
@@ -254,11 +270,11 @@ def test_random_instance_properties():
 def test_sheaf_instance_validation():
     cfg = DvrConfig(p=5, prec=8)
     a = PrecElem.from_int(cfg, 1, abs_prec=8)
-    ent = SeriesElem.constant(PrecElem.from_int(cfg, 1, abs_prec=8), 2, 8)
+    ent = series_constant(PrecElem.from_int(cfg, 1, abs_prec=8), 2, 8)
     good = PrecMatrix([[ent, ent], [ent, ent]])
     with pytest.raises(ValueError):
         SheafInstance(cfg, [SheafPoint(a, [0], good)])  # exponent count
-    short = SeriesElem.constant(PrecElem.from_int(cfg, 1, abs_prec=8), 3, 8)
+    short = series_constant(PrecElem.from_int(cfg, 1, abs_prec=8), 3, 8)
     bad = PrecMatrix([[ent, ent], [ent, short]])
     with pytest.raises(ValueError):
         SheafInstance(cfg, [SheafPoint(a, [0, 1], bad)])
@@ -286,7 +302,7 @@ def test_sheaf_instance_json_roundtrip():
 
 def test_series_matrix_json_rejects_length_mismatch():
     cfg = DvrConfig(p=5, prec=8)
-    ent = SeriesElem.constant(PrecElem.from_int(cfg, 2, abs_prec=8), 2, 8)
+    ent = series_constant(PrecElem.from_int(cfg, 2, abs_prec=8), 2, 8)
     m = PrecMatrix([[ent]])
     obj = series_matrix_to_json(m)
     obj["order"] = 3
@@ -426,7 +442,7 @@ def _padded_series_product(omega, m, n):
     """omega * M_m as a product of series matrices, omega padded to
     constant series with O(pi^n), a padding that is not an exact zero."""
     order = m[0, 0].order
-    return matmul(omega.map(lambda e: SeriesElem.constant(e, order, n)), m).cap_abs(n)
+    return matmul(omega.map(lambda e: series_constant(e, order, n)), m).cap_abs(n)
 
 
 @pytest.mark.parametrize("case", ["kernel", "negative-valuation", "short-coefficient", "series-ring"])

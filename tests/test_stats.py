@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import simulate_wi_2x2, vij_mass
 from dvrlu.config import DvrConfig, is_prime
 from dvrlu.element import PrecElem
 from dvrlu.errors import AmbiguousValuation
@@ -40,9 +41,7 @@ from dvrlu.stats import (
     pi_q,
     simulate,
     simulate_matrices,
-    simulate_wi_2x2,
     tail_frequency,
-    vij_mass,
     vl_centerings,
     vl_expectation_interval,
     vl_tail_bound,
