@@ -473,10 +473,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    except (NotSorted, CoincidentPoints) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (NotSorted, CoincidentPoints, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ExhaustedRetries as exc:
@@ -488,9 +485,6 @@ def main(argv=None) -> int:
             msg += f" (suggested precision: {exc.required_prec})"
         print(msg, file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ The module's functions:
 * :func:`ints` reads a matrix as residues mod pi^N, or refuses it.  It
   refuses an entry that is not a :class:`~dvrlu.element.PrecElem` (the
   sheaf factors' ``SeriesElem``), an entry of negative valuation, an entry
-  known to fewer than N digits, entries of more than one ring object and
+  known to fewer than N digits, entries of unequal configs and
   N < 1, which all stay on the object path.  :func:`exact` reads matrices,
   by rows or by columns, for an elimination: it also refuses an entry
   known to more than N digits, whose further digits the object path reads.
@@ -71,12 +71,13 @@ from .matrix import PrecMatrix
 
 def ints(lines: Iterable[Sequence], n: int, cfg: DvrConfig) -> Optional[list[list[int]]]:
     """The entries as stored ints mod pi^n, one list per line, or None unless
-    every entry is an integral element of ring cfg known to precision >= n."""
+    every entry is an integral element of a config equal to cfg known to precision >= n."""
     if n < 1:
         return None
     out = []
     for line in lines:
-        row = [e.residue(n) if type(e) is PrecElem and e.cfg is cfg else None for e in line]
+        row = [e.residue(n) if type(e) is PrecElem and (e.cfg is cfg or e.cfg == cfg) else None
+               for e in line]
         if None in row:
             return None
         out.append(row)

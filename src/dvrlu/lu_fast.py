@@ -44,7 +44,7 @@ from typing import Sequence
 
 from . import kernel
 from .lu_stable import LvOutput, lv_decomposition
-from .lu_stable import _flattened, _square_dim, _val_or_none
+from .lu_stable import _flattened, _lv_output, _square_dim
 from .matrix import PrecMatrix
 
 _MUL_COUNT = 0
@@ -346,14 +346,11 @@ def recursive_lv(
         raise ValueError(f"unknown multiplication algorithm {algo!r}")
     if threshold < 1:
         raise ValueError(f"threshold must be at least 1, got {threshold}")
-    d = _square_dim(m)
+    _square_dim(m)
     flat, n = _flattened(m)
     read = kernel.exact(n, flat.rows)
     if read is None:
         return lv_decomposition(m)
     cfg, (rows,) = read
     r = _Residues(cfg, n, algo)
-    lp, vp, hp, wp = map(r.elements, _lv(rows, threshold, r))
-    col_val = [_val_or_none(hp[j, j]) for j in range(d)]
-    degenerate = any(lp[j, j].is_zeroish for j in range(d))
-    return LvOutput(lp=lp, vp=vp, hp=hp, wp=wp, col_val=col_val, degenerate=degenerate)
+    return _lv_output(*map(r.elements, _lv(rows, threshold, r)))

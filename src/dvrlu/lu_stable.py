@@ -132,7 +132,7 @@ def _pivot_step(omega: PrecMatrix, i: int, j: int, n: int, *extras: PrecMatrix) 
 
 
 # ---------------------------------------------------------------------------
-# valuation profile (no factor)
+# valuation profile and full-pivot determinant (no factor)
 # ---------------------------------------------------------------------------
 
 
@@ -231,6 +231,66 @@ def _vl_bound(quotients):
     if not hidden or min(hidden) >= known_min:
         return -known_min
     return (-known_min, -min(hidden))
+
+
+def _schur(rows: list[list[PrecElem]], r: int, c: int) -> list[list[PrecElem]]:
+    """The Schur complement of the unit-form pivot ``rows[r][c]``: rows and
+    column c without row r, less ``(a[i][c] / piv) * a[r][j]``."""
+    piv, prow = rows[r][c], rows[r]
+    out = []
+    for i, row in enumerate(rows):
+        if i != r:
+            q = row[c] / piv
+            out.append([x - q * y for k, (x, y) in enumerate(zip(row, prow)) if k != c])
+    return out
+
+
+def _pivots(rows: list[list[PrecElem]]) -> list[tuple[int, int]]:
+    """The unit-form entries of a square block, best pivot first: full
+    pivoting by valuation, ties to the larger relative precision."""
+    keyed = [
+        ((e.valuation, -e.rel_prec), i, j)
+        for i, row in enumerate(rows) for j, e in enumerate(row) if not e.is_zeroish
+    ]
+    return [(i, j) for _, i, j in sorted(keyed)]
+
+
+def _greedy_det(rows: list[list[PrecElem]], first: int) -> PrecElem | None:
+    """Signed product of the pivots that take candidate ``first`` of
+    :func:`_pivots` at the first step and the best one after, or None once
+    a remaining block has no such candidate."""
+    det, k = None, first
+    while rows:
+        cands = _pivots(rows)
+        if len(cands) <= k:
+            return None
+        r, c = cands[k]
+        piv = -rows[r][c] if (r + c) % 2 else rows[r][c]
+        det = piv if det is None else det * piv
+        rows, k = _schur(rows, r, c), 0
+    return det
+
+
+def _pivoted_det(m: PrecMatrix) -> PrecElem | None:
+    """Determinant of a small scalar matrix by full-pivot elimination in
+    element arithmetic, or None when it is indeterminate.
+
+    Every entry keeps its own precision -- nothing is flattened -- so
+    entries of negative valuation and ``O(pi^k)`` with k <= 0 are fine.  The
+    determinant is determinable when every pivot is distinguishable from
+    zero, and it is then the signed product of the pivots.  The greedy order
+    of :func:`_pivots` takes O(d^3) operations; when it ends on a block with
+    no unit-form entry, each other first pivot is tried before giving up
+    (O(d^5), on indeterminate input only), since on uneven precision the
+    order decides how far errors spread.
+    """
+    rows = [list(r) for r in m.rows]
+    det = None
+    for first in range(len(_pivots(rows))):
+        det = _greedy_det(rows, first)
+        if det is not None:
+            break
+    return det
 
 
 # ---------------------------------------------------------------------------
@@ -593,8 +653,13 @@ def lv_decomposition(m: PrecMatrix) -> LvOutput:
             lp[r, j] = at(0, r, j)
             vp[r, j] = at(1, r, j)
     hp, wp = (PrecMatrix([[at(x, r, c) for c in range(d)] for r in range(d)]) for x in (0, 1))
-    col_val = [_val_or_none(hp[j, j]) for j in range(d)]
-    degenerate = any(lp[j, j].is_zeroish for j in range(d))
+    return _lv_output(lp, vp, hp, wp)
+
+
+def _lv_output(lp: PrecMatrix, vp: PrecMatrix, hp: PrecMatrix, wp: PrecMatrix) -> LvOutput:
+    """The LvOutput of (L', V', H', W'), col_val and degenerate read off."""
+    col_val = [_val_or_none(hp[j, j]) for j in range(hp.nrows)]
+    degenerate = any(lp[j, j].is_zeroish for j in range(lp.nrows))
     return LvOutput(lp=lp, vp=vp, hp=hp, wp=wp, col_val=col_val, degenerate=degenerate)
 
 

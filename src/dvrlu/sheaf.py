@@ -29,7 +29,7 @@ from .config import Backend, DvrConfig
 from .element import PrecElem, _fields, _json_int
 from .errors import AmbiguousValuation, CoincidentPoints, DvrError, NotSorted
 from .lu_fast import _capped
-from .lu_stable import _lower_solve, block_l_unitlower
+from .lu_stable import _lower_solve, _pivoted_det, block_l_unitlower
 from .matrix import PrecMatrix, random_matrix
 from .series import SeriesElem, _convolve, _elements
 from .simul import SimulFailure, _certify, _det_unit_detectable, _retry, required_v
@@ -484,66 +484,6 @@ def solve_sheaf(
 # ---------------------------------------------------------------------------
 
 
-def _schur(rows: list[list[PrecElem]], r: int, c: int) -> list[list[PrecElem]]:
-    """The Schur complement of the unit-form pivot ``rows[r][c]``: rows and
-    column c without row r, less ``(a[i][c] / piv) * a[r][j]``."""
-    piv, prow = rows[r][c], rows[r]
-    out = []
-    for i, row in enumerate(rows):
-        if i != r:
-            q = row[c] / piv
-            out.append([x - q * y for k, (x, y) in enumerate(zip(row, prow)) if k != c])
-    return out
-
-
-def _pivots(rows: list[list[PrecElem]]) -> list[tuple[int, int]]:
-    """The unit-form entries of a square block, best pivot first: full
-    pivoting by valuation, ties to the larger relative precision."""
-    keyed = [
-        ((e.valuation, -e.rel_prec), i, j)
-        for i, row in enumerate(rows) for j, e in enumerate(row) if not e.is_zeroish
-    ]
-    return [(i, j) for _, i, j in sorted(keyed)]
-
-
-def _greedy_det(rows: list[list[PrecElem]], first: int) -> PrecElem | None:
-    """Signed product of the pivots that take candidate ``first`` of
-    :func:`_pivots` at the first step and the best one after, or None once
-    a remaining block has no such candidate."""
-    det, k = None, first
-    while rows:
-        cands = _pivots(rows)
-        if len(cands) <= k:
-            return None
-        r, c = cands[k]
-        piv = -rows[r][c] if (r + c) % 2 else rows[r][c]
-        det = piv if det is None else det * piv
-        rows, k = _schur(rows, r, c), 0
-    return det
-
-
-def _pivoted_det(m: PrecMatrix) -> PrecElem | None:
-    """Determinant of a small scalar matrix by full-pivot elimination in
-    element arithmetic, or None when it is indeterminate.
-
-    Every entry keeps its own precision -- nothing is flattened -- so
-    entries of negative valuation and ``O(pi^k)`` with k <= 0 are fine.  The
-    determinant is determinable when every pivot is distinguishable from
-    zero, and it is then the signed product of the pivots.  The greedy order
-    of :func:`_pivots` takes O(d^3) operations; when it ends on a block with
-    no unit-form entry, each other first pivot is tried before giving up
-    (O(d^5), on indeterminate input only), since on uneven precision the
-    order decides how far errors spread.
-    """
-    rows = [list(r) for r in m.rows]
-    det = None
-    for first in range(len(_pivots(rows))):
-        det = _greedy_det(rows, first)
-        if det is not None:
-            break
-    return det
-
-
 def _det_bound(b: list[list[float]]) -> float:
     """A bound on the valuation of ``det(1 + E) - 1`` for a square E whose
     entries have valuation >= ``b[i][j]``: when the result is >= 1, so is
@@ -630,8 +570,9 @@ def verify_local_equivalence(inst: SheafInstance, basis: GlobalBasis) -> VerifyR
       ``M = omega^{-1} L`` with L unit lower).
     * The divisor chain ``D_j | D_{j+1}`` holds.
 
-    Scalar determinants come from :func:`_pivoted_det`; a check that cannot
-    be decided to working precision fails, with a note, and nothing raises.
+    Scalar determinants come from :func:`~dvrlu.lu_stable._pivoted_det`,
+    which :func:`dvrlu.simul._certify` reads too; a check that cannot be
+    decided to working precision fails, with a note, and nothing raises.
     """
     cfg = inst.cfg
     n = cfg.prec

@@ -7,9 +7,9 @@ failure probability, that
 * omega is invertible and every entry of omega^-1 has valuation >= -v;
 * for every m, the block unit lower triangular factor L_m of omega * M_m
   exists and every entry has valuation >= -v (membership in p^-v R);
-* whenever M_m is detectably invertible over the ring (determinant
-  valuation 0), the factor's entries are known at absolute precision at
-  least N - 2v.
+* whenever M_m is detectably invertible (its full-pivot determinant
+  :func:`~dvrlu.lu_stable._pivoted_det` is determinable with valuation 0),
+  the factor's entries are known at absolute precision at least N - 2v.
 
 One draw succeeds with probability >= 1 - eps when v = required_v(...); the
 driver retries with fresh draws until success.  The certificate and the
@@ -29,11 +29,11 @@ from .errors import DvrError, DegenerateInput, ExhaustedRetries
 from .lu_fast import _capped, matmul
 from .lu_stable import (
     LvOutput,
+    _pivoted_det,
     _require_digits,
     block_l,
     lower_triangular_inverse,
     lv_decomposition,
-    vij_statistics,
 )
 from .element import _json_int
 from .matrix import PrecMatrix, random_matrix
@@ -109,19 +109,19 @@ def invert_via_lv(m: PrecMatrix) -> tuple[PrecMatrix, LvOutput]:
 
 
 def _det_unit_detectable(m: PrecMatrix) -> bool:
-    try:
-        return vij_statistics(m).det_val == 0
-    except DvrError:
-        return False
+    """Whether m's full-pivot determinant is determinable and a unit."""
+    det = _pivoted_det(m)
+    return det is not None and det.valuation == 0
 
 
 def _certify(omega: PrecMatrix, v: int, n: int, items):
     """The certificate of one draw of omega at budget v and precision n.
 
-    Each item pairs a member's factor as a function of omega with the matrix
-    whose detectably unit determinant demands precision n - 2v of that
-    factor.  Returns (omega^-1, factors), or the SimulFailure of the first
-    check that does not hold.
+    Each item pairs a member's factor as a function of omega with the
+    scalar matrix whose full-pivot determinant, when determinable with
+    valuation 0 (read only for a factor below the bound), demands precision
+    n - 2v of that factor.  Returns (omega^-1, factors), or the
+    SimulFailure of the first check that does not hold.
     """
     try:
         omega_inv, _ = invert_via_lv(omega)

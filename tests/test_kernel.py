@@ -427,6 +427,22 @@ def test_entry_known_beyond_n_stays_off_kernel():
     assert got[0][-1] == (0, 2)
 
 
+@pytest.mark.parametrize("name", ["stable_l", "lv_decomposition", "vij_statistics", "block_l"])
+def test_equal_configs_stay_on_kernel(name):
+    # row 0 carries a second DvrConfig equal to the others': one ring, so
+    # the kernel takes the matrix and the output is the one-config run's
+    n, d = 12, 6
+    rng = random.Random(8)
+    ints = [[rng.randrange(5**n) for _ in range(d)] for _ in range(d)]
+    cfg, twin = DvrConfig(p=5, prec=n), DvrConfig(p=5, prec=n)
+    one = flat_from_ints(cfg, ints)
+    mixed = PrecMatrix([flat_from_ints(twin, ints[:1]).rows[0], *one.rows[1:]])
+    assert twin is not cfg
+    on_objects, got = _ran_on_objects(ELIMINATIONS[name], mixed)
+    assert not on_objects and got == _outcome(ELIMINATIONS[name], one)
+    assert kernel.capped_products(one, [mixed], n) == kernel.capped_products(one, [one], n)
+
+
 def _simul_outcome(cfg, family, seed):
     """simultaneous_block_lu's result and product count."""
     start = lu_fast.get_mul_count()

@@ -20,7 +20,7 @@ from dvrlu.errors import (
     NotSorted,
 )
 from dvrlu.lu_fast import get_mul_count, matmul
-from dvrlu.lu_stable import lower_triangular_inverse, vij_statistics
+from dvrlu.lu_stable import _greedy_det, _pivoted_det, lower_triangular_inverse, vij_statistics
 from dvrlu.matrix import PrecMatrix, random_matrix
 from dvrlu.series import SeriesElem
 from dvrlu.sheaf import (
@@ -28,10 +28,8 @@ from dvrlu.sheaf import (
     GlobalBasis,
     SheafInstance,
     SheafPoint,
-    _greedy_det,
     _local_factor,
     _local_product,
-    _pivoted_det,
     block_type_from_exponents,
     build_divisors,
     poly_divmod,

@@ -240,7 +240,11 @@ def test_attempt_factor_stage_failure(monkeypatch):
 @pytest.mark.parametrize("rows, detectable", [
     ([[1, 0], [0, 1]], True),
     ([[5, 0], [0, 1]], False),  # v(det) = 1
-    ([[0, 0], [1, 1]], False),  # row 0 is O(5^10): the elimination's swap test raises
+    ([[0, 0], [1, 1]], False),  # row 0 is O(5^10): det is indeterminate
+    # unit determinants whose entries (0, 0) and (0, 1) are O(5^10): a
+    # column elimination's first swap test cannot decide, full pivoting can
+    ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], True),  # anti-identity, det -1
+    ([[0, 0, 1], [1, 0, 0], [0, 1, 0]], True),  # cyclic permutation, det 1
 ])
 def test_det_unit_gate(rows, detectable):
     assert simul._det_unit_detectable(flat_from_ints(DvrConfig(p=5, prec=10), rows)) is detectable
@@ -267,6 +271,26 @@ def test_factor_precision_reads_the_gate_only_below_the_bound(
     else:
         assert isinstance(got, SimulFailure)
         assert (got.stage, got.matrix_index) == (stage, 0)
+
+
+def test_unit_member_with_zero_leading_entries_keeps_its_floor():
+    # the anti-identity has det -1 but entries (0, 0) and (0, 1) are
+    # O(2^6), so only a full-pivot determinant finds it a unit; at v = 3
+    # three of these draws give a factor below N - 2v = 0, which the
+    # certificate must refuse
+    n = 6
+    cfg = DvrConfig(p=2, prec=n)
+    anti = flat_from_ints(cfg, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    v = required_v(2, [3], 0.5)
+    rng = random.Random(7)
+    stages = []
+    for _ in range(400):
+        got = attempt_simultaneous(cfg, [(anti, [1, 1, 1])], v, rng)
+        if isinstance(got, SimulFailure):
+            stages.append(got.stage)
+        else:
+            assert all(f.lower.min_abs_prec() >= n - 2 * v for f in got.factors)
+    assert "factor-precision" in stages
 
 
 # ---------------------------------------------------------------------------
