@@ -15,12 +15,22 @@ digits.  The backend decides the layout and therefore the arithmetic:
 Both expose the same methods, all taking and returning stored ints:
 ``add``, ``neg``, ``mul`` and ``inv`` keep n digits, ``shift`` multiplies by
 pi^k and ``unshift`` divides a multiple of pi^k by it, ``strip`` splits off
-the valuation of a nonzero value, ``trunc`` keeps n digits, ``sub_scaled``
-is the column update ``[x - s*y mod pi^n]`` of the flat elimination and
-``product`` the matrix product mod pi^n of the integer kernel
+the valuation of a nonzero value (ValueError for 0), ``trunc`` keeps n
+digits, ``sub_scaled`` is the column update ``[x - s*y]`` of the flat
+elimination and ``reduced`` the reduction mod pi^n of the values it
+returns, ``product`` is the matrix product mod pi^n of the integer kernel
 (:mod:`dvrlu.kernel`), and ``encode``/``decode`` convert from/to the public
 base-p packing.  :class:`~dvrlu.config.DvrConfig` picks the object once per
 ring: one per p for ``Z_p``, one per slot layout for ``F_p[[t]]``.
+
+``sub_scaled`` takes x of n digits, or an earlier ``sub_scaled`` result on
+``Z_p``, and y and s of n digits.  On ``Z_p`` it returns ``x - s*y`` itself,
+unreduced: a column updated j times holds ints of absolute value below
+(j+1)*p^(2n), and the kernel reduces the column once, with ``reduced``,
+instead of one big-int modulo per entry per step.  ``F_p[[t]]`` cannot
+defer: a slot holds only about two unreduced slot products (the slot width
+is sized for the precision, see :class:`SeriesDigits`), so its update keeps
+its one slot-wise reduction, and ``reduced`` returns its values as they are.
 """
 
 from __future__ import annotations
@@ -80,8 +90,11 @@ class PadicDigits:
         return x // pw(self.p, k)
 
     def sub_scaled(self, xs: list[int], ys: list[int], s: int, n: int) -> list[int]:
+        return [a - s * b for a, b in zip(xs, ys)]
+
+    def reduced(self, xs: list[int], n: int) -> list[int]:
         pn = pw(self.p, n)
-        return [(a - s * b) % pn for a, b in zip(xs, ys)]
+        return [x % pn for x in xs]
 
     def product(self, rows: list[list[int]], cols: list[list[int]], n: int) -> list[list[int]]:
         # one reduction per entry, of the exact sum in ascending index
@@ -89,6 +102,8 @@ class PadicDigits:
         return [[sum(map(_times, r, c)) % pn for c in cols] for r in rows]
 
     def strip(self, x: int) -> tuple[int, int]:
+        if not x:
+            raise ValueError("strip needs a nonzero value")
         p = self.p
         v = 0
         while x % p == 0:
@@ -220,6 +235,9 @@ class SeriesDigits:
             for a, b in zip(xs, ys)
         ]
 
+    def reduced(self, xs: list[int], n: int) -> list[int]:
+        return xs
+
     def product(self, rows: list[list[int]], cols: list[list[int]], n: int) -> list[list[int]]:
         # A slot of a sum of g = CAP // n slot products is at most
         # g*n*(p-1)^2 <= CAP*(p-1)^2 < 2^b, so the terms are summed raw g
@@ -240,6 +258,8 @@ class SeriesDigits:
                  for c in cols] for r in rows]
 
     def strip(self, x: int) -> tuple[int, int]:
+        if not x:
+            raise ValueError("strip needs a nonzero value")
         v = ((x & -x).bit_length() - 1) // self.w
         return v, x >> (v * self.w)
 

@@ -36,6 +36,23 @@ omega[i, i]:
 batches of ``Z_p`` residues; it differs only in that it flags the trials of
 a batch that meet the both-zero case instead of raising.
 
+Where columns are reduced
+-------------------------
+On ``Z_p`` the update of column j leaves its entries unreduced (the
+digit-ops object's ``sub_scaled``; ``F_p[[t]]`` reduces them), and a step
+reduces only the entry it decides on: the swap test, ``strip``, the pivot
+cache and the scalar read reduced values.  Column j is reduced mod pi^N
+once, after the last step on it, and before a swap makes it the pivot
+column i.  The caller of :func:`stepper` says which step is the last: the
+end of round j in :func:`dvrlu.lu_stable._eliminate` and in the leaves of
+:func:`dvrlu.lu_fast.recursive_lv`, the end of a band column in its band
+steps, which run column by column.  So a pivot column is always reduced, a
+column at rest holds the canonical ints :func:`elements` expects, and an
+entry read in mid-round is reduced before it is read.  The update of omega
+runs on rows i..d-1 only: the rows above i are 0 mod pi^N in both columns
+(cleared by the steps above, and a pivot column is reduced), so they stay
+0 mod pi^N.  The accumulated transforms are updated on every row.
+
 The module's functions:
 
 * :func:`ints` reads a matrix as residues mod pi^N, or refuses it.  It
@@ -47,8 +64,10 @@ The module's functions:
   known to more than N digits, whose further digits the object path reads.
 * :func:`stepper` is one step (i, j) above, swap rule and raise included;
   :func:`dvrlu.lu_stable._eliminate` runs it as the elimination above.
-  The two pieces that differ by ring, dividing out pi^v and the column
-  update, are the digit-ops object's ``unshift`` and ``sub_scaled``.
+  The pieces that differ by ring, dividing out pi^v, the column update and
+  its reduction, are the digit-ops object's ``unshift``, ``sub_scaled``
+  and ``reduced``.  A step replaces the columns it changes, never changes
+  one in place, so a caller may keep a column as a snapshot.
 * :func:`capped_products` is ``matmul(a, b).cap_abs(N)`` on the digit-ops
   object's ``product``, for one or more right operands b, reading a once.
   :func:`dvrlu.lu_fast._capped` is its one caller and says which products
@@ -118,17 +137,21 @@ def elements(cfg: DvrConfig, n: int) -> Callable[[int], PrecElem]:
     return elem
 
 
-def stepper(n: int, cfg: DvrConfig) -> Callable[[Sequence[list], int, int], None]:
-    """step(mats, i, j) runs step (i, j) of the flat elimination over ring
-    cfg on mats[0], given as columns of residues mod pi^n, and applies its
-    swap and update to every column list of mats (accumulated transforms).
+def stepper(n: int, cfg: DvrConfig) -> Callable[[Sequence[list], int, int, bool], None]:
+    """step(mats, i, j, last) runs step (i, j) of the flat elimination over
+    ring cfg on mats[0], given as columns of residues mod pi^n, and applies
+    its swap and update to every column list of mats (accumulated
+    transforms); last says that no further step updates column j.
 
-    The step replaces columns, never changes one in place.  Raises
-    AmbiguousValuation when the swap comparison has both operands 0 mod pi^n.
-    Pivot data is cached per residue for the life of the returned function.
+    The step replaces the columns it changes, never changes one in place,
+    and reduces and updates them as "Where columns are reduced" says.
+    Raises AmbiguousValuation when the swap comparison has both operands
+    0 mod pi^n.  Pivot data is cached per residue for the life of the
+    returned function.
     """
     ops = cfg.ops
-    strip, unshift, mul, update = ops.strip, ops.unshift, ops.mul, ops.sub_scaled
+    strip, unshift, mul, trunc = ops.strip, ops.unshift, ops.mul, ops.trunc
+    update, reduced = ops.sub_scaled, ops.reduced
     pivots: dict[int, tuple[int, int]] = {}
 
     def pivot(x: int) -> tuple[int, int]:
@@ -139,21 +162,25 @@ def stepper(n: int, cfg: DvrConfig) -> Callable[[Sequence[list], int, int], None
             got = pivots[x] = (v, ops.inv(u, n - v))
         return got
 
-    def step(mats: Sequence[list[list[int]]], i: int, j: int) -> None:
+    def step(mats: Sequence[list[list[int]]], i: int, j: int, last: bool) -> None:
         cols = mats[0]
-        e, piv = cols[j][i], cols[i][i]
+        e, piv = trunc(cols[j][i], n), cols[i][i]
         if piv == 0 and e == 0:  # undecided: raises AmbiguousValuation
             valuation_less(PrecElem.bigoh(cfg, n), PrecElem.bigoh(cfg, n))
         if piv == 0 or (e != 0 and strip(e)[0] < pivot(piv)[0]):
             for x in mats:
-                x[i], x[j] = x[j], x[i]
+                x[i], x[j] = reduced(x[j], n), x[i]
             e, piv = piv, e
-        if e == 0:
-            return
-        v, inv = pivot(piv)
-        s = mul(unshift(e, v), inv, n - v)
-        for x in mats:
-            x[j] = update(x[j], x[i], s, n)
+        if e != 0:
+            v, inv = pivot(piv)
+            s = mul(unshift(e, v), inv, n - v)
+            col = cols[j]
+            cols[j] = col[:i] + update(col[i:], cols[i][i:], s, n)
+            for x in mats[1:]:
+                x[j] = update(x[j], x[i], s, n)
+        if last:
+            for x in mats:
+                x[j] = reduced(x[j], n)
 
     return step
 

@@ -14,9 +14,10 @@ matrix products.  Two facts make that possible:
   (earlier rows of a column first; a column fully processed before it is
   used as a pivot column), and all nice orders produce the same output, so
   clearing whole bands at a time is just a reordering.  So is clearing a
-  band of k rows by its scalar steps (i, c), i < k <= c, in row-major
-  order, which :func:`recursive_lv` does for its leaves and for the bands
-  of at most ``threshold`` rows.
+  band of k rows by its scalar steps (i, c), i < k <= c, column by column
+  (each column's k steps in row order, so the kernel reduces it once, at
+  its last step), which :func:`recursive_lv` does for the bands of at most
+  ``threshold`` rows; its leaves run the square rounds.
 
 :func:`recursive_lv` runs on residues (:class:`_Residues`): the input is
 read once as stored ints mod pi^N (:func:`dvrlu.kernel.exact`), the leaves'
@@ -172,9 +173,9 @@ class _Residues:
     def band(self, x: list[list[int]], y: list[list[int]]) -> tuple[list[list[int]], ...]:
         k, cols = len(x), _transposed(_hstack(x, y))
         t = _identity(len(cols))  # by columns
-        for i in range(k):
-            for c in range(k, len(cols)):
-                self.step((cols, t), i, c)
+        for c in range(k, len(cols)):
+            for i in range(k):
+                self.step((cols, t), i, c, i == k - 1)
         return _transposed(cols[:k]), _transposed(t)
 
     def leaf(self, m: list[list[int]]) -> tuple[list[list[int]], ...]:
@@ -182,7 +183,7 @@ class _Residues:
         lp, vp = [], []
         for j in range(len(cols)):
             for i in range(j):
-                self.step((cols, w), i, j)
+                self.step((cols, w), i, j, i == j - 1)
             lp.append(cols[j])  # columns are replaced, so this is round j's state
             vp.append(w[j])
         return tuple(map(_transposed, (lp, vp, cols, w)))

@@ -54,7 +54,7 @@ from typing import Optional, Sequence
 
 from . import kernel
 from .digits import PadicDigits
-from .element import PrecElem, _fields, _neg, _plus, _times, valuation_less
+from .element import PrecElem, _fields, _neg, _plus, _refuse_mixed, _times, valuation_less
 from .errors import (
     DegenerateDecomposition,
     DegenerateInput,
@@ -201,7 +201,7 @@ def vij_statistics(m: PrecMatrix) -> VijProfile:
     quotients = []  # (numerator, pivot valuation) below each round's pivot
     vl_defined = True
     pivot = None  # entry (i, i) before step (i, j)
-    for i, j, at in _eliminate(m.copy(), n):
+    for i, j, at, col in _eliminate(m.copy(), n):
         # only a swap changes column i - 1 in step (i - 1, j)
         if i and at(0, i - 1, i - 1) != pivot:
             prof.swaps.append((i - 1, j))
@@ -214,7 +214,7 @@ def vij_statistics(m: PrecMatrix) -> VijProfile:
             piv = at(0, j, j)
             vl_defined = vl_defined and not piv.is_zeroish
             if vl_defined:
-                quotients += [(at(0, r, j), piv.valuation) for r in range(j + 1, d)]
+                quotients += [(e, piv.valuation) for e in col(0, j)[j + 1:]]
     prof.det_val = prof.boundary_sums[-1]
     prof.vl = _vl_bound(quotients) if vl_defined else None
     return prof
@@ -499,8 +499,30 @@ def _divide_by(den):
     return lambda x: x * inv
 
 
-def _quotient_column(lower: PrecMatrix, j: int, num, den, v_round: int, n: int) -> None:
-    """Set lower[i, j] = num(i) / den for i > j, each capped at its
+def _quotients(xs: Sequence[PrecElem], den: PrecElem, caps) -> list[PrecElem]:
+    """``[(x / den).cap_abs(c) for x, c in zip(xs, caps)]`` for scalar
+    entries, field for field.  den is inverted once, x / den is x * den^-1
+    (:func:`_divide_by`), and the product and its cap run on fields: the
+    product of fields (v, u, r) keeps the smaller relative precision r, so
+    capped at c it keeps k = min(r, c - v) digits, or is
+    O(pi^min(v + r, c)) when k < 1."""
+    iv, iu, ir = (den.like_one(den.rel_prec) / den)._f
+    ops = den.cfg.ops
+    out = []
+    for x, c in zip(xs, caps):
+        if x.cfg.ops is not ops:
+            _refuse_mixed(x.cfg, den.cfg)
+        xv, xu, xr = x._f
+        v, r = xv + iv, xr if xr < ir else ir
+        k = r if r < c - v else c - v
+        out.append(PrecElem(x.cfg, (v, ops.mul(xu, iu, k), k)) if k > 0
+                   else PrecElem.bigoh(x.cfg, v + r if v + r < c else c))
+    return out
+
+
+def _quotient_column(lower: PrecMatrix, j: int, col: Sequence[PrecElem], den: PrecElem,
+                     v_round: int, n: int) -> None:
+    """Set lower[i, j] = col[i] / den for i > j, each capped at its
     guaranteed absolute precision.
 
     The cap is N - v_round - max(0, v(den) - w), with w the numerator
@@ -509,10 +531,10 @@ def _quotient_column(lower: PrecMatrix, j: int, num, den, v_round: int, n: int) 
     natural precision; capping (never raising) keeps the claim honest for
     arbitrary inputs.
     """
-    div, vd = _divide_by(den), den.valuation
-    for i in range(j + 1, lower.nrows):
-        e = num(i)
-        lower[i, j] = div(e).cap_abs(n - v_round - max(0, vd - e.val_lower_bound))
+    nums, vd = col[j + 1:], den.valuation
+    caps = [n - v_round - max(0, vd - e.val_lower_bound) for e in nums]
+    for i, q in enumerate(_quotients(nums, den, caps), j + 1):
+        lower[i, j] = q
 
 
 def stable_l(m: PrecMatrix) -> StableL:
@@ -537,7 +559,7 @@ def stable_l(m: PrecMatrix) -> StableL:
     omega, n = _flattened(m)
     lower = PrecMatrix.identity_like(m, d, n)
     col_vals = []
-    for i, j, at in _eliminate(omega, n):
+    for i, j, at, col in _eliminate(omega, n):
         if i < j:
             continue
         v = _minor_val(at, j)
@@ -546,36 +568,43 @@ def stable_l(m: PrecMatrix) -> StableL:
                 f"leading minor indistinguishable from zero after round {j}"
             )
         col_vals.append(v)
-        _quotient_column(lower, j, lambda i: at(0, i, j), at(0, j, j), v, n)
+        _quotient_column(lower, j, col(0, j), at(0, j, j), v, n)
     return StableL(lower=lower, col_vals=col_vals, n=n)
 
 
 def _eliminate(omega: PrecMatrix, n: int, *extras: PrecMatrix):
     """Run the pivoted elimination of square omega (and the extras),
-    yielding (i, j, at) before each step (i, j) and (j, j, at) once round j
-    is done; at(x, r, c) is entry (r, c) of (omega, *extras)[x] then.
+    yielding (i, j, at, col) before each step (i, j) and (j, j, at, col)
+    once round j is done.  at(x, r, c) is entry (r, c) of
+    (omega, *extras)[x] then, and col(x, c) the list of column c's entries,
+    for any column at a (j, j) yield and any column but j before step
+    (i, j).
 
     The steps are :func:`~dvrlu.kernel.stepper` on the columns when
     :func:`~dvrlu.kernel.exact` takes omega's and the extras' columns, and
     :func:`_pivot_step` otherwise; either way a step runs only when asked
     for, and its errors are the object path's.  On the kernel the matrices
-    are left as they were, so every entry is read through ``at``.
+    are left as they were, so every entry is read through ``at`` or
+    ``col``; ``at`` reduces the entry it reads, since column j holds
+    unreduced residues in mid-round.
     """
     mats = (omega, *extras)
     on_kernel = kernel.exact(n, *(list(zip(*x.rows)) for x in mats))
     if on_kernel is None:
         at = lambda x, r, c: mats[x][r, c]
+        col = lambda x, c: [row[c] for row in mats[x].rows]
         step = lambda i, j: _pivot_step(omega, i, j, n, *extras)
     else:
         cfg, colsets = on_kernel
-        elem, kernel_step = kernel.elements(cfg, n), kernel.stepper(n, cfg)
-        at = lambda x, r, c: elem(colsets[x][c][r])
-        step = lambda i, j: kernel_step(colsets, i, j)
+        elem, kernel_step, trunc = kernel.elements(cfg, n), kernel.stepper(n, cfg), cfg.ops.trunc
+        at = lambda x, r, c: elem(trunc(colsets[x][c][r], n))
+        col = lambda x, c: list(map(elem, colsets[x][c]))
+        step = lambda i, j: kernel_step(colsets, i, j, i == j - 1)
     for j in range(omega.nrows):
         for i in range(j):
-            yield i, j, at
+            yield i, j, at, col
             step(i, j)
-        yield j, j, at
+        yield j, j, at, col
 
 
 def precision_loss(lower: PrecMatrix, n: int) -> int:
@@ -643,17 +672,13 @@ def lv_decomposition(m: PrecMatrix) -> LvOutput:
     """
     d = _square_dim(m)
     omega, n = _flattened(m)
-    wp = PrecMatrix.identity_like(m, d, n)
-    lp = PrecMatrix.zero_like(m, d, d, n)
-    vp = PrecMatrix.zero_like(m, d, d, n)
-    for i, j, at in _eliminate(omega, n, wp):
-        if i < j:
-            continue
-        for r in range(d):
-            lp[r, j] = at(0, r, j)
-            vp[r, j] = at(1, r, j)
-    hp, wp = (PrecMatrix([[at(x, r, c) for c in range(d)] for r in range(d)]) for x in (0, 1))
-    return _lv_output(lp, vp, hp, wp)
+    lp, vp = [], []  # by columns
+    for i, j, _, col in _eliminate(omega, n, PrecMatrix.identity_like(m, d, n)):
+        if i == j:
+            lp.append(col(0, j))
+            vp.append(col(1, j))
+    hp, wp = ([col(x, c) for c in range(d)] for x in (0, 1))
+    return _lv_output(*(PrecMatrix(list(zip(*cols))) for cols in (lp, vp, hp, wp)))
 
 
 def _lv_output(lp: PrecMatrix, vp: PrecMatrix, hp: PrecMatrix, wp: PrecMatrix) -> LvOutput:
@@ -688,7 +713,7 @@ def lv_to_l(out: LvOutput) -> PrecMatrix:
             raise DegenerateDecomposition(
                 f"leading minor at column {j} indistinguishable from zero"
             )
-        _quotient_column(lower, j, lambda i: out.lp[i, j], lkk, v, n)
+        _quotient_column(lower, j, [row[j] for row in out.lp.rows], lkk, v, n)
     return lower
 
 
@@ -716,10 +741,10 @@ def hermite_from_lv(out: LvOutput) -> PrecMatrix:
             )
         vj = hjj.valuation
         uj = hjj / PrecElem.unit_form(proto.cfg, vj, 1, hjj.rel_prec)
-        div = _divide_by(uj)
         h[j, j] = PrecElem.unit_form(proto.cfg, vj, 1, n - vj)
-        for i in range(j + 1, d):
-            h[i, j] = div(out.hp[i, j]).cap_abs(n - vj)
+        below = [row[j] for row in out.hp.rows[j + 1:]]
+        for i, e in enumerate(_quotients(below, uj, [n - vj] * len(below)), j + 1):
+            h[i, j] = e
     return h
 
 
@@ -815,7 +840,7 @@ def _block_elimination(m: PrecMatrix, block_sizes: Sequence[int], clear: bool) -
     block_vals = []
     j0 = 0
     boundaries = set(itertools.accumulate(block_sizes))
-    for i, j, at in _eliminate(omega, n):
+    for i, j, at, col in _eliminate(omega, n):
         if i == j and j + 1 in boundaries:
             hi = j + 1  # block spans columns j0..hi-1
             # normalize: L's block columns are omega's scaled by the pivot
@@ -826,8 +851,8 @@ def _block_elimination(m: PrecMatrix, block_sizes: Sequence[int], clear: bool) -
                         f"block pivot at column {jp} indistinguishable from zero"
                     )
                 div = _divide_by(piv)
-                for r in range(d):
-                    lower[r, jp] = div(at(0, r, jp))
+                for r, e in enumerate(col(0, jp)):
+                    lower[r, jp] = div(e)
             if clear:
                 # make the diagonal block an identity: subtract the other
                 # block columns one at a time, re-reading updated entries

@@ -8,10 +8,13 @@ once on element fields, and the loops that run it one element at a time:
 :func:`naive_elimination` and the series and polynomial products and
 quotient, the references for the package's loops on entry fields, and the
 Laplace-expansion determinants (:func:`poly_det`, :func:`scalar_det`), the
-reference for the sheaf verification's polynomial-time checks.  The
-elimination oracle mirrors the pivoted column elimination over the field of
-fractions, so the package's finite-precision answers can be checked digit
-by digit against ground truth; the determinant and minor helpers give a
+reference for the sheaf verification's polynomial-time checks, and
+:func:`eager_stepper`, the step of the flat elimination on residues with
+every entry reduced at every step, the reference for the package's step,
+which leaves entries unreduced in mid-round.  The elimination oracle
+mirrors the pivoted column elimination over the field of fractions, so the
+package's finite-precision answers can be checked digit by digit against
+ground truth; the determinant and minor helpers give a
 second, independent route to the same quantities (Cramer quotients, principal
 minor valuations) so the oracle itself is cross-checked.  The nice-order
 helpers at the end specify the reorderings of the elimination that
@@ -546,6 +549,58 @@ def scalar_det(m):
 
 
 # ---------------------------------------------------------------------------
+# one step of the flat elimination on residues, reducing every entry
+# ---------------------------------------------------------------------------
+
+
+def eager_stepper(n: int, cfg):
+    """step(mats, i, j) runs step (i, j) of the flat elimination over ring
+    cfg on mats[0], given as columns of residues mod pi^n, and applies its
+    swap and update to every column list of mats (accumulated transforms).
+
+    The reference for ``dvrlu.kernel.stepper``: every entry of every column
+    it writes is reduced mod pi^n, every row of every column is updated, and
+    the column update is the ring's add, neg and mul.  The step replaces
+    columns, never changes one in place.  Raises AmbiguousValuation when the
+    swap comparison has both operands 0 mod pi^n.
+    """
+    from dvrlu.element import PrecElem, valuation_less
+
+    ops = cfg.ops
+    strip, unshift, mul = ops.strip, ops.unshift, ops.mul
+    pivots = {}
+
+    def update(xs, ys, s, n):
+        return [ops.add(a, ops.neg(mul(s, b, n), n), n) for a, b in zip(xs, ys)]
+
+    def pivot(x):
+        # v and the unit's inverse mod pi^(n - v), for x != 0
+        got = pivots.get(x)
+        if got is None:
+            v, u = strip(x)
+            got = pivots[x] = (v, ops.inv(u, n - v))
+        return got
+
+    def step(mats, i, j):
+        cols = mats[0]
+        e, piv = cols[j][i], cols[i][i]
+        if piv == 0 and e == 0:  # undecided: raises AmbiguousValuation
+            valuation_less(PrecElem.bigoh(cfg, n), PrecElem.bigoh(cfg, n))
+        if piv == 0 or (e != 0 and strip(e)[0] < pivot(piv)[0]):
+            for x in mats:
+                x[i], x[j] = x[j], x[i]
+            e, piv = piv, e
+        if e == 0:
+            return
+        v, inv = pivot(piv)
+        s = mul(unshift(e, v), inv, n - v)
+        for x in mats:
+            x[j] = update(x[j], x[i], s, n)
+
+    return step
+
+
+# ---------------------------------------------------------------------------
 # elimination orders
 # ---------------------------------------------------------------------------
 
@@ -575,7 +630,7 @@ def is_nice_order(pairs: Sequence[tuple[int, int]], d: int) -> bool:
 
 def elimination_order(d: int, threshold: int = 32) -> list[tuple[int, int]]:
     """The global order in which :func:`recursive_lv` clears positions of
-    an integral input (its bands of at most threshold rows by row-major
+    an integral input (its bands of at most threshold rows by column-major
     scalar steps).
 
     Raises ValueError when threshold is below 1, as recursive_lv does.
@@ -591,7 +646,7 @@ def elimination_order(d: int, threshold: int = 32) -> list[tuple[int, int]]:
         if w == 0:
             return []
         if k <= threshold:
-            return [(row, yc) for row in rows for yc in ycols]
+            return [(row, yc) for yc in ycols for row in rows]
         c, w1 = k // 2, w // 2
         return (
             band(rows[:c], ycols[:w1])

@@ -419,6 +419,17 @@ def test_series_slots_are_sized_for_the_precision(p, prec):
     assert ops.CAP * (p - 1) ** 2 < 1 << ops.b
 
 
+@pytest.mark.parametrize("backend", list(Backend))
+@pytest.mark.parametrize("p", [2, 5])
+def test_strip_refuses_zero(backend, p):
+    # 0 has no valuation to split off; on Z_p the loop dividing by p would
+    # never end
+    ops = DvrConfig(p=p, prec=10, backend=backend).ops
+    with pytest.raises(ValueError, match="strip needs a nonzero value"):
+        ops.strip(0)
+    assert ops.strip(ops.shift(ops.encode(p + 1), 3)) == (3, ops.encode(p + 1))
+
+
 def test_series_configs_share_ops_by_layout():
     # w = 23 at p = 5, N = 30 (the lu_series benchmark) against 37 for
     # products of 4096-digit operands

@@ -114,9 +114,25 @@ BAND_RAISES = flat_from_ints(DvrConfig(p=2, prec=1, backend=Backend.SERIES),
                              [[0, 0, 0], [0, 1, 1], [1, 1, 1]], 1)
 
 
+def _zero_heavy_z2(n, seed, d=20):
+    """A flat Z_2 matrix at N = n, about half of whose entries are 0 and
+    the others often divisible by a power of 2: long rounds with many
+    swaps in mid-round."""
+    rng = random.Random(seed)
+    entry = lambda: rng.randrange(2**n) * 2 ** rng.choice([0, 0, 1, 2, n // 2]) % 2**n
+    rows = [[0 if rng.random() < 0.5 else entry() for _ in range(d)] for _ in range(d)]
+    return flat_from_ints(DvrConfig(p=2, prec=n), rows, n)
+
+
 @pytest.mark.parametrize("name", ELIMINATIONS)
 @given(m=residue_matrices())
 @example(m=BAND_RAISES)
+# vij_statistics reads entry (i, j) before step (i, j), in mid-round: 24
+# and 34 swaps, and stable_l finds a zero leading minor in the second; in
+# the Z_3 matrix it reads entry (1, 2) at 1 - 4*7 = -27, which is 0 mod 3^2
+@example(m=_zero_heavy_z2(16, 15))
+@example(m=_zero_heavy_z2(10, 10))
+@example(m=flat_from_ints(DvrConfig(p=3, prec=2), [[1, 0, 4], [7, 1, 1], [0, 0, 1]], 2))
 def test_kernel_matches_object_path(name, m):
     fn = ELIMINATIONS[name]
     with counting(kernel, "stepper") as on_kernel:
@@ -304,6 +320,101 @@ def test_recursive_lv_strassen_bands_run_on_kernel(backend):
     with counting(kernel, "stepper") as on_kernel:
         on_objects, _ = _ran_on_objects(strassen, m)
     assert on_kernel and not on_objects
+
+
+def _stored(cfg, n, x):
+    """Whether x is a stored int of n digits: in [0, p^n) on Z_p, n slots
+    each below p on F_p[[t]]."""
+    ops = cfg.ops
+    return 0 <= ops.decode(x) < cfg.p**n and ops.encode(ops.decode(x)) == x
+
+
+def _raised(fn):
+    """The type and message of what fn() raised, or None."""
+    try:
+        fn()
+    except AmbiguousValuation as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _assert_steps_agree(cfg, n, omega, k):
+    """Run the kernel's step and the oracles' eager one side by side on the
+    columns omega, with a transform: square rounds (k = 0), or a band whose
+    first k columns are lower triangular.  Columns the step leaves at rest
+    (its pivot column, column j after the last step on it) must be equal
+    and stored ints of n digits; column j in mid-round must be equal mod
+    pi^n, and on Z_p each of its ints below (updates + 1) * p^(2n) in
+    absolute value.  Both must raise alike."""
+    ops, p, d = cfg.ops, cfg.p, len(omega)
+    ident = [[int(r == c) for r in range(d)] for c in range(d)]
+    if k:
+        steps = [(i, c, i == k - 1) for c in range(k, d) for i in range(k)]
+    else:
+        steps = [(i, j, i == j - 1) for j in range(d) for i in range(j)]
+    mine, ref = ([[list(col) for col in m] for m in (omega, ident)] for _ in range(2))
+    lazy, eager = kernel.stepper(n, cfg), oracles.eager_stepper(n, cfg)
+    for i, j, last in steps:
+        raised = _raised(lambda: lazy(mine, i, j, last))
+        assert raised == _raised(lambda: eager(ref, i, j))
+        if raised:
+            return raised
+        for a, b in zip(mine, ref):
+            assert a[i] == b[i]
+            if last:
+                assert a[j] == b[j] and all(_stored(cfg, n, x) for x in a[j])
+            else:
+                assert [ops.trunc(x, n) for x in a[j]] == b[j]
+                assert cfg.backend is Backend.SERIES or max(map(abs, a[j])) < (i + 2) * p ** (2 * n)
+    if k:
+        # the column-major band is the row-major band, and is the band step
+        # of recursive_lv
+        rows = [[list(col) for col in m] for m in (omega, ident)]
+        for i, c in ((i, c) for i in range(k) for c in range(k, d)):
+            eager(rows, i, c)
+        assert mine == rows
+        x, y = (lu_fast._transposed(cols) for cols in (omega[:k], omega[k:]))
+        band = lu_fast._Residues(cfg, n, "classical").band(x, y)
+        assert band == (lu_fast._transposed(mine[0][:k]), lu_fast._transposed(mine[1]))
+    return None
+
+
+@given(
+    backend=st.sampled_from(Backend),
+    p=st.sampled_from([2, 3, 5, 7]),
+    n=st.integers(1, 100),
+    d=st.integers(1, 24),
+    k=st.integers(0, 24),
+    zeros=st.sampled_from([0.0, 0.3, 0.7]),
+    seed=st.integers(0, 2**32),
+)
+def test_stepper_matches_eager_stepper(backend, p, n, d, k, zeros, seed):
+    # zero-heavy entries make swaps and undecided comparisons come up in
+    # mid-round; k % d = 0 runs square rounds
+    cfg = DvrConfig(p=p, prec=n, backend=backend)
+    rng, k = random.Random(seed), k % d
+
+    def entry():
+        if rng.random() < zeros:
+            return 0
+        return cfg.ops.encode(rng.randrange(p**n) * p ** rng.choice([0, 0, 1, 2, n // 2]) % p**n)
+
+    omega = [[entry() if r >= c or c >= k else 0 for r in range(k or d)] for c in range(d)]
+    _assert_steps_agree(cfg, n, omega, k)
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_stepper_decides_on_the_reduced_entry(k):
+    # Z_3 at N = 1, by columns.  Step (0, 2) leaves entry (1, 2) at
+    # 1 - 2*2 = -3, 0 mod 3 but not 0, against the zero pivot (1, 1): step
+    # (1, 2) compares two zeros and raises.  As a band of k = 2 rows the
+    # first two columns are lower triangular and the same steps run.
+    cfg = DvrConfig(p=3, prec=1)
+    omega = [[1, 2, 0], [0, 0, 1], [2, 1, 0]]
+    if k:
+        omega = [col[:2] for col in omega]
+    raised = _assert_steps_agree(cfg, 1, omega, k)
+    assert raised[0] is AmbiguousValuation and "both indistinguishable from zero" in raised[1]
 
 
 def _cleared(clear):
