@@ -55,13 +55,13 @@ runs on rows i..d-1 only: the rows above i are 0 mod pi^N in both columns
 
 The module's functions:
 
-* :func:`ints` reads a matrix as residues mod pi^N, or refuses it.  It
-  refuses an entry that is not a :class:`~dvrlu.element.PrecElem` (the
-  sheaf factors' ``SeriesElem``), an entry of negative valuation, an entry
-  known to fewer than N digits, entries of unequal configs and
-  N < 1, which all stay on the object path.  :func:`exact` reads matrices,
-  by rows or by columns, for an elimination: it also refuses an entry
-  known to more than N digits, whose further digits the object path reads.
+* :func:`ints`, the one reader, reads a matrix as residues mod pi^N, or
+  refuses it.  It reads an entry known beyond N mod pi^N, as that entry
+  capped at N (:func:`dvrlu.lu_stable._flattened`).  It refuses an entry
+  that is not a :class:`~dvrlu.element.PrecElem` (the sheaf factors'
+  ``SeriesElem``), an entry of negative valuation, an entry known to fewer
+  than N digits, entries of unequal configs and N < 1, which all stay on
+  the object path.
 * :func:`stepper` is one step (i, j) above, swap rule and raise included;
   :func:`dvrlu.lu_stable._eliminate` runs it as the elimination above.
   The pieces that differ by ring, dividing out pi^v, the column update and
@@ -90,7 +90,8 @@ from .matrix import PrecMatrix
 
 def ints(lines: Iterable[Sequence], n: int, cfg: DvrConfig) -> Optional[list[list[int]]]:
     """The entries as stored ints mod pi^n, one list per line, or None unless
-    every entry is an integral element of a config equal to cfg known to precision >= n."""
+    every entry is an integral element of a config equal to cfg known to precision >= n
+    (an entry known beyond n reads as ``e.cap_abs(n)`` does)."""
     if n < 1:
         return None
     out = []
@@ -101,19 +102,6 @@ def ints(lines: Iterable[Sequence], n: int, cfg: DvrConfig) -> Optional[list[lis
             return None
         out.append(row)
     return out
-
-
-def exact(n: int, *mats: Sequence[Sequence]) -> Optional[tuple[DvrConfig, list[list[list[int]]]]]:
-    """The ring of the first entry of mats[0] and each of mats, given as
-    lists of rows or of columns, as ints mod pi^n, or None when that entry
-    is not a :class:`PrecElem`, an entry is not known to exactly n (the
-    object path reads further digits) or :func:`ints` refuses a matrix in
-    that ring."""
-    e = mats[0][0][0]
-    if type(e) is not PrecElem or any(x.abs_prec != n for m in mats for line in m for x in line):
-        return None
-    out = [ints(m, n, e.cfg) for m in mats]
-    return None if None in out else (e.cfg, out)
 
 
 def elements(cfg: DvrConfig, n: int) -> Callable[[int], PrecElem]:

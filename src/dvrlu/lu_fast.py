@@ -20,11 +20,11 @@ matrix products.  Two facts make that possible:
   ``threshold`` rows; its leaves run the square rounds.
 
 :func:`recursive_lv` runs on residues (:class:`_Residues`): the input is
-read once as stored ints mod pi^N (:func:`dvrlu.kernel.exact`), the leaves'
-rounds and the band steps run on :func:`dvrlu.kernel.stepper`, the products
-on the ring's digit-ops ``product`` (or :func:`_strassen`) counted as the
-element products they stand for, and elements are built once, for the
-output.  Strassen's recursion is exact mod pi^N too, so it changes the
+read once as stored ints mod pi^N (:func:`dvrlu.lu_stable._flattened`),
+the leaves' rounds and the band steps run on :func:`dvrlu.kernel.stepper`,
+the products on the ring's digit-ops ``product`` (or :func:`_strassen`)
+counted as the element products they stand for, and elements are built
+once, for the output.  Strassen's recursion is exact mod pi^N too, so it changes the
 count, never the output.  Input the kernel refuses (``SeriesElem`` entries,
 an entry of negative valuation) takes the scalar elimination the recursion
 reproduces, :func:`~dvrlu.lu_stable.lv_decomposition`.
@@ -45,7 +45,7 @@ from typing import Sequence
 
 from . import kernel
 from .lu_stable import LvOutput, lv_decomposition
-from .lu_stable import _flattened, _lv_output, _square_dim
+from .lu_stable import _flattened, _identity, _lv_output, _square_dim
 from .matrix import PrecMatrix
 
 _MUL_COUNT = 0
@@ -138,10 +138,6 @@ def _strassen(ops, a: list[list[int]], b: list[list[int]], n: int, cutoff: int) 
 # ---------------------------------------------------------------------------
 # residues
 # ---------------------------------------------------------------------------
-
-
-def _identity(size: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(size)] for i in range(size)]
 
 
 def _transposed(m: Sequence[Sequence]) -> list[list]:
@@ -348,10 +344,8 @@ def recursive_lv(
     if threshold < 1:
         raise ValueError(f"threshold must be at least 1, got {threshold}")
     _square_dim(m)
-    flat, n = _flattened(m)
-    read = kernel.exact(n, flat.rows)
-    if read is None:
+    _, n, cols = _flattened(m)
+    if cols is None:
         return lv_decomposition(m)
-    cfg, (rows,) = read
-    r = _Residues(cfg, n, algo)
-    return _lv_output(*map(r.elements, _lv(rows, threshold, r)))
+    r = _Residues(m.rows[0][0].cfg, n, algo)
+    return _lv_output(*map(r.elements, _lv(_transposed(cols), threshold, r)))

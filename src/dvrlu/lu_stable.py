@@ -11,8 +11,8 @@ precision N this keeps *every* intermediate entry at absolute precision
 exactly N (the update subtracts a term of absolute precision >= N from an
 entry of absolute precision N), which is what the precision guarantees — and
 the bit-identical fast variants — rely on.  So every elimination that
-returns a factor first caps its input to the smallest entry precision N
-(:func:`_flattened`): a cleared entry is exactly zero only up to the
+returns a factor works on its input capped to the smallest entry precision
+N (:func:`_flattened`): a cleared entry is exactly zero only up to the
 precision of its row.
 
 That step — swap test, pivot guard, re-lifted scalar, column update — is
@@ -20,10 +20,12 @@ That step — swap test, pivot guard, re-lifted scalar, column update — is
 elements, and :func:`_eliminate`, its only caller, is the one round loop:
 every elimination here reads its yields.
 
-On flat integral input :func:`_eliminate` runs its steps on the integer
-kernel; :mod:`dvrlu.kernel` says which input takes it.  The naive
-elimination under :func:`naive_gauss_l` and :func:`lift_recompute_l` is not
-flat; it runs on entry fields (:func:`_naive_elimination`).
+On integral input :func:`_eliminate` runs its steps on the integer kernel,
+on the residues mod pi^N :func:`_flattened` reads (:func:`vij_statistics`,
+which reads entries uncapped, only when each is known to exactly N);
+:mod:`dvrlu.kernel` says which input takes it.  The naive elimination under
+:func:`naive_gauss_l` and :func:`lift_recompute_l` is not flat; it runs on
+entry fields (:func:`_naive_elimination`).
 
 Provided algorithms:
 
@@ -96,17 +98,28 @@ def _require_digits(n: int) -> int:
     return n
 
 
-def _flattened(m: PrecMatrix) -> tuple[PrecMatrix, int]:
-    """A copy of m capped to its smallest entry precision N, and N.
+def _flattened(m: PrecMatrix) -> tuple[PrecMatrix, int, Optional[list[list[int]]]]:
+    """(omega, N, cols): m at its smallest entry precision N, for
+    :func:`_eliminate`.
 
-    The eliminations that return a factor work on this copy at precision N:
-    a cleared entry is treated as exactly zero, which it is only up to the
-    precision of its row, so a digit beyond the smallest precision cannot be
-    claimed.  Flat input comes back unchanged.  Raises ValueError when N is
-    below 1 (an entry of negative valuation known to precision <= 0).
+    The eliminations that return a factor work on m capped at N: a cleared
+    entry is treated as exactly zero, which it is only up to the precision
+    of its row, so a digit beyond the smallest precision cannot be claimed.
+    cols is m's columns as residues mod pi^N, read once by
+    :func:`~dvrlu.kernel.ints`, which reads an entry as if capped at N, and
+    omega is m itself, which the kernel never changes; or, when the kernel
+    refuses m, cols is None and omega a copy of m capped at N.
+    :func:`vij_statistics` reads entries uncapped, so it reads m itself.
+    Raises ValueError when N is below 1 (an entry of negative valuation
+    known to precision <= 0).
     """
     n = _require_digits(m.min_abs_prec())
-    return m.cap_abs(n), n
+    cols = kernel.ints(zip(*m.rows), n, m.rows[0][0].cfg)
+    return (m if cols is not None else m.cap_abs(n)), n, cols
+
+
+def _identity(size: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(size)] for i in range(size)]
 
 
 def _pivot_step(omega: PrecMatrix, i: int, j: int, n: int, *extras: PrecMatrix) -> None:
@@ -196,12 +209,15 @@ def vij_statistics(m: PrecMatrix) -> VijProfile:
     N is below 1.
     """
     d = _scalar_dim(m, "vij_statistics")
-    n = _require_digits(m.min_abs_prec())
+    precs = {e.abs_prec for row in m.rows for e in row}
+    n = _require_digits(min(precs))
+    # an entry known beyond N keeps its further digits on the object path
+    cols = kernel.ints(zip(*m.rows), n, m.rows[0][0].cfg) if len(precs) == 1 else None
     prof = VijProfile()
     quotients = []  # (numerator, pivot valuation) below each round's pivot
     vl_defined = True
     pivot = None  # entry (i, i) before step (i, j)
-    for i, j, at, col in _eliminate(m.copy(), n):
+    for i, j, at, col in _eliminate(m if cols is not None else m.copy(), n, cols):
         # only a swap changes column i - 1 in step (i - 1, j)
         if i and at(0, i - 1, i - 1) != pivot:
             prof.swaps.append((i - 1, j))
@@ -430,12 +446,13 @@ def lift_recompute_l(m: PrecMatrix, extra: Optional[int] = None) -> PrecMatrix:
     if extra is not None and extra < 0:
         raise ValueError(f"extra must be non-negative, got {extra}")
     d = _scalar_dim(m, "lift_recompute_l")
-    flat, n = _flattened(m)
+    n = _require_digits(m.min_abs_prec())
     q = m.rows[0][0].cfg.q
     if extra is None:
         extra = max(1, math.ceil(2 * d / q))
     n_hi = n + extra
-    lifted = flat.lift_to_precision(n_hi)
+    # digits beyond N are not claimed: pad m capped at N, not m
+    lifted = m.cap_abs(n).lift_to_precision(n_hi)
     try:
         lower, pivot_vals = _naive_elimination(lifted)
     except DivisionByUnknownZero as exc:
@@ -488,24 +505,13 @@ class StableL:
     n: int
 
 
-def _divide_by(den):
-    """x -> x / den, field for field.  A scalar den is inverted once:
-    x * den^-1 equals x / den.  A series den keeps the long division per
-    entry, whose tracked precision the product with the inverse does not
-    always reproduce."""
-    if type(den) is not PrecElem:
-        return lambda x: x / den
-    inv = den.like_one(den.rel_prec) / den
-    return lambda x: x * inv
-
-
 def _quotients(xs: Sequence[PrecElem], den: PrecElem, caps) -> list[PrecElem]:
     """``[(x / den).cap_abs(c) for x, c in zip(xs, caps)]`` for scalar
-    entries, field for field.  den is inverted once, x / den is x * den^-1
-    (:func:`_divide_by`), and the product and its cap run on fields: the
-    product of fields (v, u, r) keeps the smaller relative precision r, so
-    capped at c it keeps k = min(r, c - v) digits, or is
-    O(pi^min(v + r, c)) when k < 1."""
+    entries, field for field.  den is inverted once, x / den is x * den^-1,
+    and the product and its cap run on fields: the product of fields
+    (v, u, r) keeps the smaller relative precision r, so capped at c it
+    keeps k = min(r, c - v) digits, or is O(pi^min(v + r, c)) when k < 1.
+    A cap of ``math.inf`` leaves the product ``x * den^-1`` as it is."""
     iv, iu, ir = (den.like_one(den.rel_prec) / den)._f
     ops = den.cfg.ops
     out = []
@@ -556,10 +562,10 @@ def stable_l(m: PrecMatrix) -> StableL:
         ValueError: an entry is not a PrecElem.
     """
     d = _scalar_dim(m, "stable_l")
-    omega, n = _flattened(m)
+    omega, n, cols = _flattened(m)
     lower = PrecMatrix.identity_like(m, d, n)
     col_vals = []
-    for i, j, at, col in _eliminate(omega, n):
+    for i, j, at, col in _eliminate(omega, n, cols):
         if i < j:
             continue
         v = _minor_val(at, j)
@@ -572,35 +578,36 @@ def stable_l(m: PrecMatrix) -> StableL:
     return StableL(lower=lower, col_vals=col_vals, n=n)
 
 
-def _eliminate(omega: PrecMatrix, n: int, *extras: PrecMatrix):
-    """Run the pivoted elimination of square omega (and the extras),
-    yielding (i, j, at, col) before each step (i, j) and (j, j, at, col)
-    once round j is done.  at(x, r, c) is entry (r, c) of
-    (omega, *extras)[x] then, and col(x, c) the list of column c's entries,
-    for any column at a (j, j) yield and any column but j before step
-    (i, j).
+def _eliminate(omega: PrecMatrix, n: int, cols: Optional[list[list[int]]],
+               transform: bool = False):
+    """Run the pivoted elimination of square omega (and, with transform,
+    of the accumulated transform from the identity), yielding (i, j, at, col)
+    before each step (i, j) and (j, j, at, col) once round j is done.
+    at(x, r, c) is entry (r, c) of omega (x = 0) or the transform (x = 1)
+    then, and col(x, c) the list of column c's entries, for any column at a
+    (j, j) yield and any column but j before step (i, j).
 
-    The steps are :func:`~dvrlu.kernel.stepper` on the columns when
-    :func:`~dvrlu.kernel.exact` takes omega's and the extras' columns, and
-    :func:`_pivot_step` otherwise; either way a step runs only when asked
-    for, and its errors are the object path's.  On the kernel the matrices
-    are left as they were, so every entry is read through ``at`` or
-    ``col``; ``at`` reduces the entry it reads, since column j holds
-    unreduced residues in mid-round.
+    The steps are :func:`~dvrlu.kernel.stepper` on cols, omega's residues
+    (:func:`_flattened`), or :func:`_pivot_step` on omega when cols is
+    None; either way a step runs only when asked for, and its errors are
+    the object path's.  On the kernel omega is left as it was, so every
+    entry is read through ``at`` or ``col``; ``at`` reduces the entry it
+    reads, since column j holds unreduced residues in mid-round.
     """
-    mats = (omega, *extras)
-    on_kernel = kernel.exact(n, *(list(zip(*x.rows)) for x in mats))
-    if on_kernel is None:
+    d = omega.nrows
+    if cols is None:
+        mats = (omega, PrecMatrix.identity_like(omega, d, n)) if transform else (omega,)
         at = lambda x, r, c: mats[x][r, c]
         col = lambda x, c: [row[c] for row in mats[x].rows]
-        step = lambda i, j: _pivot_step(omega, i, j, n, *extras)
+        step = lambda i, j: _pivot_step(omega, i, j, n, *mats[1:])
     else:
-        cfg, colsets = on_kernel
+        cfg = omega.rows[0][0].cfg
+        colsets = (cols, _identity(d)) if transform else (cols,)
         elem, kernel_step, trunc = kernel.elements(cfg, n), kernel.stepper(n, cfg), cfg.ops.trunc
         at = lambda x, r, c: elem(trunc(colsets[x][c][r], n))
         col = lambda x, c: list(map(elem, colsets[x][c]))
         step = lambda i, j: kernel_step(colsets, i, j, i == j - 1)
-    for j in range(omega.nrows):
+    for j in range(d):
         for i in range(j):
             yield i, j, at, col
             step(i, j)
@@ -671,9 +678,9 @@ def lv_decomposition(m: PrecMatrix) -> LvOutput:
     swap comparison raises (AmbiguousValuation).
     """
     d = _square_dim(m)
-    omega, n = _flattened(m)
+    omega, n, cols = _flattened(m)
     lp, vp = [], []  # by columns
-    for i, j, _, col in _eliminate(omega, n, PrecMatrix.identity_like(m, d, n)):
+    for i, j, _, col in _eliminate(omega, n, cols, transform=True):
         if i == j:
             lp.append(col(0, j))
             vp.append(col(1, j))
@@ -835,12 +842,12 @@ def _block_elimination(m: PrecMatrix, block_sizes: Sequence[int], clear: bool) -
     d = _square_dim(m)
     if any(b < 1 for b in block_sizes) or sum(block_sizes) != d:
         raise ValueError(f"block sizes {list(block_sizes)} do not tile dimension {d}")
-    omega, n = _flattened(m)
+    omega, n, cols = _flattened(m)
     lower = PrecMatrix.zero_like(m, d, d, n)
     block_vals = []
     j0 = 0
     boundaries = set(itertools.accumulate(block_sizes))
-    for i, j, at, col in _eliminate(omega, n):
+    for i, j, at, col in _eliminate(omega, n, cols):
         if i == j and j + 1 in boundaries:
             hi = j + 1  # block spans columns j0..hi-1
             # normalize: L's block columns are omega's scaled by the pivot
@@ -850,9 +857,15 @@ def _block_elimination(m: PrecMatrix, block_sizes: Sequence[int], clear: bool) -
                     raise DegenerateInput(
                         f"block pivot at column {jp} indistinguishable from zero"
                     )
-                div = _divide_by(piv)
-                for r, e in enumerate(col(0, jp)):
-                    lower[r, jp] = div(e)
+                # uncapped: a pivot of negative valuation lifts x / piv above
+                # N; a series keeps the long division, whose precision
+                # x * piv^-1 does not always reproduce
+                if type(piv) is PrecElem:
+                    quots = _quotients(col(0, jp), piv, itertools.repeat(math.inf))
+                else:
+                    quots = [e / piv for e in col(0, jp)]
+                for r, e in enumerate(quots):
+                    lower[r, jp] = e
             if clear:
                 # make the diagonal block an identity: subtract the other
                 # block columns one at a time, re-reading updated entries

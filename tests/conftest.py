@@ -27,7 +27,8 @@ def clear_band(x: PrecMatrix, y: PrecMatrix, n: int, cut: int = 1) -> tuple[Prec
     """(Xf, T) of the band [X | Y], flat and integral at n, cleared on its
     residues by recursive_lv's band step, recursing down to bands of cut
     rows."""
-    cfg, (xr, yr) = kernel.exact(n, x.rows, y.rows)
+    cfg = x.rows[0][0].cfg
+    xr, yr = (kernel.ints(z.rows, n, cfg) for z in (x, y))
     r = lu_fast._Residues(cfg, n, "classical")
     return tuple(map(r.elements, lu_fast._clear(xr, yr, r, cut)))
 

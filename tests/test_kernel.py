@@ -147,12 +147,59 @@ def test_kernel_matches_object_path(name, m):
     assert on_kernel and not on_objects
 
 
+@pytest.mark.parametrize("name", ["stable_l", "lv_decomposition", "block_l", "recursive_lv"])
+def test_flat_input_is_read_once(name):
+    # each entry is read once, as its residue, and the input is not copied;
+    # lv_decomposition's transform starts from the identity's residues
+    d = 7
+    m = random_matrix(DvrConfig(p=5, prec=12), d, random.Random(4))
+    with counting(PrecMatrix, "cap_abs") as caps, counting(PrecElem, "residue") as reads:
+        on_objects, _ = _ran_on_objects(ELIMINATIONS[name], m)
+    assert not on_objects and not caps and len(reads) == d * d
+
+
+@st.composite
+def deep_residue_matrices(draw):
+    """An integral matrix over Z_p or F_p[[t]] that is not flat: entry
+    (0, 0) is known to N digits, the others to up to 6 more, and entries
+    are often 0 mod pi^N or divisible by a power of p (of t)."""
+    backend = draw(st.sampled_from(Backend))
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, 20))
+    d = draw(st.integers(1, 7))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    cfg = DvrConfig(p=p, prec=n + 6, backend=backend)
+
+    def entry(prec):
+        x = rng.randrange(p**prec) * p ** rng.choice([0, 0, 1, n // 2, n])
+        return PrecElem.from_int(cfg, x, abs_prec=prec)
+
+    return PrecMatrix([[entry(n if i == j == 0 else n + rng.randint(0, 6)) for j in range(d)]
+                       for i in range(d)])
+
+
+@pytest.mark.parametrize("name", [name for name in ELIMINATIONS if name != "vij_statistics"])
+@given(m=deep_residue_matrices())
+def test_entries_known_beyond_n_run_on_kernel(name, m):
+    # read mod pi^N, as if capped at N: the kernel runs and its outcome is
+    # the object path's on the copy capped at N
+    fn = ELIMINATIONS[name]
+    with counting(kernel, "stepper") as on_kernel:
+        on_objects, got = _ran_on_objects(fn, m)
+    with object_path():
+        want = _outcome(fn, m)
+    if name == "recursive_lv":
+        got = _without_count(got)
+    assert got == want
+    assert on_kernel and not on_objects
+
+
 def test_a_step_that_raises_is_counted():
     # vij_statistics reads row 1 to 5^10, beyond N = 4, so it stays on
     # elements; both operands of its step (0, 1) are O(5^4)
     cfg = DvrConfig(p=5, prec=10)
     m = PrecMatrix([[PrecElem.bigoh(cfg, 4)] * 2, [PrecElem.from_int(cfg, 1, abs_prec=10)] * 2])
-    assert kernel.exact(4, m.rows) is None
+    assert m.min_abs_prec() == 4 and lu_stable.working_precision(m) == 10
     ran, (exc, _) = _ran_on_objects(lu_stable.vij_statistics, m)
     assert ran and exc is AmbiguousValuation
 
@@ -233,7 +280,7 @@ def test_slot_layout_does_not_change_outputs(p, name):
     outs = []
     for cfg in cfgs:
         m = flat_from_ints(cfg, ints, n)
-        assert kernel.exact(n, m.rows) is not None
+        assert lu_stable._flattened(m)[2] is not None
         with counting(kernel, "stepper") as on_kernel:
             on_objects, out = _ran_on_objects(ELIMINATIONS[name], m)
         assert on_kernel and not on_objects
@@ -255,7 +302,7 @@ def test_series_and_negative_valuation_take_object_path(name):
     negative[2, 1] = PrecElem.unit_form(cfg, -1, 2, 9)  # 2/3 + O(3^8)
     integral = random_matrix(cfg, 4, rng)
     for m in [negative] if name in ("stable_l", "vij_statistics") else [negative, series]:
-        assert kernel.exact(m.min_abs_prec(), m.rows) is None
+        assert lu_stable._flattened(m)[2] is None
         assert _ran_on_objects(fn, m)[0]
     assert not _ran_on_objects(fn, integral)[0]
 
@@ -266,7 +313,7 @@ def test_flat_series_runs_on_kernel(name):
     # bands and products run there too, and its products are counted
     fn = ELIMINATIONS[name]
     m = random_matrix(DvrConfig(p=3, prec=8, backend=Backend.SERIES), 6, random.Random(3))
-    assert kernel.exact(8, m.rows) is not None
+    assert lu_stable._flattened(m)[2] is not None
     with counting(kernel, "stepper") as on_kernel, counting(lu_fast, "matmul") as products:
         on_objects, (_, count) = _ran_on_objects(fn, m)
     assert on_kernel and not on_objects and not products
@@ -531,7 +578,7 @@ def test_entry_known_beyond_n_stays_off_kernel():
             [PrecElem.bigoh(cfg, 3), PrecElem.from_int(cfg, 1, abs_prec=10)],
         ]
     )
-    assert kernel.exact(3, m.rows) is None
+    assert m.min_abs_prec() == 3 and lu_stable.working_precision(m) == 10
     with counting(kernel, "stepper") as on_kernel:
         on_objects, got = _ran_on_objects(lu_stable.vij_statistics, m)
     assert on_objects and not on_kernel

@@ -212,6 +212,48 @@ def test_lift_recompute_zeroish_pivot_reports_retry():
     assert exc.value.required_prec > 12
 
 
+def _lift_trap():
+    # 5^13 + O(5^20) at (0, 0), N = 12 set by entry (2, 2)
+    cfg = DvrConfig(p=5, prec=20)
+    m = random_matrix(cfg, 3, random.Random(1))
+    m[0, 0] = PrecElem.unit_form(cfg, 13, 1, 7)
+    m[2, 2] = PrecElem.from_int(cfg, 7, abs_prec=12)
+    return m
+
+
+def test_lift_recompute_pads_the_capped_input():
+    # capped at N = 12, entry (0, 0) is O(5^12) and a zeroish pivot once
+    # padded to 32; padding 5^13 itself would give a pivot of valuation
+    # 13 >= N, a DegenerateInput
+    with pytest.raises(InsufficientLift) as exc:
+        lift_recompute_l(_lift_trap(), extra=20)
+    assert exc.value.required_prec == 34
+    assert isinstance(exc.value.__cause__, DivisionByUnknownZero)
+    assert str(exc.value.__cause__) == "naive elimination hit zeroish pivot at column 0"
+
+
+@st.composite
+def deep_inputs(draw):
+    """A naive input some of whose entries are known beyond its smallest
+    precision, some of them of valuation at or above it."""
+    m = draw(naive_inputs())
+    cfg, d = m.rows[0][0].cfg, m.nrows
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    for _ in range(draw(st.integers(0, d))):
+        unit = rng.randrange(1, cfg.p) + cfg.p * rng.randrange(cfg.p**2)
+        v, rel = rng.randint(0, cfg.prec + 3), rng.randint(1, 8)
+        m[rng.randrange(d), rng.randrange(d)] = PrecElem.unit_form(cfg, v, unit, rel)
+    return m
+
+
+@given(m=deep_inputs(), extra=st.one_of(st.none(), st.integers(0, 20)))
+@example(m=_lift_trap(), extra=20)
+def test_lift_recompute_reads_the_input_capped(m, extra):
+    # no digit beyond the smallest entry precision takes part
+    fn = lambda x: lift_recompute_l(x, extra)
+    assert _raised_or(fn, m) == _raised_or(fn, m.cap_abs(m.min_abs_prec()))
+
+
 def test_lift_recompute_agrees_with_exact():
     rng = random.Random(77)
     hits = 0
