@@ -52,7 +52,6 @@ from .simul import (
     SimulFailure,
     SimulResult,
     attempt_simultaneous,
-    invert_via_lv,
     required_v,
     simultaneous_block_lu,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "block_l",
     "block_l_unitlower",
     "hermite_from_lv",
-    "invert_via_lv",
     "lift_recompute_l",
     "lower_triangular_inverse",
     "lv_decomposition",

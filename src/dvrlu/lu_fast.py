@@ -44,8 +44,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import kernel
-from .lu_stable import LvOutput, lv_decomposition
-from .lu_stable import _flattened, _identity, _lv_output, _square_dim
+from .lu_stable import LvOutput
+from .lu_stable import _flattened, _identity, _lv_eliminated, _lv_output, _square_dim
 from .matrix import PrecMatrix
 
 _MUL_COUNT = 0
@@ -344,8 +344,8 @@ def recursive_lv(
     if threshold < 1:
         raise ValueError(f"threshold must be at least 1, got {threshold}")
     _square_dim(m)
-    _, n, cols = _flattened(m)
+    omega, n, cols = _flattened(m)
     if cols is None:
-        return lv_decomposition(m)
+        return _lv_eliminated(omega, n, cols)
     r = _Residues(m.rows[0][0].cfg, n, algo)
     return _lv_output(*map(r.elements, _lv(_transposed(cols), threshold, r)))

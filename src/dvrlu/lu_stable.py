@@ -25,7 +25,10 @@ on the residues mod pi^N :func:`_flattened` reads (:func:`vij_statistics`,
 which reads entries uncapped, only when each is known to exactly N);
 :mod:`dvrlu.kernel` says which input takes it.  The naive elimination under
 :func:`naive_gauss_l` and :func:`lift_recompute_l` is not flat; it runs on
-entry fields (:func:`_naive_elimination`).
+entry fields (:func:`_naive_elimination`), and so does the one full-pivot
+elimination (:func:`_full_pivot`), which decides every invertibility the
+randomized solvers certify and returns the determinant and, asked for it,
+the inverse.
 
 Provided algorithms:
 
@@ -145,7 +148,8 @@ def _pivot_step(omega: PrecMatrix, i: int, j: int, n: int, *extras: PrecMatrix) 
 
 
 # ---------------------------------------------------------------------------
-# valuation profile and full-pivot determinant (no factor)
+# valuation profile, and the one full-pivot elimination (determinant and
+# inverse; no factor)
 # ---------------------------------------------------------------------------
 
 
@@ -249,64 +253,85 @@ def _vl_bound(quotients):
     return (-known_min, -min(hidden))
 
 
-def _schur(rows: list[list[PrecElem]], r: int, c: int) -> list[list[PrecElem]]:
-    """The Schur complement of the unit-form pivot ``rows[r][c]``: rows and
-    column c without row r, less ``(a[i][c] / piv) * a[r][j]``."""
-    piv, prow = rows[r][c], rows[r]
-    out = []
-    for i, row in enumerate(rows):
-        if i != r:
-            q = row[c] / piv
-            out.append([x - q * y for k, (x, y) in enumerate(zip(row, prow)) if k != c])
-    return out
-
-
-def _pivots(rows: list[list[PrecElem]]) -> list[tuple[int, int]]:
-    """The unit-form entries of a square block, best pivot first: full
-    pivoting by valuation, ties to the larger relative precision."""
-    keyed = [
-        ((e.valuation, -e.rel_prec), i, j)
-        for i, row in enumerate(rows) for j, e in enumerate(row) if not e.is_zeroish
-    ]
-    return [(i, j) for _, i, j in sorted(keyed)]
-
-
-def _greedy_det(rows: list[list[PrecElem]], first: int) -> PrecElem | None:
-    """Signed product of the pivots that take candidate ``first`` of
-    :func:`_pivots` at the first step and the best one after, or None once
-    a remaining block has no such candidate."""
+def _greedy(ops, a: list[list], d: int, first: int):
+    """One attempt of :func:`_full_pivot` on the fields a of d rows (the
+    identity's columns after column d, if any), which it mutates: pivot
+    candidate ``first`` at the first step, the best one after.  Returns the
+    determinant's fields and the steps (r, c, pivot inverse), or None once
+    the remaining block has no unit-form entry."""
+    live_r, live_c, steps = list(range(d)), list(range(d)), []
+    extra = list(range(d, len(a[0])))
     det, k = None, first
-    while rows:
-        cands = _pivots(rows)
+    while live_r:
+        cands = sorted(
+            ((a[i][j][0], -a[i][j][2]), x, y)
+            for x, i in enumerate(live_r) for y, j in enumerate(live_c) if a[i][j][2]
+        )
         if len(cands) <= k:
             return None
-        r, c = cands[k]
-        piv = -rows[r][c] if (r + c) % 2 else rows[r][c]
-        det = piv if det is None else det * piv
-        rows, k = _schur(rows, r, c), 0
-    return det
+        _, x, y = cands[k]
+        r, c = live_r.pop(x), live_c.pop(y)
+        pv, pu, pr = piv = a[r][c]
+        signed = _neg(ops, piv) if (x + y) % 2 else piv
+        det = signed if det is None else _times(ops, det, signed)
+        piv_inv = (-pv, ops.inv(pu, pr), pr)
+        prow, ks = a[r], live_c + extra
+        # Gauss-Jordan clears the rows of earlier pivots too
+        for i in (live_r + [s[0] for s in steps]) if extra else live_r:
+            row = a[i]
+            q = _neg(ops, _times(ops, row[c], piv_inv))
+            for kk in ks:
+                row[kk] = _plus(ops, row[kk], _times(ops, q, prow[kk]))
+        steps.append((r, c, piv_inv))
+        k = 0
+    return det, steps
+
+
+def _full_pivot(m: PrecMatrix, inverse: bool):
+    """(det, m^-1) of a small scalar matrix by one full-pivot elimination
+    on entry fields, or None when the determinant is indeterminate; m^-1 is
+    None unless asked for.
+
+    Every entry keeps its own precision (nothing is flattened, so negative
+    valuations and ``O(pi^k)`` with k <= 0 are fine) under the element
+    rules ``_plus``, ``_times`` and ``_neg``, which are sound one operation
+    at a time.  Each step pivots on the remaining unit-form entry of least
+    valuation, ties to the larger relative precision, and clears its column
+    in the other remaining rows; det is the signed product of the pivots.
+    When that greedy order (O(d^3)) ends on a block with no unit-form
+    entry, each other first pivot is tried (O(d^5), on indeterminate input
+    only): on uneven precision the order decides how far errors spread.
+    For m^-1 the identity, at the largest entry precision, rides along as d
+    more columns and every other row is cleared (Gauss-Jordan).
+    ``tests/oracles.py`` keeps this loop on elements as the reference.
+    """
+    d = _square_dim(m)
+    cfg = m.rows[0][0].cfg
+    ops = cfg.ops
+    rows = [_fields(cfg, row) for row in m.rows]
+    if inverse:
+        n = _require_digits(working_precision(m))
+        one, zero = _fields(cfg, [PrecElem.unit_form(cfg, 0, 1, n), PrecElem.bigoh(cfg, n)])
+        rows = [row + [one if k == i else zero for k in range(d)] for i, row in enumerate(rows)]
+    for first in range(sum(e[2] > 0 for row in rows for e in row[:d])):
+        a = [list(row) for row in rows]
+        got = _greedy(ops, a, d, first)
+        if got is None:
+            continue
+        det, steps = got
+        if not inverse:
+            return PrecElem(cfg, det), None
+        inv = [None] * d
+        for r, c, piv_inv in steps:
+            inv[c] = [PrecElem(cfg, _times(ops, x, piv_inv)) for x in a[r][d:]]
+        return PrecElem(cfg, det), PrecMatrix(inv)
+    return None
 
 
 def _pivoted_det(m: PrecMatrix) -> PrecElem | None:
-    """Determinant of a small scalar matrix by full-pivot elimination in
-    element arithmetic, or None when it is indeterminate.
-
-    Every entry keeps its own precision -- nothing is flattened -- so
-    entries of negative valuation and ``O(pi^k)`` with k <= 0 are fine.  The
-    determinant is determinable when every pivot is distinguishable from
-    zero, and it is then the signed product of the pivots.  The greedy order
-    of :func:`_pivots` takes O(d^3) operations; when it ends on a block with
-    no unit-form entry, each other first pivot is tried before giving up
-    (O(d^5), on indeterminate input only), since on uneven precision the
-    order decides how far errors spread.
-    """
-    rows = [list(r) for r in m.rows]
-    det = None
-    for first in range(len(_pivots(rows))):
-        det = _greedy_det(rows, first)
-        if det is not None:
-            break
-    return det
+    """The determinant of :func:`_full_pivot`, or None when indeterminate."""
+    got = _full_pivot(m, inverse=False)
+    return None if got is None else got[0]
 
 
 # ---------------------------------------------------------------------------
@@ -677,8 +702,14 @@ def lv_decomposition(m: PrecMatrix) -> LvOutput:
     in L') is reported via the flag, not an exception; only an unforced
     swap comparison raises (AmbiguousValuation).
     """
-    d = _square_dim(m)
-    omega, n, cols = _flattened(m)
+    _square_dim(m)
+    return _lv_eliminated(*_flattened(m))
+
+
+def _lv_eliminated(omega: PrecMatrix, n: int, cols: Optional[list[list[int]]]) -> LvOutput:
+    """:func:`lv_decomposition` of the (omega, N, cols) that
+    :func:`_flattened` returns for it."""
+    d = omega.nrows
     lp, vp = [], []  # by columns
     for i, j, _, col in _eliminate(omega, n, cols, transform=True):
         if i == j:

@@ -7,9 +7,16 @@ failure probability, that
 * omega is invertible and every entry of omega^-1 has valuation >= -v;
 * for every m, the block unit lower triangular factor L_m of omega * M_m
   exists and every entry has valuation >= -v (membership in p^-v R);
-* whenever M_m is detectably invertible (its full-pivot determinant
-  :func:`~dvrlu.lu_stable._pivoted_det` is determinable with valuation 0),
-  the factor's entries are known at absolute precision at least N - 2v.
+* whenever M_m is detectably invertible (its full-pivot determinant is
+  determinable with valuation 0), the factor's entries are known at
+  absolute precision at least N - 2v.
+
+One rule decides invertibility, for omega and the members alike: the
+full-pivot elimination :func:`~dvrlu.lu_stable._full_pivot` determines the
+determinant.  Run on omega it also returns omega^-1 (Gauss-Jordan), whose
+entries claim the precision that the element arithmetic tracks, which is
+sound one operation at a time: no digit is claimed that a lift of omega
+could change.
 
 One draw succeeds with probability >= 1 - eps when v = required_v(...); the
 driver retries with fresh draws until success.  The certificate and the
@@ -25,16 +32,9 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .config import DvrConfig
-from .errors import DvrError, DegenerateInput, ExhaustedRetries
-from .lu_fast import _capped, matmul
-from .lu_stable import (
-    LvOutput,
-    _pivoted_det,
-    _require_digits,
-    block_l,
-    lower_triangular_inverse,
-    lv_decomposition,
-)
+from .errors import DvrError, ExhaustedRetries
+from .lu_fast import _capped
+from .lu_stable import _full_pivot, _pivoted_det, _require_digits, block_l
 from .element import _json_int
 from .matrix import PrecMatrix, random_matrix
 from .stats.formulas import pi_q
@@ -97,17 +97,6 @@ def min_val_bound(m: PrecMatrix) -> int:
     return min(e.val_lower_bound for r in m.rows for e in r)
 
 
-def invert_via_lv(m: PrecMatrix) -> tuple[PrecMatrix, LvOutput]:
-    """Inverse through the split decomposition: H' = M * W' with H' lower
-    triangular, so M^-1 = W' * H'^-1 (forward substitution; no capping).
-    Raises DegenerateInput when invertibility is not certifiable."""
-    out = lv_decomposition(m)
-    if any(c is None for c in out.col_val):
-        raise DegenerateInput("determinant valuation undeterminable")
-    h_inv = lower_triangular_inverse(out.hp)
-    return matmul(out.wp, h_inv), out
-
-
 def _det_unit_detectable(m: PrecMatrix) -> bool:
     """Whether m's full-pivot determinant is determinable and a unit."""
     det = _pivoted_det(m)
@@ -117,16 +106,18 @@ def _det_unit_detectable(m: PrecMatrix) -> bool:
 def _certify(omega: PrecMatrix, v: int, n: int, items):
     """The certificate of one draw of omega at budget v and precision n.
 
-    Each item pairs a member's factor as a function of omega with the
-    scalar matrix whose full-pivot determinant, when determinable with
-    valuation 0 (read only for a factor below the bound), demands precision
-    n - 2v of that factor.  Returns (omega^-1, factors), or the
-    SimulFailure of the first check that does not hold.
+    omega is invertible when its full-pivot determinant is determinable,
+    and omega^-1 is that elimination's inverse.  Each item pairs a member's
+    factor as a function of omega with the scalar matrix whose full-pivot
+    determinant, when determinable with valuation 0 (read only for a factor
+    below the bound), demands precision n - 2v of that factor.  Returns
+    (omega^-1, factors), or the SimulFailure of the first check that does
+    not hold.
     """
-    try:
-        omega_inv, _ = invert_via_lv(omega)
-    except DvrError as exc:
-        return SimulFailure("invertibility", detail=str(exc))
+    got = _full_pivot(omega, inverse=True)
+    if got is None:
+        return SimulFailure("invertibility", detail="determinant indeterminate")
+    omega_inv = got[1]
     if min_val_bound(omega_inv) < -v:
         return SimulFailure(
             "inverse-valuation", detail=f"omega^-1 has an entry below valuation {-v}"

@@ -549,6 +549,78 @@ def scalar_det(m):
 
 
 # ---------------------------------------------------------------------------
+# the full-pivot elimination on elements
+# ---------------------------------------------------------------------------
+
+
+def _pivots(rows):
+    """The unit-form entries of the square block that leads rows, best
+    pivot first: full pivoting by valuation, ties to the larger relative
+    precision."""
+    keyed = [
+        ((e.valuation, -e.rel_prec), i, j)
+        for i, row in enumerate(rows) for j, e in enumerate(row[:len(rows)]) if not e.is_zeroish
+    ]
+    return [(i, j) for _, i, j in sorted(keyed)]
+
+
+def greedy_elimination(rows, first: int):
+    """One attempt of the full-pivot elimination on the elements of a square
+    matrix's rows, in the case-by-case arithmetic above: candidate
+    ``first`` of :func:`_pivots` at the first step and the best one after,
+    each step taking the Schur complement of its pivot.  Returns the
+    determinant and, when each row carries d more entries (the identity's),
+    the rows of the inverse; or None once a remaining block has no
+    unit-form entry.  For the inverse the rows of earlier pivots are
+    cleared too (Gauss-Jordan)."""
+    d = len(rows)
+    inverse = len(rows[0]) > d
+    cols, done = list(range(d)), []  # done: (column, pivot, row) of earlier steps
+    det, k = None, first
+    while rows:
+        cands = _pivots(rows)
+        if len(cands) <= k:
+            return None
+        r, c = cands[k]
+        piv, prow = rows[r][c], rows[r]
+        signed = elem_neg(piv) if (r + c) % 2 else piv
+        det = signed if det is None else elem_mul(det, signed)
+
+        def cleared(row):
+            q = elem_div(row[c], piv)
+            return [elem_sub(x, elem_mul(q, y)) for j, (x, y) in enumerate(zip(row, prow)) if j != c]
+
+        if inverse:
+            done = [(j, pv, cleared(row)) for j, pv, row in done]
+        done.append((cols.pop(c), piv, [y for j, y in enumerate(prow) if j != c]))
+        rows, k = [cleared(row) for i, row in enumerate(rows) if i != r], 0
+    inv = [None] * d
+    for j, piv, row in done:
+        inv[j] = [elem_div(x, piv) for x in row]
+    return det, inv
+
+
+def full_pivot(m, inverse: bool = False):
+    """(det, m^-1 or None) from the first :func:`greedy_elimination` of m
+    that is not None, over its first pivots in order, or None.  For the
+    inverse the identity, at the largest entry precision, rides along as d
+    more columns.  This is the element loop that
+    ``dvrlu.lu_stable._full_pivot`` runs on entry fields; both must agree
+    field for field."""
+    d = m.nrows
+    rows = [list(row) for row in m.rows]
+    if inverse:
+        n = max(e.abs_prec for row in rows for e in row)
+        one, zero = m[0, 0].like_one(n), m[0, 0].like_zero(n)
+        rows = [row + [one if k == i else zero for k in range(d)] for i, row in enumerate(rows)]
+    for first in range(len(_pivots(rows))):
+        got = greedy_elimination(rows, first)
+        if got is not None:
+            return got[0], type(m)(got[1]) if inverse else None
+    return None
+
+
+# ---------------------------------------------------------------------------
 # one step of the flat elimination on residues, reducing every entry
 # ---------------------------------------------------------------------------
 

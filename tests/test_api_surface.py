@@ -27,10 +27,10 @@ DVRLU_ALL = [
     "NotSorted", "PrecElem", "PrecMatrix", "SeriesElem", "SheafInstance", "SheafPoint",
     "SimulFailure", "SimulResult", "StableL", "VerifyReport", "VijProfile",
     "attempt_simultaneous", "block_l", "block_l_unitlower", "hermite_from_lv",
-    "invert_via_lv", "lift_recompute_l", "lower_triangular_inverse", "lv_decomposition",
-    "lv_to_l", "matmul", "naive_gauss_l", "precision_loss", "random_instance",
-    "random_matrix", "recursive_lv", "required_v", "simultaneous_block_lu",
-    "solve_sheaf", "stable_l", "verify_local_equivalence", "vij_statistics",
+    "lift_recompute_l", "lower_triangular_inverse", "lv_decomposition", "lv_to_l",
+    "matmul", "naive_gauss_l", "precision_loss", "random_instance", "random_matrix",
+    "recursive_lv", "required_v", "simultaneous_block_lu", "solve_sheaf", "stable_l",
+    "verify_local_equivalence", "vij_statistics",
 ]
 
 STATS_ALL = [
@@ -101,7 +101,6 @@ SIGNATURES = [
     "dvrlu.block_l(m, block_sizes)",
     "dvrlu.block_l_unitlower(m, block_sizes)",
     "dvrlu.hermite_from_lv(out)",
-    "dvrlu.invert_via_lv(m)",
     "dvrlu.lift_recompute_l(m, extra=None)",
     "dvrlu.lower_triangular_inverse(m)",
     "dvrlu.lv_decomposition(m)",
@@ -161,7 +160,7 @@ MODULE_FUNCTIONS = {
     ],
     "dvrlu.series": [],
     "dvrlu.simul": [
-        "required_v", "min_val_bound", "invert_via_lv", "attempt_simultaneous",
+        "required_v", "min_val_bound", "attempt_simultaneous",
         "simultaneous_block_lu", "family_from_json", "result_to_json",
     ],
 }

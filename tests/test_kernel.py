@@ -158,6 +158,18 @@ def test_flat_input_is_read_once(name):
     assert not on_objects and not caps and len(reads) == d * d
 
 
+def test_refused_input_is_read_once_by_recursive_lv():
+    # the kernel refuses the entry 2*3^-1 in the last column after reading
+    # every residue; recursive_lv then eliminates the capped copy it made
+    cfg = DvrConfig(p=3, prec=8)
+    m = random_matrix(cfg, 6, random.Random(5))
+    m[5, 5] = PrecElem.unit_form(cfg, -1, 2, 9)
+    with counting(PrecMatrix, "cap_abs") as caps, counting(PrecElem, "residue") as reads:
+        got = lu_fast.recursive_lv(m)
+    assert len(caps) == 1 and len(reads) == 36
+    assert got == lu_stable.lv_decomposition(m)
+
+
 @st.composite
 def deep_residue_matrices(draw):
     """An integral matrix over Z_p or F_p[[t]] that is not flat: entry

@@ -38,11 +38,12 @@ from dvrlu import (
     precision_loss,
     random_matrix,
     recursive_lv,
+    simultaneous_block_lu,
     stable_l,
     vij_statistics,
 )
 from dvrlu import lu_stable
-from dvrlu.lu_stable import working_precision
+from dvrlu.lu_stable import _pivoted_det, working_precision
 from dvrlu.series import SeriesElem
 
 CFG = DvrConfig(p=5, prec=10)
@@ -589,6 +590,57 @@ def test_claimed_digits_survive_random_lifts(name, backend, p, d, spread, seed):
         for i in range(d):
             for j in range(d):
                 assert (claimed[i, j] - exact[i, j]).is_zeroish, (i, j)
+
+
+@settings(max_examples=30)
+@given(
+    backend=st.sampled_from(list(Backend)),
+    p=st.sampled_from([2, 3, 5]),
+    d=st.integers(1, 5),
+    spread=st.sampled_from([0, 2, 5]),
+    seed=st.integers(0, 2**32),
+)
+def test_pivoted_det_digits_survive_random_lifts(backend, p, d, spread, seed):
+    # the determinant behind every certificate, against the Laplace
+    # expansion of each lift
+    rng = random.Random(seed)
+    cfg = DvrConfig(p=p, prec=LIFT_N, backend=backend)
+    m = random_matrix(cfg, d, rng).map(lambda e: e.cap_abs(LIFT_N - rng.randint(0, spread)))
+    claimed = _pivoted_det(m)
+    if claimed is None:
+        return
+    for _ in range(LIFTS):
+        exact = oracles.scalar_det(m.map(lambda e: _random_lift(e, LIFT_N + 8, rng)))
+        assert (claimed - exact).is_zeroish
+
+
+# omega's determinant has valuation 3 at Z_2 and 4 at F_2[[t]] here: an
+# inverse that took omega's O(2^12) entries for exact zeros would claim about
+# that many digits too many
+OMEGA_LIFT_SEED = 9
+
+
+@settings(max_examples=30)
+@example(backend=Backend.PADIC, p=2, d=4, seed=OMEGA_LIFT_SEED)
+@example(backend=Backend.SERIES, p=2, d=4, seed=OMEGA_LIFT_SEED)
+@given(
+    backend=st.sampled_from(list(Backend)),
+    p=st.sampled_from([2, 3, 5]),
+    d=st.integers(1, 5),
+    seed=st.integers(0, 2**32),
+)
+def test_omega_inverse_digits_survive_random_lifts(backend, p, d, seed):
+    # omega^-1 is the left factor of every sheaf basis; a small eps makes
+    # the budget v, and so the determinant valuations omega may have, large
+    rng = random.Random(seed)
+    cfg = DvrConfig(p=p, prec=LIFT_N, backend=backend)
+    res = simultaneous_block_lu(cfg, [(random_matrix(cfg, d, rng), [d])], 0.01, seed=seed)
+    for _ in range(LIFTS):
+        lift = res.omega.map(lambda e: _random_lift(e, LIFT_N + 8, rng))
+        _, exact = oracles.full_pivot(lift, inverse=True)
+        for i in range(d):
+            for j in range(d):
+                assert (res.omega_inv[i, j] - exact[i, j]).is_zeroish, (i, j)
 
 
 # On flat input with entries of negative valuation, stable_l and

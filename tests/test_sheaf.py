@@ -20,7 +20,14 @@ from dvrlu.errors import (
     NotSorted,
 )
 from dvrlu.lu_fast import get_mul_count, matmul
-from dvrlu.lu_stable import _greedy_det, _pivoted_det, lower_triangular_inverse, vij_statistics
+from dvrlu.element import _fields
+from dvrlu.lu_stable import (
+    _full_pivot,
+    _greedy,
+    _pivoted_det,
+    lower_triangular_inverse,
+    vij_statistics,
+)
 from dvrlu.matrix import PrecMatrix, random_matrix
 from dvrlu.series import SeriesElem
 from dvrlu.sheaf import (
@@ -588,7 +595,9 @@ _GREEDY_FAILS = PrecMatrix([
 
 
 def test_pivoted_det_tries_other_first_pivots():
-    assert _greedy_det([list(r) for r in _GREEDY_FAILS.rows], 0) is None
+    assert oracles.greedy_elimination([list(r) for r in _GREEDY_FAILS.rows], 0) is None
+    cfg = _GREEDY_FAILS[0, 0].cfg
+    assert _greedy(cfg.ops, [_fields(cfg, r) for r in _GREEDY_FAILS.rows], 3, 0) is None
     got = _pivoted_det(_GREEDY_FAILS)
     assert got is not None and got.valuation == 1
     assert (got - oracles.scalar_det(_GREEDY_FAILS)).is_zeroish
@@ -606,6 +615,40 @@ def test_pivoted_det_is_never_less_decisive_than_laplace(m):
     if got is not None and not want.is_zeroish:
         assert got.valuation == want.valuation
         assert (got - want).is_zeroish
+
+
+def _full_pivot_outcome(fn, m, inverse):
+    """fn(m, inverse), with the inverse as its rows, or the class of the
+    ValueError it raised (an inverse with no digit to carry)."""
+    try:
+        got = fn(m, inverse)
+    except ValueError as exc:
+        return type(exc)
+    return got if got is None or not inverse else (got[0], got[1].rows)
+
+
+def _field_loop_matches_element_loop(m):
+    for inverse in (False, True):
+        want = _full_pivot_outcome(oracles.full_pivot, m, inverse)
+        assert _full_pivot_outcome(_full_pivot, m, inverse) == want, (m, inverse)
+
+
+@settings(max_examples=300)
+@example(m=_UNEVEN_UNIT)
+@example(m=_GREEDY_FAILS)
+@given(m=_uneven_matrices())
+def test_full_pivot_matches_element_loop_on_uneven_input(m):
+    # bit for bit: the same determinant and inverse, fields and precision
+    _field_loop_matches_element_loop(m)
+
+
+@pytest.mark.parametrize("backend", list(Backend), ids=lambda b: b.value)
+def test_full_pivot_matches_element_loop_on_flat_draws(backend):
+    rng = random.Random(31)
+    for p, n in [(2, 3), (2, 12), (3, 10), (5, 20), (7, 4)]:
+        for d in range(1, 7):
+            for _ in range(3):
+                _field_loop_matches_element_loop(random_matrix(DvrConfig(p=p, prec=n, backend=backend), d, rng))
 
 
 def test_pivoted_det_of_flat_matrices_is_laplace():

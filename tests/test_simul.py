@@ -10,16 +10,16 @@ import pytest
 from dvrlu import simul
 from dvrlu.config import DvrConfig
 from dvrlu.element import PrecElem
-from dvrlu.errors import DegenerateInput, ExhaustedRetries
+from dvrlu.errors import AmbiguousValuation, ExhaustedRetries
 from dvrlu.lu_fast import matmul
-from dvrlu.matrix import PrecMatrix
+from dvrlu.lu_stable import _full_pivot, _pivoted_det, lv_decomposition
+from dvrlu.matrix import PrecMatrix, random_matrix
 from dvrlu.sheaf import random_instance, solve_sheaf
 from dvrlu.simul import (
     SimulFailure,
     SimulResult,
     attempt_simultaneous,
     family_from_json,
-    invert_via_lv,
     min_val_bound,
     required_v,
     result_to_json,
@@ -105,12 +105,12 @@ def test_min_val_bound_mixes_units_and_zeroish():
     assert min_val_bound(PrecMatrix([[q]])) == -1
 
 
-def test_invert_via_lv_roundtrip():
+def test_full_pivot_inverse_roundtrip():
     cfg = DvrConfig(p=5, prec=12)
     rng = random.Random(9)
     rows = [[rng.randrange(5**12) for _ in range(3)] for _ in range(3)]
     m = flat_from_ints(cfg, rows)
-    inv, out = invert_via_lv(m)
+    _, inv = _full_pivot(m, inverse=True)
     prod = matmul(m, inv)
     for i in range(3):
         for j in range(3):
@@ -123,11 +123,24 @@ def test_invert_via_lv_roundtrip():
             assert diff.val_lower_bound >= 12 - 2 * max(0, -min_val_bound(inv))
 
 
-def test_invert_via_lv_rejects_undetectable_determinant():
+def test_indeterminate_determinant_fails_invertibility():
     cfg = DvrConfig(p=2, prec=6)
     m = PrecMatrix([[PrecElem.bigoh(cfg, 6)]])
-    with pytest.raises(DegenerateInput):
-        invert_via_lv(m)
+    assert _full_pivot(m, inverse=True) is None
+    assert simul._certify(m, 0, 6, []).stage == "invertibility"
+
+
+def test_unit_determinant_omega_passes_invertibility():
+    # the full-pivot determinant of this draw is a unit, but the column
+    # elimination meets a swap test between two O(2^2) entries; omega is
+    # judged by the members' rule, so it is not redrawn
+    cfg = DvrConfig(p=2, prec=2)
+    omega = random_matrix(cfg, 4, random.Random(102))
+    assert _pivoted_det(omega).valuation == 0
+    with pytest.raises(AmbiguousValuation):
+        lv_decomposition(omega)
+    omega_inv, factors = simul._certify(omega, 0, 2, [])
+    assert factors == [] and min_val_bound(omega_inv) >= 0
 
 
 def test_simul_failure_str():
