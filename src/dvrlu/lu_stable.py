@@ -67,6 +67,7 @@ from .errors import (
     InsufficientLift,
 )
 from .matrix import PrecMatrix
+from .series import SeriesElem
 
 
 def _square_dim(m: PrecMatrix) -> int:
@@ -501,7 +502,7 @@ def lift_recompute_l(m: PrecMatrix, extra: Optional[int] = None) -> PrecMatrix:
             )
         for i in range(j + 1, d):
             e = lower[i, j]
-            lower[i, j] = e.cap_abs(n - s_j + min(0, e.val_lower_bound))
+            lower[i, j] = e.cap_abs(_cramer_cap(n, s_j, e.val_lower_bound))
     return lower.cap_abs(n - 2 * w_max)
 
 
@@ -530,6 +531,40 @@ class StableL:
     n: int
 
 
+def _cramer_cap(n: int, s: int, w: int) -> int:
+    """The absolute precision that a factor entry of valuation w (its
+    precision bound when it is indistinguishable from zero) can claim when
+    it is a Cramer quotient over a denominator minor of valuation s,
+    computed at flat precision n: ``n - s + min(0, w)``.
+
+    Every cap on a factor entry is this one rule; what differs between the
+    eliminations is which minor is the denominator:
+
+    * :func:`stable_l` and :func:`lv_to_l`: column j of L over S_j, the
+      leading minor read at the end of round j, with w the quotient's
+      valuation v(numerator) - v(pivot);
+    * :func:`lift_recompute_l`: column j over S_j = W_1 + .. + W_(j+1),
+      with w = v(L[i, j]);
+    * :func:`block_l`: the entries below a block over S_(hi-1), the
+      leading minor at the block's last column hi - 1, read at the block's
+      end (the cleared identity block is exact and claims N);
+    * :func:`block_l_unitlower`: every strictly-lower entry of a block's
+      columns over the largest S_k, k < hi, each read at the end of its own
+      round (a round whose diagonal is indistinguishable from zero never
+      divides and is skipped; the diagonal 1s are exact).
+
+    Coefficient l of a truncated-series entry is a quotient over the
+    minor's (l + 1)-th power: the inverse of a series g has coefficients of
+    valuation as low as -(l + 1) v(g_0), so its s is (l + 1) times the
+    minor's.
+
+    The simultaneous certificate's ``N - 2v`` (:func:`dvrlu.simul._certify`)
+    is no cap: it is the paper's guarantee, which the certificate checks
+    against the precision the factor claims here, and it changes no claim.
+    """
+    return n - s + min(0, w)
+
+
 def _quotients(xs: Sequence[PrecElem], den: PrecElem, caps) -> list[PrecElem]:
     """``[(x / den).cap_abs(c) for x, c in zip(xs, caps)]`` for scalar
     entries, field for field.  den is inverted once, x / den is x * den^-1,
@@ -556,14 +591,14 @@ def _quotient_column(lower: PrecMatrix, j: int, col: Sequence[PrecElem], den: Pr
     """Set lower[i, j] = col[i] / den for i > j, each capped at its
     guaranteed absolute precision.
 
-    The cap is N - v_round - max(0, v(den) - w), with w the numerator
-    valuation (its precision bound when the numerator is indistinguishable
-    from zero).  For flat integral inputs it never exceeds the quotient's
-    natural precision; capping (never raising) keeps the claim honest for
-    arbitrary inputs.
+    The cap is :func:`_cramer_cap` over the minor S_j = v_round, with w the
+    quotient's valuation v(numerator) - v(den) (the numerator's precision
+    bound when it is indistinguishable from zero).  For flat integral
+    inputs it never exceeds the quotient's natural precision; capping
+    (never raising) keeps the claim honest for arbitrary inputs.
     """
     nums, vd = col[j + 1:], den.valuation
-    caps = [n - v_round - max(0, vd - e.val_lower_bound) for e in nums]
+    caps = [_cramer_cap(n, v_round, e.val_lower_bound - vd) for e in nums]
     for i, q in enumerate(_quotients(nums, den, caps), j + 1):
         lower[i, j] = q
 
@@ -857,10 +892,13 @@ class BlockL:
     Attributes:
         lower: block unit lower triangular factor (diagonal blocks are
             identities for :func:`block_l`; unit lower triangular ones for
-            :func:`block_l_unitlower`).
-        block_vals: the precision-budget valuations v used at each block
-            boundary: S_(j0-1) (:func:`_minor_val`), the sum of diagonal
-            valuations strictly above the block starting at column j0.
+            :func:`block_l_unitlower`).  Each entry claims the precision of
+            its Cramer quotient (:func:`_cramer_cap`); the identity blocks
+            and the diagonal 1s are exact.
+        block_vals: per block starting at column j0, S_(j0-1)
+            (:func:`_minor_val`), the sum of the diagonal valuations
+            strictly above the block, read at the block's end; reported
+            (``lu run --algo block``), no longer a cap.
         n: working absolute precision.
     """
 
@@ -877,57 +915,96 @@ def _block_elimination(m: PrecMatrix, block_sizes: Sequence[int], clear: bool) -
     lower = PrecMatrix.zero_like(m, d, d, n)
     block_vals = []
     j0 = 0
-    boundaries = set(itertools.accumulate(block_sizes))
+    ends = {hi: b for b, hi in enumerate(itertools.accumulate(block_sizes))}
+    s_max = 0  # block_l_unitlower: the largest S_k of the rounds so far
     for i, j, at, col in _eliminate(omega, n, cols):
-        if i == j and j + 1 in boundaries:
-            hi = j + 1  # block spans columns j0..hi-1
-            # normalize: L's block columns are omega's scaled by the pivot
+        if i < j or (clear and j + 1 not in ends):
+            continue
+        # the diagonal at the end of round j; only (j, j) can be
+        # indistinguishable from zero, since a later swap only brings in an
+        # entry of known valuation
+        diag = [at(0, k, k) for k in range(j + 1)]
+        vals = [_val_or_none(e) for e in diag]
+        if None not in vals:
+            s_max = max(s_max, sum(vals))
+        if j + 1 not in ends:
+            continue
+        hi = j + 1  # block spans columns j0..hi-1
+        if None in vals:
+            raise DegenerateInput(
+                f"block pivot at column {vals.index(None)} indistinguishable from zero"
+            )
+        s_end = sum(vals)  # S_(hi-1), the leading minor at the block boundary
+        if s_end >= n:
+            raise DegenerateInput(
+                f"leading minor at the end of block {ends[hi]} (columns {j0}..{j}) "
+                f"indistinguishable from zero"
+            )
+        block_vals.append(sum(vals[:j0]))
+        # normalize: below the diagonal, L's block columns are omega's scaled
+        # by the pivot; above it L is zero and its diagonal is 1 by definition
+        one = diag[j].like_one(n)
+        for jp in range(j0, hi):
+            piv, below = diag[jp], col(0, jp)[jp + 1:]
+            # uncapped: a pivot of negative valuation lifts x / piv above
+            # N; a series keeps the long division, whose precision
+            # x * piv^-1 does not always reproduce
+            if type(piv) is PrecElem:
+                quots = _quotients(below, piv, itertools.repeat(math.inf))
+            else:
+                quots = [e / piv for e in below]
+            lower[jp, jp] = one
+            for r, e in enumerate(quots, jp + 1):
+                lower[r, jp] = e
+        if clear:
+            # make the diagonal block an identity: subtract the other
+            # block columns one at a time, re-reading updated entries
+            # (the one-shot simultaneous sum would leave second-order
+            # residue below the first subdiagonal)
+            zero = one.like_zero(n)
             for jp in range(j0, hi):
-                piv = at(0, jp, jp)
-                if piv.is_zeroish:
-                    raise DegenerateInput(
-                        f"block pivot at column {jp} indistinguishable from zero"
-                    )
-                # uncapped: a pivot of negative valuation lifts x / piv above
-                # N; a series keeps the long division, whose precision
-                # x * piv^-1 does not always reproduce
-                if type(piv) is PrecElem:
-                    quots = _quotients(col(0, jp), piv, itertools.repeat(math.inf))
-                else:
-                    quots = [e / piv for e in col(0, jp)]
-                for r, e in enumerate(quots):
-                    lower[r, jp] = e
-            if clear:
-                # make the diagonal block an identity: subtract the other
-                # block columns one at a time, re-reading updated entries
-                # (the one-shot simultaneous sum would leave second-order
-                # residue below the first subdiagonal)
-                for jp in range(j0, hi):
-                    for ip in range(jp + 1, hi):
-                        s = lower[ip, jp]
-                        for r in range(d):
-                            lower[r, jp] = lower[r, jp] - s * lower[r, ip]
-            # precision budget: diagonal valuations strictly above the block,
-            # each checked non-zeroish when its own block was normalized (a
-            # later swap only brings in an entry of known valuation)
-            v = _minor_val(at, j0 - 1)
-            block_vals.append(v)
+                for ip in range(jp + 1, hi):
+                    s = lower[ip, jp]
+                    lower[ip, jp] = zero
+                    for r in range(ip + 1, d):
+                        lower[r, jp] = lower[r, jp] - s * lower[r, ip]
+                _cap_below(lower, jp, hi, n, s_end)
+        else:
             for jp in range(j0, hi):
-                for ip in range(j0, d):
-                    lower[ip, jp] = lower[ip, jp].cap_abs(n - 2 * v)
-            j0 = hi
+                _cap_below(lower, jp, jp + 1, n, s_max)
+        j0 = hi
     return BlockL(lower=lower, block_vals=block_vals, n=n)
+
+
+def _cap_below(lower: PrecMatrix, j: int, lo: int, n: int, s: int) -> None:
+    """Cap lower[i, j], i >= lo, at its Cramer quotient's precision over a
+    denominator minor of valuation s (:func:`_cramer_cap`; coefficient l of
+    a truncated series over the minor's (l + 1)-th power)."""
+    for i in range(lo, lower.nrows):
+        e = lower[i, j]
+        w = e.val_lower_bound
+        if type(e) is PrecElem:
+            lower[i, j] = e.cap_abs(_cramer_cap(n, s, w))
+        else:
+            lower[i, j] = SeriesElem(e.cfg, [c.cap_abs(_cramer_cap(n, (l + 1) * s, w))
+                                             for l, c in enumerate(e.coeffs)])
 
 
 def block_l(m: PrecMatrix, block_sizes: Sequence[int]) -> BlockL:
     """Block unit lower triangular factor for the given block type.
 
-    Runs the pivoted elimination and, at each block boundary, normalizes the
-    block's columns by their pivots and clears the diagonal block to the
-    identity, capping the block's entries at O(pi^(N - 2v)) where v is the
-    diagonal valuation budget above the block.  Entries only ever lose
+    Runs the pivoted elimination and, at each block boundary hi, normalizes
+    the block's columns by their pivots and clears the diagonal block to
+    the identity.  Below the block an entry is a Cramer quotient over the
+    leading minor of order hi, so it claims O(pi^(N - S_(hi-1) + min(0, w)))
+    (:func:`_cramer_cap`), S_(hi-1) read at the block's end and w the
+    entry's valuation; the identity block is exact.  Entries only ever lose
     precision at the cap (the literal re-declaration could otherwise claim
     digits the arithmetic never produced).
+
+    Raises DegenerateInput when a block pivot is indistinguishable from
+    zero or the boundary minor's valuation S_(hi-1) reaches N; a leading
+    minor inside a block that a later swap rescues is no obstacle.
 
     Works unchanged for scalar and truncated-series entries (pivoting looks
     at constant coefficients in the series case).
@@ -938,5 +1015,8 @@ def block_l(m: PrecMatrix, block_sizes: Sequence[int]) -> BlockL:
 def block_l_unitlower(m: PrecMatrix, block_sizes: Sequence[int]) -> BlockL:
     """Same as :func:`block_l` but the diagonal blocks are left unit lower
     triangular instead of being cleared to identities (cheaper; equally
-    valid as a block factor)."""
+    valid as a block factor).  Every strictly-lower entry of a block's
+    columns claims O(pi^(N - S + min(0, w))) (:func:`_cramer_cap`), S the
+    largest leading minor S_k, k < hi, each read at the end of its own
+    round; the diagonal 1s are exact."""
     return _block_elimination(m, block_sizes, clear=False)

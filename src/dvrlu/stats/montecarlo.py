@@ -209,10 +209,9 @@ class Engine:
             return ((e >> sh) * inv) & ((~np.uint64(0)) >> sh)
         return ((e // self.pows[v]) * inv) % self.pows[self.K - v]
 
-    def eliminate(self, m: np.ndarray, record_table: bool = False, *,
-                  in_place: bool = True) -> dict:
-        """Run the pivoted elimination on a (B, d, d) batch; with in_place
-        (the default) H' is left in m, otherwise m is not touched.
+    def eliminate(self, m: np.ndarray, record_table: bool = False) -> dict:
+        """Run the pivoted elimination on a (B, d, d) batch; m is not
+        touched.
 
         Returns per-trial arrays:
           vl          max denominator exponent of the factor (int64)
@@ -223,6 +222,8 @@ class Engine:
           ambiguous   True when some swap comparison was not forced
           table       (B, d, d) valuation reads (sentinel K for zeros),
                       only when record_table
+          hp          (B, d, d) H', the final omega: a transposed view of
+                      the working array
 
         The work runs on c[col, row, trial].  By step (i, j) rows < i of
         columns i and j are exact zeros, so a swap or an update touches
@@ -232,7 +233,7 @@ class Engine:
         """
         b, d, _ = m.shape
         k = self.K
-        c = np.ascontiguousarray(m.transpose(2, 1, 0))
+        c = np.array(m.transpose(2, 1, 0), order="C")
         pv = np.empty((d, b), dtype=np.int64)
         inv = np.empty((d, b), dtype=self.dtype)
         ambiguous = np.zeros(b, dtype=bool)
@@ -275,8 +276,6 @@ class Engine:
                 # sentinel K makes them harmlessly large here
                 mj = self.vals(cj[j + 1 :]).min(axis=0) - vjj
                 min_m = np.minimum(min_m, np.where(vl_ok, mj, min_m))
-        if in_place:
-            m[...] = c.transpose(2, 1, 0)
         boundary = np.ascontiguousarray(boundary.T)
         out = {
             "vl": -min_m,
@@ -285,6 +284,7 @@ class Engine:
             "det_ok": boundary[:, d - 1] >= 0,
             "boundary": boundary,
             "ambiguous": ambiguous,
+            "hp": c.transpose(2, 1, 0),
         }
         if record_table:
             out["table"] = np.ascontiguousarray(table.transpose(2, 0, 1))
@@ -303,20 +303,21 @@ def _unresolved(out: dict) -> np.ndarray:
 def _retry(eng: Engine, packed: np.ndarray, rng, record_table: bool) -> Optional[dict]:
     """Re-run one trial on an engine at 2K digits, extending every entry
     with fresh Haar digits above p^K.  Returns the engine's fields for the
-    trial, or None if it is still unresolved."""
+    trial but H', which the chunk does not keep, or None if it is still
+    unresolved."""
     hi = eng.p**eng.K
     m = packed.astype(object) + hi * eng.random(rng, packed.shape).astype(object)
     out = Engine(eng.p, 2 * eng.K).eliminate(m[None], record_table)
     if _unresolved(out)[0]:
         return None
-    return {key: val[0] for key, val in out.items()}
+    return {key: val[0] for key, val in out.items() if key != "hp"}
 
 
 def _run_chunk(args) -> dict:
     eng, d, n, seed, chunk_idx, record_table = args
     rng = np.random.default_rng(np.random.SeedSequence([seed, chunk_idx]))
     m = eng.random(rng, (n, d, d))
-    out = eng.eliminate(m, record_table, in_place=False)
+    out = eng.eliminate(m, record_table)
     bad = _unresolved(out)
     retried = 0
     dropped = 0
@@ -402,7 +403,7 @@ def simulate_matrices(p: int, matrices: np.ndarray, record_table: bool = False) 
     against the tracked-element path on identical inputs.
     """
     eng = Engine(p)
-    return eng.eliminate(np.asarray(matrices, dtype=eng.dtype), record_table, in_place=False)
+    return eng.eliminate(np.asarray(matrices, dtype=eng.dtype), record_table)
 
 
 # ---------------------------------------------------------------------------

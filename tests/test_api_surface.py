@@ -131,7 +131,7 @@ SIGNATURES = [
     "dvrlu.stats.Engine.random(self, rng, shape)",
     "dvrlu.stats.Engine.vals(self, x)",
     "dvrlu.stats.Engine.inv_units(self, u)",
-    "dvrlu.stats.Engine.eliminate(self, m, record_table=False, *, in_place=True)",
+    "dvrlu.stats.Engine.eliminate(self, m, record_table=False)",
     "dvrlu.stats.McSummary(p, d, trials, used, mean, stddev, ci99, histogram=<factory>, retried=0, dropped=0)",
     "dvrlu.stats.McSummary.to_json(self)",
     "dvrlu.stats.monte_carlo_det(p, d, trials, seed=0, jobs=1)",

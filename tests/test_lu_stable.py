@@ -45,6 +45,7 @@ from dvrlu import (
 from dvrlu import lu_stable
 from dvrlu.lu_stable import _pivoted_det, working_precision
 from dvrlu.series import SeriesElem
+from dvrlu.sheaf import SheafInstance, SheafPoint, random_instance, solve_sheaf, solve_with_omega
 
 CFG = DvrConfig(p=5, prec=10)
 CFG2 = DvrConfig(p=2, prec=20)
@@ -528,11 +529,11 @@ LIFT_ELIMINATIONS = {
     "stable_l": lambda m: stable_l(m).lower,
     "lv_decomposition": lambda m: lv_to_l(lv_decomposition(m)),
     "recursive_lv": lambda m: lv_to_l(recursive_lv(m, threshold=2)),
-    "block_l": lambda m: block_l(m, [2, m.nrows - 2]).lower,
-    "block_l_unitlower": lambda m: block_l_unitlower(m, [1, m.nrows - 1]).lower,
     "naive_gauss_l": naive_gauss_l,
     "lift_recompute_l": lift_recompute_l,
 }
+# the block eliminations run on a block type drawn with the input
+LIFT_BLOCK_ELIMINATIONS = {"block_l": block_l, "block_l_unitlower": block_l_unitlower}
 
 
 def _random_lift(e, n, rng):
@@ -542,17 +543,13 @@ def _random_lift(e, n, rng):
     return e.lift_to_precision(n) + high
 
 
-# block_l caps its factor only at N - 2v, v the diagonal valuations above the
-# block; a sound cap would lower claimed precision in ELIMINATION_GOLDEN and
-# SOLVER_GOLDEN, so its failure is recorded here rather than fixed.
-_BLOCK_OVERCLAIMS = pytest.mark.xfail(
-    strict=True, reason="block_l claims digits beyond the block's Cramer quotient")
+def _composition(d, rng):
+    """A random block type of d: the sizes between random cuts of 1..d-1."""
+    cuts = sorted(rng.sample(range(1, d), rng.randint(0, d - 1)))
+    return [b - a for a, b in zip([0, *cuts], [*cuts, d])]
 
 
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=_BLOCK_OVERCLAIMS) if name.startswith("block_l") else name
-    for name in LIFT_ELIMINATIONS
-])
+@pytest.mark.parametrize("name", [*LIFT_ELIMINATIONS, *LIFT_BLOCK_ELIMINATIONS])
 @settings(max_examples=30)
 @example(backend=Backend.PADIC, p=2, d=3, spread=0, seed=1)
 @example(backend=Backend.PADIC, p=2, d=3, spread=2, seed=1)
@@ -573,7 +570,11 @@ def test_claimed_digits_survive_random_lifts(name, backend, p, d, spread, seed):
     cfg = DvrConfig(p=p, prec=LIFT_N, backend=backend)
     m = random_matrix(cfg, d, rng).map(
         lambda e: e.cap_abs(LIFT_N - rng.randint(0, spread)))
-    elim = LIFT_ELIMINATIONS[name]
+    if name in LIFT_BLOCK_ELIMINATIONS:
+        sizes = _composition(d, rng)
+        elim = lambda x: LIFT_BLOCK_ELIMINATIONS[name](x, sizes).lower
+    else:
+        elim = LIFT_ELIMINATIONS[name]
     try:
         swaps = vij_statistics(m).swaps
     except DvrError:
@@ -641,6 +642,43 @@ def test_omega_inverse_digits_survive_random_lifts(backend, p, d, seed):
         for i in range(d):
             for j in range(d):
                 assert (res.omega_inv[i, j] - exact[i, j]).is_zeroish, (i, j)
+
+
+def _lifted_instance(inst, n, rng):
+    """inst with its points and every local coefficient lifted to n digits,
+    in a config of precision n."""
+    lift = lambda e: _random_lift(e, n, rng)
+    return SheafInstance(DvrConfig(p=inst.cfg.p, prec=n), [
+        SheafPoint(lift(pt.a), pt.exponents,
+                   pt.matrix.map(lambda s: SeriesElem(s.cfg, [lift(c) for c in s.coeffs])))
+        for pt in inst.points
+    ])
+
+
+# Seed 60 overclaimed when the block factors capped entries at N - 2v, v the
+# diagonal valuations above the block; seed 519 when a series entry's every
+# coefficient was capped over the minor itself rather than its powers.
+@settings(max_examples=20, deadline=None)
+@example(p=3, seed=60)
+@example(p=3, seed=519)
+@given(p=st.sampled_from([3, 5, 7]), seed=st.integers(0, 2**32))
+def test_sheaf_basis_digits_survive_random_lifts(p, seed):
+    # M = omega^-1 * L glues the block factors of every local model; solve
+    # each lift of the instance at the lift of the omega that solved it
+    rng = random.Random(seed)
+    inst = random_instance(DvrConfig(p=p, prec=LIFT_N), rng, 2, 3, 2)
+    try:
+        basis = solve_sheaf(inst, seed=seed)
+    except DvrError:
+        return
+    for _ in range(LIFTS):
+        lift = _lifted_instance(inst, LIFT_N + 8, rng)
+        omega = basis.omega.map(lambda e: _random_lift(e, LIFT_N + 8, rng))
+        exact = solve_with_omega(lift, basis.v, omega)
+        for row, exact_row in zip(basis.m, exact.m):
+            for f, g in zip(row, exact_row):
+                assert len(f) == len(g)
+                assert all((a - b).is_zeroish for a, b in zip(f, g))
 
 
 # On flat input with entries of negative valuation, stable_l and
@@ -903,6 +941,27 @@ def test_block_bad_tiling_rejected():
         block_l(m, [2, 3])
 
 
+@pytest.mark.parametrize("fn", [block_l, block_l_unitlower], ids=lambda f: f.__name__)
+def test_block_rescued_interior_minor_factors(fn):
+    # the leading 1x1 minor is O(5^10), but round 1 swaps a unit into the
+    # diagonal: no quotient divides by the zero minor, so the block factors
+    cfg = DvrConfig(p=5, prec=10)
+    m = PrecMatrix([[PrecElem.bigoh(cfg, 10), PrecElem.from_int(cfg, 1, abs_prec=10)],
+                    [PrecElem.from_int(cfg, 1, abs_prec=10), PrecElem.bigoh(cfg, 10)]])
+    res = fn(m, [2])
+    assert res.lower == PrecMatrix.identity_like(m, 2, 10)
+    assert res.block_vals == [0]
+
+
+@pytest.mark.parametrize("fn", [block_l, block_l_unitlower], ids=lambda f: f.__name__)
+def test_block_boundary_minor_at_n_raises(fn):
+    # S_1 = v(5) + v(25) = 3 = N at the end of block 0: the entries below it
+    # would be quotients over a minor indistinguishable from zero
+    m = flat_from_ints(DvrConfig(p=5, prec=3), [[5, 0, 0], [0, 25, 0], [1, 1, 1]])
+    with pytest.raises(DegenerateInput, match=r"end of block 0 \(columns 0\.\.1\)"):
+        fn(m, [2, 1])
+
+
 def test_block_l_on_series_entries():
     cfg = DvrConfig(p=5, prec=12)
     rng = random.Random(23)
@@ -1034,14 +1093,20 @@ def _elimination_outputs(backend, p, n, d, seed) -> dict:
 # The two d = 40 cases (Z_2 at N = 64, 30 swaps, and Z_5 at N = 100) have long
 # rounds with swaps in mid-round; they were computed before the kernel's
 # column update stopped reducing its entries at every step.
+# The block_l_unitlower hashes of 17 cases and the block_l hashes of 12 of
+# them were recomputed when every block entry was capped at its Cramer
+# quotient's precision over the boundary minor (block_l) or the largest
+# leading minor (block_l_unitlower), and the entries that are 0 or 1 by
+# construction became exact: each moved entry agrees with the former one on
+# every digit that both claim.
 ELIMINATION_GOLDEN = {
     (Backend.PADIC, 5, 40, 12, 0): {
         "input": "0bc77bf8b295c91b8c361fec945133db2f6bde2c5ebc7a18ad3c3aaa8009cb8a",
         "stable_l": "75a9583db92b3b1b000ba6d18db6ca863517457e8a83224bf93c9e8877792415",
         "lv_decomposition": "4a1e27acfe8c4c7861b4e3709ec3262b300ad0ebbadd87cf1af744cb969dc416",
         "vij_statistics": "c197437af7e78813ae4040af1afa49df422cd9a738a6b78150df2fc00b566377",
-        "block_l": "97f49bc81f9f2161cf924a7782f5819a063584272774af9bddc4debea57edaac",
-        "block_l_unitlower": "03b67533a4846a551285662dc69970b2172eb5f60523af4051e3587afca3d174",
+        "block_l": "af1d5215cf44c6d8552042860c204453b6007d6061a6c804bcad875279bdb315",
+        "block_l_unitlower": "2ab7f152566a72fe3820bef32824a70bd46044da3e8a0a1e4e391eec0e324cd2",
         "recursive_lv": "4a1e27acfe8c4c7861b4e3709ec3262b300ad0ebbadd87cf1af744cb969dc416",
         "naive_gauss_l": "c79339a52d4aad5a5def4a7a702aa3d5d736ba47cdaa5374c728bf60693dccb4",
         "lift_recompute_l": "12ddf3b0961a0440783ff3a42901b6b3064aceb344f8184c7ee9731753b6fd63",
@@ -1052,7 +1117,7 @@ ELIMINATION_GOLDEN = {
         "lv_decomposition": "f7ddbbcd2a05783ab20166b6d09cb4e5b741b150a2d81d54511aef318bf43c81",
         "vij_statistics": "de6ec79427237e9c670ebd4b201843a88ebbb67360226098b50ae641fc780d48",
         "block_l": "bd5341815ab10dd4db3b4aa0b77372563353e062bb0c37994857664e0237b0b1",
-        "block_l_unitlower": "a40368ea218cc1251a1b963a8d9d5577bf9a09ac9c9fd6e7476d0065f504c90d",
+        "block_l_unitlower": "93a2e3b3eab6afd4ea4a862baf4341d1053888032acc609f5dfbe12ba3fb6fbd",
         "recursive_lv": "f7ddbbcd2a05783ab20166b6d09cb4e5b741b150a2d81d54511aef318bf43c81",
         "naive_gauss_l": "3bf22d66a8990d720ba17020a2c24016e60fe29a9a92566241e83dcafc280d85",
         "lift_recompute_l": "e843608ce6cda0664324592bef4803c799e9866f4382321270206733d5278521",
@@ -1063,7 +1128,7 @@ ELIMINATION_GOLDEN = {
         "lv_decomposition": "829602f4b88a265471e53639657e4e93824bb80c2f84bb9176e915413f4fac23",
         "vij_statistics": "f22fe31235161cace27d3835e70083aa69f170764fbb8fe34808500b505ee252",
         "block_l": "f341d55f9119f8368a691161f87566044f0d55d90983b7517ea8a884d32f5624",
-        "block_l_unitlower": "9c002450b7f553336a913464ed9fa87de1b7e28283e468d2ffe0c0efe8e45c15",
+        "block_l_unitlower": "203a0f6fae5a1026ea034989305a0db449b0ab5489f8064b9e4ede020d443cfe",
         "recursive_lv": "829602f4b88a265471e53639657e4e93824bb80c2f84bb9176e915413f4fac23",
         "naive_gauss_l": "b8635338142209037909e882c3f9449f686c7565aaa67f064ded6e8e96eb57f2",
         "lift_recompute_l": "2a030a8110430c72b8cf9da182e3d485cb478aee00b685c23f1a1648ba3fe6c2",
@@ -1074,7 +1139,7 @@ ELIMINATION_GOLDEN = {
         "lv_decomposition": "997f9b6f6d8404a2e62d0c6459926df9e832a6f33386af85fe57c6e6953eb301",
         "vij_statistics": "3227996549b253dba2746f79383aa59c5edd425c5ea39bb5276473e99b39260e",
         "block_l": "4b9d763a73e575f15505381bb5255ceb5c39bdbdffcdb1ecfeac7019f234f70d",
-        "block_l_unitlower": "ccc0778e740c014f7ec73af07d537e52e0902a5ad2af32f3c231fc290c42d22a",
+        "block_l_unitlower": "3555bb2465039a7490c4967cfb5f54b3c00c077216fb84802feac754be520757",
         "recursive_lv": "997f9b6f6d8404a2e62d0c6459926df9e832a6f33386af85fe57c6e6953eb301",
         "naive_gauss_l": "92affbd046acdd77b36e1b7cfae31054fbb74401fd2c28fc88530e7e95cc7786",
         "lift_recompute_l": "f7f4b6f79b8cf4ce42c3a74438b2421b7c25ccae6d52797900e1381e5e6d865b",
@@ -1084,8 +1149,8 @@ ELIMINATION_GOLDEN = {
         "stable_l": "1367e841c57403e35cce45ad9f04caafa6e9c58e450fce3aba9ae6e6f086669b",
         "lv_decomposition": "8dd900549424dc0e64b52d64abc6f1d5aa33edb9bd8766e154f0c4ec3e47d4a5",
         "vij_statistics": "7e72fcadb1cb910ac5c6d2a26b5d2e30594defd635677c29c5656fb195a0672b",
-        "block_l": "aaa71374216097ae66545ccfc44a889ab14f0c82c0e9487ffafaee6577937553",
-        "block_l_unitlower": "cb7dfa8b97432c17d6d182e86b5c2e0fa03837fc44d2ec90cf8f8e3fd5014806",
+        "block_l": "2fc2f154c52c3b690f54506322260f307a317aa35285941219b1744c35abcd94",
+        "block_l_unitlower": "97dfad83d3b499cbb94b02ee54a6bd1086be12c8ecdf7361f073060e4ff157aa",
         "recursive_lv": "8dd900549424dc0e64b52d64abc6f1d5aa33edb9bd8766e154f0c4ec3e47d4a5",
         "naive_gauss_l": "b8f19a5fe907e7f4def109a770bfa740379b30ab608503eb1f792168e416860c",
         "lift_recompute_l": "aaacee290645c8c6e97ab586ff9441ba3341f6327c50d9036312b9552c4509fb",
@@ -1095,8 +1160,8 @@ ELIMINATION_GOLDEN = {
         "stable_l": "7d145aacd446ece10a6c0104e659268cf8f1aa90720078f387abe7fa648e9d6b",
         "lv_decomposition": "f5692974002fb19e734a4ccf2258989bc06456fadd1f55f974b3c8ce53db466b",
         "vij_statistics": "1f4304e2e89d619463e6e07a40dbc463c48013a3d3e274da2f8c4d15d316add7",
-        "block_l": "db0b58ba25fcc21c934d5eb6f7d2c37ffb7319a4d5fdbb4b7bb10f44428160f0",
-        "block_l_unitlower": "4a8bed22fca5d714b757903752a448a5c7ed45e4cda02b39de1090aefb6c0a39",
+        "block_l": "1b0fc8be55b639239e2e8f763ffde0d48f9cb765aff21941af3a65804a278d75",
+        "block_l_unitlower": "86296d0761b96c394117b817bd49144720ba502cc68237779b0c41b758c39be5",
         "recursive_lv": "f5692974002fb19e734a4ccf2258989bc06456fadd1f55f974b3c8ce53db466b",
         "naive_gauss_l": "ec2d82f166d23337055af9e746a2363d2de60c0d190b71e9e0dd2e251cb20f43",
         "lift_recompute_l": "ce7c29f29e2df694fc3aee5b58ef854116dc2ad745699b8778ab82397c5bf0f5",
@@ -1106,8 +1171,8 @@ ELIMINATION_GOLDEN = {
         "stable_l": "058244a601aefb19522148733c96c063494f1e548fef1129ce8d3a0176ceaad2",
         "lv_decomposition": "552a4002ccb97912eedd917c4bcd82d5951d21d664d5c9966d374f8bc642af48",
         "vij_statistics": "5102b5c21abac88bf63bef49888429dff66fab43028a76a744e78aebb6580b6d",
-        "block_l": "c253ea7a5ac07271620d0ffd9afc835ba06038fe2715d2093adf26a13899e5ad",
-        "block_l_unitlower": "100a7cd731bde9aeddfc6ca865b748a2e7368cce7a5472f8631259ac7f49c832",
+        "block_l": "e9b51a9423e8c83adfaeab6b109d94498aaf95efac4cee552e052d948128eb1f",
+        "block_l_unitlower": "8640004d32f98ee994ba2a60131a06a288c82e40016010878f515108b98b04df",
         "recursive_lv": "552a4002ccb97912eedd917c4bcd82d5951d21d664d5c9966d374f8bc642af48",
         "naive_gauss_l": "a58f5de0c13d7e23e68d7fc6075b5da0fd5dbb80b9631c0c2ef27d980a9c953c",
         "lift_recompute_l": "67c106c9357a87dacf789f6cb66ad0982e9b9e758f80e14ef6bc23611438efc1",
@@ -1117,8 +1182,8 @@ ELIMINATION_GOLDEN = {
         "stable_l": "8204a9a5fc69cd7a52a060a306ad6082e830af342674fa7fe9bde922b5bd6386",
         "lv_decomposition": "1159b5e69343d16f8cf0e9e029d10d1d17d342133fa856769c56b443a86f0c1d",
         "vij_statistics": "4c7fb890e22dd9afc89d039e06ecbdf71359d9ef71fdc92ffc6a27f798e1ab66",
-        "block_l": "f5ffd09b6a14399a0ccd365d1d1420e555bd075120ad4fd4b80b6eb85716402e",
-        "block_l_unitlower": "b7e7c0d619d5eb46e8531a357661b323e0f0cda49516f898ba2a71bb929a8fb0",
+        "block_l": "ccc11edf01b03b3b6d9fc02770fad0a441e25e13476ad2c2189515d563dd716f",
+        "block_l_unitlower": "fca6ad605810442c462545a0baf4c5fd048013a4bf3dd97466f50c5f91696aea",
         "recursive_lv": "1159b5e69343d16f8cf0e9e029d10d1d17d342133fa856769c56b443a86f0c1d",
         "naive_gauss_l": "edcde90f03ab9d84a5df075b6f0eeb082174c699d89154c0cf66cc478e188e1f",
         "lift_recompute_l": "cc5806ae049000d902e449f6f3cbd3ac11b250e7573c2b138ffe276992b5ade3",
@@ -1129,7 +1194,7 @@ ELIMINATION_GOLDEN = {
         "lv_decomposition": "43831280384117d7fb30c74986ebe5718fc4c6957d5d589248cf5423b5c772dd",
         "vij_statistics": "05cf83e8d427fee2631952954900053de11e2fbfcabe783e5cc38ef8dad5ad3b",
         "block_l": "d42c623bea546774b176b1723d42a4f8c84ecc27b94f9994b0a9aa0590a201d2",
-        "block_l_unitlower": "dd138c27d6a4815fe64c6265df96214d26d28a668eb4cd4688d32b592db5a107",
+        "block_l_unitlower": "e9c1f08da4a003a769b83e41c685deaf7bd23c3829811051b9d955acf2a6d5d3",
         "recursive_lv": "43831280384117d7fb30c74986ebe5718fc4c6957d5d589248cf5423b5c772dd",
         "naive_gauss_l": "aa081593185ced7423eb5c1dc6393a2bca55cfd133ab3d6eb47f13aa287bfc10",
         "lift_recompute_l": "b6bee9e1a5fb2180a47dba0ce843022769f6a8e583d23b2744048eb61d7c2928",
@@ -1139,8 +1204,8 @@ ELIMINATION_GOLDEN = {
         "stable_l": "3709677f7ec3451c468d8bc4af47ba0fe78ee1acdec0bcb5af447ae720aa38b7",
         "lv_decomposition": "e906201ac5ce42e382da5b6ef8fc31ebadebcc3aaee573adf41c393cbd6d534e",
         "vij_statistics": "e57e532b1f4fdbd24f2ce90fc4674c570a230edd6a5935d58a1fc5392a382bfd",
-        "block_l": "a7cafb7979fab6c379d6c0b5210c7ec9d1ade1204eb2d84f76d4dfc8ad778702",
-        "block_l_unitlower": "9c77d80ef8058d7d45b5fdcc195b9b6539da977dd9a8d358062ae4c65da42c1d",
+        "block_l": "b1a477e47d92dea080a71a45e08e5709c3e98ef54248af6fcfc29c158a02af57",
+        "block_l_unitlower": "0972683cda70e35418b2d8ba6c435b34c9b1b14fa655952fca67205f36d9d378",
         "recursive_lv": "e906201ac5ce42e382da5b6ef8fc31ebadebcc3aaee573adf41c393cbd6d534e",
         "naive_gauss_l": "eb5e7556404a9e0fd873338085220a5ec258f402c5056d4d170a14f063773845",
         "lift_recompute_l": "091f7241b702c7f72af8b87b8e3aa2d00864971d0af47167597d0a991c762592",
@@ -1150,8 +1215,8 @@ ELIMINATION_GOLDEN = {
         "stable_l": "d1b4aa33bf0a0f22ce6a60a03eb60ceb489b8cc630e20f1feb5f18ea6b0c78a3",
         "lv_decomposition": "343526e857f7e405049a92099d236a6fa05626c9b75067187ddd66309a516dd5",
         "vij_statistics": "e7c20434d19b4207c0d86349ce130ed887890a915dc1b0f86759f418d3319289",
-        "block_l": "123f1fc563698fde2b7c0e0dba51ce66100fe4f34827039f8963a79810e707e3",
-        "block_l_unitlower": "637d4fe24c4240908760bd0c8533a6a43a9a517ea5cb71a08a8d8c8a2aff9c9e",
+        "block_l": "fe92390380053a07d69e5f71d17d9a6ed023de5c33513694fae29a4910b5d641",
+        "block_l_unitlower": "b9bd49f7469016781f8067fa1581e3d0bf4c73dbf69cdfc9e07cba1ef4ef860d",
         "recursive_lv": "343526e857f7e405049a92099d236a6fa05626c9b75067187ddd66309a516dd5",
         "naive_gauss_l": "b75cac0d0ea77757677b1540a30491558cf4a210322d90ba7b9c4505b769a8b0",
         "lift_recompute_l": "a13fd378f6a52c8522eb7ab8ca5f2e07376e60781eca324d946dea038ee5e9d0",
@@ -1161,8 +1226,8 @@ ELIMINATION_GOLDEN = {
         "stable_l": "9e9343d4bbaa9d57921adf7f4f6372c99b02dbd4c19906aeaaafb7cb1e178397",
         "lv_decomposition": "338adb9ade05804fd167526511d19ca8b09301879466dc0b263e5ee1b0cea794",
         "vij_statistics": "0b7cad206883c6ae88e75aa9804125ae33a6eeec52630455ec221a20e0b5012c",
-        "block_l": "671fd0be8886eb64c4ca8bab177b18555893cc463e7eec1d9f706702551b3af6",
-        "block_l_unitlower": "fd6995cbdde1602442c20016da98b46072c392bcba96edac7370ba4f7cdb2ad6",
+        "block_l": "28d5d39d2a5048e621c7e081edbcfa79d575ed0409890b9cd8d6aa08f4c07510",
+        "block_l_unitlower": "2c41dec4441657a53dd8f41e309a43ee9e0981de8fbc1ffd71ed903edd38e827",
         "recursive_lv": "338adb9ade05804fd167526511d19ca8b09301879466dc0b263e5ee1b0cea794",
         "naive_gauss_l": "f829ecbd455bb739a930e786a4e11c3d1f1f8d3986c4dddcb3d5cf8f17f5dd87",
         "lift_recompute_l": "ca1d23542cfaefba9a327ccae7bf523eeffe1751ee262b25370742efc0be1451",
@@ -1172,8 +1237,8 @@ ELIMINATION_GOLDEN = {
         "stable_l": "dcaf9d787e50dd2798c77f226555ac2fdf67e0b0ffc41ab1ddf6b84ba8094e86",
         "lv_decomposition": "9a610bcaf781da27dc5954e5442671c89e163a1629f6ab9d3a619db623fef2cb",
         "vij_statistics": "45b05ec26bbae4733f646ef9de89ac1b743201e7d221a37a0f3af849187dd014",
-        "block_l": "e5eca26eefd4f07f2360d0b194225dcb4cc77abf17b436795c595a99da4b8a0b",
-        "block_l_unitlower": "e8478796d0e65b532f922fa0c7f6db468a0cbc578183826b380ed052b20633f9",
+        "block_l": "74df6ba9a383817d96d6d8a3772664629ff4d4a8618dcc57a9ca0526654541e4",
+        "block_l_unitlower": "b725622e9f71bef9569a372cc1328b955d884062f1d02a11bd1ebbc0e32e83ad",
         "recursive_lv": "9a610bcaf781da27dc5954e5442671c89e163a1629f6ab9d3a619db623fef2cb",
         "naive_gauss_l": "11377ad768941dff6eb54efaf97315533e7db4fc9ecea84f05c4f60573b16b5e",
         "lift_recompute_l": "20a1e2e1ff1578801b13380d11e70149010c894b0200d11ee52fbaecc4f55a74",
@@ -1183,8 +1248,8 @@ ELIMINATION_GOLDEN = {
         "stable_l": "ea3e6c8901f44f1d29a451628a7d164a2fc794c0f54095fae67119364ed4ea0a",
         "lv_decomposition": "bd47c20457fd62c9dffd7bb66767d445e83365adffb5722e095559bfd47b3cba",
         "vij_statistics": "3193d2987e565b2c01a903670780ead7f8ca65c92ef7287b48a8cefecd4e11c1",
-        "block_l": "984bdf70cb36a19538978aa9f08e7109ca95c462bb8ca14465723923dd685907",
-        "block_l_unitlower": "1958c075ab24f0412219a41307ef3336a72b0529b1ede57f3008197f1a99591e",
+        "block_l": "e716c191e856574ad45bb24868cb6d481f4a69fc046902ab59c0d0448fd220f1",
+        "block_l_unitlower": "70577c5f94db9151da9efbd6e58948c02e9ac5a82d50f827b4b7441ce80857a5",
         "recursive_lv": "bd47c20457fd62c9dffd7bb66767d445e83365adffb5722e095559bfd47b3cba",
         "naive_gauss_l": "27a22a715471e32fd06e6c5fa092d0daa537b88d3e556d25128ab9e10f3472ee",
         "lift_recompute_l": "c7ae9be646aa1d42594e1719b820acf2b9d9a930b1869faf57c7d93a72119b7e",
@@ -1205,8 +1270,8 @@ ELIMINATION_GOLDEN = {
         "stable_l": "f21bdb9ae57a75eeb164ab2fa80eebba01dc6410a3acf8d261b4c785d37fa35d",
         "lv_decomposition": "a2a868c9af77be6a8ad560c63d6823bf63f6041e77e517c7b7b7526bdf008daa",
         "vij_statistics": "4f01cfb2992f0a360bbfcc847155424760a3c0dd446ac8bef13165fc547f481a",
-        "block_l": "c8bc1409ae9ac7ccc726d4dba9dbb0feb6543d842dadc04419350281582a9da2",
-        "block_l_unitlower": "54f47c1d7b5589f0725da5e2a2c335138b8848fad03847e119bd82aba92896ad",
+        "block_l": "f4947b8f85c619100e65fcaf9dd5237813540fc3822b04d9f245808fdfc9741d",
+        "block_l_unitlower": "720f9e6030efd68842b312f3025914e3b1485ac616f41a3d8517e9c449a929ba",
         "recursive_lv": "a2a868c9af77be6a8ad560c63d6823bf63f6041e77e517c7b7b7526bdf008daa",
         "naive_gauss_l": "36b2c1342e22b995bf684e6f63aa6bdb09860df4b377a2ef65cef70dd98e4c2a",
         "lift_recompute_l": "9a79332eb2fe926fd97c0098a6f38d26deb74feeea35afb0278958d9a230dd45",
@@ -1216,8 +1281,8 @@ ELIMINATION_GOLDEN = {
         "stable_l": "96cb827b0fccc4b48d6c33f39440f479b6380460f18a540a80e81e8f878ef07d",
         "lv_decomposition": "fa47ce4b5fda9212da59d2cb9126a8c814eeb9533cba190f7f21854f2ece0ce9",
         "vij_statistics": "db28743473d7d76cd2ae023e4bb65f6b0961717c3b7c943ee9a63c9be82caebc",
-        "block_l": "9d4522cbd791c3ce05ab8520b8feac27119bcd7649be5e80b41269ac07c5cdab",
-        "block_l_unitlower": "a6d89b4d4a5e4ab3a54343608442c7418e6b0943278e173ec603d1b30ef3d9e5",
+        "block_l": "66199dc75ab58dc434786861d45de80373523d19328b76cbcc23468e81a7c0ad",
+        "block_l_unitlower": "6fefd58dd88e842a07b9caf28a27574a6bd5a66825d3c363a7d4ecb116856196",
         "recursive_lv": "fa47ce4b5fda9212da59d2cb9126a8c814eeb9533cba190f7f21854f2ece0ce9",
         "naive_gauss_l": "5b786912121f91c0a6b8ff5015d9f56c18aaca5444277e0a68e5518cc3c4487c",
         "lift_recompute_l": "49a037c7b42ea8aba7881e5ef9cdf23757258218cc65276a30b42dde99573d83",
@@ -1228,7 +1293,7 @@ ELIMINATION_GOLDEN = {
         "lv_decomposition": "86fb21299caf227f914d25823a4e1e2058a74d18479c91adaf33b10de9e20d6a",
         "vij_statistics": "1dad71dc8cb1c1e8d0f2a8b8072f43cfc62b75a9cc7b9a0b708d8b640ac6fa99",
         "block_l": "7f4a77694e77b62e19daa4e61dcda897ae00b12a0ccb2aa33119dd443664e58b",
-        "block_l_unitlower": "2a48492bb54ea2c36cc24bd76b0e944957f8aa00e038370850b353be04bac03e",
+        "block_l_unitlower": "f9fd1a21af279c69f5458410ccd137f67ccd9fcff24d0c39650ddceda7647fa5",
         "recursive_lv": "86fb21299caf227f914d25823a4e1e2058a74d18479c91adaf33b10de9e20d6a",
         "naive_gauss_l": "f8044254478674610179ed4c65d3bba5c88272c9808fadf1a764e106c14616ff",
         "lift_recompute_l": "b5b0a7e8c5f7e06cfa56427454a37fe472a8ccecb87867fe60b3113a08c5f23e",

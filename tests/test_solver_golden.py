@@ -95,62 +95,73 @@ def _solver_outputs(p, n, seed) -> dict:
 # digit it claims), and attempt_simultaneous at (2, 4, 1), where two draws
 # whose determinant is indeterminate now fail invertibility rather than
 # inverse-valuation.
+# All but the instance hashes moved when every block factor entry came to
+# claim its Cramer quotient's precision.  simultaneous_block_lu (all 8
+# cases): the same omega and tries, and each moved factor entry agrees with
+# the former one on every digit both claim; at (2, 4, 1) member 1 has
+# determinant O(2^4), so its last block's boundary minor reaches N on every
+# draw and the call raises ExhaustedRetries.  solve_sheaf (6 cases): at the
+# same omega, coefficients claim fewer digits at (2, 4, 1), where the verify
+# now finds point 0's diagonal block indeterminate, (3, 16, 0) and
+# (7, 12, 0); more tries, so another omega, at (2, 20, 0), (3, 6, 3) and
+# (7, 4, 1).  Single draws: solve_with_omega (all 8) and attempt_simultaneous
+# at (2, 4, 1) fail other stages, mostly factor-precision where they passed.
 SOLVER_GOLDEN = {
     (2, 20, 0): {
         "instance": "0a671f18dc37fa31d719535379fc60b694fd0eb9e87d06b6e1e7bdbec605847e",
-        "simultaneous_block_lu": "a31bf65004c7dcd756a83b05f06564ae20c69b378b690c5453fe67633e6ec8d1",
+        "simultaneous_block_lu": "338cb4e3c90ace27dfdff214d2b8c6266edb001578372dfd888bf4bd9289234f",
         "attempt_simultaneous": "5c7b5b92d92f6219ce63cb15e967656fbcf8dfc1d7e6a976f422254cbe5c41e9",
-        "solve_with_omega": "7200e661ef6223776bfd6cb30579f4952f32d3df5939c37d29f9a5a324740fb1",
-        "solve_sheaf": "540f9c0ccaf600dd6b62c2b4e28aef5d71ff0e4536e3a2ff840c59ac47742744",
+        "solve_with_omega": "376914ed29cbf0c24ebc63ba7a6f629da48f5e8aec07a01b66cd93f5142d2637",
+        "solve_sheaf": "d618c4aba4aacaa0060bd2d818e9a764a3825d07ca308dfe6aaafa6377f6cc86",
     },
     (2, 4, 1): {
         "instance": "b9f4ac39812b410aa9918f415a7c7cf28912373dd449aff1bc0fb81956bcbf62",
-        "simultaneous_block_lu": "ff92e1e02030bb2c2340926ce31fd7440a86243cb3f7ec720b4f6f918614dc49",
-        "attempt_simultaneous": "051ad69c892b902ded20d0a1a6e864e760b2dd3b823348b18c8e8f2c1d734cdb",
-        "solve_with_omega": "c1164d4911f554ae17cc592a094cc49c1eab8f5297aa13593ff0908a55c86713",
-        "solve_sheaf": "e3717673b0eee52f9e02f530d3a42c04b11a222f3887455335f2f3ac8e01b4b8",
+        "simultaneous_block_lu": "70950d0f2001d61a88214441b497170a8f5f8b1a68e80ba8be198bdc2a0c285e",
+        "attempt_simultaneous": "a43ce83b7bdef6faf23685e305f05e928da82e425818b025a8312b8bd0d335c7",
+        "solve_with_omega": "2f1e1316da1cb091c8a6017a9d9c986259990d144c6ca5bdbfcdc80e93329416",
+        "solve_sheaf": "2cdd646a76c29f4ad386b6003e51bb38ebab64c33ae070099e146ba2da1d14e0",
     },
     (3, 16, 0): {
         "instance": "408b749d4b07e733a62cce51645f2adbea699644cd535503ace7a0502dd95400",
-        "simultaneous_block_lu": "e775f62e1993ee39fd66c68c3ef60a908752949f3a7c64fe05874de29784fc71",
+        "simultaneous_block_lu": "1e9fb36ee4f1bbc20a51240ee61f6a1404c7e10db43b777b567e5ca91e9de8ef",
         "attempt_simultaneous": "56752e5cdb9ca210ebb8093f0fa5b0eeda3e8a4dcd486b463529321dd643a18b",
-        "solve_with_omega": "996ea8a360b39c0b7d130158f270aa3fdb195ae8cc186ac734b5febebbf6d13a",
-        "solve_sheaf": "b9777762534762379aa37651c6f7c66a323e71baa4dbd68d687762422ea23ecd",
+        "solve_with_omega": "9b495f0b9efe554d0c55062784b9b15c355398404e47b96ecc5c6e13dc53ecad",
+        "solve_sheaf": "e5732de8cfde5054dc8f5850666d564e497848fe69feb798731d0e25ca99be5c",
     },
     (3, 6, 3): {
         "instance": "70cf7bafa22de1f819ca02703d443301fe2b96cd62a54f1fdf62ff194c19ef0e",
-        "simultaneous_block_lu": "dde7c8de899fc957422c33d78b3dec8fff58b10dc7bab31ac3f853c15c55bd3d",
+        "simultaneous_block_lu": "3e2590d2a5fa7017d9932196969eeaaf00f8a923524fa1c23147f26465ed03da",
         "attempt_simultaneous": "ac240a862d39049c4af6551979d7025e4a5a9afde197be7ed280fd5e0a471743",
-        "solve_with_omega": "7fe1b8b7b1359b8c976e4fe980ce3cd1a651e0e8883c964d877b35dc3c7e767a",
-        "solve_sheaf": "23c5fb40c9a7b1d276c73117924d293acfbb62c10a63aba122be31be5f646932",
+        "solve_with_omega": "fcf951eae128b80c3701d4168fb96c3e5afd3b5afbfffdd465acc3ba628b5819",
+        "solve_sheaf": "035bcaf7c25da8d0b42818e9d063ad44b45562fd976f3fda02e299ac19c4c92a",
     },
     (5, 14, 0): {
         "instance": "7db0fb2cd7a458b9e35ff93a90376569db1004682eb8f8f1f0562ccba88db728",
-        "simultaneous_block_lu": "1b206b15110bf074801ae1f8e0d3615abe2249b5ab63a6fbb0fb6a7861226523",
+        "simultaneous_block_lu": "9634656d091a839cde5506bf0638e57111743d6f1399c1c4a8e8cc72e8f7b20d",
         "attempt_simultaneous": "a41e0d19f149a1fdb117feb77954c54b92b0ff0a2c2f73888c54724cefd95bbd",
-        "solve_with_omega": "c32cc3759bcc4c8f33d659c51c9e6bf6aa45de3f437e2448463e3d8e4caaa714",
+        "solve_with_omega": "56392749eae196e2b5b8875f15b07aa13d8c9782e09f757e3c86cc49998883e3",
         "solve_sheaf": "6635db6e6962918052bd139fd4f0f787329f56e7bda4c3ecc626e7cb1cf9244b",
     },
     (5, 3, 2): {
         "instance": "eb53ddddb3bc6e7864edf406f5a02368a3059985aac28a8d10cfd8a828ba2c91",
-        "simultaneous_block_lu": "ff2c6afc5855e4539b88c2252731b443ac03780112c2fb111772a347d24a7134",
+        "simultaneous_block_lu": "844e8d41d0ed886376ee791730c56e2af0b6104e279c0e074baadf99d56135cb",
         "attempt_simultaneous": "4e9b2007de42e1c8b45176a4b1ed9e9de6fee538a0a95b60d0bb3a5424f8d9d9",
-        "solve_with_omega": "988a8357fc581c4a687984d0c0442981dce1ae2c5c9fcad05a6536748eeaea23",
+        "solve_with_omega": "3fba357781f06c08787828c8cb5cbf9f6d344aa6187c2be8917072fab2271644",
         "solve_sheaf": "9a1f2262880340f1a17b4d60f8cc7cde9e5ec8a6299e33b50a88d89dbe9a1c4a",
     },
     (7, 12, 0): {
         "instance": "f86dc508a004fca7aa1f94d9b10f5c3520dac9f7fe25bbd80a3ae28b86acf878",
-        "simultaneous_block_lu": "6dc14ae9e906c0cdf51f7de1abcee5a5a1909a115b485e89afca0ba168f0f842",
+        "simultaneous_block_lu": "d105c9152af5bfe09fe9921d39f538fe01d49e997e666d1b52dc00b4cde0a502",
         "attempt_simultaneous": "4833e782257f28dd07066c6de2ca68f55cbc93b3ea68a4a4ee097c4def0d572d",
-        "solve_with_omega": "16266c37e8601cbdb7569e6f4496ef27dd8aceea0a4f4c5a51fd046c6fc31548",
-        "solve_sheaf": "079b9f9a849ce8dc89f4cafd63a37145897b4cfaa9da9e2327bec5c72dc2dde9",
+        "solve_with_omega": "65164a3a49c574dc6f4f89401565ec0b9ff6265c1526601882f0ad22c73b30a9",
+        "solve_sheaf": "ffe00a2470a7dbdabfda28ecec97bb6b20079d3e8ced5b1a80eb458580ae64ef",
     },
     (7, 4, 1): {
         "instance": "b44b6e85e332467d8aef606f4c2dddc82d30cc02ee13b0dd1d97ff4e07c847bf",
-        "simultaneous_block_lu": "620148006262ac1cc8d43c66d1f81656d4e9bffdda1038268c2f6dd8eb962d10",
+        "simultaneous_block_lu": "1ec8cf5e08164bb298f52f2c7795276d1c5c2023dfcba60816669d78f4899daf",
         "attempt_simultaneous": "f5977d4cdfddf780f3eb76c6e2e9694aa67df1f2a36f0782c53ddf90f0434674",
-        "solve_with_omega": "329663219bceb7a7006cc1746db3205ddc4c4d783dffbc82aa93ac758c3c2a6d",
-        "solve_sheaf": "20955cd1d13836ed4165dc1e32e98fa2f944a201c0ea7993ec9afe167de00187",
+        "solve_with_omega": "f82f8fc279d702cf675e5a76e81cca145fd0a7318e29618e93bbc4019c345107",
+        "solve_sheaf": "b6995b4239cf2e0fd77b08389e003ebb2032263b169cf85aaef38c990e354a34",
     },
 }
 
