@@ -357,6 +357,13 @@ def _fields(cfg: DvrConfig, elems) -> list[Fields]:
     return [e._f for e in elems]
 
 
+def _shifted(e: PrecElem, k: int) -> PrecElem:
+    """pi^k e, exactly: the valuation (bound) moves by k, the digits and
+    the relative precision stay."""
+    v, u, rel = e._f
+    return PrecElem(e.cfg, (v + k, u, rel))
+
+
 def _refuse_mixed(a: DvrConfig, b: DvrConfig) -> NoReturn:
     """Raise ValueError naming rings a and b, whose digit-ops objects differ:
     different p or backend, or ``F_p[[t]]`` slot layouts sized for different

@@ -55,13 +55,15 @@ runs on rows i..d-1 only: the rows above i are 0 mod pi^N in both columns
 
 The module's functions:
 
-* :func:`ints`, the one reader, reads a matrix as residues mod pi^N, or
-  refuses it.  It reads an entry known beyond N mod pi^N, as that entry
-  capped at N (:func:`dvrlu.lu_stable._flattened`).  It refuses an entry
-  that is not a :class:`~dvrlu.element.PrecElem` (the sheaf factors'
-  ``SeriesElem``), an entry of negative valuation, an entry known to fewer
-  than N digits, entries of unequal configs and N < 1, which all stay on
-  the object path.
+* :func:`ints`, the one reader, reads a matrix times pi^s as residues mod
+  pi^N, or refuses it; an entry known beyond N reads as if capped at N.
+  :func:`dvrlu.lu_stable._flattened` asks for the s that makes scalar
+  input integral, so it refuses only ``SeriesElem`` entries.  With s = 0
+  it also refuses an entry of negative valuation or known to fewer than N
+  digits: the capped products, and :func:`~dvrlu.lu_stable.vij_statistics`,
+  which keeps the object path for input that is not flat and integral.
+  Entries are matched by digit-ops object, as the element operators match
+  them, and another ring's raises ValueError.
 * :func:`stepper` is one step (i, j) above, swap rule and raise included;
   :func:`dvrlu.lu_stable._eliminate` runs it as the elimination above.
   The pieces that differ by ring, dividing out pi^v, the column update and
@@ -84,21 +86,26 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional, Sequence
 
 from .config import DvrConfig
-from .element import PrecElem, valuation_less
+from .element import PrecElem, _fields, _shifted, valuation_less
 from .matrix import PrecMatrix
 
 
-def ints(lines: Iterable[Sequence], n: int, cfg: DvrConfig) -> Optional[list[list[int]]]:
-    """The entries as stored ints mod pi^n, one list per line, or None unless
-    every entry is an integral element of a config equal to cfg known to precision >= n
-    (an entry known beyond n reads as ``e.cap_abs(n)`` does)."""
+def ints(
+    lines: Iterable[Sequence], n: int, cfg: DvrConfig, s: int = 0
+) -> Optional[list[list[int]]]:
+    """The entries times pi^s as stored ints mod pi^n, one list per line,
+    or None unless every entry is a :class:`~dvrlu.element.PrecElem` that
+    pi^s makes integral and known to precision >= n (an entry known beyond
+    n reads as ``e.cap_abs(n)`` does).  ValueError for an entry whose
+    digit-ops object is not cfg's."""
     if n < 1:
         return None
-    out = []
+    ops, out = cfg.ops, []
     for line in lines:
-        row = [e.residue(n) if type(e) is PrecElem and (e.cfg is cfg or e.cfg == cfg) else None
-               for e in line]
+        row = [(_shifted(e, s) if s else e).residue(n) if type(e) is PrecElem and e.cfg.ops is ops
+               else None for e in line]
         if None in row:
+            _fields(cfg, [e for e in line if type(e) is PrecElem])  # another ring's: ValueError
             return None
         out.append(row)
     return out

@@ -20,14 +20,14 @@ matrix products.  Two facts make that possible:
   ``threshold`` rows; its leaves run the square rounds.
 
 :func:`recursive_lv` runs on residues (:class:`_Residues`): the input is
-read once as stored ints mod pi^N (:func:`dvrlu.lu_stable._flattened`),
-the leaves' rounds and the band steps run on :func:`dvrlu.kernel.stepper`,
-the products on the ring's digit-ops ``product`` (or :func:`_strassen`)
-counted as the element products they stand for, and elements are built
-once, for the output.  Strassen's recursion is exact mod pi^N too, so it changes the
-count, never the output.  Input the kernel refuses (``SeriesElem`` entries,
-an entry of negative valuation) takes the scalar elimination the recursion
-reproduces, :func:`~dvrlu.lu_stable.lv_decomposition`.
+read once as stored ints mod pi^n (:func:`dvrlu.lu_stable._flattened`,
+which reads pi^s M, integral, at n = N + s), the leaves' rounds and the
+band steps run on :func:`dvrlu.kernel.stepper`, the products on the ring's
+digit-ops ``product`` (or :func:`_strassen`) counted as the element
+products they stand for, and elements are built once, for the output.
+Strassen's recursion is exact mod pi^n too, so it changes the count, never
+the output.  Every scalar input takes this route; ``SeriesElem`` entries
+are refused, as by :func:`~dvrlu.lu_stable.lv_decomposition`.
 
 The public :func:`matmul` is the classical product of elements; it counts
 scalar multiplications in a module-level counter (read by
@@ -45,7 +45,7 @@ from typing import Sequence
 
 from . import kernel
 from .lu_stable import LvOutput
-from .lu_stable import _flattened, _identity, _lv_eliminated, _lv_output, _square_dim
+from .lu_stable import _flattened, _identity, _lv_output, _lv_rounds, _scalar_dim
 from .matrix import PrecMatrix
 
 _MUL_COUNT = 0
@@ -175,17 +175,7 @@ class _Residues:
         return _transposed(cols[:k]), _transposed(t)
 
     def leaf(self, m: list[list[int]]) -> tuple[list[list[int]], ...]:
-        cols, w = _transposed(m), _identity(len(m))
-        lp, vp = [], []
-        for j in range(len(cols)):
-            for i in range(j):
-                self.step((cols, w), i, j, i == j - 1)
-            lp.append(cols[j])  # columns are replaced, so this is round j's state
-            vp.append(w[j])
-        return tuple(map(_transposed, (lp, vp, cols, w)))
-
-    def elements(self, m: list[list[int]]) -> PrecMatrix:
-        return PrecMatrix([[self.elem(x) for x in row] for row in m])
+        return _lv_rounds(_transposed(m), self.step)
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +312,14 @@ def recursive_lv(
     Splits the columns at d' = floor(d/2): recurses on the top-left block,
     clears the top band against it (:func:`_clear`), pushes the
     accumulated transforms into the bottom rows with matrix products mod
-    pi^N, and recurses on the remaining bottom-right block.  An integral
-    input of either ring runs the whole recursion on ints mod pi^N, N its
-    smallest entry precision (one leaf of scalar steps when d <= threshold),
-    and builds elements only for the output, which equals the scalar
-    elimination's *bit for bit* (same values, same tracked precision), with
-    either algo.  Any other input (``SeriesElem`` entries, an entry of
-    negative valuation) is that scalar elimination,
-    :func:`~dvrlu.lu_stable.lv_decomposition`.
+    pi^n, and recurses on the remaining bottom-right block.  The whole
+    recursion runs on ints mod pi^n, as :func:`~dvrlu.lu_stable._flattened`
+    reads the input (pi^s M, integral, at n = N + s, N its smallest entry
+    precision; one leaf of scalar steps when d <= threshold), and builds
+    elements only for the output, which equals the scalar elimination's
+    *bit for bit* (same values, same tracked precision, H' mapped back to
+    M * W'), with either algo.  Raises ValueError for an entry that is not
+    a PrecElem.
 
     Args:
         m: square matrix over the scalar ring.
@@ -343,9 +333,7 @@ def recursive_lv(
         raise ValueError(f"unknown multiplication algorithm {algo!r}")
     if threshold < 1:
         raise ValueError(f"threshold must be at least 1, got {threshold}")
-    _square_dim(m)
-    omega, n, cols = _flattened(m)
-    if cols is None:
-        return _lv_eliminated(omega, n, cols)
+    _scalar_dim(m, "recursive_lv")
+    _, n, s, cols = _flattened(m)
     r = _Residues(m.rows[0][0].cfg, n, algo)
-    return _lv_output(*map(r.elements, _lv(_transposed(cols), threshold, r)))
+    return _lv_output(_lv(_transposed(cols), threshold, r), r.elem, s)

@@ -15,15 +15,12 @@ returns a factor works on its input capped to the smallest entry precision
 N (:func:`_flattened`): a cleared entry is exactly zero only up to the
 precision of its row.
 
-That step — swap test, pivot guard, re-lifted scalar, column update — is
-:func:`_pivot_step`, the only code that swaps or updates columns of
-elements, and :func:`_eliminate`, its only caller, is the one round loop:
-every elimination here reads its yields.
-
-On integral input :func:`_eliminate` runs its steps on the integer kernel,
-on the residues mod pi^N :func:`_flattened` reads (:func:`vij_statistics`,
-which reads entries uncapped, only when each is known to exactly N);
-:mod:`dvrlu.kernel` says which input takes it.  The naive elimination under
+Scalar input is eliminated as pi^s M, integral by construction and with
+M's factors (:func:`_flattened`), so :func:`_eliminate`, the one round
+loop, runs its steps on the integer kernel (:mod:`dvrlu.kernel`).  The
+element step :func:`_pivot_step` is left to ``SeriesElem`` entries and to
+:func:`vij_statistics`, which reads entries uncapped and unscaled, on
+input that is not flat and integral.  The naive elimination under
 :func:`naive_gauss_l` and :func:`lift_recompute_l` is not flat; it runs on
 entry fields (:func:`_naive_elimination`), and so does the one full-pivot
 elimination (:func:`_full_pivot`), which decides every invertibility the
@@ -59,7 +56,7 @@ from typing import Optional, Sequence
 
 from . import kernel
 from .digits import PadicDigits
-from .element import PrecElem, _fields, _neg, _plus, _refuse_mixed, _times, valuation_less
+from .element import PrecElem, _fields, _neg, _plus, _refuse_mixed, _shifted, _times, valuation_less
 from .errors import (
     DegenerateDecomposition,
     DegenerateInput,
@@ -102,50 +99,43 @@ def _require_digits(n: int) -> int:
     return n
 
 
-def _flattened(m: PrecMatrix) -> tuple[PrecMatrix, int, Optional[list[list[int]]]]:
-    """(omega, N, cols): m at its smallest entry precision N, for
-    :func:`_eliminate`.
+def _flattened(m: PrecMatrix) -> tuple[PrecMatrix, int, int, Optional[list[list[int]]]]:
+    """(omega, n, s, cols) for :func:`_eliminate`, N the smallest entry
+    precision of m, which raises ValueError when N is below 1.
 
-    The eliminations that return a factor work on m capped at N: a cleared
-    entry is treated as exactly zero, which it is only up to the precision
-    of its row, so a digit beyond the smallest precision cannot be claimed.
-    cols is m's columns as residues mod pi^N, read once by
-    :func:`~dvrlu.kernel.ints`, which reads an entry as if capped at N, and
-    omega is m itself, which the kernel never changes; or, when the kernel
-    refuses m, cols is None and omega a copy of m capped at N.
-    :func:`vij_statistics` reads entries uncapped, so it reads m itself.
-    Raises ValueError when N is below 1 (an entry of negative valuation
-    known to precision <= 0).
+    A factor claims no digit beyond N: a cleared entry is exactly zero only
+    up to the precision of its row.  The one place where scalar input turns
+    into flat integral residues: cols is pi^s m's columns mod pi^n, s the
+    least s >= 0 that makes pi^s m integral and n = N + s, read once by
+    :func:`~dvrlu.kernel.ints` as if capped at n, and omega is m, which the
+    kernel never changes.  pi^s changes no swap and no quotient, so L, L'
+    and V' are m's; the callers map the minors and H' back.  ``SeriesElem``
+    entries have no residues: then s = 0, n = N, cols is None and omega m
+    capped at N.
     """
     n = _require_digits(m.min_abs_prec())
-    cols = kernel.ints(zip(*m.rows), n, m.rows[0][0].cfg)
-    return (m if cols is not None else m.cap_abs(n)), n, cols
+    s = max(0, -min(e.val_lower_bound for row in m.rows for e in row))
+    cols = kernel.ints(zip(*m.rows), n + s, m.rows[0][0].cfg, s)
+    return (m, n + s, s, cols) if cols is not None else (m.cap_abs(n), n, 0, None)
 
 
 def _identity(size: int) -> list[list[int]]:
     return [[int(i == j) for j in range(size)] for i in range(size)]
 
 
-def _pivot_step(omega: PrecMatrix, i: int, j: int, n: int, *extras: PrecMatrix) -> None:
-    """One elimination step: clear (i, j) using pivot (i, i).
+def _pivot_step(omega: PrecMatrix, i: int, j: int, n: int) -> None:
+    """One elimination step on elements: clear (i, j) using pivot (i, i).
 
     Columns i and j are swapped first when v(omega[i, j]) < v(omega[i, i])
-    (compared through ``pivot_scalar``).  The pivot is then of known
-    valuation: :func:`~dvrlu.element.valuation_less` swaps in an entry of
-    known valuation or raises AmbiguousValuation, so the division below never
-    meets a zeroish pivot.  The scalar is lifted to absolute precision n
-    before the column update (choosing a representative; the transform
-    identity is exact for any representative, and for flat inputs this is
-    what keeps precision flat).  Swap and update are applied to every extra
-    matrix too (accumulated transforms).
+    (compared through ``pivot_scalar``): :func:`~dvrlu.element.valuation_less`
+    swaps in an entry of known valuation or raises AmbiguousValuation, so
+    the division never meets a zeroish pivot.  The scalar is lifted to
+    absolute precision n, which keeps flat input flat.
     """
-    mats = (omega, *extras)
     if valuation_less(omega[i, j].pivot_scalar(), omega[i, i].pivot_scalar()):
-        for x in mats:
-            x.swap_cols(i, j)
+        omega.swap_cols(i, j)
     s = (omega[i, j] / omega[i, i]).lift_to_precision(n)
-    for x in mats:
-        x.sub_scaled_col(s, i, j)
+    omega.sub_scaled_col(s, i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +188,7 @@ def _minor_val(at, j: int) -> Optional[int]:
     ``pivot_scalar``) through entry (j, j), read through ``at`` as
     :func:`_eliminate` yields it, or None when one of them is
     indistinguishable from zero.  S_(-1) = 0."""
-    vals = [_val_or_none(at(0, k, k)) for k in range(j + 1)]
+    vals = [_val_or_none(at(k, k)) for k in range(j + 1)]
     return None if None in vals else sum(vals)
 
 
@@ -224,18 +214,18 @@ def vij_statistics(m: PrecMatrix) -> VijProfile:
     pivot = None  # entry (i, i) before step (i, j)
     for i, j, at, col in _eliminate(m if cols is not None else m.copy(), n, cols):
         # only a swap changes column i - 1 in step (i - 1, j)
-        if i and at(0, i - 1, i - 1) != pivot:
+        if i and at(i - 1, i - 1) != pivot:
             prof.swaps.append((i - 1, j))
-        prof.table[(i, j)] = _val_or_none(at(0, i, j))
+        prof.table[(i, j)] = _val_or_none(at(i, j))
         if i < j:
-            pivot = at(0, i, i)
+            pivot = at(i, i)
             continue
         prof.boundary_sums.append(_minor_val(at, j))
         if j < d - 1:
-            piv = at(0, j, j)
+            piv = at(j, j)
             vl_defined = vl_defined and not piv.is_zeroish
             if vl_defined:
-                quotients += [(e, piv.valuation) for e in col(0, j)[j + 1:]]
+                quotients += [(e, piv.valuation) for e in col(j)[j + 1:]]
     prof.det_val = prof.boundary_sums[-1]
     prof.vl = _vl_bound(quotients) if vl_defined else None
     return prof
@@ -448,20 +438,19 @@ def naive_gauss_l(m: PrecMatrix) -> PrecMatrix:
 def lift_recompute_l(m: PrecMatrix, extra: Optional[int] = None) -> PrecMatrix:
     """Naive elimination made reliable by lifting first.
 
-    Zero-pads the input from its precision N to N' = N + extra (choosing the
-    representative with zero high digits), runs the naive elimination at N',
-    reads off the pivot valuations W_1..W_d, and checks the certificate
-
-        N' - N >= 2 * (sum(W_i) - max(W_i)).
+    Zero-pads pi^s M, integral, with M's L and read at n = N + s
+    (:func:`_flattened`), N the smallest entry precision of M, by extra digits
+    (choosing the representative with zero high digits), runs the naive
+    elimination there, reads off the pivot valuations W_1..W_d of pi^s M,
+    and checks the certificate extra >= 2 * (sum(W_i) - max(W_i)).
 
     On success L[i, j] is correct at absolute precision
-    min(N - 2*max(W), N - S_j + min(0, v(L[i, j]))) and is truncated there,
-    where N is the smallest entry precision of the input and S_j = W_1 + ..
-    + W_(j+1) the valuation of L[i, j]'s Cramer denominator.  On failure an
-    InsufficientLift carries the minimal sufficient N'; if a pivot valuation
-    was itself undeterminable at N' the exception suggests trying ceil(2d/q)
-    digits higher.  A leading minor whose valuation S_j reaches N is
-    indistinguishable from zero and raises DegenerateInput.
+    min(n - 2*max(W), n - S_j + min(0, v(L[i, j]))) and is truncated there,
+    S_j = W_1 + .. + W_(j+1) the valuation of L[i, j]'s Cramer denominator.
+    On failure an InsufficientLift carries the minimal sufficient N + extra;
+    if a pivot valuation was itself undeterminable the exception suggests
+    trying ceil(2d/q) digits higher.  A leading minor whose valuation S_j
+    reaches n is indistinguishable from zero and raises DegenerateInput.
 
     Args:
         m: square matrix over the scalar ring.
@@ -472,28 +461,29 @@ def lift_recompute_l(m: PrecMatrix, extra: Optional[int] = None) -> PrecMatrix:
     if extra is not None and extra < 0:
         raise ValueError(f"extra must be non-negative, got {extra}")
     d = _scalar_dim(m, "lift_recompute_l")
-    n = _require_digits(m.min_abs_prec())
-    q = m.rows[0][0].cfg.q
+    _, n, s, cols = _flattened(m)
+    cfg = m.rows[0][0].cfg
     if extra is None:
-        extra = max(1, math.ceil(2 * d / q))
-    n_hi = n + extra
-    # digits beyond N are not claimed: pad m capped at N, not m
-    lifted = m.cap_abs(n).lift_to_precision(n_hi)
+        extra = max(1, math.ceil(2 * d / cfg.q))
+    n_hi = n - s + extra
+    # digits beyond N are not claimed: pad pi^s m read at n, not m
+    elem = kernel.elements(cfg, n)
+    lifted = PrecMatrix([list(map(elem, row)) for row in zip(*cols)]).lift_to_precision(n + extra)
     try:
         lower, pivot_vals = _naive_elimination(lifted)
     except DivisionByUnknownZero as exc:
         raise InsufficientLift(
             f"pivot valuation undeterminable at precision {n_hi}; "
             f"retry higher",
-            required_prec=n_hi + max(1, math.ceil(2 * d / q)),
+            required_prec=n_hi + max(1, math.ceil(2 * d / cfg.q)),
         ) from exc
     w_max = max(pivot_vals)
     need = 2 * (sum(pivot_vals) - w_max)
-    if n_hi - n < need:
+    if extra < need:
         raise InsufficientLift(
-            f"lift of {n_hi - n} digits too small: pivot valuations "
+            f"lift of {extra} digits too small: pivot valuations "
             f"{pivot_vals} need {need}",
-            required_prec=n + need,
+            required_prec=n - s + need,
         )
     for j, s_j in enumerate(itertools.accumulate(pivot_vals[:-1])):
         if s_j >= n:
@@ -516,14 +506,13 @@ class StableL:
     """Result of :func:`stable_l`.
 
     Attributes:
-        lower: unit lower triangular factor of the input itself;
-            strictly-lower entries carry the guaranteed precision
-            O(pi^(N - v_j + min(0, w))) where v_j is the j-th principal
-            minor valuation and w the quotient's valuation offset.
-        col_vals: v_j = S_j = sum(v(omega[k, k]) for k <= j) read at the
-            end of round j (:func:`_minor_val`; the leading principal minor
-            valuations of the input).
-        n: the working absolute precision N.
+        lower: unit lower triangular factor of the input itself, that of
+            pi^s M (:func:`_flattened`); each strictly-lower entry claims
+            its Cramer quotient's precision (:func:`_cramer_cap`).
+        col_vals: S_j, the valuation of the input's leading principal
+            minor of order j + 1: sum(v(omega[k, k]) for k <= j) read at
+            the end of round j (:func:`_minor_val`), minus (j + 1) * s.
+        n: the working absolute precision n = N + s.
     """
 
     lower: PrecMatrix
@@ -537,8 +526,10 @@ def _cramer_cap(n: int, s: int, w: int) -> int:
     it is a Cramer quotient over a denominator minor of valuation s,
     computed at flat precision n: ``n - s + min(0, w)``.
 
-    Every cap on a factor entry is this one rule; what differs between the
-    eliminations is which minor is the denominator:
+    The minors are those of an integral matrix, pi^s M
+    (:func:`_flattened`), so s >= 0 and no cap exceeds n.  Every cap on a
+    factor entry is this one rule; what differs between the eliminations is
+    which minor is the denominator:
 
     * :func:`stable_l` and :func:`lv_to_l`: column j of L over S_j, the
       leading minor read at the end of round j, with w the quotient's
@@ -593,9 +584,7 @@ def _quotient_column(lower: PrecMatrix, j: int, col: Sequence[PrecElem], den: Pr
 
     The cap is :func:`_cramer_cap` over the minor S_j = v_round, with w the
     quotient's valuation v(numerator) - v(den) (the numerator's precision
-    bound when it is indistinguishable from zero).  For flat integral
-    inputs it never exceeds the quotient's natural precision; capping
-    (never raising) keeps the claim honest for arbitrary inputs.
+    bound when it is indistinguishable from zero).
     """
     nums, vd = col[j + 1:], den.valuation
     caps = [_cramer_cap(n, v_round, e.val_lower_bound - vd) for e in nums]
@@ -622,7 +611,7 @@ def stable_l(m: PrecMatrix) -> StableL:
         ValueError: an entry is not a PrecElem.
     """
     d = _scalar_dim(m, "stable_l")
-    omega, n, cols = _flattened(m)
+    omega, n, s, cols = _flattened(m)
     lower = PrecMatrix.identity_like(m, d, n)
     col_vals = []
     for i, j, at, col in _eliminate(omega, n, cols):
@@ -633,39 +622,36 @@ def stable_l(m: PrecMatrix) -> StableL:
             raise DegenerateInput(
                 f"leading minor indistinguishable from zero after round {j}"
             )
-        col_vals.append(v)
-        _quotient_column(lower, j, col(0, j), at(0, j, j), v, n)
+        col_vals.append(v - (j + 1) * s)
+        _quotient_column(lower, j, col(j), at(j, j), v, n)
     return StableL(lower=lower, col_vals=col_vals, n=n)
 
 
-def _eliminate(omega: PrecMatrix, n: int, cols: Optional[list[list[int]]],
-               transform: bool = False):
-    """Run the pivoted elimination of square omega (and, with transform,
-    of the accumulated transform from the identity), yielding (i, j, at, col)
+def _eliminate(omega: PrecMatrix, n: int, cols: Optional[list[list[int]]]):
+    """Run the pivoted elimination of square omega, yielding (i, j, at, col)
     before each step (i, j) and (j, j, at, col) once round j is done.
-    at(x, r, c) is entry (r, c) of omega (x = 0) or the transform (x = 1)
-    then, and col(x, c) the list of column c's entries, for any column at a
-    (j, j) yield and any column but j before step (i, j).
+    at(r, c) is entry (r, c) then, and col(c) the list of column c's
+    entries, for any column at a (j, j) yield and any column but j before
+    step (i, j).
 
-    The steps are :func:`~dvrlu.kernel.stepper` on cols, omega's residues
-    (:func:`_flattened`), or :func:`_pivot_step` on omega when cols is
-    None; either way a step runs only when asked for, and its errors are
-    the object path's.  On the kernel omega is left as it was, so every
-    entry is read through ``at`` or ``col``; ``at`` reduces the entry it
-    reads, since column j holds unreduced residues in mid-round.
+    The steps are :func:`~dvrlu.kernel.stepper` on cols, or
+    :func:`_pivot_step` on omega when cols is None; either way a step runs
+    only when asked for, and its errors are the object path's.  On the
+    kernel omega is left as it was, so every entry is read through ``at``
+    or ``col``; ``at`` reduces the entry it reads, since column j holds
+    unreduced residues in mid-round.
     """
     d = omega.nrows
     if cols is None:
-        mats = (omega, PrecMatrix.identity_like(omega, d, n)) if transform else (omega,)
-        at = lambda x, r, c: mats[x][r, c]
-        col = lambda x, c: [row[c] for row in mats[x].rows]
-        step = lambda i, j: _pivot_step(omega, i, j, n, *mats[1:])
+        at = lambda r, c: omega[r, c]
+        col = lambda c: [row[c] for row in omega.rows]
+        step = lambda i, j: _pivot_step(omega, i, j, n)
     else:
         cfg = omega.rows[0][0].cfg
-        colsets = (cols, _identity(d)) if transform else (cols,)
         elem, kernel_step, trunc = kernel.elements(cfg, n), kernel.stepper(n, cfg), cfg.ops.trunc
-        at = lambda x, r, c: elem(trunc(colsets[x][c][r], n))
-        col = lambda x, c: list(map(elem, colsets[x][c]))
+        colsets = (cols,)
+        at = lambda r, c: elem(trunc(cols[c][r], n))
+        col = lambda c: list(map(elem, cols[c]))
         step = lambda i, j: kernel_step(colsets, i, j, i == j - 1)
     for j in range(d):
         for i in range(j):
@@ -699,10 +685,10 @@ class LvOutput:
     Attributes:
         lp: L' — column j is the state of omega's column j at the end of
             round j (lower triangular up to the pivoting, numerators of the
-            eventual L).
+            eventual L), in the elimination of pi^s M (:func:`_flattened`).
         vp: V' — column j is the state of the transform's column j at the
             same moment (denominator data).
-        hp: H' — final omega = M * W'.
+        hp: H' = M * W', pi^-s times the final omega.
         wp: W' — final accumulated column transform (det ±1).
         col_val: valuation of H'[j, j] per column (None when zeroish).
         degenerate: True when some diagonal entry of L' is indistinguishable
@@ -734,28 +720,36 @@ def lv_decomposition(m: PrecMatrix) -> LvOutput:
     Same elimination as :func:`stable_l` (swaps and updates applied to the
     transform as well), with columns of (omega, transform) snapshotted at
     the end of their round into (L', V').  Degeneracy (a zeroish diagonal
-    in L') is reported via the flag, not an exception; only an unforced
-    swap comparison raises (AmbiguousValuation).
+    in L') is reported via the flag, not an exception; an unforced swap
+    comparison raises AmbiguousValuation, and an entry that is not a
+    PrecElem ValueError.
     """
-    _square_dim(m)
-    return _lv_eliminated(*_flattened(m))
+    _scalar_dim(m, "lv_decomposition")
+    _, n, s, cols = _flattened(m)
+    cfg = m.rows[0][0].cfg
+    return _lv_output(_lv_rounds(cols, kernel.stepper(n, cfg)), kernel.elements(cfg, n), s)
 
 
-def _lv_eliminated(omega: PrecMatrix, n: int, cols: Optional[list[list[int]]]) -> LvOutput:
-    """:func:`lv_decomposition` of the (omega, N, cols) that
-    :func:`_flattened` returns for it."""
-    d = omega.nrows
-    lp, vp = [], []  # by columns
-    for i, j, _, col in _eliminate(omega, n, cols, transform=True):
-        if i == j:
-            lp.append(col(0, j))
-            vp.append(col(1, j))
-    hp, wp = ([col(x, c) for c in range(d)] for x in (0, 1))
-    return _lv_output(*(PrecMatrix(list(zip(*cols))) for cols in (lp, vp, hp, wp)))
+def _lv_rounds(cols: list[list[int]], step) -> tuple[list[list[int]], ...]:
+    """(L', V', H', W') as row lists of residues: the rounds of the flat
+    elimination of the residue columns cols, which it updates, with the
+    transform from the identity; step is a :func:`~dvrlu.kernel.stepper`."""
+    w, lp, vp = _identity(len(cols)), [], []
+    for j in range(len(cols)):
+        for i in range(j):
+            step((cols, w), i, j, i == j - 1)
+        lp.append(cols[j])  # columns are replaced, so this is round j's state
+        vp.append(w[j])
+    return tuple([list(row) for row in zip(*x)] for x in (lp, vp, cols, w))
 
 
-def _lv_output(lp: PrecMatrix, vp: PrecMatrix, hp: PrecMatrix, wp: PrecMatrix) -> LvOutput:
-    """The LvOutput of (L', V', H', W'), col_val and degenerate read off."""
+def _lv_output(mats, elem, s: int) -> LvOutput:
+    """The LvOutput of the (L', V', H', W') of pi^s M, row lists of
+    residues that elem reads, with H' mapped back to pi^-s H' = M * W' and
+    col_val and degenerate read off."""
+    lp, vp, hp, wp = (PrecMatrix([list(map(elem, row)) for row in x]) for x in mats)
+    if s:
+        hp = hp.map(lambda e: _shifted(e, -s))
     col_val = [_val_or_none(hp[j, j]) for j in range(hp.nrows)]
     degenerate = any(lp[j, j].is_zeroish for j in range(lp.nrows))
     return LvOutput(lp=lp, vp=vp, hp=hp, wp=wp, col_val=col_val, degenerate=degenerate)
@@ -767,7 +761,8 @@ def lv_to_l(out: LvOutput) -> PrecMatrix:
     L[i, j] = L'[i, j] / L'[j, j] at prescribed precision
     O(pi^(N - v_j + min(0, w))), where v_j = sum over k <= j of
     (v(L'[k, k]) - v(V'[k, k])) equals the j-th principal minor valuation of
-    the input, and w is the valuation offset of the quotient.
+    the matrix eliminated, pi^s M at N = n (:func:`_flattened`), and w is
+    the valuation offset of the quotient.
     Produces exactly the factor :func:`stable_l` returns, entry for entry
     and precision for precision.
 
@@ -892,14 +887,16 @@ class BlockL:
     Attributes:
         lower: block unit lower triangular factor (diagonal blocks are
             identities for :func:`block_l`; unit lower triangular ones for
-            :func:`block_l_unitlower`).  Each entry claims the precision of
-            its Cramer quotient (:func:`_cramer_cap`); the identity blocks
-            and the diagonal 1s are exact.
-        block_vals: per block starting at column j0, S_(j0-1)
-            (:func:`_minor_val`), the sum of the diagonal valuations
-            strictly above the block, read at the block's end; reported
-            (``lu run --algo block``), no longer a cap.
-        n: working absolute precision.
+            :func:`block_l_unitlower`), that of pi^s M for scalar input
+            (:func:`_flattened`).  Each entry claims the precision of its
+            Cramer quotient (:func:`_cramer_cap`); the identity blocks and
+            the diagonal 1s are exact.
+        block_vals: per block starting at column j0, S_(j0-1), the
+            valuation of the input's leading minor of order j0: the sum of
+            the diagonal valuations strictly above the block, read at the
+            block's end (:func:`_minor_val`), minus j0 * s; reported
+            (``lu run --algo block``), no cap.
+        n: working absolute precision n = N + s.
     """
 
     lower: PrecMatrix
@@ -911,7 +908,7 @@ def _block_elimination(m: PrecMatrix, block_sizes: Sequence[int], clear: bool) -
     d = _square_dim(m)
     if any(b < 1 for b in block_sizes) or sum(block_sizes) != d:
         raise ValueError(f"block sizes {list(block_sizes)} do not tile dimension {d}")
-    omega, n, cols = _flattened(m)
+    omega, n, s, cols = _flattened(m)
     lower = PrecMatrix.zero_like(m, d, d, n)
     block_vals = []
     j0 = 0
@@ -923,7 +920,7 @@ def _block_elimination(m: PrecMatrix, block_sizes: Sequence[int], clear: bool) -
         # the diagonal at the end of round j; only (j, j) can be
         # indistinguishable from zero, since a later swap only brings in an
         # entry of known valuation
-        diag = [at(0, k, k) for k in range(j + 1)]
+        diag = [at(k, k) for k in range(j + 1)]
         vals = [_val_or_none(e) for e in diag]
         if None not in vals:
             s_max = max(s_max, sum(vals))
@@ -940,15 +937,15 @@ def _block_elimination(m: PrecMatrix, block_sizes: Sequence[int], clear: bool) -
                 f"leading minor at the end of block {ends[hi]} (columns {j0}..{j}) "
                 f"indistinguishable from zero"
             )
-        block_vals.append(sum(vals[:j0]))
+        block_vals.append(sum(vals[:j0]) - j0 * s)
         # normalize: below the diagonal, L's block columns are omega's scaled
         # by the pivot; above it L is zero and its diagonal is 1 by definition
         one = diag[j].like_one(n)
         for jp in range(j0, hi):
-            piv, below = diag[jp], col(0, jp)[jp + 1:]
-            # uncapped: a pivot of negative valuation lifts x / piv above
-            # N; a series keeps the long division, whose precision
-            # x * piv^-1 does not always reproduce
+            piv, below = diag[jp], col(jp)[jp + 1:]
+            # uncapped (_cap_below caps): a series pivot of negative
+            # valuation lifts x / piv above N, and a series keeps the long
+            # division, whose precision x * piv^-1 does not always reproduce
             if type(piv) is PrecElem:
                 quots = _quotients(below, piv, itertools.repeat(math.inf))
             else:
@@ -964,10 +961,10 @@ def _block_elimination(m: PrecMatrix, block_sizes: Sequence[int], clear: bool) -
             zero = one.like_zero(n)
             for jp in range(j0, hi):
                 for ip in range(jp + 1, hi):
-                    s = lower[ip, jp]
+                    x = lower[ip, jp]
                     lower[ip, jp] = zero
                     for r in range(ip + 1, d):
-                        lower[r, jp] = lower[r, jp] - s * lower[r, ip]
+                        lower[r, jp] = lower[r, jp] - x * lower[r, ip]
                 _cap_below(lower, jp, hi, n, s_end)
         else:
             for jp in range(j0, hi):

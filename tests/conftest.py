@@ -30,7 +30,8 @@ def clear_band(x: PrecMatrix, y: PrecMatrix, n: int, cut: int = 1) -> tuple[Prec
     cfg = x.rows[0][0].cfg
     xr, yr = (kernel.ints(z.rows, n, cfg) for z in (x, y))
     r = lu_fast._Residues(cfg, n, "classical")
-    return tuple(map(r.elements, lu_fast._clear(xr, yr, r, cut)))
+    return tuple(PrecMatrix([list(map(r.elem, row)) for row in z])
+                 for z in lu_fast._clear(xr, yr, r, cut))
 
 
 def series_constant(scalar: PrecElem, order: int, pad_abs: int) -> SeriesElem:

@@ -11,7 +11,9 @@ Laplace-expansion determinants (:func:`poly_det`, :func:`scalar_det`), the
 reference for the sheaf verification's polynomial-time checks, and
 :func:`eager_stepper`, the step of the flat elimination on residues with
 every entry reduced at every step, the reference for the package's step,
-which leaves entries unreduced in mid-round.  The elimination oracle
+which leaves entries unreduced in mid-round, and :func:`lv_elimination`,
+the pivoted elimination on elements with its transform, the reference for
+the package's eliminations on residues.  The elimination oracle
 mirrors the pivoted column elimination over the field of fractions, so the
 package's finite-precision answers can be checked digit by digit against
 ground truth; the determinant and minor helpers give a
@@ -670,6 +672,46 @@ def eager_stepper(n: int, cfg):
             x[j] = update(x[j], x[i], s, n)
 
     return step
+
+
+# ---------------------------------------------------------------------------
+# the pivoted elimination on elements, carrying the transform
+# ---------------------------------------------------------------------------
+
+
+def lv_elimination(m):
+    """(L', V', H', W') of the pivoted column elimination of square m on its
+    elements, capped at its smallest entry precision n, with the
+    accumulated transform W' from the identity: column j of L' and V' is
+    omega's and the transform's at the end of round j, and H' = m * W'.
+
+    Step (i, j) swaps columns i and j of omega and the transform when
+    v(omega[i, j]) < v(omega[i, i]), then subtracts s times column i from
+    column j in both, s = omega[i, j] / omega[i, i] lifted to n.  This is
+    the element loop that ``dvrlu.lu_stable.lv_decomposition`` and
+    ``dvrlu.lu_fast.recursive_lv`` run on residues of integral input, and
+    the reference for them.  Raises AmbiguousValuation when a swap
+    comparison is not forced.
+    """
+    from dvrlu.element import valuation_less
+    from dvrlu.matrix import PrecMatrix
+
+    d = m.nrows
+    n = min(e.abs_prec for row in m.rows for e in row)
+    omega = m.cap_abs(n)
+    w = PrecMatrix.identity_like(omega, d, n)
+    lp, vp = [], []  # by columns
+    for j in range(d):
+        for i in range(j):
+            if valuation_less(omega[i, j], omega[i, i]):
+                for x in (omega, w):
+                    x.swap_cols(i, j)
+            s = (omega[i, j] / omega[i, i]).lift_to_precision(n)
+            for x in (omega, w):
+                x.sub_scaled_col(s, i, j)
+        lp.append([row[j] for row in omega.rows])
+        vp.append([row[j] for row in w.rows])
+    return PrecMatrix(list(map(list, zip(*lp)))), PrecMatrix(list(map(list, zip(*vp)))), omega, w
 
 
 # ---------------------------------------------------------------------------

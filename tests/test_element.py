@@ -18,7 +18,7 @@ from dvrlu import (
     PrecElem,
 )
 from dvrlu.element import valuation_less
-from dvrlu.lu_stable import naive_gauss_l
+from dvrlu.lu_stable import lv_decomposition, naive_gauss_l, stable_l
 from dvrlu.matrix import PrecMatrix
 from dvrlu.series import SeriesElem
 from dvrlu.sheaf import poly_mul
@@ -454,11 +454,13 @@ def test_elements_of_two_layouts_refuse_to_combine():
     for op in ops:
         with pytest.raises(ValueError, match="Z_5 at prec 10 and Z_7 at prec 10: different rings"):
             op(z5, z7)
-    # the loops on fields refuse a matrix or a polynomial of two layouts
+    # the loops on fields, and the kernel's reader, refuse a matrix or a
+    # polynomial of two layouts
     mixed = PrecMatrix([[PrecElem.from_int(ser(10 if (i + j) % 2 else 100), x, abs_prec=10)
                          for j, x in enumerate(row)] for i, row in enumerate([[11, 17], [28, 9]])])
-    with pytest.raises(ValueError, match="slot layouts differ"):
-        naive_gauss_l(mixed)
+    for elim in (naive_gauss_l, stable_l, lv_decomposition):
+        with pytest.raises(ValueError, match="slot layouts differ"):
+            elim(mixed)
     with pytest.raises(ValueError, match="slot layouts differ"):
         poly_mul([a, a], [b])
     # one Z_p layout serves every precision

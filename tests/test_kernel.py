@@ -6,11 +6,14 @@ factors, field for field, the same exceptions with the same messages and the
 same product counts, and an input the kernel accepts never reaches the
 object elimination, not even to raise.  The forced run itself is checked
 not to touch the kernel, so the comparison is never the kernel against
-itself.
+itself.  The split decompositions have no object path of their own: theirs
+is the element elimination of ``tests/oracles.py``, which carries the
+transform.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from contextlib import contextmanager
 from unittest import mock
@@ -101,6 +104,20 @@ ELIMINATIONS = {
 RAISE_DEGENERATE = {"stable_l", "block_l", "block_l_unitlower"}
 
 
+def _lv_on_objects(m):
+    """The split decomposition of m by the element elimination of
+    ``tests/oracles.py``, col_val and degenerate read off its diagonals."""
+    lp, vp, hp, wp = oracles.lv_elimination(m)
+    diag = lambda x: [x[j, j] for j in range(x.nrows)]
+    col_val = [None if e.is_zeroish else e.valuation for e in diag(hp)]
+    return lu_stable.LvOutput(lp=lp, vp=vp, hp=hp, wp=wp, col_val=col_val,
+                              degenerate=any(e.is_zeroish for e in diag(lp)))
+
+
+# the reference of each elimination, run under object_path()
+ON_OBJECTS = {**ELIMINATIONS, "lv_decomposition": _lv_on_objects, "recursive_lv": _lv_on_objects}
+
+
 def _ran_on_objects(fn, m):
     """Run fn(m); return whether an object elimination step ran, and fn's
     outcome."""
@@ -138,10 +155,10 @@ def test_kernel_matches_object_path(name, m):
     with counting(kernel, "stepper") as on_kernel:
         on_objects, got = _ran_on_objects(fn, m)
     with object_path():
-        want = _outcome(fn, m)
+        want = _outcome(ON_OBJECTS[name], m)
     if name == "recursive_lv":
-        # refused, it is lv_decomposition, which multiplies no matrices; the
-        # kernel run's products are pinned in test_lu_fast
+        # the reference multiplies no matrices; the kernel run's products
+        # are pinned in test_lu_fast
         got = _without_count(got)
     assert got == want
     assert on_kernel and not on_objects
@@ -150,23 +167,35 @@ def test_kernel_matches_object_path(name, m):
 @pytest.mark.parametrize("name", ["stable_l", "lv_decomposition", "block_l", "recursive_lv"])
 def test_flat_input_is_read_once(name):
     # each entry is read once, as its residue, and the input is not copied;
-    # lv_decomposition's transform starts from the identity's residues
+    # lv_decomposition's transform starts from the identity's residues.  An
+    # entry of negative valuation makes no difference: the entries of
+    # pi^s M are read once too
     d = 7
-    m = random_matrix(DvrConfig(p=5, prec=12), d, random.Random(4))
-    with counting(PrecMatrix, "cap_abs") as caps, counting(PrecElem, "residue") as reads:
-        on_objects, _ = _ran_on_objects(ELIMINATIONS[name], m)
-    assert not on_objects and not caps and len(reads) == d * d
+    cfg = DvrConfig(p=5, prec=12)
+    m = random_matrix(cfg, d, random.Random(4))
+    negative = m.copy()
+    negative[3, 2] = PrecElem.unit_form(cfg, -2, 3, 14)  # 3/25 + O(5^12)
+    for x in (m, negative):
+        with counting(PrecMatrix, "cap_abs") as caps, counting(PrecElem, "residue") as reads:
+            on_objects, _ = _ran_on_objects(ELIMINATIONS[name], x)
+        assert not on_objects and not caps and len(reads) == d * d
 
 
 def test_refused_input_is_read_once_by_recursive_lv():
-    # the kernel refuses the entry 2*3^-1 in the last column after reading
-    # every residue; recursive_lv then eliminates the capped copy it made
+    # recursive_lv reads an input with the entry 2*3^-1 once, as the
+    # residues of 3 M mod 3^9, and makes no capped copy; SeriesElem
+    # entries, which it refuses, are not read at all
     cfg = DvrConfig(p=3, prec=8)
-    m = random_matrix(cfg, 6, random.Random(5))
+    rng = random.Random(5)
+    m = random_matrix(cfg, 6, rng)
     m[5, 5] = PrecElem.unit_form(cfg, -1, 2, 9)
+    series = PrecMatrix([[SeriesElem(cfg, [PrecElem.random(cfg, rng) for _ in range(2)])
+                          for _ in range(6)] for _ in range(6)])
     with counting(PrecMatrix, "cap_abs") as caps, counting(PrecElem, "residue") as reads:
         got = lu_fast.recursive_lv(m)
-    assert len(caps) == 1 and len(reads) == 36
+        with pytest.raises(ValueError, match="^recursive_lv needs PrecElem entries, got SeriesElem$"):
+            lu_fast.recursive_lv(series)
+    assert not caps and len(reads) == 36
     assert got == lu_stable.lv_decomposition(m)
 
 
@@ -199,7 +228,7 @@ def test_entries_known_beyond_n_run_on_kernel(name, m):
     with counting(kernel, "stepper") as on_kernel:
         on_objects, got = _ran_on_objects(fn, m)
     with object_path():
-        want = _outcome(fn, m)
+        want = _outcome(ON_OBJECTS[name], m)
     if name == "recursive_lv":
         got = _without_count(got)
     assert got == want
@@ -292,7 +321,7 @@ def test_slot_layout_does_not_change_outputs(p, name):
     outs = []
     for cfg in cfgs:
         m = flat_from_ints(cfg, ints, n)
-        assert lu_stable._flattened(m)[2] is not None
+        assert lu_stable._flattened(m)[-1] is not None
         with counting(kernel, "stepper") as on_kernel:
             on_objects, out = _ran_on_objects(ELIMINATIONS[name], m)
         assert on_kernel and not on_objects
@@ -302,9 +331,12 @@ def test_slot_layout_does_not_change_outputs(p, name):
 
 @pytest.mark.parametrize("name", ELIMINATIONS)
 def test_series_and_negative_valuation_take_object_path(name):
-    # SeriesElem entries (the sheaf solver's local factors, which stable_l
-    # and vij_statistics do not take) and an entry of negative valuation
-    # have no residues
+    # SeriesElem entries (the sheaf solver's local factors) have no
+    # residues: the block eliminations take the object path on them, and
+    # the others refuse them before any step.  An entry of negative
+    # valuation is read as pi^s M, s = 1, at N + s = 9, and eliminated on
+    # the kernel; only vij_statistics, which reads its input unscaled,
+    # takes the object path on it
     fn = ELIMINATIONS[name]
     rng = random.Random(3)
     cfg = DvrConfig(p=3, prec=8)
@@ -313,10 +345,84 @@ def test_series_and_negative_valuation_take_object_path(name):
     negative = random_matrix(cfg, 4, rng)
     negative[2, 1] = PrecElem.unit_form(cfg, -1, 2, 9)  # 2/3 + O(3^8)
     integral = random_matrix(cfg, 4, rng)
-    for m in [negative] if name in ("stable_l", "vij_statistics") else [negative, series]:
-        assert lu_stable._flattened(m)[2] is None
-        assert _ran_on_objects(fn, m)[0]
+    assert lu_stable._flattened(series)[1:] == (8, 0, None)
+    if name.startswith("block_l"):
+        assert _ran_on_objects(fn, series)[0]
+    else:
+        with counting(lu_stable, "_pivot_step") as steps:
+            with pytest.raises(ValueError, match="needs PrecElem entries, got SeriesElem$"):
+                fn(series)
+        assert not steps
+    _, n, s, cols = lu_stable._flattened(negative)
+    assert (n, s) == (9, 1) and cols is not None
+    assert _ran_on_objects(fn, negative)[0] == (name == "vij_statistics")
     assert not _ran_on_objects(fn, integral)[0]
+
+
+@st.composite
+def shifted_inputs(draw):
+    """A flat scalar matrix over Z_p or F_p[[t]] at precision N whose
+    entries have valuations from -2 up, or are O(pi^N), each in one of two
+    configs that share the digit-ops object (unequal ones when the ring has
+    them: Z_p at another precision, F_p[[t]] at one of the same slot
+    width)."""
+    backend = draw(st.sampled_from(Backend))
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    cfg = DvrConfig(p=p, prec=n, backend=backend)
+    twins = [c for c in (DvrConfig(p=p, prec=k, backend=backend) for k in range(n + 1, 2 * n + 8))
+             if c.ops is cfg.ops]
+    twin = twins[0] if twins else DvrConfig(p=p, prec=n, backend=backend)
+
+    def entry():
+        ring, v = rng.choice([cfg, twin]), rng.choice([-2, -1, 0, 0, 1, n // 2, n])
+        if v >= n:
+            return PrecElem.bigoh(ring, n)
+        return PrecElem.unit_form(ring, v, rng.randrange(1, p) + p * rng.randrange(p ** (n - v)), n - v)
+
+    return PrecMatrix([[entry() for _ in range(d)] for _ in range(d)])
+
+
+def _pi_power(cfg, k):
+    """pi^k, known far beyond any entry here, so multiplying by it is exact."""
+    return PrecElem.unit_form(cfg, k, 1, 1000)
+
+
+def _mapped_back(name, fields, s, sizes):
+    """The fields of an elimination of pi^s M mapped back to M's: the
+    minors of order j + 1 lose (j + 1) s, and H' = pi^-s (pi^s M) W'."""
+    if name == "stable_l":
+        lower, col_vals, n = fields
+        return lower, [v - (j + 1) * s for j, v in enumerate(col_vals)], n
+    if name.startswith("block_l"):
+        lower, block_vals, n = fields
+        starts = itertools.accumulate(sizes, initial=0)
+        return lower, [v - j0 * s for j0, v in zip(starts, block_vals)], n
+    lp, vp, hp, wp, col_val, degenerate = fields
+    hp = hp.map(lambda e: _pi_power(e.cfg, -s) * e)
+    return lp, vp, hp, wp, [None if v is None else v - s for v in col_val], degenerate
+
+
+@pytest.mark.parametrize("name", [name for name in ELIMINATIONS if name != "vij_statistics"])
+@given(m=shifted_inputs())
+def test_scalar_input_runs_on_kernel_as_pi_s_m(name, m):
+    # every scalar input is eliminated on the kernel as pi^s M, s the most
+    # negative entry valuation (0 on integral input), never on elements;
+    # its output is the object path's on pi^s M, written in the first
+    # entry's config, with the minors and H' mapped back to M's
+    cfg = m[0, 0].cfg
+    s = max(0, -min(e.val_lower_bound for row in m.rows for e in row))
+    on_objects, got = _ran_on_objects(ELIMINATIONS[name], m)
+    with object_path():
+        want = _outcome(ON_OBJECTS[name], m.map(lambda e: _pi_power(cfg, s) * e))
+    assert not on_objects
+    if isinstance(want[1], int):  # not an exception
+        want = (_mapped_back(name, want[0], s, _tiling(m.nrows)), want[1])
+    if name == "recursive_lv":
+        got = _without_count(got)
+    assert got == want
 
 
 @pytest.mark.parametrize("name", ELIMINATIONS)
@@ -325,7 +431,7 @@ def test_flat_series_runs_on_kernel(name):
     # bands and products run there too, and its products are counted
     fn = ELIMINATIONS[name]
     m = random_matrix(DvrConfig(p=3, prec=8, backend=Backend.SERIES), 6, random.Random(3))
-    assert lu_stable._flattened(m)[2] is not None
+    assert lu_stable._flattened(m)[-1] is not None
     with counting(kernel, "stepper") as on_kernel, counting(lu_fast, "matmul") as products:
         on_objects, (_, count) = _ran_on_objects(fn, m)
     assert on_kernel and not on_objects and not products
@@ -367,7 +473,7 @@ def test_series_products_are_the_schoolbook_product(p, n, shape, seed):
     m = random_matrix(cfg, r + c, rng)
     got = _outcome(lambda x: lu_fast.recursive_lv(x, threshold=2), m)
     with object_path():
-        assert _without_count(got) == _outcome(lu_stable.lv_decomposition, m)
+        assert _without_count(got) == _outcome(_lv_on_objects, m)
 
 
 @pytest.mark.parametrize("backend", list(Backend))
@@ -534,10 +640,10 @@ def test_band_raises_the_same_at_every_cut(band):
 
 
 def test_bands_clear_threshold_rows_and_refused_input_none():
-    # integral input clears its bands by scalar steps on residues, up to
-    # threshold rows, with either product, and runs no object step; input
-    # the kernel refuses (an entry of negative valuation, SeriesElem
-    # entries) is lv_decomposition itself and clears no band
+    # scalar input, integral or with an entry of negative valuation (read
+    # as 3 M), clears its bands by scalar steps on residues, up to
+    # threshold rows, with either product, and runs no object step;
+    # SeriesElem entries are refused before any band
     rng = random.Random(5)
     cfg = DvrConfig(p=3, prec=8)
     integral = random_matrix(cfg, 8, rng)
@@ -546,7 +652,7 @@ def test_bands_clear_threshold_rows_and_refused_input_none():
     series = PrecMatrix([[SeriesElem(cfg, [PrecElem.random(cfg, rng) for _ in range(2)])
                           for _ in range(8)] for _ in range(8)])
     band = lu_fast._Residues.band
-    for m, widest in ((integral, 4), (negative, None), (series, None)):
+    for m, widest in ((integral, 4), (negative, 4), (series, None)):
         for algo in ("classical", "strassen"):
             rows = []
 
@@ -554,12 +660,18 @@ def test_bands_clear_threshold_rows_and_refused_input_none():
                 rows.append(len(x))
                 return band(self, x, y)
 
+            fn = lambda x: lu_fast.recursive_lv(x, threshold=4, algo=algo)
             with mock.patch.object(lu_fast._Residues, "band", spy):
                 with counting(lu_stable, "_pivot_step") as steps:
-                    got = _outcome(lambda x: lu_fast.recursive_lv(x, threshold=4, algo=algo), m)
-            assert max(rows, default=None) == widest and bool(steps) == (widest is None)
-            if widest is None:
-                assert got == _outcome(lu_stable.lv_decomposition, m)
+                    if widest is None:
+                        with pytest.raises(ValueError, match="got SeriesElem$"):
+                            fn(m)
+                    else:
+                        got = _outcome(fn, m)
+            assert max(rows, default=None) == widest and not steps
+            if widest is not None:
+                assert _without_count(got) == _without_count(
+                    _outcome(lu_stable.lv_decomposition, m))
 
 
 @pytest.mark.parametrize("name", ELIMINATIONS)
@@ -573,7 +685,7 @@ def test_undecided_comparison_raises_on_kernel(name):
     with counting(kernel, "stepper") as on_kernel:
         on_objects, got = _ran_on_objects(fn, m)
     with object_path():
-        want = _outcome(fn, m)
+        want = _outcome(ON_OBJECTS[name], m)
     assert on_kernel and not on_objects
     assert got[0] is (DegenerateInput if name in RAISE_DEGENERATE else AmbiguousValuation)
     assert got == want

@@ -166,9 +166,8 @@ def test_recursive_is_bit_identical_to_scalar():
                 for threshold in (2, 3, d, 32):
                     got = recursive_lv(m, threshold=threshold)
                     assert_same_output(want, got)
-    # F_5[[t]], N = 5, d = 8, entries of valuation -2..1: no residues, so
-    # recursive_lv is lv_decomposition at every threshold, never a refusal
-    # of a working precision N <= 0
+    # F_5[[t]], N = 5, d = 8, entries of valuation -2..1: both read t^2 M
+    # at N + 2 = 7 on the kernel, and agree at every threshold
     m = _negative_valuation_matrix(DvrConfig(p=5, prec=5, backend=Backend.SERIES), 8)
     for threshold in (1, 2, 3):
         assert_same_output(lv_decomposition(m), recursive_lv(m, threshold=threshold))

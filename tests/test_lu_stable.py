@@ -43,7 +43,7 @@ from dvrlu import (
     vij_statistics,
 )
 from dvrlu import lu_stable
-from dvrlu.lu_stable import _pivoted_det, working_precision
+from dvrlu.lu_stable import LvOutput, _pivoted_det, working_precision
 from dvrlu.series import SeriesElem
 from dvrlu.sheaf import SheafInstance, SheafPoint, random_instance, solve_sheaf, solve_with_omega
 
@@ -479,19 +479,23 @@ def test_scalar_eliminations_refuse_series_entries(fn):
         fn(m)
 
 
+SPLITS = {"lv_decomposition": lv_decomposition,
+          "recursive_lv": lambda m: recursive_lv(m, threshold=1)}
+
+
 @pytest.mark.parametrize("conv", [lv_to_l, hermite_from_lv], ids=lambda f: f.__name__)
-@pytest.mark.parametrize(
-    "split", [lv_decomposition, lambda m: recursive_lv(m, threshold=1)],
-    ids=["lv_decomposition", "recursive_lv"],
-)
+@pytest.mark.parametrize("split", SPLITS)
 def test_lv_conversions_refuse_series_entries(split, conv):
-    # both splits run on series entries; the conversions read scalar
-    # valuations of L' and H', and refuse as stable_l does
+    # the splits and the conversions read scalar valuations, and refuse
+    # series entries as stable_l does: the splits in their input, the
+    # conversions in L' and H' of a split built by hand
     cfg = DvrConfig(p=5, prec=6)
     rng = random.Random(3)
     m = PrecMatrix([[SeriesElem(cfg, [PrecElem.random(cfg, rng) for _ in range(2)])
                      for _ in range(3)] for _ in range(3)])
-    out = split(m)
+    with pytest.raises(ValueError, match=f"^{split} needs PrecElem entries, got SeriesElem$"):
+        SPLITS[split](m)
+    out = LvOutput(lp=m, vp=m, hp=m, wp=m, col_val=[None] * 3, degenerate=False)
     with pytest.raises(ValueError, match=f"^{conv.__name__} needs PrecElem entries, got SeriesElem$"):
         conv(out)
 
@@ -681,19 +685,13 @@ def test_sheaf_basis_digits_survive_random_lifts(p, seed):
                 assert all((a - b).is_zeroish for a, b in zip(f, g))
 
 
-# On flat input with entries of negative valuation, stable_l and
-# lv_decomposition claim digits that a lift of the input flips: their caps
-# assume minors of valuation >= 0.  Eliminating pi^s M, s the most negative
-# entry valuation, is integral again and would mend both.
-_NEGATIVE_OVERCLAIMS = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="claimed digits on input with negative valuations are not all sound")
-
-
-@_NEGATIVE_OVERCLAIMS
+# The caps hold for minors of valuation >= 0, so input with entries of
+# negative valuation is eliminated as pi^s M, s the most negative entry
+# valuation, which is integral.  Eliminating M itself, stable_l and
+# lv_decomposition claimed digits that a lift flips at these seeds.
 @pytest.mark.parametrize("seed", [9, 27, 41])
 @pytest.mark.parametrize("backend", list(Backend))
-@pytest.mark.parametrize("name", ["stable_l", "lv_decomposition"])
+@pytest.mark.parametrize("name", [*LIFT_ELIMINATIONS, *LIFT_BLOCK_ELIMINATIONS])
 def test_claimed_digits_survive_lifts_of_negative_valuations(name, backend, seed):
     # every entry is known to exactly LIFT_N, at a valuation of at least -2..1
     rng = random.Random(seed)
@@ -707,8 +705,16 @@ def test_claimed_digits_survive_lifts_of_negative_valuations(name, backend, seed
         )
 
     m = PrecMatrix([[entry() for _ in range(3)] for _ in range(3)])
-    elim = LIFT_ELIMINATIONS[name]
-    claimed = elim(m)
+    if name in LIFT_BLOCK_ELIMINATIONS:
+        sizes = _composition(3, rng)
+        elim = lambda x: LIFT_BLOCK_ELIMINATIONS[name](x, sizes).lower
+    else:
+        elim = LIFT_ELIMINATIONS[name]
+    try:
+        claimed = elim(m)
+    except InsufficientLift:  # lift_recompute_l's certificate refuses seed 27
+        assert name == "lift_recompute_l"
+        return
     lifts = random.Random(seed + 1000)
     for _ in range(LIFTS):
         exact = elim(m.map(lambda e: _random_lift(e, LIFT_N + 8, lifts)))
@@ -766,6 +772,32 @@ def test_lv_to_l_equals_stable():
                     continue
                 lower = lv_to_l(lv_decomposition(m))
                 assert lower == res.lower
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+@pytest.mark.parametrize("seed", range(6))
+def test_negative_valuations_map_back_to_the_input(backend, seed):
+    # pi^s M is eliminated at N + s, s = 2 at most here: L, L' and V' are
+    # its own, so lv_to_l still equals stable_l entry for entry and
+    # precision for precision; the minors and H' = M * W' are M's
+    rng = random.Random(seed)
+    n, d = 10, 4
+    cfg = DvrConfig(p=3, prec=n, backend=backend)
+    vals = [[rng.randint(-2, 1) for _ in range(d)] for _ in range(d)]
+    vals[rng.randrange(d)][rng.randrange(d)] = -2
+    m = PrecMatrix([[PrecElem.unit_form(cfg, v, rng.randrange(1, 3) + 3 * rng.randrange(3 ** 12), n - v)
+                     for v in row] for row in vals])
+    try:
+        res = stable_l(m)
+        out = lv_decomposition(m)
+    except (AmbiguousValuation, DegenerateInput):
+        return
+    assert res.n == n + 2 and working_precision(out.lp) == n + 2
+    assert lv_to_l(out) == res.lower
+    minors = [oracles.scalar_det(PrecMatrix([row[:k] for row in m.rows[:k]])) for k in range(1, d + 1)]
+    assert res.col_vals == [x.valuation for x in minors]
+    assert out.col_val == [e.valuation for e in (out.hp[j, j] for j in range(d))]
+    assert matmul(m, out.wp).cap_abs(n) == out.hp
 
 
 def test_lv_degenerate_flag_and_refusals():
