@@ -17,8 +17,13 @@ the matrix to precision 2K.
 The engine works on a column-major, trial-minor copy ``c[col, row, trial]``
 of the batch, so that one column of every trial is one contiguous (d, B)
 block and each (i, j) step is a few in-place numpy calls on it.  Per
-diagonal it caches the pivot's valuation and the inverse of its unit part,
-refreshed only where a swap replaces the pivot.  Odd-p valuations below
+diagonal it caches the pivot's valuation v, the inverse of its unit part
+and the powers p^v and p^(K - v) the scalar divides and reduces by,
+refreshed only where a swap replaces the pivot.  On odd p the column update
+is reduced mod p^K as ``x - (x // p^K) * p^K`` through one scratch block:
+numpy divides by one scalar divisor by multiplying, but computes a
+remainder by dividing.  The both-zero case is tested once per round, from
+the round's reads and the pivots dead at its start.  Odd-p valuations below
 2^16 read a per-p table on ``x mod p^k0`` (p^k0 <= 2^16), built on first
 use; the rare entries that p^k0 divides, larger p and the object engine
 take ``gcd(x, p^K)``.  A unit inverse mod p^K is a Newton lift that starts,
@@ -118,8 +123,10 @@ class Engine:
     mean nothing modulo a composite), and, with k unset, for an odd p whose
     residue products (p - 1)^2 do not fit in int64.
 
-    :meth:`eliminate` runs on a column-major, trial-minor copy of the batch
-    and caches each pivot's valuation and unit inverse (see there).
+    :meth:`eliminate` runs on a column-major, trial-minor copy of the batch,
+    caches each pivot's valuation, unit inverse and powers p^v, p^(K - v),
+    reduces the odd-p column update by a scalar floor division and tests
+    the both-zero case once per round (see there).
     :meth:`vals` takes the lowest set bit for p = 2, reads the module's
     valuation table on ``x mod p^k0`` for an odd p <= 2^16 on machine words,
     and otherwise looks ``gcd(x, p^K)`` up among the powers of p.  The
@@ -192,22 +199,27 @@ class Engine:
             return x % self.modulus
         return _lift_inverse(u, x, k0, self.K, self.modulus)
 
-    def _unit_inverse(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Inverse of the unit part of x, whose valuation is v.  An exact
-        zero (v = K) gets 0, which makes its scalar 0."""
+    def _pivot(self, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lo, hi, inv) for the pivots x, whose valuations are v: lo and
+        hi are p^v and p^(K - v) (on 2^64 words the shift v and the mask of
+        K - v bits) and inv is the inverse of the unit part of x.  An exact
+        zero (v = K) gets inv 0, which makes its scalar 0."""
         if self.modulus is None:
-            return self.inv_units(x >> v.astype(np.uint64))
-        return self.inv_units(x // self.pows[v])
+            lo = v.astype(np.uint64)
+            return lo, (~np.uint64(0)) >> lo, self.inv_units(x >> lo)
+        lo = self.pows[v]
+        return lo, self.pows[self.K - v], self.inv_units(x // lo)
 
-    def _scalar(self, e: np.ndarray, v: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    def _scalar(self, e: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                inv: np.ndarray) -> np.ndarray:
         """The elimination scalar, exactly as the object path lifts it:
-        strip the pivot's valuation v from e, multiply by the inverse of
-        the pivot's unit part, keep K - v digits.  It is 0 for a dead pivot,
-        since then e is an exact zero too (the swap rule left it there)."""
+        strip the pivot's p^v = lo from e, multiply by the inverse of the
+        pivot's unit part, keep K - v digits (reduce mod hi).  It is 0 for
+        a dead pivot, since then e is an exact zero too (the swap rule left
+        it there)."""
         if self.modulus is None:
-            sh = v.astype(np.uint64)
-            return ((e >> sh) * inv) & ((~np.uint64(0)) >> sh)
-        return ((e // self.pows[v]) * inv) % self.pows[self.K - v]
+            return ((e >> lo) * inv) & hi
+        return ((e // lo) * inv) % hi
 
     def eliminate(self, m: np.ndarray, record_table: bool = False) -> dict:
         """Run the pivoted elimination on a (B, d, d) batch; m is not
@@ -227,15 +239,22 @@ class Engine:
 
         The work runs on c[col, row, trial].  By step (i, j) rows < i of
         columns i and j are exact zeros, so a swap or an update touches
-        rows >= i only.  pv[i] and inv[i] cache the valuation of the
-        diagonal entry (i, i) and the inverse of its unit part: set at the
-        end of round i, changed afterwards only by a swap at some (i, j).
+        rows >= i only.  pv[i] caches the valuation of the diagonal entry
+        (i, i), and lo[i], hi[i] and inv[i] its :meth:`_pivot` data: set
+        at the end of round i, changed afterwards only by a swap at some
+        (i, j).  On odd p the update of column j is reduced mod p^K by a
+        floor division through one scratch block (see the module).  Within
+        round j only step (i, j) changes pv[i], and only lowers it, so the
+        both-zero flag of the round is decided once, from the round's reads
+        and the pivots dead at its start.
         """
         b, d, _ = m.shape
-        k = self.K
+        k, modulus = self.K, self.modulus
         c = np.array(m.transpose(2, 1, 0), order="C")
         pv = np.empty((d, b), dtype=np.int64)
-        inv = np.empty((d, b), dtype=self.dtype)
+        lo, hi, inv = (np.empty((d, b), dtype=self.dtype) for _ in range(3))
+        reads = np.empty((d, b), dtype=np.int64)
+        scratch = np.empty((d, b), dtype=self.dtype)
         ambiguous = np.zeros(b, dtype=bool)
         vl_ok = np.ones(b, dtype=bool)
         boundary = np.empty((d, b), dtype=np.int64)
@@ -243,12 +262,10 @@ class Engine:
         min_m = np.zeros(b, dtype=np.int64)
         for j in range(d):
             cj = c[j]
+            dead = pv[:j] == k
             for i in range(j):
                 ci, vp = c[i], pv[i]
-                ve = self.vals(cj[i])
-                if record_table:
-                    table[i, j] = ve
-                ambiguous |= (ve == k) & (vp == k)
+                ve = reads[i] = self.vals(cj[i])
                 sw = ve < vp
                 if sw.any():
                     idx = np.nonzero(sw)[0]
@@ -256,17 +273,24 @@ class Engine:
                     ci[i:, idx] = cj[i:, idx]
                     cj[i:, idx] = tmp
                     vp[idx] = ve[idx]
-                    inv[i, idx] = self._unit_inverse(ci[i, idx], vp[idx])
-                s = self._scalar(cj[i], vp, inv[i])
-                rows = cj[i:]
-                rows -= ci[i:] * s
-                if self.modulus is not None:
-                    rows %= self.modulus
-            vjj = self.vals(cj[j])
+                    lo[i, idx], hi[i, idx], inv[i, idx] = self._pivot(ci[i, idx], vp[idx])
+                s = self._scalar(cj[i], lo[i], hi[i], inv[i])
+                rows, t = cj[i:], scratch[i:]
+                np.multiply(ci[i:], s, out=t)
+                rows -= t
+                if self.dtype is object:
+                    rows %= modulus
+                elif modulus is not None:
+                    np.floor_divide(rows, modulus, out=t)
+                    t *= modulus
+                    rows -= t
+            if dead.any():
+                ambiguous |= (dead & (reads[:j] == k)).any(axis=0)
+            vjj = reads[j] = self.vals(cj[j])
             pv[j] = vjj
-            inv[j] = self._unit_inverse(cj[j], vjj)
+            lo[j], hi[j], inv[j] = self._pivot(cj[j], vjj)
             if record_table:
-                table[j, j] = vjj
+                table[: j + 1, j] = reads[: j + 1]
             diag = pv[: j + 1]
             boundary[j] = np.where((diag == k).any(axis=0), -1, diag.sum(axis=0))
             if j < d - 1:

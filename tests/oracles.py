@@ -13,7 +13,9 @@ reference for the sheaf verification's polynomial-time checks, and
 every entry reduced at every step, the reference for the package's step,
 which leaves entries unreduced in mid-round, and :func:`lv_elimination`,
 the pivoted elimination on elements with its transform, the reference for
-the package's eliminations on residues.  The elimination oracle
+the package's eliminations on residues, and :func:`engine_elimination`,
+the Monte-Carlo engine's step loop with nothing cached but the pivot
+inverses, the reference for the engine's loop.  The elimination oracle
 mirrors the pivoted column elimination over the field of fractions, so the
 package's finite-precision answers can be checked digit by digit against
 ground truth; the determinant and minor helpers give a
@@ -672,6 +674,91 @@ def eager_stepper(n: int, cfg):
             x[j] = update(x[j], x[i], s, n)
 
     return step
+
+
+# ---------------------------------------------------------------------------
+# the Monte-Carlo engine's elimination, one step at a time
+# ---------------------------------------------------------------------------
+
+
+def engine_elimination(eng, m, record_table: bool = False) -> dict:
+    """``eng.eliminate(m, record_table)`` for a
+    ``dvrlu.stats.montecarlo.Engine`` eng, as the step loop that reads the
+    pivot powers p^v and p^(K - v) from ``eng.pows`` at every step, reduces
+    the column update with ``%`` and tests the both-zero case at every
+    step.  The reference for the engine's loop, which caches those powers
+    with each pivot's inverse, reduces by a scalar floor division and
+    tests the both-zero case once per round.  Only ``eng.vals`` and
+    ``eng.inv_units`` are the engine's own.
+    """
+    import numpy as np
+
+    def unit_inverse(x, v):
+        if eng.modulus is None:
+            return eng.inv_units(x >> v.astype(np.uint64))
+        return eng.inv_units(x // eng.pows[v])
+
+    def scalar(e, v, inv):
+        if eng.modulus is None:
+            sh = v.astype(np.uint64)
+            return ((e >> sh) * inv) & ((~np.uint64(0)) >> sh)
+        return ((e // eng.pows[v]) * inv) % eng.pows[eng.K - v]
+
+    b, d, _ = m.shape
+    k = eng.K
+    c = np.array(m.transpose(2, 1, 0), order="C")
+    pv = np.empty((d, b), dtype=np.int64)
+    inv = np.empty((d, b), dtype=eng.dtype)
+    ambiguous = np.zeros(b, dtype=bool)
+    vl_ok = np.ones(b, dtype=bool)
+    boundary = np.empty((d, b), dtype=np.int64)
+    table = np.full((d, d, b), -1, dtype=np.int64) if record_table else None
+    min_m = np.zeros(b, dtype=np.int64)
+    for j in range(d):
+        cj = c[j]
+        for i in range(j):
+            ci, vp = c[i], pv[i]
+            ve = eng.vals(cj[i])
+            if record_table:
+                table[i, j] = ve
+            ambiguous |= (ve == k) & (vp == k)
+            sw = ve < vp
+            if sw.any():
+                idx = np.nonzero(sw)[0]
+                tmp = ci[i:, idx]
+                ci[i:, idx] = cj[i:, idx]
+                cj[i:, idx] = tmp
+                vp[idx] = ve[idx]
+                inv[i, idx] = unit_inverse(ci[i, idx], vp[idx])
+            s = scalar(cj[i], vp, inv[i])
+            rows = cj[i:]
+            rows -= ci[i:] * s
+            if eng.modulus is not None:
+                rows %= eng.modulus
+        vjj = eng.vals(cj[j])
+        pv[j] = vjj
+        inv[j] = unit_inverse(cj[j], vjj)
+        if record_table:
+            table[j, j] = vjj
+        diag = pv[: j + 1]
+        boundary[j] = np.where((diag == k).any(axis=0), -1, diag.sum(axis=0))
+        if j < d - 1:
+            vl_ok &= vjj != k
+            mj = eng.vals(cj[j + 1 :]).min(axis=0) - vjj
+            min_m = np.minimum(min_m, np.where(vl_ok, mj, min_m))
+    boundary = np.ascontiguousarray(boundary.T)
+    out = {
+        "vl": -min_m,
+        "vl_ok": vl_ok,
+        "det_val": boundary[:, d - 1],
+        "det_ok": boundary[:, d - 1] >= 0,
+        "boundary": boundary,
+        "ambiguous": ambiguous,
+        "hp": c.transpose(2, 1, 0),
+    }
+    if record_table:
+        out["table"] = np.ascontiguousarray(table.transpose(2, 0, 1))
+    return out
 
 
 # ---------------------------------------------------------------------------

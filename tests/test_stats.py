@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from conftest import simulate_wi_2x2, vij_mass
 from dvrlu.config import DvrConfig, is_prime
 from dvrlu.element import PrecElem
@@ -426,6 +427,33 @@ def test_engine_matches_object_elimination_at_random_primes(p, d, b, zeros, twic
         assert [[e.representative() for e in r] for r in hp.rows] == out["hp"][t].tolist()
 
 
+@pytest.mark.parametrize("zeros", [0.0, 0.3, 0.7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 65537, EDGE_P])
+def test_engine_matches_step_by_step_oracle(p, zeros):
+    # every output of eliminate, H' and the table included, equals the
+    # reference loop's at the benchmark's shapes and around them, on the
+    # machine-word engine and, where d^3 B is small enough for Python ints,
+    # on the 2K-digit engine of retries
+    rng = np.random.default_rng([p, int(10 * zeros)])
+    for d in (1, 2, 5, 16, 25, 32):
+        for b in (1, 7, 144, 320):
+            word = Engine(p)
+            mats = word.random(rng, (b, d, d))
+            mats[rng.random(mats.shape) < zeros] = 0
+            runs = [(word, mats)]
+            if d**3 * b <= 250_000:
+                high = word.random(rng, mats.shape)
+                high[rng.random(mats.shape) < zeros] = 0
+                runs.append((Engine(p, 2 * word.K),
+                             mats.astype(object) + p**word.K * high.astype(object)))
+            for eng, m in runs:
+                got = eng.eliminate(m, record_table=True)
+                want = oracles.engine_elimination(eng, m, record_table=True)
+                assert got.keys() == want.keys()
+                for key in want:
+                    assert np.array_equal(got[key], want[key]), (d, b, eng.K, key)
+
+
 class _ZeroingRng:
     """A generator whose integer draws have about 30% of their entries set
     to zero, chosen by a second generator on the same seed words."""
@@ -525,8 +553,9 @@ def _digest(out: dict) -> str:
 
 
 # simulate's outputs for fixed seeds: the benchmark's three kinds, a
-# recorded table, two worker processes, and zeroed draws that force 196
-# retries at 2K digits (51 of them dropped)
+# recorded table, two worker processes, zeroed draws that force 196
+# retries at 2K digits (51 of them dropped), a p above 2^16 (valuations by
+# gcd, K = 1) and a run over two chunks
 MC_GOLDEN = {
     "p2_d16": ((2, 16, 1536), {"seed": 1},
                "429490441b10de15e08273a743ada19799b3c97c2936a7d7394f0c844df1b7ae"),
@@ -540,6 +569,10 @@ MC_GOLDEN = {
               "007c9aa02d43be6bc04975d0ff55f2da838242ebefd43133ee452ad97964709e"),
     "retry": ((3, 4, 400), {"seed": 8, "record_table": True},
               "79471368d718777b380c87dea66749167dd86012951ee9b3befe4be70cf12d2c"),
+    "p65537": ((65537, 12, 500), {"seed": 9},
+               "f2b4e9bf326121d1c7bd6d5753323c3a1773fb05c9ac551ab4c9a40c9ba15cf1"),
+    "chunks2": ((5, 40, 2700), {"seed": 9},
+                "7573bcd3f31cd38d53f3caba8da6ce07fc2d3f84379a25766465640b5ca39e32"),
 }
 
 
