@@ -113,15 +113,8 @@ def _flattened(m: PrecMatrix) -> tuple[PrecMatrix, int, int, Optional[list[list[
     entries have no residues: then s = 0, n = N, cols is None and omega m
     capped at N.
     """
-    n, low = m.rows[0][0].abs_prec, 0
-    for row in m.rows:  # one walk for N and the least valuation bound
-        for e in row:
-            prec, v = e.abs_prec, e.val_lower_bound
-            if prec < n:
-                n = prec
-            if v < low:
-                low = v
-    n, s = _require_digits(n), -low
+    n = _require_digits(m.min_abs_prec())
+    s = max(0, -min(e.val_lower_bound for row in m.rows for e in row))
     cols = kernel.ints(zip(*m.rows), n + s, m.rows[0][0].cfg, s)
     return (m, n + s, s, cols) if cols is not None else (m.cap_abs(n), n, 0, None)
 

@@ -19,11 +19,12 @@ of the batch, so that one column of every trial is one contiguous (d, B)
 block and each (i, j) step is a few in-place numpy calls on it.  Per
 diagonal it caches the pivot's valuation v, the inverse of its unit part
 and the powers p^v and p^(K - v) the scalar divides and reduces by,
-refreshed only where a swap replaces the pivot.  On odd p the column update
-is reduced mod p^K as ``x - (x // p^K) * p^K`` through one scratch block:
-numpy divides by one scalar divisor by multiplying, but computes a
-remainder by dividing.  The both-zero case is tested once per round, from
-the round's reads and the pivots dead at its start.  Odd-p valuations below
+refreshed only where a swap replaces the pivot.  Except on the p = 2
+machine-word engine, which wraps around, the column update is reduced mod
+p^K as ``x - (x // p^K) * p^K`` through one scratch block: numpy divides by
+one scalar divisor by multiplying, but computes a remainder by dividing.
+The both-zero case is tested once per round, from the round's reads and
+the pivots dead at its start.  Odd-p valuations below
 2^16 read a per-p table on ``x mod p^k0`` (p^k0 <= 2^16), built on first
 use; the rare entries that p^k0 divides, larger p and the object engine
 take ``gcd(x, p^K)``.  A unit inverse mod p^K is a Newton lift that starts,
@@ -125,7 +126,7 @@ class Engine:
 
     :meth:`eliminate` runs on a column-major, trial-minor copy of the batch,
     caches each pivot's valuation, unit inverse and powers p^v, p^(K - v),
-    reduces the odd-p column update by a scalar floor division and tests
+    reduces the column update by a scalar floor division and tests
     the both-zero case once per round (see there).
     :meth:`vals` takes the lowest set bit for p = 2, reads the module's
     valuation table on ``x mod p^k0`` for an odd p <= 2^16 on machine words,
@@ -242,11 +243,11 @@ class Engine:
         rows >= i only.  pv[i] caches the valuation of the diagonal entry
         (i, i), and lo[i], hi[i] and inv[i] its :meth:`_pivot` data: set
         at the end of round i, changed afterwards only by a swap at some
-        (i, j).  On odd p the update of column j is reduced mod p^K by a
-        floor division through one scratch block (see the module).  Within
-        round j only step (i, j) changes pv[i], and only lowers it, so the
-        both-zero flag of the round is decided once, from the round's reads
-        and the pivots dead at its start.
+        (i, j).  Unless p^K is the 2^64 wraparound, the update of column j
+        is reduced mod p^K by a floor division through one scratch block
+        (see the module).  Within round j only step (i, j) changes pv[i],
+        and only lowers it, so the both-zero flag of the round is decided
+        once, from the round's reads and the pivots dead at its start.
         """
         b, d, _ = m.shape
         k, modulus = self.K, self.modulus
@@ -278,9 +279,7 @@ class Engine:
                 rows, t = cj[i:], scratch[i:]
                 np.multiply(ci[i:], s, out=t)
                 rows -= t
-                if self.dtype is object:
-                    rows %= modulus
-                elif modulus is not None:
+                if modulus is not None:
                     np.floor_divide(rows, modulus, out=t)
                     t *= modulus
                     rows -= t
